@@ -6,19 +6,28 @@ move abandons a vertex some robber can still reach through the cops that
 remain) and the robbers run out of vertices.  The invisible variant replaces
 the robber set by a contaminated set and is a one-player search.
 
-The solver collapses robber sets to their reachability region: two positions
-with the same cop set whose robber sets reach exactly the same vertices have
-identical futures, which keeps arenas small enough for exhaustive fixpoints.
+The visible solver collapses robber sets to their reachability region: two
+positions with the same cop set whose robber sets reach exactly the same
+vertices have identical futures.  It builds that game once as an explicit
+graph of cop classes (cop set, region) and robber-turn nodes (announcement,
+escape set) with integer ids, then one backward attractor, shared with the
+parity-game solver, decides every class.  A won class's certificate is the
+announcement it was attracted through, a fastest-capture move.  No
+reachability memo is kept: each class is enumerated once, and a region is
+closed under successors outside its cop set, so no candidate needs a search.
 """
 from __future__ import annotations
 
 import itertools
 import os
+from collections import deque
 from dataclasses import dataclass
+from functools import reduce
+from operator import or_
 from typing import Iterable, Optional
 
-from .digraph import (Digraph, bits, mask_from, reach_mask, region_table,
-                      set_from, symmetric_closure)
+from .digraph import (Digraph, bits, mask_from, out_of, reach_mask,
+                      region_table, set_from, symmetric_closure)
 from .errors import ConfigError, PreconditionError, ResourceError
 
 DEFAULT_POSITION_BUDGET = 10_000_000
@@ -123,7 +132,6 @@ class GraphCache:
         self.g = g
         self.n = g.n
         self.out = g.out_masks
-        self.full = g.full_mask
         self._reach = {}
         self._under = {}
 
@@ -157,11 +165,6 @@ def _subsets_desc(bitlist, kmax):
 # ---------------------------------------------------------------------------
 # Move relations (exhaustive; the solver uses a pruned equivalent internally)
 
-def _scc_of_robber(g: Digraph, cache: GraphCache, U_mask: int, v: int) -> int:
-    _, comp = cache.under(U_mask)
-    return comp[v]
-
-
 def cop_moves(g: Digraph, cfg: SearchConfig, pos: CopTurn):
     """All announcements from a cop position.
 
@@ -178,7 +181,7 @@ def cop_moves(g: Digraph, cfg: SearchConfig, pos: CopTurn):
     moves = set()
     if cfg.restrict_to_scc:
         (v,) = pos.R
-        allowed_new = _scc_of_robber(g, cache, U_mask, v)
+        allowed_new = cache.under(U_mask)[1][v]
         ubits = sorted(pos.U)
         for B in _subsets_desc(ubits, cfg.k):
             room = cfg.k - bin(B).count("1")
@@ -218,179 +221,156 @@ def is_monotone_move(g: Digraph, pos: RobberTurn) -> bool:
 
 
 # ---------------------------------------------------------------------------
+# Attractor
+
+def attract(pred, owner, player, target, count):
+    """Backward attractor of `target` for `player`, breadth first.
+
+    Zielonka's predecessor-counter attractor (TCS 200, 1998), linear in the
+    edges.  `pred[w]` lists the predecessors of w, `owner[v]` moves at v, and
+    `count[v]` (consumed) is how many successors of v must be attracted
+    before v is: 1 for a node of `player`, its successors in the game for an
+    opponent's node, 0 in `target` or outside the game.  Returns the nodes in
+    attraction order and, for `player`'s attracted nodes outside `target`,
+    the successor they were attracted through: a fastest way into `target`.
+    """
+    order = list(target)
+    strat = {}
+    for w in order:  # `order` grows while it is read: it is the FIFO queue
+        for v in pred[w]:
+            c = count[v]
+            if c:
+                count[v] = c - 1
+                if c == 1:
+                    if owner[v] == player:
+                        strat[v] = w
+                    order.append(v)
+    return order, strat
+
+
+def _region_unions(regs, r: int):
+    """Distinct unions of 1..r of the regions `regs`, in combination order."""
+    return list(dict.fromkeys(reduce(or_, comb)
+                              for t in range(1, min(r, len(regs)) + 1)
+                              for comb in itertools.combinations(regs, t)))
+
+
+# ---------------------------------------------------------------------------
 # Visible-game solver
 
 class _SearchSolver:
-    """Least fixpoint of the cop-winnable predicate over collapsed classes.
+    """Least fixpoint of the cop-winnable predicate over an explicit class graph.
 
-    A class is (cop set, robber region).  Candidate announcements keep a
-    subset B of standing cops (skipped when abandoning the rest would be
-    non-monotone, since such announcements lose outright) and add new cops
-    X inside the robbers' current cone; in monotone play regions never grow,
-    so cops parked outside the cone never block anything and can be dropped
-    from any winning announcement without weakening it.
+    A class is (cop set U, robber region reg), and reg is closed under
+    successors outside U.  Candidate announcements keep every standing cop
+    that reg has an edge into (releasing one would be non-monotone, and such
+    announcements lose outright), keep any subset of the other standing
+    cops, and add new cops X inside reg; in monotone play regions never
+    grow, so cops parked outside the region never block anything and can be
+    dropped from any winning announcement without weakening it.
+
+    One breadth-first pass interns every class reachable from the initial
+    ones and every robber-turn node (Up, escapes) behind a non-capturing
+    candidate, and computes each robber-turn node's successor classes once.
+    The classes with a capturing candidate are the target; one `attract`
+    over the graph decides every class, and each won class's certificate is
+    the announcement it was first attracted through, a fastest-capture move.
+    No reachability memo is kept: every candidate's cone is reg itself, and
+    successor regions come from the region table of the announced cop set.
     """
 
     def __init__(self, g: Digraph, cfg: SearchConfig, budget: int,
                  cache: Optional[GraphCache] = None):
         if not cfg.visible:
             raise PreconditionError("solve_search plays the visible game")
-        self.g = g
-        self.cfg = cfg
         self.k = cfg.k
         self.r = cfg.r
         self.restricted = cfg.restrict_to_scc
         self.cache = cache or GraphCache(g)
         self.budget = budget
-        self._allowed_new = {}
 
     def _initial_classes(self):
         region, _ = self.cache.under(0)
-        distinct = sorted({region[v] for v in range(self.g.n)})
-        classes = set()
-        for t in range(1, min(self.r, len(distinct)) + 1):
-            for comb in itertools.combinations(distinct, t):
-                u = 0
-                for q in comb:
-                    u |= q
-                classes.add((0, u))
-        return sorted(classes)
-
-    def _allowed_new_mask(self, U: int, reg: int) -> int:
-        if not self.restricted:
-            return self.cache.full
-        key = (U, reg)
-        got = self._allowed_new.get(key)
-        if got is None:
-            region, _ = self.cache.under(U)
-            got = 0
-            for v in bits(reg):
-                if region[v] == reg:
-                    got |= 1 << v
-            self._allowed_new[key] = got
-        return got
+        return [(0, u) for u in sorted(_region_unions(sorted(set(region)), self.r))]
 
     def _candidates(self, U: int, reg: int):
-        """Yield (announcement, escape set) pairs, aggressive placements first."""
-        cache = self.cache
-        k = self.k
-        ubits = sorted(bits(U))
-        allowed = self._allowed_new_mask(U, reg)
-        for B in _subsets_desc(ubits, k):
-            rb = cache.reach(reg, B)
-            if (U & ~B) & rb:
-                continue  # abandoning a guard the robbers can still reach
-            room = k - bin(B).count("1")
-            xbits = sorted(bits(rb & allowed))
-            for X in _subsets_desc(xbits, room):
-                Up = B | X
-                yield Up, rb & ~Up
+        """Yield (announcement, escape set) pairs, aggressive placements first.
 
-    def _succ_regions(self, Up: int, escapes: int):
-        region, _ = self.cache.under(Up)
-        return sorted({region[v] for v in bits(escapes)})
+        `reg` is closed under successors outside U.  So releasing a standing
+        cop with an edge from `reg` into it is non-monotone, and every other
+        kept set B leaves the robbers' cone at exactly `reg`.
+        """
+        guard = U & out_of(self.cache.out, reg)
+        room = self.k - bin(guard).count("1")  # below 0 no subset is yielded
+        allowed = reg
+        if self.restricted:  # new cops only in the robber's component
+            region, _ = self.cache.under(U)
+            allowed = mask_from(v for v in bits(reg) if region[v] == reg)
+        xbits = sorted(bits(allowed))
+        for S in _subsets_desc(sorted(bits(U & ~guard)), room):
+            B = guard | S
+            for X in _subsets_desc(xbits, room - bin(S).count("1")):
+                yield B | X, reg & ~X
 
-    def _all_succ_classes_won(self, Up: int, escapes: int, won) -> bool:
-        wset = won.get(Up)
-        if wset is None:
-            return False
-        regs = self._succ_regions(Up, escapes)
-        if self.r == 1:
-            return all(q in wset for q in regs)
-        for t in range(1, min(self.r, len(regs)) + 1):
-            for comb in itertools.combinations(regs, t):
-                u = 0
-                for q in comb:
-                    u |= q
-                if u not in wset:
-                    return False
-        return True
-
-    def _find_winning(self, U: int, reg: int, won):
-        for Up, escapes in self._candidates(U, reg):
-            if escapes == 0:
-                return Up
-            if self._all_succ_classes_won(Up, escapes, won):
-                return Up
-        return None
-
-    def _build_domain(self, initial):
-        from collections import deque
-        domain = {}
-        dq = deque()
-        for key in initial:
-            domain[key] = True
-            dq.append(key)
-        while dq:
-            U, reg = dq.popleft()
-            for Up, escapes in self._candidates(U, reg):
-                if escapes == 0:
-                    continue
-                regs = self._succ_regions(Up, escapes)
-                if self.r == 1:
-                    succ = [(Up, q) for q in regs]
-                else:
-                    succ = []
-                    seen = set()
-                    for t in range(1, min(self.r, len(regs)) + 1):
-                        for comb in itertools.combinations(regs, t):
-                            u = 0
-                            for q in comb:
-                                u |= q
-                            if u not in seen:
-                                seen.add(u)
-                                succ.append((Up, u))
-                for key in succ:
-                    if key not in domain:
-                        if len(domain) >= self.budget:
-                            raise ResourceError(
-                                f"arena exceeded the position budget ({self.budget})",
-                                budget=self.budget, context=f"k={self.k}, r={self.r}")
-                        domain[key] = True
-                        dq.append(key)
-        return list(domain)
+    def _escape_regions(self, Up: int, escapes: int):
+        """Sorted distinct regions of the escape vertices, one SCC at a time."""
+        region, comp = self.cache.under(Up)
+        regs = set()
+        while escapes:
+            v = (escapes & -escapes).bit_length() - 1
+            regs.add(region[v])
+            escapes &= ~comp[v]
+        return sorted(regs)
 
     def run(self):
         initial = self._initial_classes()
-        domain = self._build_domain(initial)
-        won = {}
-        cert = {}
-        init_set = set(initial)
-        pending_init = set(initial)
-        unresolved = list(reversed(domain))
-        changed = True
-        while changed and pending_init:
-            changed = False
-            still = []
-            for key in unresolved:
-                U, reg = key
-                Up = self._find_winning(U, reg, won)
-                if Up is not None:
-                    won.setdefault(U, set()).add(reg)
-                    cert[key] = Up
-                    pending_init.discard(key)
-                    changed = True
-                else:
-                    still.append(key)
-            unresolved = still
-        if pending_init:
-            # run to stabilization so the robber side is exact
-            changed = True
-            while changed:
-                changed = False
-                still = []
-                for key in unresolved:
-                    U, reg = key
-                    Up = self._find_winning(U, reg, won)
-                    if Up is not None:
-                        won.setdefault(U, set()).add(reg)
-                        cert[key] = Up
-                        changed = True
-                    else:
-                        still.append(key)
-                unresolved = still
-        cops_win = all(key in cert for key in init_set)
-        return cops_win, won, cert, len(domain)
+        # Cop classes and robber turns share integer ids in discovery order;
+        # keys[v] is (U, reg) for a class and (Up, escapes) for a turn.
+        keys, owner, count, pred = [], [], [], []  # count: see `attract`
+
+        def node(key, who, need):
+            keys.append(key)
+            owner.append(who)
+            count.append(need)
+            pred.append([])
+            return len(keys) - 1
+
+        class_id = {key: node(key, COPS, 1) for key in initial}
+        turn_id = {}
+        capture = {}  # class id -> its first capturing announcement
+        queue = deque(class_id.values())
+        while queue:
+            c = queue.popleft()
+            U, reg = keys[c]
+            for Up, escapes in self._candidates(U, reg):
+                if escapes == 0:
+                    capture.setdefault(c, Up)
+                    continue
+                t = turn_id.get((Up, escapes))
+                if t is None:
+                    succ = _region_unions(self._escape_regions(Up, escapes), self.r)
+                    t = turn_id[Up, escapes] = node((Up, escapes), ROBBERS, len(succ))
+                    for u in succ:
+                        s = class_id.get((Up, u))
+                        if s is None:
+                            if len(class_id) >= self.budget:
+                                raise ResourceError(
+                                    f"arena exceeded the position budget ({self.budget})",
+                                    budget=self.budget, context=f"k={self.k}, r={self.r}")
+                            s = class_id[Up, u] = node((Up, u), COPS, 1)
+                            queue.append(s)
+                        pred[s].append(t)
+                pred[t].append(c)
+        for c in capture:
+            count[c] = 0
+        order, via = attract(pred, owner, COPS, list(capture), count)
+        won, cert = {}, {}
+        for v in order:
+            if owner[v] == COPS:
+                U, reg = keys[v]
+                won.setdefault(U, set()).add(reg)
+                cert[U, reg] = capture[v] if v in capture else keys[via[v]][0]
+        return all(key in cert for key in initial), won, cert, len(class_id)
 
 
 def solve_search(g: Digraph, cfg: SearchConfig, budget: Optional[int] = None,

@@ -86,6 +86,14 @@ class Digraph:
         return f"Digraph(n={self.n}, m={len(self.edges)})"
 
 
+def out_of(out_masks: Sequence[int], vertices: int) -> int:
+    """Union of the successor masks of the given vertices."""
+    m = 0
+    for v in bits(vertices):
+        m |= out_masks[v]
+    return m
+
+
 def reach_mask(out_masks: Sequence[int], sources: int, blocked: int) -> int:
     """Vertices reachable from `sources` along paths avoiding `blocked`.
 

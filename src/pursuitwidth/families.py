@@ -146,11 +146,6 @@ def two_tree_graph(n: int):
     return g, coords
 
 
-def gen_theorem7(n: int):
-    """Alias kept for the CLI's family name."""
-    return two_tree_graph(n)
-
-
 class TopDownTreeCops(CopStrategy):
     """Four cops sweeping both trees level by level.
 

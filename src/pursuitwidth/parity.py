@@ -15,7 +15,7 @@ import random
 from dataclasses import dataclass
 from typing import Optional
 
-from .arena import CopTurn, GraphCache
+from .arena import CopTurn, GraphCache, attract
 from .digraph import Digraph, bits, mask_from
 from .errors import InputError, InvariantViolation, PreconditionError
 from .strategy import CopStrategy
@@ -265,30 +265,12 @@ class _Expanded:
                 self.pred[w].append(v)
 
 
-def _attract(ex: _Expanded, nodes: set, target: set, player: int):
-    """Attractor of `target` for `player` inside `nodes`, with a strategy."""
-    A = set(target)
-    strat = {}
-    cnt = {}
-    queue = list(target)
-    for v in nodes:
-        if ex.owner[v] != player:
-            cnt[v] = sum(1 for w in ex.succ[v] if w in nodes)
-    while queue:
-        w = queue.pop()
-        for v in ex.pred[w]:
-            if v not in nodes or v in A:
-                continue
-            if ex.owner[v] == player:
-                A.add(v)
-                strat[v] = w
-                queue.append(v)
-            else:
-                cnt[v] -= 1
-                if cnt[v] == 0:
-                    A.add(v)
-                    queue.append(v)
-    return A, strat
+def _counts(ex: _Expanded, nodes: set, target: set, player: int) -> list:
+    """`attract` counters for the subgame on `nodes`."""
+    count = [0] * ex.size
+    for v in nodes - target:
+        count[v] = 1 if ex.owner[v] == player else sum(w in nodes for w in ex.succ[v])
+    return count
 
 
 def _zielonka(ex: _Expanded, nodes: set):
@@ -297,7 +279,8 @@ def _zielonka(ex: _Expanded, nodes: set):
     d = min(ex.color[v] for v in nodes)  # the least color decides, so peel it
     p = d % 2
     Z = {v for v in nodes if ex.color[v] == d}
-    A, sA = _attract(ex, nodes, Z, p)
+    A, sA = attract(ex.pred, ex.owner, p, Z, _counts(ex, nodes, Z, p))
+    A = set(A)
     w0, w1, s0, s1 = _zielonka(ex, nodes - A)
     wp, sp = (w0, s0) if p == 0 else (w1, s1)
     wq, sq = (w1, s1) if p == 0 else (w0, s0)
@@ -310,7 +293,8 @@ def _zielonka(ex: _Expanded, nodes: set):
         if p == 0:
             return set(nodes), set(), sp, {}
         return set(), set(nodes), {}, sp
-    B, sB = _attract(ex, nodes, wq, 1 - p)
+    B, sB = attract(ex.pred, ex.owner, 1 - p, wq, _counts(ex, nodes, wq, 1 - p))
+    B = set(B)
     w0b, w1b, s0b, s1b = _zielonka(ex, nodes - B)
     sq_full = dict(sq)
     sq_full.update(sB)

@@ -14,7 +14,7 @@ from typing import Iterable, Optional
 
 from .arena import (COPS, INITIAL, CopTurn, GraphCache, Initial, RobberTurn,
                     SearchConfig, effective_budget, is_monotone_move)
-from .digraph import Digraph, bits, mask_from, reach_mask, set_from
+from .digraph import Digraph, bits, mask_from, out_of, reach_mask, set_from
 from .errors import (AdversaryContractError, InvariantViolation,
                      PreconditionError, ResourceError, StrategyHoleError)
 
@@ -205,17 +205,27 @@ class SolverCopStrategy(CopStrategy):
 
 
 class SolverRobberStrategy(RobberStrategy):
-    """Winning robber strategy that stays inside the cop-unwinnable classes."""
+    """Winning robber strategy that stays inside the cop-unwinnable classes.
+
+    The solver only enumerates classes its pruned announcements reach, while
+    cops may also be parked outside the robbers' region.  A class is thus
+    judged by its region and the cops on the region's border: other cops can
+    never block a robber again, so classes that agree on both have one value.
+    """
 
     def __init__(self, g: Digraph, cfg: SearchConfig, cache: GraphCache, won):
         self.g = g
         self.cfg = cfg
         self.cache = cache
         self.won = won
+        self._won_border = None
 
     def _class_won(self, U: int, reg: int) -> bool:
-        wset = self.won.get(U)
-        return wset is not None and reg in wset
+        out = self.g.out_masks
+        if self._won_border is None:
+            self._won_border = {(W & out_of(out, q), q)
+                                for W, regs in self.won.items() for q in regs}
+        return (U & out_of(out, reg), reg) in self._won_border
 
     def initial_placement(self) -> frozenset:
         for t in range(1, self.cfg.r + 1):

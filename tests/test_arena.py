@@ -5,10 +5,11 @@ from pursuitwidth.arena import (COPS, INITIAL, ROBBERS, CopTurn, RobberTurn,
                                 SearchConfig, cop_moves, is_monotone_move,
                                 robber_moves, solve_invisible, solve_search,
                                 validate_invisible_schedule, width)
+from pursuitwidth.cli import small_corpus
 from pursuitwidth.digraph import Digraph
 from pursuitwidth.errors import ConfigError, ResourceError
 from pursuitwidth.families import (cycle_digraph, gen_grk, random_digraph,
-                                   tree_T)
+                                   tree_T, two_tree_graph)
 from pursuitwidth.strategy import (validate_cop_strategy,
                                    validate_robber_strategy)
 
@@ -140,6 +141,51 @@ class TestSolve:
         assert res.cop_strategy is not None and res.robber_strategy is None
         res = solve_search(g, SearchConfig(k=1))
         assert res.cop_strategy is None and res.robber_strategy is not None
+
+
+def _solver_corpus():
+    """Every strongly connected digraph on at most 3 vertices, plus 20 seeded
+    random digraphs on 4 (sixteen of them) or 5 (four) vertices."""
+    graphs = small_corpus(3)
+    for i in range(20):
+        n = 5 if i % 5 == 0 else 4
+        graphs.append((f"rnd{n}-{i}", random_digraph(n, 0.35, 1000 + i)))
+    return graphs
+
+
+SOLVER_CORPUS = _solver_corpus()
+
+
+def _assert_strategy_validates(g, cfg, res):
+    if res.winner == COPS:
+        report = validate_cop_strategy(g, cfg, res.cop_strategy)
+    else:
+        report = validate_robber_strategy(g, cfg, res.robber_strategy)
+    assert report.ok, (sorted(g.edges), cfg, res.winner, report.witness)
+
+
+class TestSearchSolver:
+    @pytest.mark.parametrize("name,g", SOLVER_CORPUS, ids=[n for n, _ in SOLVER_CORPUS])
+    def test_matches_oracle_and_strategies_validate(self, name, g):
+        for r in (1, 2):
+            for k in range(g.n + 1):
+                cfg = SearchConfig(k=k, r=r)
+                res = solve_search(g, cfg)
+                assert res.winner == minimax_solve(g, k, r), (name, k, r)
+                _assert_strategy_validates(g, cfg, res)
+        for k in range(g.n + 1):
+            cfg = SearchConfig(k=k, restrict_to_scc=True)
+            _assert_strategy_validates(g, cfg, solve_search(g, cfg))
+
+    def test_two_tree_arena_size_and_budget(self):
+        g, _ = two_tree_graph(2)
+        cfg = SearchConfig(k=2)
+        size = solve_search(g, cfg).arena_size
+        assert size == 2076
+        assert solve_search(g, cfg, budget=size).arena_size == size
+        with pytest.raises(ResourceError) as exc:
+            solve_search(g, cfg, budget=size - 1)
+        assert exc.value.budget == size - 1
 
 
 class TestInvisible:

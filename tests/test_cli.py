@@ -2,8 +2,11 @@ import json
 
 import pytest
 
+from pursuitwidth import cli, parity
 from pursuitwidth.cli import (EXIT_INPUT_ERROR, EXIT_PASS,
-                              EXIT_RESOURCE_ERROR, SCHEMA, main)
+                              EXIT_RESOURCE_ERROR, SCHEMA, main, suite_lemma2,
+                              suite_thm25)
+from pursuitwidth.strategy import ValidationReport
 
 
 def run(argv, capsys):
@@ -148,3 +151,26 @@ class TestVerifyCommand:
         for rep in (a, b):
             rep.pop("elapsed_s")
         assert a == b
+
+
+def _check(rep, name):
+    return next(c for c in rep.checks if c.name == name)
+
+
+class TestChecksCanFail:
+    def test_failed_product_verification_fails_the_check(self, monkeypatch):
+        monkeypatch.setattr(parity, "_verify_knowledge_strategy", lambda *a: False)
+        rep = suite_lemma2(count=1, pipeline_count=4)
+        check = _check(rep, "player0-wins-pass-product-verification")
+        assert not check.passed and not rep.passed
+        assert check.witness  # the seeds whose wins failed verification
+        assert _check(rep, "identity-observations-match-direct-solve").passed
+
+    def test_robber_team_lower_bound_needs_a_valid_robber_strategy(self, monkeypatch):
+        name = "robber-team-lower-bound-smallest-instance"
+        assert _check(suite_thm25(), name).passed
+        monkeypatch.setattr(cli, "validate_robber_strategy",
+                            lambda *a, **kw: ValidationReport(False, ("captured",), 0))
+        check = _check(suite_thm25(), name)
+        assert not check.passed
+        assert check.witness == {"winner": "robbers", "witness": "('captured',)"}
