@@ -152,9 +152,11 @@ class GraphCache:
         return got
 
 
-def _subsets_desc(bitlist, kmax):
-    """Subsets of the given bits as masks, largest first; deterministic."""
-    for t in range(min(kmax, len(bitlist)), -1, -1):
+def subset_masks(bitlist, sizes):
+    """Subsets of the given bits as masks: each size of `sizes` in turn, and
+    within a size in combination order.  Pass a descending range for largest
+    first (announcements), an ascending one for smallest first (robbers)."""
+    for t in sizes:
         for comb in itertools.combinations(bitlist, t):
             m = 0
             for b in comb:
@@ -162,54 +164,91 @@ def _subsets_desc(bitlist, kmax):
             yield m
 
 
+def explore(roots, moves, limit: int, what: str, cycle: Optional[str] = None):
+    """Depth-first search over every line of play, with an explicit stack.
+
+    `moves(state)` returns None at a good leaf, a verdict string at a bad
+    state, or an iterator of successor states that may also yield a verdict
+    string for a bad move.  A state whose successors were all explored is
+    done and is never expanded again; a state met again on the current path
+    fails with `cycle`, or is skipped when `cycle` is None.  Returns
+    `(failure, expanded)`: failure is None or `(verdict, path)`, where path
+    runs from a root to the failing state, and expanded counts the states
+    whose successors were explored, which `limit` bounds.
+    """
+    # state -> True while it is on the current path, False once done; one
+    # dict rather than two sets, so an expanded state is hashed three times
+    seen = {}
+    path = []
+    frames = [iter(roots)]  # frames[i + 1] yields the successors of path[i]
+    expanded = 0
+    while frames:
+        for state in frames[-1]:
+            if isinstance(state, str):
+                return (state, tuple(path)), expanded
+            on_path = seen.get(state)
+            if on_path is not None:
+                if on_path and cycle is not None:
+                    return (cycle, (*path, state)), expanded
+                continue
+            got = moves(state)
+            if got is None:
+                continue
+            path.append(state)
+            if isinstance(got, str):
+                return (got, tuple(path)), expanded
+            expanded += 1
+            if expanded > limit:
+                raise ResourceError(f"{what} exceeded the budget ({limit})", budget=limit)
+            seen[state] = True
+            frames.append(got)
+            break
+        else:
+            frames.pop()
+            if path:
+                seen[path.pop()] = False
+    return None, expanded
+
+
 # ---------------------------------------------------------------------------
 # Move relations (exhaustive; the solver uses a pruned equivalent internally)
 
-def cop_moves(g: Digraph, cfg: SearchConfig, pos: CopTurn):
-    """All announcements from a cop position.
+def announcement_masks(cache: GraphCache, cfg: SearchConfig, U: int, R: int):
+    """Every announcement from cop set U against robbers R, as masks, largest first.
 
     Unrestricted: any set of at most k vertices.  SCC-restricted: standing
     cops may stay anywhere, but newly placed cops must land inside the
     robber's current strongly connected component of the cop-deleted graph.
     """
+    if not cfg.restrict_to_scc:
+        yield from subset_masks(range(cache.n), range(cfg.k, -1, -1))
+        return
+    xbits = sorted(bits(cache.under(U)[1][R.bit_length() - 1]))
+    for B in subset_masks(sorted(bits(U)), range(cfg.k, -1, -1)):
+        for X in subset_masks(xbits, range(cfg.k - bin(B).count("1"), -1, -1)):
+            yield B | X
+
+
+def cop_moves(g: Digraph, cfg: SearchConfig, pos: CopTurn):
+    """All announcements from a cop position (see `announcement_masks`)."""
     if not isinstance(pos, CopTurn):
         raise PreconditionError("cop_moves needs a cop position")
-    if cfg.restrict_to_scc and cfg.r != 1:
-        raise ConfigError("the SCC-restricted game is defined for a single robber")
-    U_mask = mask_from(pos.U)
-    cache = GraphCache(g)
-    moves = set()
-    if cfg.restrict_to_scc:
-        (v,) = pos.R
-        allowed_new = cache.under(U_mask)[1][v]
-        ubits = sorted(pos.U)
-        for B in _subsets_desc(ubits, cfg.k):
-            room = cfg.k - bin(B).count("1")
-            for X in _subsets_desc(sorted(bits(allowed_new)), room):
-                moves.add(RobberTurn(pos.U, set_from(B | X), pos.R))
-    else:
-        for Up in _subsets_desc(list(range(g.n)), cfg.k):
-            moves.add(RobberTurn(pos.U, set_from(Up), pos.R))
-    return moves
+    return {RobberTurn(pos.U, set_from(Up), pos.R)
+            for Up in announcement_masks(GraphCache(g), cfg, mask_from(pos.U),
+                                         mask_from(pos.R))}
 
 
 def robber_moves(g: Digraph, cfg: SearchConfig, pos):
     """All robber responses; from the initial position, all placements."""
-    moves = set()
     if isinstance(pos, Initial):
-        for Rm in _subsets_desc(list(range(g.n)), cfg.r):
-            if Rm:
-                moves.add(CopTurn(frozenset(), set_from(Rm)))
-        return moves
+        return {CopTurn(frozenset(), set_from(Rm))
+                for Rm in subset_masks(range(g.n), range(1, cfg.r + 1))}
     if not isinstance(pos, RobberTurn):
         raise PreconditionError("robber_moves needs a robber position or the initial one")
-    U = mask_from(pos.U)
     Up = mask_from(pos.Uprime)
-    R = mask_from(pos.R)
-    escapes = reach_mask(g.out_masks, R, U & Up) & ~Up
-    for Rm in _subsets_desc(sorted(bits(escapes)), cfg.r):
-        moves.add(CopTurn(pos.Uprime, set_from(Rm)))
-    return moves
+    escapes = reach_mask(g.out_masks, mask_from(pos.R), mask_from(pos.U) & Up) & ~Up
+    return {CopTurn(pos.Uprime, set_from(Rm))
+            for Rm in subset_masks(sorted(bits(escapes)), range(cfg.r + 1))}
 
 
 def is_monotone_move(g: Digraph, pos: RobberTurn) -> bool:
@@ -307,9 +346,9 @@ class _SearchSolver:
             region, _ = self.cache.under(U)
             allowed = mask_from(v for v in bits(reg) if region[v] == reg)
         xbits = sorted(bits(allowed))
-        for S in _subsets_desc(sorted(bits(U & ~guard)), room):
+        for S in subset_masks(sorted(bits(U & ~guard)), range(room, -1, -1)):
             B = guard | S
-            for X in _subsets_desc(xbits, room - bin(S).count("1")):
+            for X in subset_masks(xbits, range(room - bin(S).count("1"), -1, -1)):
                 yield B | X, reg & ~X
 
     def _escape_regions(self, Up: int, escapes: int):
@@ -401,58 +440,35 @@ def solve_invisible(g: Digraph, k: int, budget: Optional[int] = None,
     """Can k cops monotonously clear the graph against an invisible robber?
 
     State is (cop set, contaminated set); a move spreads contamination along
-    cop-free paths, recontamination loses.  One player, so plain search.
+    cop-free paths, recontamination loses.  One player, so plain search: the
+    path to the first cleared state is the schedule, and `states` counts the
+    expanded states, which the budget bounds.
     """
     if g.n == 0:
         raise PreconditionError("cannot play on the empty graph")
     cache = cache or GraphCache(g)
-    limit = effective_budget(budget)
-    full = g.full_mask
-    failed = set()
-    states = 0
 
-    def candidates(U, S):
-        ubits = sorted(bits(U))
+    def moves(state):
+        U, S = state
+        if S == 0:
+            return "cleared"
         out = []
-        for B in _subsets_desc(ubits, k):
+        for B in subset_masks(sorted(bits(U)), range(k, -1, -1)):
             rb = cache.reach(S, B)
             if (U & ~B) & rb:
                 continue
-            room = k - bin(B).count("1")
-            for X in _subsets_desc(sorted(bits(rb)), room):
+            for X in subset_masks(sorted(bits(rb)), range(k - bin(B).count("1"), -1, -1)):
                 Up = B | X
-                if Up == U:
-                    continue
-                out.append((Up, rb & ~Up))
+                if Up != U:
+                    out.append((Up, rb & ~Up))
         out.sort(key=lambda t: (bin(t[1]).count("1"), t[0]))
-        return out
+        return iter(out)
 
-    start = (0, full)
-    frames = [(start, iter(candidates(0, full)), None)]
-    on_path = {start}
-    while frames:
-        (U, S), it, _ = frames[-1]
-        moved = False
-        for Up, S2 in it:
-            states += 1
-            if states > limit:
-                raise ResourceError(f"invisible search exceeded the state budget ({limit})",
-                                    budget=limit, context=f"k={k}")
-            if S2 == 0:
-                schedule = [fr[2] for fr in frames[1:]] + [Up]
-                return InvisibleResult(True, [set_from(m) for m in schedule], states)
-            nxt = (Up, S2)
-            if nxt in failed or nxt in on_path:
-                continue
-            frames.append((nxt, iter(candidates(Up, S2)), Up))
-            on_path.add(nxt)
-            moved = True
-            break
-        if not moved:
-            st, _, _ = frames.pop()
-            on_path.discard(st)
-            failed.add(st)
-    return InvisibleResult(False, None, states)
+    cleared, states = explore([(0, g.full_mask)], moves, effective_budget(budget),
+                              f"invisible search with k={k}")
+    if cleared is None:
+        return InvisibleResult(False, None, states)
+    return InvisibleResult(True, [set_from(U) for U, _ in cleared[1][1:]], states)
 
 
 def validate_invisible_schedule(g: Digraph, k: int, schedule: Iterable) -> tuple:

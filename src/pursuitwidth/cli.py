@@ -16,8 +16,9 @@ from .arena import (ROBBERS, SearchConfig, solve_invisible, solve_search,
                     validate_invisible_schedule, width)
 from .digraph import (Digraph, emit_dot, emit_edge_list,
                       is_strongly_connected, parse_edge_list)
-from .errors import (ConfigError, InputError, InvariantViolation,
-                     PreconditionError, ResourceError)
+from .errors import (AdversaryContractError, ConfigError, InputError,
+                     InvariantViolation, PreconditionError, ResourceError,
+                     StrategyHoleError)
 from .multiply import exhaust_prudent_isolating, multiply_strategy, traced_run
 from .strategy import (cleanup_strategy, isolating_transform, prudent_transform,
                        validate_cop_strategy, validate_robber_strategy)
@@ -29,6 +30,7 @@ EXIT_PASS = 0
 EXIT_CHECK_FAILURE = 1
 EXIT_INPUT_ERROR = 2
 EXIT_RESOURCE_ERROR = 3
+EXIT_INTERNAL_ERROR = 4
 
 
 @dataclass
@@ -643,6 +645,11 @@ def main(argv=None) -> int:
         print(json.dumps({"schema": SCHEMA, "error": str(e), "kind": "resource",
                           "budget": e.budget, "context": e.context}))
         return EXIT_RESOURCE_ERROR
+    except (InvariantViolation, AdversaryContractError, StrategyHoleError,
+            RecursionError, MemoryError) as e:
+        print(json.dumps({"schema": SCHEMA, "error": f"{type(e).__name__}: {e}",
+                          "kind": "internal"}))
+        return EXIT_INTERNAL_ERROR
     rep.elapsed_s = time.time() - t0
     out = json.dumps(rep.as_json(), indent=1)
     if getattr(args, "cmd", None) == "verify" or args.func is cmd_verify:

@@ -9,14 +9,14 @@ invariant's name and witness vertices.
 """
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from typing import Optional
 
-from .arena import CopTurn, GraphCache, RobberTurn
+from .arena import (CopTurn, GraphCache, RobberTurn, effective_budget, explore,
+                    subset_masks)
 from .digraph import Digraph, bits, is_strongly_connected, mask_from, set_from
 from .errors import (AdversaryContractError, InvariantViolation,
-                     PreconditionError, ResourceError, StrategyHoleError)
+                     PreconditionError, StrategyHoleError)
 from .strategy import (CopStrategy, History, PositionalCopStrategy,
                        cleanup_strategy, is_isolating_position)
 
@@ -622,16 +622,13 @@ def enumerate_prudent_isolating_moves(g: Digraph, pos: RobberTurn, r: int,
     legal = cache.reach(R, U & up) & ~up
     blocked_fresh = cache.reach(R, up)
     region, _ = cache.under(up)
-    ebits = sorted(bits(legal))
     out = []
-    for t in range(min(r, len(ebits)), -1, -1):
-        for comb in itertools.combinations(ebits, t):
-            Rp = mask_from(comb)
-            if (Rp & ~R) & blocked_fresh:
-                continue
-            if any(region[v] & (Rp & ~(1 << v)) for v in comb):
-                continue
-            out.append(set_from(Rp))
+    for Rp in subset_masks(sorted(bits(legal)), range(r, -1, -1)):
+        if (Rp & ~R) & blocked_fresh:
+            continue
+        if any(region[v] & (Rp & ~(1 << v)) for v in bits(Rp)):
+            continue
+        out.append(set_from(Rp))
     return out
 
 
@@ -649,54 +646,36 @@ def exhaust_prudent_isolating(g: Digraph, strat: MultiplyStrategy,
     """Play the multiplier against every prudent isolating robber line.
 
     Every branch must reach a monotone capture within the budget; any repeat
-    of a (memory, position) state would be an infinite play and fails.
+    of a (memory, cop set, robber set) state would be an infinite play and
+    fails.  A failure's witness is its verdict and the path of states from a
+    robber placement to the failing one.
     """
-    from .arena import effective_budget
-    limit = effective_budget(budget)
     cache = strat.cache
-    r = strat.r
-    memo = {}
-    counter = [0]
-    max_cops = [0]
+    max_cops = 0
     cases = {}
 
-    def explore(zeta, U: int, R: int, path):
-        key = (zeta, U, R)
-        if key in memo:
-            return True
-        if key in path:
-            return ("play never ends", key)
+    def moves(state):
+        nonlocal max_cops
+        zeta, U, R = state
         if R == 0:
-            return True
-        counter[0] += 1
-        if counter[0] > limit:
-            raise ResourceError("adversarial search exceeded budget", budget=limit)
+            return None
         pos = CopTurn(set_from(U), set_from(R))
         ann = strat.announce(zeta, pos)
         cases[strat.last_tag] = cases.get(strat.last_tag, 0) + 1
-        max_cops[0] = max(max_cops[0], len(ann))
+        max_cops = max(max_cops, len(ann))
         up = mask_from(ann)
         spoiled = (U & ~up) & cache.reach(R, U & up)
         if spoiled:
-            return (f"non-monotone announcement abandoning {_vs(spoiled)}", key)
+            return f"non-monotone announcement abandoning {_vs(spoiled)}"
         rpos = RobberTurn(pos.U, ann, pos.R)
-        path = path | {key}
-        for Rp in enumerate_prudent_isolating_moves(g, rpos, r, cache=cache):
-            newpos = CopTurn(ann, Rp)
-            zeta2 = strat.update(zeta, pos, ann, newpos)
-            got = explore(zeta2, up, mask_from(Rp), path)
-            if got is not True:
-                return got
-        memo[key] = True
-        return True
+        return ((strat.update(zeta, pos, ann, CopTurn(ann, Rp)), up, mask_from(Rp))
+                for Rp in enumerate_prudent_isolating_moves(g, rpos, strat.r, cache=cache))
 
-    for v in range(g.n):
-        pos0 = CopTurn(frozenset(), frozenset({v}))
-        zeta0 = strat.init_memory(pos0)
-        got = explore(zeta0, 0, 1 << v, frozenset())
-        if got is not True:
-            return AdversarialReport(False, got, counter[0], max_cops[0], cases)
-    return AdversarialReport(True, None, counter[0], max_cops[0], cases)
+    roots = ((strat.init_memory(CopTurn(frozenset(), frozenset({v}))), 0, 1 << v)
+             for v in range(g.n))
+    failure, states = explore(roots, moves, effective_budget(budget),
+                              "adversarial search", cycle="play never ends")
+    return AdversarialReport(failure is None, failure, states, max_cops, cases)
 
 
 def _pos_json(pos):

@@ -8,15 +8,15 @@ validation is a proof at the instance's scale.
 """
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from typing import Iterable, Optional
 
-from .arena import (COPS, INITIAL, CopTurn, GraphCache, Initial, RobberTurn,
-                    SearchConfig, effective_budget, is_monotone_move)
+from .arena import (INITIAL, CopTurn, GraphCache, Initial, RobberTurn,
+                    SearchConfig, announcement_masks, effective_budget, explore,
+                    is_monotone_move, subset_masks)
 from .digraph import Digraph, bits, mask_from, out_of, reach_mask, set_from
 from .errors import (AdversaryContractError, InvariantViolation,
-                     PreconditionError, ResourceError, StrategyHoleError)
+                     PreconditionError, StrategyHoleError)
 
 COPS_WIN = "cops_win"
 ROBBERS_WIN = "robbers_win"
@@ -172,35 +172,20 @@ class SolverCopStrategy(CopStrategy):
 
     def as_positional(self, budget: Optional[int] = None) -> PositionalCopStrategy:
         """Materialize the map over every position reachable under the strategy."""
-        limit = effective_budget(budget)
-        g, cfg = self.g, self.cfg
         cache = self.cache
+        robber_sets = range(1, self.cfg.r + 1)
         mapping = {}
-        seen = set()
-        stack = []
-        for t in range(1, cfg.r + 1):
-            for comb in itertools.combinations(range(g.n), t):
-                key = (0, mask_from(comb))
-                if key not in seen:
-                    seen.add(key)
-                    stack.append(key)
-        while stack:
-            U, R = stack.pop()
+
+        def moves(state):
+            U, R = state
             pos = CopTurn(set_from(U), set_from(R))
-            ann = self.announce(None, pos)
-            mapping[(pos.U, pos.R)] = ann
+            ann = mapping[pos.U, pos.R] = self.announce(None, pos)
             up = mask_from(ann)
             escapes = cache.reach(R, U & up) & ~up
-            ebits = sorted(bits(escapes))
-            for t in range(1, min(cfg.r, len(ebits)) + 1):
-                for comb in itertools.combinations(ebits, t):
-                    key = (up, mask_from(comb))
-                    if key not in seen:
-                        if len(seen) >= limit:
-                            raise ResourceError("strategy materialization exceeded budget",
-                                                budget=limit)
-                        seen.add(key)
-                        stack.append(key)
+            return ((up, Rp) for Rp in subset_masks(sorted(bits(escapes)), robber_sets))
+
+        explore(((0, R) for R in subset_masks(range(self.g.n), robber_sets)), moves,
+                effective_budget(budget), "strategy materialization")
         return PositionalCopStrategy(mapping)
 
 
@@ -228,11 +213,9 @@ class SolverRobberStrategy(RobberStrategy):
         return (U & out_of(out, reg), reg) in self._won_border
 
     def initial_placement(self) -> frozenset:
-        for t in range(1, self.cfg.r + 1):
-            for comb in itertools.combinations(range(self.g.n), t):
-                R = mask_from(comb)
-                if not self._class_won(0, self.cache.reach(R, 0)):
-                    return set_from(R)
+        for R in subset_masks(range(self.g.n), range(1, self.cfg.r + 1)):
+            if not self._class_won(0, self.cache.reach(R, 0)):
+                return set_from(R)
         raise StrategyHoleError(INITIAL)
 
     def respond(self, memory, pos: RobberTurn):
@@ -240,15 +223,12 @@ class SolverRobberStrategy(RobberStrategy):
         up = mask_from(pos.Uprime)
         R = mask_from(pos.R)
         escapes = self.cache.reach(R, U & up) & ~up
-        ebits = sorted(bits(escapes))
         fallback = None
-        for t in range(1, min(self.cfg.r, len(ebits)) + 1):
-            for comb in itertools.combinations(ebits, t):
-                Rp = mask_from(comb)
-                if fallback is None:
-                    fallback = Rp
-                if not self._class_won(up, self.cache.reach(Rp, up)):
-                    return set_from(Rp), memory
+        for Rp in subset_masks(sorted(bits(escapes)), range(1, self.cfg.r + 1)):
+            if fallback is None:
+                fallback = Rp
+            if not self._class_won(up, self.cache.reach(Rp, up)):
+                return set_from(Rp), memory
         # cornered: every escape class is cop-won (or there is none at all)
         return set_from(fallback) if fallback is not None else frozenset(), memory
 
@@ -323,81 +303,38 @@ class ValidationReport:
 
 def validate_cop_strategy(g: Digraph, cfg: SearchConfig, strat: CopStrategy,
                           budget: Optional[int] = None) -> ValidationReport:
-    """Play the cop strategy against every robber line; require monotone wins."""
-    limit = effective_budget(budget)
-    cache = GraphCache(g)
-    memo = {}
-    counter = [0]
-    max_ann = [0]
+    """Play the cop strategy against every robber line; require monotone wins.
 
-    def explore(cmem, U: int, R: int, path):
-        key = (cmem, U, R)
-        got = memo.get(key)
-        if got is not None:
-            return got if got is not True else True
-        if key in path:
-            return ("infinite play", key)
-        if R == 0:
-            memo[key] = True
-            return True
-        counter[0] += 1
-        if counter[0] > limit:
-            raise ResourceError("cop-strategy validation exceeded budget", budget=limit)
+    A state is (cop memory, cop set, robber set); a failure's witness is its
+    verdict and the path of states from a robber placement to the failing one.
+    """
+    cache = GraphCache(g)
+    robber_sets = range(1, cfg.r + 1)
+    max_ann = 0
+
+    def moves(state):
+        nonlocal max_ann
+        cmem, U, R = state
         pos = CopTurn(set_from(U), set_from(R))
         try:
             ann = frozenset(strat.announce(cmem, pos))
         except StrategyHoleError:
-            return ("strategy hole", key)
-        up = mask_from(ann)
+            return "strategy hole"
         if len(ann) > cfg.k:
-            return (f"announcement too large ({len(ann)} > {cfg.k})", key)
-        max_ann[0] = max(max_ann[0], len(ann))
-        rpos = RobberTurn(pos.U, ann, pos.R)
-        if not is_monotone_move(g, rpos):
-            return ("non-monotone announcement", key)
+            return f"announcement too large ({len(ann)} > {cfg.k})"
+        max_ann = max(max_ann, len(ann))
+        if not is_monotone_move(g, RobberTurn(pos.U, ann, pos.R)):
+            return "non-monotone announcement"
+        up = mask_from(ann)
         escapes = cache.reach(R, U & up) & ~up
-        path = path | {key}
-        ebits = sorted(bits(escapes))
-        for t in range(1, min(cfg.r, len(ebits)) + 1):
-            for comb in itertools.combinations(ebits, t):
-                Rp = mask_from(comb)
-                newpos = CopTurn(ann, set_from(Rp))
-                cmem2 = strat.update(cmem, pos, ann, newpos)
-                got = explore(cmem2, up, Rp, path)
-                if got is not True:
-                    return got
-        memo[key] = True
-        return True
+        return ((strat.update(cmem, pos, ann, CopTurn(ann, set_from(Rp))), up, Rp)
+                for Rp in subset_masks(sorted(bits(escapes)), robber_sets))
 
-    for t in range(1, cfg.r + 1):
-        for comb in itertools.combinations(range(g.n), t):
-            R0 = mask_from(comb)
-            pos0 = CopTurn(frozenset(), set_from(R0))
-            got = explore(strat.init_memory(pos0), 0, R0, frozenset())
-            if got is not True:
-                return ValidationReport(False, got, counter[0], max_ann[0])
-    return ValidationReport(True, None, counter[0], max_ann[0])
-
-
-def _restricted_candidates(cache: GraphCache, k: int, U: int, v: int):
-    """Announcements when new cops must land in the robber's component."""
-    _, comp = cache.under(U)
-    allowed = comp[v]
-    ubits = sorted(bits(U))
-    abits = sorted(bits(allowed))
-    for t in range(len(ubits), -1, -1):
-        for bc in itertools.combinations(ubits, t):
-            B = mask_from(bc)
-            room = k - t
-            for t2 in range(min(room, len(abits)), -1, -1):
-                for xc in itertools.combinations(abits, t2):
-                    yield B | mask_from(xc)
-
-
-def _free_candidates(n: int, k: int):
-    for t in range(k, -1, -1):
-        for comb in itertools.combinations(range(n), t):
-            yield mask_from(comb)
+    roots = ((strat.init_memory(CopTurn(frozenset(), set_from(R0))), 0, R0)
+             for R0 in subset_masks(range(g.n), robber_sets))
+    failure, states = explore(roots, moves, effective_budget(budget),
+                              "cop-strategy validation", cycle="infinite play")
+    return ValidationReport(failure is None, failure, states, max_ann)
 
 
 def validate_robber_strategy(g: Digraph, cfg: SearchConfig, strat: RobberStrategy,
@@ -408,67 +345,42 @@ def validate_robber_strategy(g: Digraph, cfg: SearchConfig, strat: RobberStrateg
 
     The optional flags additionally check the isolation condition at every
     reached cop position and the prudence condition at every robber move.
+    Cycles are infinite plays, which robbers win.  A state is (robber memory,
+    cop set, robber set), and a failure's witness is as for cop strategies.
     """
-    limit = effective_budget(budget)
     cache = GraphCache(g)
-    memo = {}
-    counter = [0]
-    full_candidates = None
-    if not cfg.restrict_to_scc:
-        full_candidates = list(_free_candidates(g.n, cfg.k))
 
-    def isolating_ok(up: int, R: int) -> bool:
-        region, _ = cache.under(up)
-        return not any(region[v] & (R & ~(1 << v)) for v in bits(R))
-
-    def explore(rmem, U: int, R: int, path):
-        key = (rmem, U, R)
-        if memo.get(key):
-            return True
-        if key in path:
-            return True  # a cycle is an infinite play, which robbers win
+    def moves(state):
+        rmem, U, R = state
         if R == 0:
-            return ("captured", key)
-        counter[0] += 1
-        if counter[0] > limit:
-            raise ResourceError("robber-strategy validation exceeded budget", budget=limit)
+            return "captured"
+        if require_isolating:
+            region, _ = cache.under(U)
+            if any(region[v] & (R & ~(1 << v)) for v in bits(R)):
+                return "not isolating"
+        return replies(rmem, U, R)
+
+    def replies(rmem, U, R):
         pos = CopTurn(set_from(U), set_from(R))
-        path = path | {key}
-        if cfg.restrict_to_scc:
-            (v,) = pos.R
-            cands = _restricted_candidates(cache, cfg.k, U, v)
-        else:
-            cands = full_candidates
-        for up in cands:
+        for up in announcement_masks(cache, cfg, U, R):
             rb = cache.reach(R, U & up)
             if (U & ~up) & rb:
                 continue  # non-monotone announcements lose outright
             rpos = RobberTurn(pos.U, set_from(up), pos.R)
             Rp, rmem2 = strat.respond(rmem, rpos)
             Rp_mask = mask_from(Rp)
-            if Rp_mask == 0:
-                return ("captured", (rmem, U, R, up))
             if Rp_mask & ~(rb & ~up) or len(Rp) > cfg.r:
                 raise AdversaryContractError(
                     f"robber strategy made an illegal move at {rpos!r}: {sorted(Rp)}")
             if require_prudent and (Rp_mask & ~R) & cache.reach(R, up):
-                return ("imprudent move", (rmem, U, R, up, sorted(Rp)))
-            if require_isolating and not isolating_ok(up, Rp_mask):
-                return ("not isolating", (rmem, U, R, up, sorted(Rp)))
-            got = explore(rmem2, up, Rp_mask, path)
-            if got is not True:
-                return got
-        memo[key] = True
-        return True
+                yield "imprudent move"
+            yield rmem2, up, Rp_mask
 
     R0 = frozenset(strat.initial_placement())
-    if require_isolating and not isolating_ok(0, mask_from(R0)):
-        return ValidationReport(False, ("initial placement not isolating", sorted(R0)), 0)
-    pos0 = CopTurn(frozenset(), R0)
-    got = explore(strat.init_memory(pos0), 0, mask_from(R0), frozenset())
-    if got is not True:
-        return ValidationReport(False, got, counter[0])
-    return ValidationReport(True, None, counter[0])
+    root = (strat.init_memory(CopTurn(frozenset(), R0)), 0, mask_from(R0))
+    failure, states = explore([root], moves, effective_budget(budget),
+                              "robber-strategy validation")
+    return ValidationReport(failure is None, failure, states)
 
 
 # ---------------------------------------------------------------------------

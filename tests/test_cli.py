@@ -3,9 +3,12 @@ import json
 import pytest
 
 from pursuitwidth import cli, parity
-from pursuitwidth.cli import (EXIT_INPUT_ERROR, EXIT_PASS,
+from pursuitwidth.cli import (EXIT_CHECK_FAILURE, EXIT_INPUT_ERROR,
+                              EXIT_INTERNAL_ERROR, EXIT_PASS,
                               EXIT_RESOURCE_ERROR, SCHEMA, main, suite_lemma2,
                               suite_thm25)
+from pursuitwidth.errors import (AdversaryContractError, InvariantViolation,
+                                 StrategyHoleError)
 from pursuitwidth.strategy import ValidationReport
 
 
@@ -174,3 +177,41 @@ class TestChecksCanFail:
         check = _check(suite_thm25(), name)
         assert not check.passed
         assert check.witness == {"winner": "robbers", "witness": "('captured',)"}
+
+
+class TestExitCodes:
+    """One case per exit code; an internal error is never a failed check."""
+
+    def test_pass(self, c3, capsys):
+        code, rep = run(["width", c3], capsys)
+        assert code == EXIT_PASS and "error" not in rep
+
+    def test_check_failure(self, monkeypatch, capsys):
+        monkeypatch.setattr(cli, "validate_robber_strategy",
+                            lambda *a, **kw: ValidationReport(False, ("captured", ()), 0))
+        code, rep = run(["verify", "thm25"], capsys)
+        assert code == EXIT_CHECK_FAILURE and rep["passed"] is False
+
+    def test_input_error(self, capsys):
+        code, rep = run(["width", "/nonexistent.edges"], capsys)
+        assert code == EXIT_INPUT_ERROR and rep["kind"] == "input"
+
+    def test_resource_error(self, c3, capsys):
+        code, rep = run(["width", c3, "--budget", "1"], capsys)
+        assert code == EXIT_RESOURCE_ERROR and rep["kind"] == "resource"
+
+    @pytest.mark.parametrize("error", [
+        InvariantViolation("chain-bound", "3 histories for r=1"),
+        AdversaryContractError("illegal robber move"),
+        StrategyHoleError("CopTurn(U=[], R=[0])"),
+        RecursionError("maximum recursion depth exceeded"),
+        MemoryError(),
+    ], ids=lambda e: type(e).__name__)
+    def test_internal_error(self, error, c3, monkeypatch, capsys):
+        def broken(*args, **kwargs):
+            raise error
+        monkeypatch.setattr(cli, "width", broken)
+        code, rep = run(["width", c3], capsys)
+        assert code == EXIT_INTERNAL_ERROR
+        assert rep == {"schema": SCHEMA, "kind": "internal",
+                       "error": f"{type(error).__name__}: {error}"}
