@@ -413,7 +413,8 @@ def _thm4_task(args):
     if pg.n <= 6:
         oracle = parity.solve_by_strategy_enumeration(pg)
         oracle_ok = oracle == (r2.win0, r2.win1)
-    return agree, ident_ok and merged_ok, oracle_ok
+    size = (parity.powerset_construct(pg, eq).game.n, parity.knowledge_size_bound(pg, eq))
+    return agree, ident_ok and merged_ok, oracle_ok, size
 
 
 def suite_lemma2(count: int = 100, seed: int = DEFAULT_SEED,
@@ -442,16 +443,27 @@ def suite_lemma2(count: int = 100, seed: int = DEFAULT_SEED,
                             bad_width or None))
     pipe_results = _run_tasks(_thm4_task,
                               [(s, budget) for s in seeds[:pipeline_count]], jobs)
-    bad_agree = [s for s, (agree, _v, _o) in zip(seeds, pipe_results) if not agree]
-    bad_verify = [s for s, (_a, ok, _o) in zip(seeds, pipe_results) if not ok]
-    bad_oracle = [s for s, (_a, _v, ok) in zip(seeds, pipe_results) if not ok]
+    bad_agree, bad_verify, bad_oracle, bad_size, ratios = [], [], [], [], []
+    for s, (agree, verified, oracle_ok, (n, bound)) in zip(seeds, pipe_results):
+        if not agree:
+            bad_agree.append(s)
+        if not verified:
+            bad_verify.append(s)
+        if not oracle_ok:
+            bad_oracle.append(s)
+        if n > bound:
+            bad_size.append({"seed": s, "positions": n, "bound": bound})
+        ratios.append(n / bound)
     rep.results["pipeline_instances"] = pipeline_count
+    rep.results["knowledge_size_max_ratio"] = max(ratios, default=None)
     rep.checks.append(Check("identity-observations-match-direct-solve",
                             not bad_agree, bad_agree or None))
     rep.checks.append(Check("solver-matches-strategy-enumeration-oracle",
                             not bad_oracle, bad_oracle or None))
     rep.checks.append(Check("player0-wins-pass-product-verification",
                             not bad_verify, bad_verify or None))
+    rep.checks.append(Check("knowledge-arena-at-most-n-times-2^(r-1)-positions",
+                            not bad_size, bad_size or None))
     return rep
 
 

@@ -4,12 +4,15 @@ A memory state tracks a chain of one-robber play histories, one per robber
 team, together with the robbers attached to each history and the placements
 that were deliberately omitted because an earlier team's robber could still
 reach them.  Every documented invariant of the construction is re-checked at
-runtime from fresh reachability computations; a violation raises with the
-invariant's name and witness vertices.
+runtime; a violation raises with the invariant's name and witness vertices.
+The checker shares one thing with the move and update code: the derivation
+of an immutable memory into per-history vertex masks (`_derive`), a pure
+function of the memory.  Every reachability condition it evaluates itself.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Optional
 
 from .arena import (CopTurn, GraphCache, RobberTurn, effective_budget, explore,
@@ -39,6 +42,10 @@ class HistoryEntry:
     def __post_init__(self):
         object.__setattr__(self, "Rset", frozenset(self.Rset))
         object.__setattr__(self, "Oset", frozenset(self.Oset))
+        object.__setattr__(self, "_hash", hash((self.rho, self.Rset, self.Oset)))
+
+    def __hash__(self):
+        return self._hash
 
 
 @dataclass(frozen=True)
@@ -46,6 +53,12 @@ class MemoryZeta:
     """The multiplier's memory: entries 1..s-1 plus the longest history."""
     entries: tuple
     rho_s: History
+
+    def __post_init__(self):
+        object.__setattr__(self, "_hash", hash((self.entries, self.rho_s)))
+
+    def __hash__(self):
+        return self._hash
 
     @property
     def s(self) -> int:
@@ -79,35 +92,43 @@ def _last_parts(rho: History):
 
 
 class _Derivation:
-    """Index-1 arrays of the per-history and cumulative sets, as masks."""
+    """Index-1 tuples of the per-history and cumulative sets, as masks."""
 
     def __init__(self, zeta: MemoryZeta):
         s = zeta.s
-        self.s = s
-        self.W = [0] * (s + 1)
-        self.Wm1 = [0] * (s + 1)
-        self.b = [0] * (s + 1)
-        self.Rset = [0] * (s + 1)
-        self.Oset = [0] * (s + 1)
-        self.ends_cop = [False] * (s + 1)
+        W, Wm1, b = [0] * (s + 1), [0] * (s + 1), [0] * (s + 1)
+        Rset, Oset = [0] * (s + 1), [0] * (s + 1)
         for i, entry in enumerate(zeta.entries, start=1):
-            wm1, w, bv = _last_robber_turn(entry.rho)
-            self.W[i], self.Wm1[i], self.b[i] = w, wm1, bv
-            self.Rset[i] = mask_from(entry.Rset)
-            self.Oset[i] = mask_from(entry.Oset)
-        w, bv, ends_cop, wm1 = _last_parts(zeta.rho_s)
-        self.W[s], self.b[s], self.ends_cop[s] = w, bv, ends_cop
-        self.Wm1[s] = wm1 if wm1 is not None else 0
-        self.Ocum = [0] * (s + 1)   # O^i over i <= s-1
+            Wm1[i], W[i], b[i] = _last_robber_turn(entry.rho)
+            Rset[i] = mask_from(entry.Rset)
+            Oset[i] = mask_from(entry.Oset)
+        W[s], b[s], ends_cop, wm1 = _last_parts(zeta.rho_s)
+        Wm1[s] = wm1 if wm1 is not None else 0
+        Ocum = [0] * (s + 1)   # O^i over i <= s-1
         for i in range(1, s):
-            self.Ocum[i] = self.Ocum[i - 1] | self.Oset[i]
-        self.U_ = [0] * (s + 1)
-        self.Ucum = [0] * (s + 1)
-        self.Wcum = [0] * (s + 1)
+            Ocum[i] = Ocum[i - 1] | Oset[i]
+        U_, Ucum, Wcum = [0] * (s + 1), [0] * (s + 1), [0] * (s + 1)
         for i in range(1, s + 1):
-            self.U_[i] = self.W[i] & ~self.Ocum[min(i - 1, s - 1)]
-            self.Ucum[i] = self.Ucum[i - 1] | self.U_[i]
-            self.Wcum[i] = self.Wcum[i - 1] | self.W[i]
+            U_[i] = W[i] & ~Ocum[min(i - 1, s - 1)]
+            Ucum[i] = Ucum[i - 1] | U_[i]
+            Wcum[i] = Wcum[i - 1] | W[i]
+        self.s = s
+        self.W, self.Wm1, self.b = tuple(W), tuple(Wm1), tuple(b)
+        self.Rset, self.Oset = tuple(Rset), tuple(Oset)
+        self.ends_cop = (False,) * s + (ends_cop,)
+        self.Ocum, self.U_, self.Ucum, self.Wcum = tuple(Ocum), tuple(U_), tuple(Ucum), tuple(Wcum)
+
+
+@lru_cache(maxsize=8)
+def _derive(zeta: MemoryZeta) -> _Derivation:
+    """The derivation of a memory, shared read-only by everyone who asks.
+
+    Checking, moving and updating one explored state derive the same few
+    memories several times over, so the last few derivations are kept.  A
+    derivation is a pure function of its memory, so equal memories may
+    share one.
+    """
+    return _Derivation(zeta)
 
 
 @dataclass(frozen=True)
@@ -123,7 +144,7 @@ class DerivedSets:
 
 
 def derived_sets(g: Digraph, zeta: MemoryZeta, R) -> DerivedSets:
-    d = _Derivation(zeta)
+    d = _derive(zeta)
     Rm = mask_from(R)
     s = d.s
     top = frozenset({d.b[s]}) if (Rm >> d.b[s]) & 1 else frozenset()
@@ -204,15 +225,17 @@ def _vs(mask: int) -> str:
 def check_invariants(g: Digraph, pos: CopTurn, zeta: MemoryZeta,
                      f: Optional[PositionalCopStrategy] = None,
                      cache: Optional[GraphCache] = None) -> InvariantReport:
-    """Re-derive every invariant of the memory state from scratch.
+    """Re-check every invariant of the memory state.
 
     Evaluates the seven core invariants, the anchoring side condition on the
-    longest history, and the derived diagnostics, all with fresh reachability
-    computations so the checker shares nothing with the update code.
+    longest history, and the derived diagnostics.  It shares the memory's
+    derivation into masks (`_derive`) with the move and update code, but
+    makes every reachability check itself rather than trusting the sets the
+    update code computed.
     """
     cache = cache or GraphCache(g)
     items = []
-    d = _Derivation(zeta)
+    d = _derive(zeta)
     s = d.s
     Rm = mask_from(pos.R)
     Um = mask_from(pos.U)
@@ -366,7 +389,7 @@ def cop_move_multiply(g: Digraph, f: PositionalCopStrategy, pos: CopTurn,
     if check:
         _raise_on_violation(check_invariants(g, pos, zeta, f=f, cache=cache),
                             "on entry to the cop move")
-    d = _Derivation(zeta)
+    d = _derive(zeta)
     s = d.s
     Rm = mask_from(pos.R)
     Um = mask_from(pos.U)
@@ -447,7 +470,7 @@ def cop_move_multiply(g: Digraph, f: PositionalCopStrategy, pos: CopTurn,
         if spoiled:
             raise InvariantViolation("monotone", f"move abandons {_vs(spoiled)} while "
                                                  f"robbers reach it")
-        d2 = _Derivation(zeta2)
+        d2 = _derive(zeta2)
         if tag != CASE_WON and d2.Ucum[d2.s] != Uprime:
             raise InvariantViolation("cover", f"teams {_vs(d2.Ucum[d2.s])} != announced "
                                               f"{_vs(Uprime)} after the move")
@@ -468,7 +491,7 @@ def robber_update_multiply(g: Digraph, pos_before: CopTurn, rprime,
     cache = cache or GraphCache(g)
     Rp = mask_from(rprime)
     R = mask_from(pos_before.R)
-    d = _Derivation(zeta)
+    d = _derive(zeta)
     s = d.s
     if Rp == R and d.ends_cop[s]:
         return zeta
@@ -499,7 +522,7 @@ def robber_update_multiply(g: Digraph, pos_before: CopTurn, rprime,
         assigned[i] |= 1 << b
 
     if check and snapshot is not None:
-        sd = _Derivation(snapshot)
+        sd = _derive(snapshot)
         if sd.b[sd.s] == d.b[s]:  # the cop move kept pursuing the same robber
             bound = cache.reach(1 << sd.b[sd.s], sd.W[sd.s])
             if assigned[s] & ~bound:
@@ -552,6 +575,9 @@ class MultiplyStrategy(CopStrategy):
         self.check = check
         self.cache = GraphCache(g)
         self.last_tag = None
+        # (memory, position, announcement, memory after it) of the last
+        # announce, which the update of every robber reply to it reuses
+        self._last_move = None
 
     def init_memory(self, pos: CopTurn):
         return init_memory(self.g, pos.R)
@@ -560,7 +586,7 @@ class MultiplyStrategy(CopStrategy):
         if zeta.s > self.r + 1:
             raise InvariantViolation("chain-bound", f"{zeta.s} histories for r={self.r}")
         if zeta.s == self.r + 1:
-            d = _Derivation(zeta)
+            d = _derive(zeta)
             if d.W[zeta.s] != d.W[zeta.s - 1]:
                 raise InvariantViolation(
                     "chain-bound", "a full chain must repeat its last placement set")
@@ -574,11 +600,16 @@ class MultiplyStrategy(CopStrategy):
                                                   f"bound is {self.r * self.k}")
         if self.check:
             self._chain_bound_ok(zeta2)
+        self._last_move = (memory, pos, up, zeta2)
         return up
 
     def update(self, memory, pos: CopTurn, announced: frozenset, newpos: CopTurn):
-        up, zeta2, tag = cop_move_multiply(self.g, self.f, pos, memory,
-                                           check=False, cache=self.cache)
+        last = self._last_move
+        if last is not None and last[0] is memory and last[1] == pos:
+            up, zeta2 = last[2], last[3]
+        else:
+            up, zeta2, _ = cop_move_multiply(self.g, self.f, pos, memory,
+                                             check=False, cache=self.cache)
         if up != announced:
             raise InvariantViolation("determinism", "recomputed announcement differs")
         out = robber_update_multiply(self.g, pos, newpos.R, zeta2, snapshot=memory,
@@ -668,8 +699,11 @@ def exhaust_prudent_isolating(g: Digraph, strat: MultiplyStrategy,
         if spoiled:
             return f"non-monotone announcement abandoning {_vs(spoiled)}"
         rpos = RobberTurn(pos.U, ann, pos.R)
-        return ((strat.update(zeta, pos, ann, CopTurn(ann, Rp)), up, mask_from(Rp))
-                for Rp in enumerate_prudent_isolating_moves(g, rpos, strat.r, cache=cache))
+        # fold every reply before any child is expanded, while `update` can
+        # still reuse the move `announce` just made
+        return iter([(strat.update(zeta, pos, ann, CopTurn(ann, Rp)), up, mask_from(Rp))
+                     for Rp in enumerate_prudent_isolating_moves(g, rpos, strat.r,
+                                                                 cache=cache)])
 
     roots = ((strat.init_memory(CopTurn(frozenset(), frozenset({v}))), 0, 1 << v)
              for v in range(g.n))

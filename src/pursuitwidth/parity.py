@@ -15,8 +15,8 @@ import random
 from dataclasses import dataclass
 from typing import Optional
 
-from .arena import CopTurn, GraphCache, attract
-from .digraph import Digraph, bits, mask_from
+from .arena import CopTurn, attract
+from .digraph import Digraph, bits, mask_from, reach_mask
 from .errors import InputError, InvariantViolation, PreconditionError
 from .strategy import CopStrategy
 
@@ -219,6 +219,9 @@ def powerset_construct(pg: ParityGame, eq: ObservationEquiv) -> KnowledgeGame:
 
 
 def knowledge_size_bound(pg: ParityGame, eq: ObservationEquiv) -> int:
+    """n * 2^(r-1) positions, r the largest observation class: a knowledge
+    set is a nonempty subset of one class, and a class of size c has
+    2^c - 1 <= c * 2^(c-1) of them."""
     r = eq.max_class_size()
     return pg.n * (2 ** (r - 1))
 
@@ -423,8 +426,8 @@ class LiftedCopStrategy(CopStrategy):
         (wi,) = newpos.R
         old_team = self.kg.sets[ki]
         new_team = self.kg.sets[wi]
-        cache = GraphCache(self.g)
-        legal = cache.reach(mask_from(old_team), mask_from(memory) & mask_from(Up))
+        legal = reach_mask(self.g.out_masks, mask_from(old_team),
+                           mask_from(memory) & mask_from(Up))
         if mask_from(new_team) & ~(legal & ~mask_from(Up)):
             raise InvariantViolation(
                 "lift-translation",

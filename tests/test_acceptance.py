@@ -84,13 +84,16 @@ def test_7_knowledge_lift(lemma2_report):
     lifting = _named(rep, "history-lifting-to-length-6")
     lift = _named(rep, "lifted-strategy-wins-with-k-times-2^(r-1)-cops")
     direct = _named(rep, "knowledge-arena-width-within-bound")
-    ok = lifting.passed and lift.passed and direct.passed
+    size = _named(rep, "knowledge-arena-at-most-n-times-2^(r-1)-positions")
+    ok = lifting.passed and lift.passed and direct.passed and size.passed
     print(f"[7] history lifting and the knowledge-arena cop bound: "
           f"{'PASS' if ok else 'FAIL'}")
     assert rep.results["lift_instances"] == 100
     assert lifting.passed, lifting.witness
     assert lift.passed, lift.witness
     assert direct.passed, direct.witness
+    assert size.passed, size.witness
+    assert 0 < rep.results["knowledge_size_max_ratio"] <= 1
 
 
 def test_8_imperfect_information_pipeline(lemma2_report):

@@ -169,6 +169,18 @@ class TestChecksCanFail:
         assert check.witness  # the seeds whose wins failed verification
         assert _check(rep, "identity-observations-match-direct-solve").passed
 
+    def test_oversized_knowledge_arena_fails_the_check(self, monkeypatch):
+        name = "knowledge-arena-at-most-n-times-2^(r-1)-positions"
+        assert _check(suite_lemma2(count=1, pipeline_count=4), name).passed
+        monkeypatch.setattr(parity, "knowledge_size_bound", lambda pg, eq: 1)
+        rep = suite_lemma2(count=1, pipeline_count=4)
+        check = _check(rep, name)
+        assert not check.passed and not rep.passed
+        assert check.witness  # the seeds whose arenas exceed the bound
+        for bad in check.witness:
+            assert bad["positions"] > bad["bound"] == 1
+        assert _check(rep, "player0-wins-pass-product-verification").passed
+
     def test_robber_team_lower_bound_needs_a_valid_robber_strategy(self, monkeypatch):
         name = "robber-team-lower-bound-smallest-instance"
         assert _check(suite_thm25(), name).passed

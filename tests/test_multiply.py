@@ -5,10 +5,12 @@ from pursuitwidth.arena import (CopTurn, RobberTurn, SearchConfig, solve_search,
 from pursuitwidth.digraph import Digraph
 from pursuitwidth.errors import (AdversaryContractError, InvariantViolation,
                                  PreconditionError)
+from pursuitwidth import multiply
 from pursuitwidth.families import cycle_digraph
 from pursuitwidth.multiply import (CASE_II_2, HistoryEntry, MemoryZeta,
-                                   check_invariants, cop_move_multiply,
-                                   derived_sets, enumerate_prudent_isolating_moves,
+                                   MultiplyStrategy, check_invariants,
+                                   cop_move_multiply, derived_sets,
+                                   enumerate_prudent_isolating_moves,
                                    exhaust_prudent_isolating, init_memory,
                                    multiply_strategy, robber_update_multiply,
                                    traced_run)
@@ -190,3 +192,110 @@ class TestMultiplied:
         for Rp in moves:
             assert is_prudent_move(g, pos.U, pos.Uprime, pos.R, Rp)
             assert is_isolating_position(g, pos.Uprime, Rp)
+
+
+class CrossChecked(MultiplyStrategy):
+    """Checks every update, which reuses the announced move, against the
+    update of a twin that never announces and so recomputes the move."""
+
+    def __init__(self, g, f, r, k):
+        super().__init__(g, f, r, k)
+        self.twin = MultiplyStrategy(g, f, r, k)
+        self.calls = []
+
+    def update(self, memory, pos, announced, newpos):
+        out = super().update(memory, pos, announced, newpos)
+        assert self.twin.update(memory, pos, announced, newpos) == out
+        self.calls.append((memory, pos, announced, newpos))
+        return out
+
+
+def _counting(monkeypatch, name):
+    calls = [0]
+    original = getattr(multiply, name)
+
+    def counted(*args, **kwargs):
+        calls[0] += 1
+        return original(*args, **kwargs)
+    monkeypatch.setattr(multiply, name, counted)
+    return calls
+
+
+class TestSharedWork:
+    """The move of `announce` and the derivation of a memory are computed
+    once and reused; reuse must never change a result."""
+
+    def test_memories_hash_by_value(self):
+        rho = History((CopTurn(frozenset(), {0}), RobberTurn(frozenset(), {2}, {0})))
+        a = MemoryZeta((HistoryEntry(rho, {0}, {0}),), rho.append(CopTurn({2}, {1})))
+        b = MemoryZeta((HistoryEntry(rho, [0], [0]),), rho.append(CopTurn({2}, {1})))
+        assert a == b and hash(a) == hash(b) and len({a, b}) == 1
+        assert a != MemoryZeta((), rho)
+
+    def test_update_with_and_without_announce_agree_on_every_line(self, monkeypatch):
+        g = Digraph(6, ALL_CASES_EDGES)
+        base = multiply_strategy(g, base_strategy(g, 2), r=3)
+        strat = CrossChecked(g, base.f, 3, base.k)
+        moves = _counting(monkeypatch, "cop_move_multiply")
+        rep = exhaust_prudent_isolating(g, strat)
+        assert rep.ok, rep.witness
+        assert len(strat.calls) > rep.states
+        # one move per announce and per twin update: every update of the
+        # strategy itself reused the announced move
+        assert moves[0] == rep.states + len(strat.calls)
+        # a move announced for another memory at the same position is not reused
+        by_pos = {}
+        for call in strat.calls:
+            by_pos.setdefault(call[1], {}).setdefault(call[0], call)
+        pairs = [list(calls.values())[:2] for calls in by_pos.values() if len(calls) > 1]
+        assert pairs
+        for (memory, pos, *_), other in pairs:
+            strat.announce(memory, pos)
+            assert strat.update(*other) == strat.twin.update(*other)
+
+    @pytest.mark.parametrize("announced_first", [True, False], ids=["hit", "miss"])
+    def test_determinism_is_checked_with_and_without_reuse(self, announced_first):
+        g = cycle_digraph(3)
+        strat = multiply_strategy(g, base_strategy(g, 2), r=2)
+        pos = CopTurn(frozenset(), {0})
+        zeta = strat.init_memory(pos)
+        ann = multiply_strategy(g, strat.f, r=2).announce(zeta, pos)
+        if announced_first:
+            assert strat.announce(zeta, pos) == ann
+        assert ann
+        with pytest.raises(InvariantViolation) as err:
+            strat.update(zeta, pos, frozenset(), CopTurn(frozenset(), {0}))
+        assert err.value.name == "determinism"
+        (Rp, *_) = enumerate_prudent_isolating_moves(g, RobberTurn(pos.U, ann, pos.R), 2)
+        assert isinstance(strat.update(zeta, pos, ann, CopTurn(ann, Rp)), MemoryZeta)
+
+    def test_a_move_announced_at_another_position_is_not_reused(self):
+        g = cycle_digraph(3)
+        strat = multiply_strategy(g, base_strategy(g, 2), r=2)
+        zeta = strat.init_memory(CopTurn(frozenset(), {0}))
+        ann = strat.announce(zeta, CopTurn(frozenset(), {0}))
+        assert ann
+        # from {1}, the pursued robber 0 is gone: the recomputed move is idle
+        with pytest.raises(InvariantViolation) as err:
+            strat.update(zeta, CopTurn(frozenset(), {1}), ann, CopTurn(ann, frozenset()))
+        assert err.value.name == "determinism"
+
+    def test_every_shared_derivation_equals_a_fresh_one(self, monkeypatch):
+        derive = multiply._derive
+        checked = [0]
+
+        def compared(zeta):
+            d = derive(zeta)
+            assert vars(d) == vars(multiply._Derivation(zeta))
+            assert all(isinstance(v, (int, tuple)) for v in vars(d).values())
+            checked[0] += 1
+            return d
+        monkeypatch.setattr(multiply, "_derive", compared)
+        builds = _counting(monkeypatch, "_Derivation")
+        g = Digraph(6, ALL_CASES_EDGES)
+        rep = exhaust_prudent_isolating(g, multiply_strategy(g, base_strategy(g, 2), r=3))
+        assert rep.ok, rep.witness
+        assert len(rep.case_counts) == 6
+        # each comparison builds one fresh derivation; fewer than half of the
+        # derivations asked for were built by the cache
+        assert 0 < builds[0] - checked[0] < checked[0] / 2
