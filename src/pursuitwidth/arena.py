@@ -8,13 +8,15 @@ the robber set by a contaminated set and is a one-player search.
 
 The visible solver collapses robber sets to their reachability region: two
 positions with the same cop set whose robber sets reach exactly the same
-vertices have identical futures.  It builds that game once as an explicit
-graph of cop classes (cop set, region) and robber-turn nodes (announcement,
-escape set) with integer ids, then one backward attractor, shared with the
-parity-game solver, decides every class.  A won class's certificate is the
-announcement it was attracted through, a fastest-capture move.  No
-reachability memo is kept: each class is enumerated once, and a region is
-closed under successors outside its cop set, so no candidate needs a search.
+vertices have identical futures, and as regions only shrink, so do two
+whose cop sets agree on the region's border.  It builds that game once as an
+explicit graph of cop classes (border cops, region) and robber-turn nodes
+(announcement, escape set) with integer ids, then one backward attractor,
+shared with the parity-game solver, decides every class.  A won class's
+certificate is the announcement it was attracted through, a fastest-capture
+move.  No reachability memo is kept: each class is enumerated once, and a
+region is closed under successors outside its cop set, so no candidate
+needs a search.
 """
 from __future__ import annotations
 
@@ -34,10 +36,11 @@ DEFAULT_POSITION_BUDGET = 10_000_000
 
 
 def effective_budget(budget: Optional[int]) -> int:
-    if budget is not None:
-        return int(budget)
-    env = os.environ.get("PURSUITWIDTH_BUDGET")
-    return int(env) if env else DEFAULT_POSITION_BUDGET
+    if budget is None:
+        budget = os.environ.get("PURSUITWIDTH_BUDGET") or DEFAULT_POSITION_BUDGET
+    if not str(budget).isdecimal():
+        raise ConfigError(f"the position budget must be a nonnegative integer, not {budget!r}")
+    return int(budget)
 
 
 # ---------------------------------------------------------------------------
@@ -134,6 +137,7 @@ class GraphCache:
         self.out = g.out_masks
         self._reach = {}
         self._under = {}
+        self._border = {}
 
     def reach(self, sources: int, blocked: int) -> int:
         key = (sources, blocked)
@@ -142,6 +146,14 @@ class GraphCache:
             got = reach_mask(self.out, sources, blocked)
             self._reach[key] = got
         return got
+
+    def class_key(self, U: int, reg: int):
+        """The solver's class of cop set U against robber region reg: the
+        cops on reg's border (the cops reg has an edge into), and reg."""
+        border = self._border.get(reg)
+        if border is None:
+            border = self._border[reg] = out_of(self.out, reg)
+        return U & border, reg
 
     def under(self, blocked: int):
         """(region, comp) vertex arrays for the subgraph avoiding `blocked`."""
@@ -300,13 +312,13 @@ def _region_unions(regs, r: int):
 class _SearchSolver:
     """Least fixpoint of the cop-winnable predicate over an explicit class graph.
 
-    A class is (cop set U, robber region reg), and reg is closed under
-    successors outside U.  Candidate announcements keep every standing cop
-    that reg has an edge into (releasing one would be non-monotone, and such
-    announcements lose outright), keep any subset of the other standing
-    cops, and add new cops X inside reg; in monotone play regions never
-    grow, so cops parked outside the region never block anything and can be
-    dropped from any winning announcement without weakening it.
+    A class is (border cops U, robber region reg): reg is closed under
+    successors outside U and has an edge into every cop of U.  In monotone
+    play regions never grow, so other cops never block anything again: a
+    position with cop set W has the value of its `GraphCache.class_key`.
+    Candidate announcements keep every cop of U (releasing one would be
+    non-monotone, and such announcements lose outright) and add new cops X
+    inside reg; any other announcement is dominated by one of these.
 
     One breadth-first pass interns every class reachable from the initial
     ones and every robber-turn node (Up, escapes) behind a non-capturing
@@ -335,21 +347,17 @@ class _SearchSolver:
     def _candidates(self, U: int, reg: int):
         """Yield (announcement, escape set) pairs, aggressive placements first.
 
-        `reg` is closed under successors outside U.  So releasing a standing
-        cop with an edge from `reg` into it is non-monotone, and every other
-        kept set B leaves the robbers' cone at exactly `reg`.
+        Every cop of U is on the border of `reg`, which is closed under
+        successors outside U: the announcement U | X keeps them all and
+        leaves the robbers' cone at exactly `reg`.
         """
-        guard = U & out_of(self.cache.out, reg)
-        room = self.k - bin(guard).count("1")  # below 0 no subset is yielded
         allowed = reg
         if self.restricted:  # new cops only in the robber's component
             region, _ = self.cache.under(U)
             allowed = mask_from(v for v in bits(reg) if region[v] == reg)
-        xbits = sorted(bits(allowed))
-        for S in subset_masks(sorted(bits(U & ~guard)), range(room, -1, -1)):
-            B = guard | S
-            for X in subset_masks(xbits, range(room - bin(S).count("1"), -1, -1)):
-                yield B | X, reg & ~X
+        room = self.k - bin(U).count("1")  # below 0 no subset is yielded
+        for X in subset_masks(sorted(bits(allowed)), range(room, -1, -1)):
+            yield U | X, reg & ~X
 
     def _escape_regions(self, Up: int, escapes: int):
         """Sorted distinct regions of the escape vertices, one SCC at a time."""
@@ -390,26 +398,23 @@ class _SearchSolver:
                     succ = _region_unions(self._escape_regions(Up, escapes), self.r)
                     t = turn_id[Up, escapes] = node((Up, escapes), ROBBERS, len(succ))
                     for u in succ:
-                        s = class_id.get((Up, u))
+                        key = self.cache.class_key(Up, u)
+                        s = class_id.get(key)
                         if s is None:
                             if len(class_id) >= self.budget:
                                 raise ResourceError(
                                     f"arena exceeded the position budget ({self.budget})",
                                     budget=self.budget, context=f"k={self.k}, r={self.r}")
-                            s = class_id[Up, u] = node((Up, u), COPS, 1)
+                            s = class_id[key] = node(key, COPS, 1)
                             queue.append(s)
                         pred[s].append(t)
                 pred[t].append(c)
         for c in capture:
             count[c] = 0
         order, via = attract(pred, owner, COPS, list(capture), count)
-        won, cert = {}, {}
-        for v in order:
-            if owner[v] == COPS:
-                U, reg = keys[v]
-                won.setdefault(U, set()).add(reg)
-                cert[U, reg] = capture[v] if v in capture else keys[via[v]][0]
-        return all(key in cert for key in initial), won, cert, len(class_id)
+        cert = {keys[v]: capture[v] if v in capture else keys[via[v]][0]
+                for v in order if owner[v] == COPS}
+        return all(key in cert for key in initial), cert, len(class_id)
 
 
 def solve_search(g: Digraph, cfg: SearchConfig, budget: Optional[int] = None,
@@ -418,11 +423,11 @@ def solve_search(g: Digraph, cfg: SearchConfig, budget: Optional[int] = None,
     if g.n == 0:
         raise PreconditionError("cannot play on the empty graph")
     solver = _SearchSolver(g, cfg, effective_budget(budget), cache)
-    cops_win, won, cert, size = solver.run()
+    cops_win, cert, size = solver.run()
     from .strategy import SolverCopStrategy, SolverRobberStrategy
     if cops_win:
         return SolveResult(COPS, SolverCopStrategy(g, cfg, solver.cache, cert), None, size)
-    return SolveResult(ROBBERS, None, SolverRobberStrategy(g, cfg, solver.cache, won), size)
+    return SolveResult(ROBBERS, None, SolverRobberStrategy(g, cfg, solver.cache, cert.keys()), size)
 
 
 # ---------------------------------------------------------------------------

@@ -14,7 +14,7 @@ from typing import Iterable, Optional
 from .arena import (INITIAL, CopTurn, GraphCache, Initial, RobberTurn,
                     SearchConfig, announcement_masks, effective_budget, explore,
                     is_monotone_move, subset_masks)
-from .digraph import Digraph, bits, mask_from, out_of, reach_mask, set_from
+from .digraph import Digraph, bits, mask_from, reach_mask, set_from
 from .errors import (AdversaryContractError, InvariantViolation,
                      PreconditionError, StrategyHoleError)
 
@@ -154,7 +154,8 @@ class PositionalCopStrategy(CopStrategy):
 
 
 class SolverCopStrategy(CopStrategy):
-    """Winning cop strategy backed by the solver's certificates (positional)."""
+    """Winning cop strategy backed by the solver's certificates (positional),
+    looked up by `GraphCache.class_key`: cops off the region's border are released."""
 
     def __init__(self, g: Digraph, cfg: SearchConfig, cache: GraphCache, cert):
         self.g = g
@@ -165,7 +166,7 @@ class SolverCopStrategy(CopStrategy):
     def announce(self, memory, pos: CopTurn) -> frozenset:
         U = mask_from(pos.U)
         reg = self.cache.reach(mask_from(pos.R), U)
-        got = self.cert.get((U, reg))
+        got = self.cert.get(self.cache.class_key(U, reg))
         if got is None:
             raise StrategyHoleError(pos)
         return set_from(got)
@@ -190,27 +191,18 @@ class SolverCopStrategy(CopStrategy):
 
 
 class SolverRobberStrategy(RobberStrategy):
-    """Winning robber strategy that stays inside the cop-unwinnable classes.
-
-    The solver only enumerates classes its pruned announcements reach, while
-    cops may also be parked outside the robbers' region.  A class is thus
-    judged by its region and the cops on the region's border: other cops can
-    never block a robber again, so classes that agree on both have one value.
-    """
+    """Winning robber strategy that stays inside the cop-unwinnable classes:
+    `won` holds the solver's cop-won classes, as `GraphCache.class_key`s, so
+    cops parked off a region's border do not change its value."""
 
     def __init__(self, g: Digraph, cfg: SearchConfig, cache: GraphCache, won):
         self.g = g
         self.cfg = cfg
         self.cache = cache
         self.won = won
-        self._won_border = None
 
     def _class_won(self, U: int, reg: int) -> bool:
-        out = self.g.out_masks
-        if self._won_border is None:
-            self._won_border = {(W & out_of(out, q), q)
-                                for W, regs in self.won.items() for q in regs}
-        return (U & out_of(out, reg), reg) in self._won_border
+        return self.cache.class_key(U, reg) in self.won
 
     def initial_placement(self) -> frozenset:
         for R in subset_masks(range(self.g.n), range(1, self.cfg.r + 1)):

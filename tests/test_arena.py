@@ -2,11 +2,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from pursuitwidth.arena import (COPS, INITIAL, ROBBERS, CopTurn, RobberTurn,
-                                SearchConfig, cop_moves, is_monotone_move,
-                                robber_moves, solve_invisible, solve_search,
-                                validate_invisible_schedule, width)
+                                SearchConfig, _SearchSolver, cop_moves,
+                                is_monotone_move, robber_moves, solve_invisible,
+                                solve_search, validate_invisible_schedule, width)
 from pursuitwidth.cli import small_corpus
-from pursuitwidth.digraph import Digraph
+from pursuitwidth.digraph import Digraph, bits, out_of, set_from
 from pursuitwidth.errors import ConfigError, ResourceError
 from pursuitwidth.families import (cycle_digraph, gen_grk, random_digraph,
                                    tree_T, two_tree_graph)
@@ -177,11 +177,42 @@ class TestSearchSolver:
             cfg = SearchConfig(k=k, restrict_to_scc=True)
             _assert_strategy_validates(g, cfg, solve_search(g, cfg))
 
+    def test_classes_are_keyed_by_border_cops(self):
+        for name, g in SOLVER_CORPUS:
+            cfgs = [SearchConfig(k=k, r=r) for r in (1, 2) for k in range(g.n + 1)]
+            cfgs += [SearchConfig(k=k, restrict_to_scc=True) for k in range(g.n + 1)]
+            for cfg in cfgs:
+                _, cert, _ = _SearchSolver(g, cfg, 10 ** 6).run()
+                for (U, reg), ann in cert.items():
+                    border = out_of(g.out_masks, reg)
+                    assert U & ~border == 0, (name, cfg, U, reg)
+                    # the certificate keeps U and places new cops inside reg
+                    assert ann & U == U and ann & ~U & ~reg == 0, (name, cfg, U, reg)
+                    assert bin(ann).count("1") <= cfg.k
+
+    def test_cops_off_the_border_get_their_class_certificate(self):
+        checked = 0
+        for name, g in SOLVER_CORPUS:
+            for k in range(1, g.n):
+                res = solve_search(g, SearchConfig(k=k))
+                if res.winner != COPS:
+                    continue
+                strategy = res.cop_strategy
+                for (U, reg), ann in strategy.cert.items():
+                    # one robber, with cops U | {v}, whose region is reg
+                    R = next(w for w in bits(reg) if strategy.cache.reach(1 << w, U) == reg)
+                    off = ~(U | reg | out_of(g.out_masks, reg)) & g.full_mask
+                    for v in bits(off):
+                        pos = CopTurn(set_from(U | 1 << v), {R})
+                        assert strategy.announce(None, pos) == set_from(ann)
+                        checked += 1
+        assert checked > 100
+
     def test_two_tree_arena_size_and_budget(self):
         g, _ = two_tree_graph(2)
         cfg = SearchConfig(k=2)
         size = solve_search(g, cfg).arena_size
-        assert size == 2076
+        assert size == 1357  # (border cops, region) classes
         assert solve_search(g, cfg, budget=size).arena_size == size
         with pytest.raises(ResourceError) as exc:
             solve_search(g, cfg, budget=size - 1)

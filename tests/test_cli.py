@@ -212,6 +212,18 @@ class TestExitCodes:
         code, rep = run(["width", c3, "--budget", "1"], capsys)
         assert code == EXIT_RESOURCE_ERROR and rep["kind"] == "resource"
 
+    def test_negative_budget_is_input_error(self, c3, capsys):
+        code, rep = run(["width", c3, "--budget", "-5"], capsys)
+        assert code == EXIT_INPUT_ERROR and rep["kind"] == "input"
+        assert "-5" in rep["error"]
+
+    @pytest.mark.parametrize("value", ["abc", "-5"])
+    def test_bad_budget_variable_is_input_error(self, value, c3, monkeypatch, capsys):
+        monkeypatch.setenv("PURSUITWIDTH_BUDGET", value)
+        code, rep = run(["width", c3], capsys)
+        assert code == EXIT_INPUT_ERROR and rep["kind"] == "input"
+        assert value in rep["error"]
+
     @pytest.mark.parametrize("error", [
         InvariantViolation("chain-bound", "3 histories for r=1"),
         AdversaryContractError("illegal robber move"),
