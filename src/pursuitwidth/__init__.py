@@ -1,12 +1,12 @@
 """Game-based digraph width measures via exhaustive cops-and-robbers solving."""
 
 from .arena import (COPS, INITIAL, ROBBERS, CopTurn, Initial, RobberTurn,
-                    SearchConfig, SolveResult, cop_moves, is_monotone_move,
-                    robber_moves, solve_invisible, solve_search,
+                    SearchConfig, SolveResult, is_monotone_move,
+                    solve_invisible, solve_search,
                     validate_invisible_schedule, width)
 from .digraph import (Digraph, VertexSet, emit_dot, emit_edge_list,
                       is_strongly_connected, parse_edge_list, reach_excluding,
-                      sccs, symmetric_closure)
+                      symmetric_closure)
 from .strategy import (History, PositionalCopStrategy, cleanup_strategy,
                        isolating_transform, playout, prudent_transform,
                        validate_cop_strategy, validate_robber_strategy)

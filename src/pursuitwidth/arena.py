@@ -63,37 +63,41 @@ class Initial:
 INITIAL = Initial()
 
 
+def _check_masks(pos, names):
+    """Positions hold vertex sets as masks: nonnegative ints, cops and
+    robbers disjoint."""
+    for name in names:
+        m = getattr(pos, name)
+        if type(m) is not int or m < 0:
+            raise TypeError(f"{name} must be a vertex mask (a nonnegative int), not {m!r}")
+    if pos.U & pos.R:
+        raise ConfigError(f"cop and robber sets overlap: {list(bits(pos.U & pos.R))}")
+
+
 @dataclass(frozen=True)
 class CopTurn:
-    U: frozenset
-    R: frozenset
+    U: int
+    R: int
 
     def __post_init__(self):
-        object.__setattr__(self, "U", frozenset(self.U))
-        object.__setattr__(self, "R", frozenset(self.R))
-        if self.U & self.R:
-            raise ConfigError(f"cop and robber sets overlap: {sorted(self.U & self.R)}")
+        _check_masks(self, ("U", "R"))
 
     def __repr__(self):
-        return f"CopTurn(U={sorted(self.U)}, R={sorted(self.R)})"
+        return f"CopTurn(U={list(bits(self.U))}, R={list(bits(self.R))})"
 
 
 @dataclass(frozen=True)
 class RobberTurn:
-    U: frozenset
-    Uprime: frozenset
-    R: frozenset
+    U: int
+    Uprime: int
+    R: int
 
     def __post_init__(self):
-        object.__setattr__(self, "U", frozenset(self.U))
-        object.__setattr__(self, "Uprime", frozenset(self.Uprime))
-        object.__setattr__(self, "R", frozenset(self.R))
-        if self.U & self.R:
-            raise ConfigError(f"cop and robber sets overlap: {sorted(self.U & self.R)}")
+        _check_masks(self, ("U", "Uprime", "R"))
 
     def __repr__(self):
-        return (f"RobberTurn(U={sorted(self.U)}, U'={sorted(self.Uprime)}, "
-                f"R={sorted(self.R)})")
+        return (f"RobberTurn(U={list(bits(self.U))}, U'={list(bits(self.Uprime))}, "
+                f"R={list(bits(self.R))})")
 
 
 @dataclass(frozen=True)
@@ -241,34 +245,9 @@ def announcement_masks(cache: GraphCache, cfg: SearchConfig, U: int, R: int):
             yield B | X
 
 
-def cop_moves(g: Digraph, cfg: SearchConfig, pos: CopTurn):
-    """All announcements from a cop position (see `announcement_masks`)."""
-    if not isinstance(pos, CopTurn):
-        raise PreconditionError("cop_moves needs a cop position")
-    return {RobberTurn(pos.U, set_from(Up), pos.R)
-            for Up in announcement_masks(GraphCache(g), cfg, mask_from(pos.U),
-                                         mask_from(pos.R))}
-
-
-def robber_moves(g: Digraph, cfg: SearchConfig, pos):
-    """All robber responses; from the initial position, all placements."""
-    if isinstance(pos, Initial):
-        return {CopTurn(frozenset(), set_from(Rm))
-                for Rm in subset_masks(range(g.n), range(1, cfg.r + 1))}
-    if not isinstance(pos, RobberTurn):
-        raise PreconditionError("robber_moves needs a robber position or the initial one")
-    Up = mask_from(pos.Uprime)
-    escapes = reach_mask(g.out_masks, mask_from(pos.R), mask_from(pos.U) & Up) & ~Up
-    return {CopTurn(pos.Uprime, set_from(Rm))
-            for Rm in subset_masks(sorted(bits(escapes)), range(cfg.r + 1))}
-
-
 def is_monotone_move(g: Digraph, pos: RobberTurn) -> bool:
     """No abandoned cop vertex is reachable by a robber through the kept cops."""
-    U = mask_from(pos.U)
-    Up = mask_from(pos.Uprime)
-    R = mask_from(pos.R)
-    return (U & ~Up) & reach_mask(g.out_masks, R, U & Up) == 0
+    return (pos.U & ~pos.Uprime) & reach_mask(g.out_masks, pos.R, pos.U & pos.Uprime) == 0
 
 
 # ---------------------------------------------------------------------------
@@ -353,8 +332,8 @@ class _SearchSolver:
         """
         allowed = reg
         if self.restricted:  # new cops only in the robber's component
-            region, _ = self.cache.under(U)
-            allowed = mask_from(v for v in bits(reg) if region[v] == reg)
+            region, comp = self.cache.under(U)
+            allowed = next(comp[v] for v in bits(reg) if region[v] == reg)
         room = self.k - bin(U).count("1")  # below 0 no subset is yielded
         for X in subset_masks(sorted(bits(allowed)), range(room, -1, -1)):
             yield U | X, reg & ~X

@@ -1,13 +1,23 @@
 """Directed graphs on dense integer vertices.
 
 Vertices are 0..n-1.  Edges form a set of ordered pairs (no duplicates,
-self-loops allowed).  Vertex sets cross the public API as frozensets whose
-canonical external form is the sorted tuple; internally everything runs on
-integer bitmasks so that game positions hash and compare cheaply.
+self-loops allowed).  Inside the library a vertex set is an integer bit mask
+(bit v set iff v is in the set): game positions, strategy moves, the
+multiplier's memory and every solver state, so they hash and compare
+cheaply.  Vertex sets are frozensets only where they cross the library's
+boundary:
+
+- `PositionalCopStrategy`'s constructor and `items()`;
+- `solve_invisible`'s schedule and `validate_invisible_schedule`;
+- `reach_excluding` and `Digraph.successors`;
+- the knowledge sets of a parity game's knowledge arena, which the lifted
+  cop strategy turns into masks once;
+
+and JSON output (traces, memories, report witnesses) writes sorted vertex
+lists.  `mask_from` and `set_from` convert at those boundaries.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable, Iterator, Optional, Sequence
 
 from .errors import InputError
@@ -188,28 +198,6 @@ def scc_masks(out_masks: Sequence[int], n: int, blocked: int = 0):
                         break
                 comps.append(cm)
     return comps, index
-
-
-@dataclass(frozen=True)
-class SccPartition:
-    """SCC partition with a vertex-to-block accessor.
-
-    Blocks are listed in reverse topological order of the condensation:
-    edges between distinct blocks always point to an earlier block.
-    """
-    blocks: tuple
-    index: tuple
-
-    def component_of(self, v: int) -> frozenset:
-        return self.blocks[self.index[v]]
-
-    def __len__(self):
-        return len(self.blocks)
-
-
-def sccs(g: Digraph) -> SccPartition:
-    comps, index = scc_masks(g.out_masks, g.n)
-    return SccPartition(tuple(set_from(c) for c in comps), tuple(index))
 
 
 def region_table(out_masks: Sequence[int], n: int, blocked: int = 0):

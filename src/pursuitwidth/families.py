@@ -13,7 +13,7 @@ import random
 from dataclasses import dataclass
 
 from .arena import CopTurn, RobberTurn
-from .digraph import Digraph, mask_from, reach_mask
+from .digraph import Digraph, bits, reach_mask
 from .errors import InputError, InvariantViolation
 from .strategy import CopStrategy, RobberStrategy
 
@@ -168,18 +168,19 @@ class TopDownTreeCops(CopStrategy):
                                               f"pair {w}")
         return addr[:len(w) + 1]
 
-    def announce(self, memory, pos: CopTurn) -> frozenset:
-        co = self.coords
+    def _pair(self, addr) -> int:
+        """A vertex and its primed twin, as a mask."""
+        return 1 << self.coords.vertex(addr) | 1 << self.coords.vertex(addr, True)
+
+    def announce(self, memory, pos: CopTurn) -> int:
         if memory[0] == "start":
-            return frozenset({co.vertex(()), co.vertex((), True)})
+            return self._pair(())
         if memory[0] == "hold":
             w = memory[1]
-            (v,) = pos.R
-            c = self._branch_child(w, v)
-            return frozenset({co.vertex(w), co.vertex(w, True),
-                              co.vertex(c), co.vertex(c, True)})
+            c = self._branch_child(w, pos.R.bit_length() - 1)
+            return self._pair(w) | self._pair(c)
         _, w, c = memory
-        return frozenset({co.vertex(c), co.vertex(c, True)})
+        return self._pair(c)
 
     def update(self, memory, pos, announced, newpos):
         co = self.coords
@@ -187,9 +188,8 @@ class TopDownTreeCops(CopStrategy):
             return ("hold", ())
         if memory[0] == "hold":
             w = memory[1]
-            held = {co.vertex(w), co.vertex(w, True)}
-            (c_vertex,) = {v for v in announced
-                           if v not in held and not co.address(v)[1]}
+            (c_vertex,) = [v for v in bits(announced & ~self._pair(w))
+                           if not co.address(v)[1]]
             return ("placed", w, co.address(c_vertex)[0])
         return ("hold", memory[2])
 
@@ -230,8 +230,8 @@ class AncestorEscapeRobber(RobberStrategy):
                     m |= 1 << co.vertex(b, q)
             self._subtree[a] = m
 
-    def initial_placement(self) -> frozenset:
-        return frozenset({self.coords.vertex(())})
+    def initial_placement(self) -> int:
+        return 1 << self.coords.vertex(())
 
     def init_memory(self, pos: CopTurn):
         return ()
@@ -249,10 +249,9 @@ class AncestorEscapeRobber(RobberStrategy):
     def respond(self, memory, pos: RobberTurn):
         co = self.coords
         addr = memory
-        (v,) = pos.R
-        if co.vertex(addr) != v:
+        if pos.R != 1 << co.vertex(addr):
             raise InvariantViolation("sweep", "memory and position disagree")
-        S = mask_from(pos.Uprime)
+        S = pos.Uprime
         if self._pre[addr] & S:
             raise InvariantViolation(
                 "clear-twin-chain",
@@ -262,7 +261,7 @@ class AncestorEscapeRobber(RobberStrategy):
         if missing:
             target = missing[0]  # closest to the root
             new = target
-        elif not (S >> v) & 1:
+        elif not S & pos.R:
             new = addr
         else:
             new = None
@@ -276,7 +275,7 @@ class AncestorEscapeRobber(RobberStrategy):
                     "free-subtree", f"no cop-free branch below {addr} against "
                                     f"{bin(S).count('1')} cops")
         self._assert_invariants(new, S)
-        return frozenset({co.vertex(new)}), new
+        return 1 << co.vertex(new), new
 
 
 def robber_thm7(n: int) -> AncestorEscapeRobber:

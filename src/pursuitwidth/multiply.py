@@ -3,11 +3,14 @@
 A memory state tracks a chain of one-robber play histories, one per robber
 team, together with the robbers attached to each history and the placements
 that were deliberately omitted because an earlier team's robber could still
-reach them.  Every documented invariant of the construction is re-checked at
-runtime; a violation raises with the invariant's name and witness vertices.
-The checker shares one thing with the move and update code: the derivation
-of an immutable memory into per-history vertex masks (`_derive`), a pure
-function of the memory.  Every reachability condition it evaluates itself.
+reach them.  Positions, robber sets and omitted sets are vertex masks
+throughout; a history's positions hold one robber each.  Every documented
+invariant of the construction is re-checked at runtime; a violation raises
+with the invariant's name and witness vertices.  The checker shares one
+thing with the move and update code: the derivation of an immutable memory
+into per-history masks (`_derive`), a pure function of the memory.  Every
+reachability condition it evaluates itself.  Vertex lists appear only in
+the JSON of `zeta_json` and `traced_run`.
 """
 from __future__ import annotations
 
@@ -17,7 +20,7 @@ from typing import Optional
 
 from .arena import (CopTurn, GraphCache, RobberTurn, effective_budget, explore,
                     subset_masks)
-from .digraph import Digraph, bits, is_strongly_connected, mask_from, set_from
+from .digraph import Digraph, bits, is_strongly_connected
 from .errors import (AdversaryContractError, InvariantViolation,
                      PreconditionError, StrategyHoleError)
 from .strategy import (CopStrategy, History, PositionalCopStrategy,
@@ -36,12 +39,10 @@ CASE_II_2 = "II.2"
 class HistoryEntry:
     """One non-final chain element: a history, its robbers, its omitted set."""
     rho: History
-    Rset: frozenset
-    Oset: frozenset
+    Rset: int
+    Oset: int
 
     def __post_init__(self):
-        object.__setattr__(self, "Rset", frozenset(self.Rset))
-        object.__setattr__(self, "Oset", frozenset(self.Oset))
         object.__setattr__(self, "_hash", hash((self.rho, self.Rset, self.Oset)))
 
     def __hash__(self):
@@ -71,23 +72,36 @@ class MemoryZeta:
         return self.entries[i - 1].rho
 
 
+def _vs(mask: int) -> str:
+    return "{" + ",".join(str(v) for v in bits(mask)) + "}"
+
+
+def _robber(pos) -> int:
+    """The one robber of a history position."""
+    R = pos.R
+    if not R or R & (R - 1):
+        raise InvariantViolation("shape", f"a history position holds one robber, got {pos!r}")
+    return R.bit_length() - 1
+
+
+def _lowest(mask: int) -> int:
+    return (mask & -mask).bit_length() - 1
+
+
 def _last_robber_turn(rho: History):
     last = rho.last()
     if not isinstance(last, RobberTurn):
         raise InvariantViolation("shape", f"history must end in a robber position, got {last!r}")
-    (b,) = last.R
-    return mask_from(last.U), mask_from(last.Uprime), b
+    return last.U, last.Uprime, _robber(last)
 
 
 def _last_parts(rho: History):
-    """(W, b, ends_in_cop_position, W_preceding_or_None) of a history's last position."""
+    """(W, b, ends_in_cop_position, W_preceding_or_0) of a history's last position."""
     last = rho.last()
     if isinstance(last, CopTurn):
-        (b,) = last.R
-        return mask_from(last.U), b, True, None
+        return last.U, _robber(last), True, 0
     if isinstance(last, RobberTurn):
-        (b,) = last.R
-        return mask_from(last.Uprime), b, False, mask_from(last.U)
+        return last.Uprime, _robber(last), False, last.U
     raise InvariantViolation("shape", f"unexpected last position {last!r}")
 
 
@@ -100,10 +114,9 @@ class _Derivation:
         Rset, Oset = [0] * (s + 1), [0] * (s + 1)
         for i, entry in enumerate(zeta.entries, start=1):
             Wm1[i], W[i], b[i] = _last_robber_turn(entry.rho)
-            Rset[i] = mask_from(entry.Rset)
-            Oset[i] = mask_from(entry.Oset)
-        W[s], b[s], ends_cop, wm1 = _last_parts(zeta.rho_s)
-        Wm1[s] = wm1 if wm1 is not None else 0
+            Rset[i] = entry.Rset
+            Oset[i] = entry.Oset
+        W[s], b[s], ends_cop, Wm1[s] = _last_parts(zeta.rho_s)
         Ocum = [0] * (s + 1)   # O^i over i <= s-1
         for i in range(1, s):
             Ocum[i] = Ocum[i - 1] | Oset[i]
@@ -129,34 +142,6 @@ def _derive(zeta: MemoryZeta) -> _Derivation:
     share one.
     """
     return _Derivation(zeta)
-
-
-@dataclass(frozen=True)
-class DerivedSets:
-    """Frozenset view of the derived per-index and cumulative sets."""
-    W: tuple
-    W_before: tuple
-    pursued: tuple
-    teams: tuple
-    teams_cum: tuple
-    omitted_cum: tuple
-    top_robbers: frozenset
-
-
-def derived_sets(g: Digraph, zeta: MemoryZeta, R) -> DerivedSets:
-    d = _derive(zeta)
-    Rm = mask_from(R)
-    s = d.s
-    top = frozenset({d.b[s]}) if (Rm >> d.b[s]) & 1 else frozenset()
-    return DerivedSets(
-        W=tuple(set_from(d.W[i]) for i in range(1, s + 1)),
-        W_before=tuple(set_from(d.Wm1[i]) for i in range(1, s + 1)),
-        pursued=tuple(d.b[i] for i in range(1, s + 1)),
-        teams=tuple(set_from(d.U_[i]) for i in range(1, s + 1)),
-        teams_cum=tuple(set_from(d.Ucum[i]) for i in range(1, s + 1)),
-        omitted_cum=tuple(set_from(d.Ocum[i]) for i in range(1, s)),
-        top_robbers=top,
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -206,20 +191,16 @@ def _history_consistent(g: Digraph, cache: GraphCache, f: PositionalCopStrategy,
             except StrategyHoleError:
                 return False, f"base strategy undefined at {a!r}"
             if b.Uprime != want:
-                return False, f"announcement {sorted(b.Uprime)} differs from base move {sorted(want)}"
+                return False, (f"announcement {list(bits(b.Uprime))} differs from base move "
+                               f"{list(bits(want))}")
         else:
             if not isinstance(b, CopTurn) or b.U != a.Uprime:
                 return False, f"{b!r} does not follow {a!r}"
-            (v0,) = a.R
-            (v1,) = b.R
-            legal = cache.reach(1 << v0, mask_from(a.U) & mask_from(a.Uprime)) & ~mask_from(a.Uprime)
+            v0, v1 = _robber(a), _robber(b)
+            legal = cache.reach(a.R, a.U & a.Uprime) & ~a.Uprime
             if not (legal >> v1) & 1:
                 return False, f"robber move {v0}->{v1} illegal at {a!r}"
     return True, ""
-
-
-def _vs(mask: int) -> str:
-    return "{" + ",".join(str(v) for v in bits(mask)) + "}"
 
 
 def check_invariants(g: Digraph, pos: CopTurn, zeta: MemoryZeta,
@@ -237,9 +218,8 @@ def check_invariants(g: Digraph, pos: CopTurn, zeta: MemoryZeta,
     items = []
     d = _derive(zeta)
     s = d.s
-    Rm = mask_from(pos.R)
-    Um = mask_from(pos.U)
-    R_s = (1 << d.b[s]) if (Rm >> d.b[s]) & 1 else 0
+    Rm, Um = pos.R, pos.U
+    R_s = Rm & (1 << d.b[s])
 
     # chain: the histories strictly extend one another
     ok, wit = True, ""
@@ -318,7 +298,7 @@ def check_invariants(g: Digraph, pos: CopTurn, zeta: MemoryZeta,
         ok, wit = True, ""
         for i in range(1, s):
             for b in bits(d.Rset[i]):
-                ext = zeta.rho(i).append(CopTurn(set_from(d.W[i]), frozenset({b})))
+                ext = zeta.rho(i).append(CopTurn(d.W[i], 1 << b))
                 good, why = _history_consistent(g, cache, f, ext)
                 if not good:
                     ok, wit = False, f"robber {b} not consistent with history {i}: {why}"
@@ -370,15 +350,13 @@ def _raise_on_violation(report: InvariantReport, where: str):
 # ---------------------------------------------------------------------------
 # Memory initialization and updates
 
-def init_memory(g: Digraph, first_robber_set) -> MemoryZeta:
+def init_memory(g: Digraph, R0: int) -> MemoryZeta:
     """Memory after the robbers' opening placement (a single vertex)."""
-    R0 = frozenset(first_robber_set)
     if not is_strongly_connected(g):
         raise PreconditionError("the multiplier is defined on strongly connected graphs")
-    if len(R0) != 1:
-        raise PreconditionError(f"unsupported initial split: {sorted(R0)}")
-    rho1 = History((CopTurn(frozenset(), R0),))
-    return MemoryZeta((), rho1)
+    if not R0 or R0 & (R0 - 1):
+        raise PreconditionError(f"unsupported initial split: {list(bits(R0))}")
+    return MemoryZeta((), History((CopTurn(0, R0),)))
 
 
 def cop_move_multiply(g: Digraph, f: PositionalCopStrategy, pos: CopTurn,
@@ -391,8 +369,7 @@ def cop_move_multiply(g: Digraph, f: PositionalCopStrategy, pos: CopTurn,
                             "on entry to the cop move")
     d = _derive(zeta)
     s = d.s
-    Rm = mask_from(pos.R)
-    Um = mask_from(pos.U)
+    Rm, Um = pos.R, pos.U
 
     if not (Rm >> d.b[s]) & 1:
         # the pursued top robber left the graph
@@ -401,15 +378,15 @@ def cop_move_multiply(g: Digraph, f: PositionalCopStrategy, pos: CopTurn,
         Uprime = d.Ucum[s - 1]
         top = zeta.entries[-1]
         if not top.Rset:
-            rho_new = top.rho.append(CopTurn(set_from(d.W[s - 1]), frozenset({d.b[s]})))
+            rho_new = top.rho.append(CopTurn(d.W[s - 1], 1 << d.b[s]))
             zeta2 = MemoryZeta(zeta.entries[:-1], rho_new)
             tag = CASE_I_EMPTY
         else:
-            b = min(top.Rset)
-            rest = mask_from(top.Rset) & ~(1 << b)
+            b = _lowest(top.Rset)
+            rest = top.Rset & ~(1 << b)
             O_t = cache.reach(rest, d.W[s - 1])
-            entry = HistoryEntry(top.rho, set_from(rest), set_from(O_t))
-            rho_new = top.rho.append(CopTurn(set_from(d.W[s - 1]), frozenset({b})))
+            entry = HistoryEntry(top.rho, rest, O_t)
+            rho_new = top.rho.append(CopTurn(d.W[s - 1], 1 << b))
             zeta2 = MemoryZeta(zeta.entries[:-1] + (entry,), rho_new)
             tag = CASE_I_NONEMPTY
     else:
@@ -419,10 +396,10 @@ def cop_move_multiply(g: Digraph, f: PositionalCopStrategy, pos: CopTurn,
             rho_i = zeta.rho(i)
             rho_next = zeta.rho(i + 1)
             step = rho_next[len(rho_i)]
-            if not isinstance(step, CopTurn) or mask_from(step.U) != d.W[i]:
+            if not isinstance(step, CopTurn) or step.U != d.W[i]:
                 raise InvariantViolation("chain", f"history {i + 1} does not continue "
                                                   f"history {i} with its announced cops")
-            (b_t,) = step.R
+            b_t = _robber(step)
             if len(rho_next) == len(rho_i) + 1:
                 if i + 1 != s:
                     raise InvariantViolation("shape", "an intermediate history ends in a "
@@ -431,16 +408,15 @@ def cop_move_multiply(g: Digraph, f: PositionalCopStrategy, pos: CopTurn,
                 Uprime = Um
                 tag = CASE_II_1A
             else:
-                W_t = mask_from(f.lookup(set_from(d.W[i]), {b_t}))
+                W_t = f.lookup(d.W[i], step.R)
                 Uprime = (W_t & ~d.Ocum[i - 1])
                 for j in range(1, s + 1):
                     if j != i:
                         Uprime |= d.U_[j]
                 O_t = (d.Oset[i] & cache.reach(1 << b_t, d.W[i])) & ~W_t
-                rho_t = rho_i.append(step).append(
-                    RobberTurn(set_from(d.W[i]), set_from(W_t), frozenset({b_t})))
+                rho_t = rho_i.append(step).append(RobberTurn(d.W[i], W_t, step.R))
                 if rho_t != rho_next:
-                    entry = HistoryEntry(rho_t, zeta.entries[i - 1].Rset, set_from(O_t))
+                    entry = HistoryEntry(rho_t, zeta.entries[i - 1].Rset, O_t)
                     zeta2 = MemoryZeta(zeta.entries[:i - 1] + (entry,) + zeta.entries[i:],
                                        zeta.rho_s)
                     tag = CASE_II_1B
@@ -448,7 +424,7 @@ def cop_move_multiply(g: Digraph, f: PositionalCopStrategy, pos: CopTurn,
                     if i + 1 == s:
                         raise InvariantViolation("shape", "cannot merge into the top history")
                     nxt = zeta.entries[i]
-                    merged = HistoryEntry(nxt.rho, nxt.Rset, nxt.Oset | set_from(O_t))
+                    merged = HistoryEntry(nxt.rho, nxt.Rset, nxt.Oset | O_t)
                     zeta2 = MemoryZeta(zeta.entries[:i - 1] + (merged,) + zeta.entries[i + 1:],
                                        zeta.rho_s)
                     tag = CASE_II_1C
@@ -456,12 +432,11 @@ def cop_move_multiply(g: Digraph, f: PositionalCopStrategy, pos: CopTurn,
             if not d.ends_cop[s]:
                 raise InvariantViolation("anchor", "pursuing the top robber but its history "
                                                    "already holds an announcement")
-            W_t = mask_from(f.lookup(set_from(d.W[s]), {d.b[s]}))
+            W_t = f.lookup(d.W[s], 1 << d.b[s])
             Uprime = W_t & ~d.Ocum[s - 1]
             for j in range(1, s):
                 Uprime |= d.U_[j]
-            rho_new = zeta.rho_s.append(
-                RobberTurn(set_from(d.W[s]), set_from(W_t), frozenset({d.b[s]})))
+            rho_new = zeta.rho_s.append(RobberTurn(d.W[s], W_t, 1 << d.b[s]))
             zeta2 = MemoryZeta(zeta.entries, rho_new)
             tag = CASE_II_2
 
@@ -474,10 +449,10 @@ def cop_move_multiply(g: Digraph, f: PositionalCopStrategy, pos: CopTurn,
         if tag != CASE_WON and d2.Ucum[d2.s] != Uprime:
             raise InvariantViolation("cover", f"teams {_vs(d2.Ucum[d2.s])} != announced "
                                               f"{_vs(Uprime)} after the move")
-    return set_from(Uprime), zeta2, tag
+    return Uprime, zeta2, tag
 
 
-def robber_update_multiply(g: Digraph, pos_before: CopTurn, rprime,
+def robber_update_multiply(g: Digraph, pos_before: CopTurn, Rp: int,
                            zeta: MemoryZeta, snapshot: Optional[MemoryZeta] = None,
                            check: bool = True,
                            cache: Optional[GraphCache] = None) -> MemoryZeta:
@@ -489,8 +464,7 @@ def robber_update_multiply(g: Digraph, pos_before: CopTurn, rprime,
     bound check.
     """
     cache = cache or GraphCache(g)
-    Rp = mask_from(rprime)
-    R = mask_from(pos_before.R)
+    R = pos_before.R
     d = _derive(zeta)
     s = d.s
     if Rp == R and d.ends_cop[s]:
@@ -498,9 +472,7 @@ def robber_update_multiply(g: Digraph, pos_before: CopTurn, rprime,
     # when the robbers stand still right after a move on the top robber, the
     # pending announcement still has to be folded into the top history
     Uprime = d.Ucum[s]
-    U_before = mask_from(pos_before.U)
-
-    legal = cache.reach(R, U_before & Uprime) & ~Uprime
+    legal = cache.reach(R, pos_before.U & Uprime) & ~Uprime
     if Rp & ~legal:
         raise AdversaryContractError(f"robbers moved to unreachable vertices "
                                      f"{_vs(Rp & ~legal)}")
@@ -508,7 +480,7 @@ def robber_update_multiply(g: Digraph, pos_before: CopTurn, rprime,
     if fresh & cache.reach(R, Uprime):
         raise AdversaryContractError(f"imprudent move: {_vs(fresh & cache.reach(R, Uprime))} "
                                      f"still reachable once the cops land")
-    if not is_isolating_position(g, set_from(Uprime), set_from(Rp), cache=cache):
+    if not is_isolating_position(g, Uprime, Rp, cache=cache):
         raise AdversaryContractError(f"robber set {_vs(Rp)} is not isolating")
 
     if check and (Rp & ~R) and not (R >> d.b[s]) & 1:
@@ -534,17 +506,15 @@ def robber_update_multiply(g: Digraph, pos_before: CopTurn, rprime,
             "top-stability", f"top history rests at a cop position but gained robbers "
                              f"{_vs(assigned[s] & ~(1 << d.b[s]))}")
 
-    new_entries = tuple(
-        HistoryEntry(zeta.entries[i - 1].rho, set_from(assigned[i]),
-                     zeta.entries[i - 1].Oset)
-        for i in range(1, s))
+    new_entries = tuple(HistoryEntry(e.rho, assigned[i], e.Oset)
+                        for i, e in enumerate(zeta.entries, start=1))
     if not d.ends_cop[s] and assigned[s]:
-        b = min(bits(assigned[s]))
+        b = _lowest(assigned[s])
         rest = assigned[s] & ~(1 << b)
-        rho_new = zeta.rho_s.append(CopTurn(set_from(d.W[s]), frozenset({b})))
+        rho_new = zeta.rho_s.append(CopTurn(d.W[s], 1 << b))
         if rest:
             O_t = cache.reach(rest, d.W[s])
-            entry = HistoryEntry(zeta.rho_s, set_from(rest), set_from(O_t))
+            entry = HistoryEntry(zeta.rho_s, rest, O_t)
             zeta2 = MemoryZeta(new_entries + (entry,), rho_new)
         else:
             # nobody else stays attached to the old top history, so the
@@ -554,8 +524,7 @@ def robber_update_multiply(g: Digraph, pos_before: CopTurn, rprime,
         zeta2 = MemoryZeta(new_entries, zeta.rho_s)
 
     if check:
-        _raise_on_violation(check_invariants(g, CopTurn(set_from(Uprime), set_from(Rp)),
-                                             zeta2, cache=cache),
+        _raise_on_violation(check_invariants(g, CopTurn(Uprime, Rp), zeta2, cache=cache),
                             "after the robbers' move")
     return zeta2
 
@@ -591,19 +560,20 @@ class MultiplyStrategy(CopStrategy):
                 raise InvariantViolation(
                     "chain-bound", "a full chain must repeat its last placement set")
 
-    def announce(self, memory, pos: CopTurn) -> frozenset:
+    def announce(self, memory, pos: CopTurn) -> int:
         up, zeta2, tag = cop_move_multiply(self.g, self.f, pos, memory,
                                            check=self.check, cache=self.cache)
         self.last_tag = tag
-        if len(up) > self.r * self.k:
-            raise InvariantViolation("cop-bound", f"{len(up)} cops announced, "
+        size = bin(up).count("1")
+        if size > self.r * self.k:
+            raise InvariantViolation("cop-bound", f"{size} cops announced, "
                                                   f"bound is {self.r * self.k}")
         if self.check:
             self._chain_bound_ok(zeta2)
         self._last_move = (memory, pos, up, zeta2)
         return up
 
-    def update(self, memory, pos: CopTurn, announced: frozenset, newpos: CopTurn):
+    def update(self, memory, pos: CopTurn, announced: int, newpos: CopTurn):
         last = self._last_move
         if last is not None and last[0] is memory and last[1] == pos:
             up, zeta2 = last[2], last[3]
@@ -647,10 +617,8 @@ def enumerate_prudent_isolating_moves(g: Digraph, pos: RobberTurn, r: int,
                                       cache: Optional[GraphCache] = None):
     """All legal prudent isolating robber responses, largest sets first."""
     cache = cache or GraphCache(g)
-    U = mask_from(pos.U)
-    up = mask_from(pos.Uprime)
-    R = mask_from(pos.R)
-    legal = cache.reach(R, U & up) & ~up
+    up, R = pos.Uprime, pos.R
+    legal = cache.reach(R, pos.U & up) & ~up
     blocked_fresh = cache.reach(R, up)
     region, _ = cache.under(up)
     out = []
@@ -659,7 +627,7 @@ def enumerate_prudent_isolating_moves(g: Digraph, pos: RobberTurn, r: int,
             continue
         if any(region[v] & (Rp & ~(1 << v)) for v in bits(Rp)):
             continue
-        out.append(set_from(Rp))
+        out.append(Rp)
     return out
 
 
@@ -690,41 +658,44 @@ def exhaust_prudent_isolating(g: Digraph, strat: MultiplyStrategy,
         zeta, U, R = state
         if R == 0:
             return None
-        pos = CopTurn(set_from(U), set_from(R))
-        ann = strat.announce(zeta, pos)
+        pos = CopTurn(U, R)
+        up = strat.announce(zeta, pos)
         cases[strat.last_tag] = cases.get(strat.last_tag, 0) + 1
-        max_cops = max(max_cops, len(ann))
-        up = mask_from(ann)
+        max_cops = max(max_cops, bin(up).count("1"))
         spoiled = (U & ~up) & cache.reach(R, U & up)
         if spoiled:
             return f"non-monotone announcement abandoning {_vs(spoiled)}"
-        rpos = RobberTurn(pos.U, ann, pos.R)
+        rpos = RobberTurn(U, up, R)
         # fold every reply before any child is expanded, while `update` can
         # still reuse the move `announce` just made
-        return iter([(strat.update(zeta, pos, ann, CopTurn(ann, Rp)), up, mask_from(Rp))
+        return iter([(strat.update(zeta, pos, up, CopTurn(up, Rp)), up, Rp)
                      for Rp in enumerate_prudent_isolating_moves(g, rpos, strat.r,
                                                                  cache=cache)])
 
-    roots = ((strat.init_memory(CopTurn(frozenset(), frozenset({v}))), 0, 1 << v)
-             for v in range(g.n))
+    roots = ((strat.init_memory(CopTurn(0, 1 << v)), 0, 1 << v) for v in range(g.n))
     failure, states = explore(roots, moves, effective_budget(budget),
                               "adversarial search", cycle="play never ends")
     return AdversarialReport(failure is None, failure, states, max_cops, cases)
 
 
+def _vertices(mask: int) -> list:
+    """A mask as the sorted vertex list that JSON output carries."""
+    return sorted(bits(mask))
+
+
 def _pos_json(pos):
     if isinstance(pos, CopTurn):
-        return {"type": "cop", "U": sorted(pos.U), "R": sorted(pos.R)}
+        return {"type": "cop", "U": _vertices(pos.U), "R": _vertices(pos.R)}
     if isinstance(pos, RobberTurn):
-        return {"type": "robber", "U": sorted(pos.U), "U'": sorted(pos.Uprime),
-                "R": sorted(pos.R)}
+        return {"type": "robber", "U": _vertices(pos.U), "U'": _vertices(pos.Uprime),
+                "R": _vertices(pos.R)}
     return {"type": "initial"}
 
 
 def zeta_json(zeta: MemoryZeta):
     return {
         "entries": [{"rho": [_pos_json(p) for p in e.rho],
-                     "R": sorted(e.Rset), "O": sorted(e.Oset)} for e in zeta.entries],
+                     "R": _vertices(e.Rset), "O": _vertices(e.Oset)} for e in zeta.entries],
         "rho_s": [_pos_json(p) for p in zeta.rho_s],
     }
 
@@ -738,10 +709,10 @@ def traced_run(g: Digraph, strat: MultiplyStrategy, step_budget: int = 10_000):
     cache = strat.cache
     records = []
     v0 = 0
-    pos = CopTurn(frozenset(), frozenset({v0}))
+    pos = CopTurn(0, 1 << v0)
     zeta = strat.init_memory(pos)
     records.append({"step": 0, "mover": "robbers", "U": [], "U'": None,
-                    "R": sorted(pos.R), "case_tag": None,
+                    "R": _vertices(pos.R), "case_tag": None,
                     "zeta": zeta_json(zeta),
                     "invariant_report": check_invariants(g, pos, zeta, f=strat.f,
                                                          cache=cache).as_json()})
@@ -751,17 +722,17 @@ def traced_run(g: Digraph, strat: MultiplyStrategy, step_budget: int = 10_000):
         ann = strat.announce(zeta, pos)
         tag = strat.last_tag
         rpos = RobberTurn(pos.U, ann, pos.R)
-        records.append({"step": step, "mover": "cops", "U": sorted(pos.U),
-                        "U'": sorted(ann), "R": sorted(pos.R), "case_tag": tag,
+        records.append({"step": step, "mover": "cops", "U": _vertices(pos.U),
+                        "U'": _vertices(ann), "R": _vertices(pos.R), "case_tag": tag,
                         "zeta": zeta_json(zeta), "invariant_report": None})
         moves = enumerate_prudent_isolating_moves(g, rpos, strat.r, cache=cache)
-        Rp = moves[0] if moves else frozenset()
+        Rp = moves[0] if moves else 0
         newpos = CopTurn(ann, Rp)
         zeta = strat.update(zeta, pos, ann, newpos)
         pos = newpos
         step += 1
-        records.append({"step": step, "mover": "robbers", "U": sorted(pos.U),
-                        "U'": None, "R": sorted(pos.R), "case_tag": None,
+        records.append({"step": step, "mover": "robbers", "U": _vertices(pos.U),
+                        "U'": None, "R": _vertices(pos.R), "case_tag": None,
                         "zeta": zeta_json(zeta),
                         "invariant_report": check_invariants(g, pos, zeta, f=strat.f,
                                                              cache=cache).as_json()})

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .arena import CopTurn, attract
-from .digraph import Digraph, bits, mask_from, reach_mask
+from .digraph import Digraph, bits, mask_from, reach_mask, scc_masks
 from .errors import InputError, InvariantViolation, PreconditionError
 from .strategy import CopStrategy
 
@@ -308,6 +308,30 @@ def _zielonka(ex: _Expanded, nodes: set):
     return w0b | B, w1b, sq_full, s1b
 
 
+def _parity_cycle_blocks(nodes, succ_map, color, parity):
+    """Blocks of nodes that hold a cycle whose least color has the given parity.
+
+    For each such color c present, in ascending order, yields every cyclic
+    SCC of the subgraph on the nodes of color at least c that contains a node
+    of color c.  Every node of a yielded block lies on such a cycle.
+    """
+    for c in sorted({color[v] for v in nodes if color[v] % 2 == parity}):
+        sub = [v for v in nodes if color[v] >= c]
+        idx = {v: i for i, v in enumerate(sub)}
+        out = [0] * len(sub)
+        for v in sub:
+            for w in succ_map(v):
+                i = idx.get(w)
+                if i is not None:
+                    out[idx[v]] |= 1 << i
+        comps, _ = scc_masks(out, len(sub))
+        for cm in comps:
+            block = [sub[i] for i in bits(cm)]
+            cyclic = len(block) > 1 or any((out[idx[v]] >> idx[v]) & 1 for v in block)
+            if cyclic and any(color[v] == c for v in block):
+                yield block
+
+
 def _reachable_cycle_with_parity(start, succ_map, color, parity) -> Optional[list]:
     """A reachable cycle whose least color has the given parity, if any."""
     seen = set()
@@ -318,26 +342,7 @@ def _reachable_cycle_with_parity(start, succ_map, color, parity) -> Optional[lis
             continue
         seen.add(v)
         stack.extend(succ_map(v))
-    nodes = sorted(seen)
-    colors_present = sorted({color[v] for v in nodes if color[v] % 2 == parity})
-    for c in colors_present:
-        sub = [v for v in nodes if color[v] >= c]
-        subset = set(sub)
-        idx = {v: i for i, v in enumerate(sub)}
-        out = [0] * len(sub)
-        for v in sub:
-            for w in succ_map(v):
-                if w in subset:
-                    out[idx[v]] |= 1 << idx[w]
-        from .digraph import scc_masks
-        comps, _ = scc_masks(out, len(sub), 0)
-        for cm in comps:
-            members = [sub[i] for i in bits(cm)]
-            cyclic = len(members) > 1 or any(
-                (out[idx[v]] >> idx[v]) & 1 for v in members)
-            if cyclic and any(color[v] == c for v in members):
-                return members
-    return None
+    return next(_parity_cycle_blocks(sorted(seen), succ_map, color, parity), None)
 
 
 def zielonka_solve(pg: ParityGame, verify: bool = True) -> ParityResult:
@@ -405,34 +410,37 @@ class LiftedCopStrategy(CopStrategy):
         self.g = g
         self.f_r = f_r
         self.kg = kg
+        self.teams = [mask_from(K) for K in kg.sets]  # knowledge position -> base vertices
 
     def init_memory(self, pos: CopTurn):
-        return frozenset()
+        return 0
 
-    def _base_announcement(self, memory, pos: CopTurn) -> frozenset:
-        (ki,) = pos.R
-        team = self.kg.sets[ki]
-        return frozenset(self.f_r.announce(None, CopTurn(memory, team)))
+    def _team(self, R: int) -> int:
+        """The base robber team of the one robber on knowledge position R."""
+        return self.teams[R.bit_length() - 1]
 
-    def announce(self, memory, pos: CopTurn) -> frozenset:
+    def _base_announcement(self, memory, pos: CopTurn) -> int:
+        return self.f_r.announce(None, CopTurn(memory, self._team(pos.R)))
+
+    def announce(self, memory, pos: CopTurn) -> int:
         Up = self._base_announcement(memory, pos)
-        return frozenset(i for i, s in enumerate(self.kg.sets) if s & Up)
+        out = 0
+        for i, team in enumerate(self.teams):
+            if team & Up:
+                out |= 1 << i
+        return out
 
     def update(self, memory, pos, announced, newpos):
         if not newpos.R:
             return memory
         Up = self._base_announcement(memory, pos)
-        (ki,) = pos.R
-        (wi,) = newpos.R
-        old_team = self.kg.sets[ki]
-        new_team = self.kg.sets[wi]
-        legal = reach_mask(self.g.out_masks, mask_from(old_team),
-                           mask_from(memory) & mask_from(Up))
-        if mask_from(new_team) & ~(legal & ~mask_from(Up)):
+        old_team, new_team = self._team(pos.R), self._team(newpos.R)
+        legal = reach_mask(self.g.out_masks, old_team, memory & Up)
+        if new_team & ~(legal & ~Up):
             raise InvariantViolation(
                 "lift-translation",
-                f"knowledge move {sorted(old_team)} -> {sorted(new_team)} does not "
-                f"translate to a legal robber-team move")
+                f"knowledge move {sorted(bits(old_team))} -> {sorted(bits(new_team))} "
+                f"does not translate to a legal robber-team move")
         return Up
 
 
@@ -573,22 +581,8 @@ def solve_by_strategy_enumeration(pg: ParityGame):
 
         # positions that can reach a cycle whose least color is odd
         bad_core = set()
-        for c in sorted({pg.color[v] for v in range(pg.n) if pg.color[v] % 2 == 1}):
-            members = [v for v in range(pg.n) if pg.color[v] >= c]
-            inset = set(members)
-            idx = {v: i for i, v in enumerate(members)}
-            out = [0] * len(members)
-            for v in members:
-                for w in succ_of(v):
-                    if w in inset:
-                        out[idx[v]] |= 1 << idx[w]
-            from .digraph import scc_masks
-            comps, _ = scc_masks(out, len(members), 0)
-            for cm in comps:
-                block = [members[i] for i in bits(cm)]
-                cyclic = len(block) > 1 or any((out[idx[v]] >> idx[v]) & 1 for v in block)
-                if cyclic and any(pg.color[v] == c for v in block):
-                    bad_core.update(block)
+        for block in _parity_cycle_blocks(range(pg.n), succ_of, pg.color, 1):
+            bad_core.update(block)
         pred = [[] for _ in range(pg.n)]
         for v in range(pg.n):
             for w in succ_of(v):

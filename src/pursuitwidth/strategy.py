@@ -2,9 +2,11 @@
 
 Cop strategies answer cop positions with an announcement, optionally through
 a memory structure.  Robber strategies choose the initial placement and
-answer robber positions.  Validation is exhaustive: the fixed side plays its
-strategy while the opponent branches over every legal move, so a green
-validation is a proof at the instance's scale.
+answer robber positions.  Positions, announcements and robber moves are
+vertex masks; only a positional strategy's constructor, `items()` and its
+text format take vertex sets.  Validation is exhaustive: the fixed side
+plays its strategy while the opponent branches over every legal move, so a
+green validation is a proof at the instance's scale.
 """
 from __future__ import annotations
 
@@ -75,15 +77,15 @@ class CopStrategy:
     def init_memory(self, pos: CopTurn):
         return None
 
-    def announce(self, memory, pos: CopTurn) -> frozenset:
+    def announce(self, memory, pos: CopTurn) -> int:
         raise NotImplementedError
 
-    def update(self, memory, pos: CopTurn, announced: frozenset, newpos: CopTurn):
+    def update(self, memory, pos: CopTurn, announced: int, newpos: CopTurn):
         return memory
 
 
 class RobberStrategy:
-    def initial_placement(self) -> frozenset:
+    def initial_placement(self) -> int:
         raise NotImplementedError
 
     def init_memory(self, pos: CopTurn):
@@ -94,53 +96,75 @@ class RobberStrategy:
         raise NotImplementedError
 
 
-def _fmt_set(s) -> str:
-    s = sorted(s)
-    return ",".join(str(v) for v in s) if s else "-"
+def _size(mask: int) -> int:
+    return bin(mask).count("1")
 
 
-def _parse_set(text: str) -> frozenset:
+def _fmt_set(mask: int) -> str:
+    return ",".join(str(v) for v in bits(mask)) or "-"
+
+
+def _parse_set(text: str, lineno: int, raw: str) -> int:
     text = text.strip()
     if text == "-" or not text:
-        return frozenset()
-    return frozenset(int(t) for t in text.split(","))
+        return 0
+    try:
+        vertices = [int(t) for t in text.split(",")]
+    except ValueError:
+        raise PreconditionError(f"strategy line {lineno}: vertices must be integers: "
+                                f"{raw!r}") from None
+    if min(vertices) < 0:
+        raise PreconditionError(f"strategy line {lineno}: vertices must be nonnegative: "
+                                f"{raw!r}")
+    return mask_from(vertices)
 
 
 class PositionalCopStrategy(CopStrategy):
-    """A finite map from cop positions to announcements."""
+    """A finite map from cop positions to announcements.
+
+    Built from vertex sets, `{(U, R): U'}`, and `items()` gives them back as
+    frozensets; `mapping` holds the same map on masks, which is what the
+    strategy looks up.
+    """
 
     def __init__(self, mapping):
-        self.mapping = {(frozenset(u), frozenset(r)): frozenset(up)
+        self.mapping = {(mask_from(u), mask_from(r)): mask_from(up)
                         for (u, r), up in dict(mapping).items()}
 
-    def announce(self, memory, pos: CopTurn) -> frozenset:
-        try:
-            return self.mapping[(pos.U, pos.R)]
-        except KeyError:
-            raise StrategyHoleError(pos) from None
+    @classmethod
+    def from_masks(cls, mapping) -> "PositionalCopStrategy":
+        strat = cls({})
+        strat.mapping = dict(mapping)
+        return strat
 
-    def lookup(self, U, R) -> frozenset:
-        return self.announce(None, CopTurn(frozenset(U), frozenset(R)))
+    def lookup(self, U: int, R: int) -> int:
+        got = self.mapping.get((U, R))
+        if got is None:
+            raise StrategyHoleError(CopTurn(U, R))
+        return got
+
+    def announce(self, memory, pos: CopTurn) -> int:
+        return self.lookup(pos.U, pos.R)
 
     def cop_count(self) -> int:
-        sizes = [len(up) for up in self.mapping.values()]
-        sizes += [len(u) for (u, _) in self.mapping]
-        return max(sizes) if sizes else 0
+        return max((_size(m) for (u, _), up in self.mapping.items() for m in (u, up)),
+                   default=0)
 
     def items(self):
-        return self.mapping.items()
+        return [((set_from(u), set_from(r)), set_from(up))
+                for (u, r), up in self.mapping.items()]
 
     def serialize(self) -> str:
         lines = []
         for (u, r), up in sorted(self.mapping.items(),
-                                 key=lambda kv: (sorted(kv[0][0]), sorted(kv[0][1]))):
+                                 key=lambda kv: (list(bits(kv[0][0])), list(bits(kv[0][1])))):
             lines.append(f"{_fmt_set(u)} ; {_fmt_set(r)} -> {_fmt_set(up)}")
         return "\n".join(lines) + "\n"
 
     @classmethod
     def parse(cls, text: str) -> "PositionalCopStrategy":
         mapping = {}
-        for raw in text.splitlines():
+        for lineno, raw in enumerate(text.splitlines(), start=1):
             line = raw.strip()
             if not line or line.startswith("#"):
                 continue
@@ -148,9 +172,11 @@ class PositionalCopStrategy(CopStrategy):
                 left, up = line.split("->")
                 u, r = left.split(";")
             except ValueError:
-                raise PreconditionError(f"bad strategy line: {raw!r}") from None
-            mapping[(_parse_set(u), _parse_set(r))] = _parse_set(up)
-        return cls(mapping)
+                raise PreconditionError(f"strategy line {lineno}: expected 'U ; R -> U'': "
+                                        f"{raw!r}") from None
+            mapping[_parse_set(u, lineno, raw), _parse_set(r, lineno, raw)] = \
+                _parse_set(up, lineno, raw)
+        return cls.from_masks(mapping)
 
 
 class SolverCopStrategy(CopStrategy):
@@ -163,13 +189,12 @@ class SolverCopStrategy(CopStrategy):
         self.cache = cache
         self.cert = cert
 
-    def announce(self, memory, pos: CopTurn) -> frozenset:
-        U = mask_from(pos.U)
-        reg = self.cache.reach(mask_from(pos.R), U)
-        got = self.cert.get(self.cache.class_key(U, reg))
+    def announce(self, memory, pos: CopTurn) -> int:
+        reg = self.cache.reach(pos.R, pos.U)
+        got = self.cert.get(self.cache.class_key(pos.U, reg))
         if got is None:
             raise StrategyHoleError(pos)
-        return set_from(got)
+        return got
 
     def as_positional(self, budget: Optional[int] = None) -> PositionalCopStrategy:
         """Materialize the map over every position reachable under the strategy."""
@@ -179,15 +204,13 @@ class SolverCopStrategy(CopStrategy):
 
         def moves(state):
             U, R = state
-            pos = CopTurn(set_from(U), set_from(R))
-            ann = mapping[pos.U, pos.R] = self.announce(None, pos)
-            up = mask_from(ann)
+            up = mapping[state] = self.announce(None, CopTurn(U, R))
             escapes = cache.reach(R, U & up) & ~up
             return ((up, Rp) for Rp in subset_masks(sorted(bits(escapes)), robber_sets))
 
         explore(((0, R) for R in subset_masks(range(self.g.n), robber_sets)), moves,
                 effective_budget(budget), "strategy materialization")
-        return PositionalCopStrategy(mapping)
+        return PositionalCopStrategy.from_masks(mapping)
 
 
 class SolverRobberStrategy(RobberStrategy):
@@ -204,25 +227,22 @@ class SolverRobberStrategy(RobberStrategy):
     def _class_won(self, U: int, reg: int) -> bool:
         return self.cache.class_key(U, reg) in self.won
 
-    def initial_placement(self) -> frozenset:
+    def initial_placement(self) -> int:
         for R in subset_masks(range(self.g.n), range(1, self.cfg.r + 1)):
             if not self._class_won(0, self.cache.reach(R, 0)):
-                return set_from(R)
+                return R
         raise StrategyHoleError(INITIAL)
 
     def respond(self, memory, pos: RobberTurn):
-        U = mask_from(pos.U)
-        up = mask_from(pos.Uprime)
-        R = mask_from(pos.R)
-        escapes = self.cache.reach(R, U & up) & ~up
-        fallback = None
+        up = pos.Uprime
+        escapes = self.cache.reach(pos.R, pos.U & up) & ~up
+        fallback = 0
         for Rp in subset_masks(sorted(bits(escapes)), range(1, self.cfg.r + 1)):
-            if fallback is None:
-                fallback = Rp
+            fallback = fallback or Rp
             if not self._class_won(up, self.cache.reach(Rp, up)):
-                return set_from(Rp), memory
+                return Rp, memory
         # cornered: every escape class is cop-won (or there is none at all)
-        return set_from(fallback) if fallback is not None else frozenset(), memory
+        return fallback, memory
 
 
 # ---------------------------------------------------------------------------
@@ -241,10 +261,10 @@ def playout(g: Digraph, cfg: SearchConfig, cop_strategy: CopStrategy,
     """Drive the unique play of the two strategies; report its verdict."""
     limit = step_budget if step_budget is not None else effective_budget(None)
     trace = [INITIAL]
-    R0 = frozenset(robber_strategy.initial_placement())
-    if not R0 or len(R0) > cfg.r:
-        raise PreconditionError(f"illegal initial placement {sorted(R0)}")
-    pos = CopTurn(frozenset(), R0)
+    R0 = robber_strategy.initial_placement()
+    if not R0 or _size(R0) > cfg.r:
+        raise PreconditionError(f"illegal initial placement {list(bits(R0))}")
+    pos = CopTurn(0, R0)
     trace.append(pos)
     cmem = cop_strategy.init_memory(pos)
     rmem = robber_strategy.init_memory(pos)
@@ -255,19 +275,18 @@ def playout(g: Digraph, cfg: SearchConfig, cop_strategy: CopStrategy,
             return PlayoutResult(COPS_WIN, tuple(trace), steps)
         if steps >= limit:
             return PlayoutResult(BUDGET_EXCEEDED, tuple(trace), steps)
-        ann = frozenset(cop_strategy.announce(cmem, pos))
-        if len(ann) > cfg.k:
-            raise PreconditionError(f"announcement {sorted(ann)} uses more than k={cfg.k} cops")
+        ann = cop_strategy.announce(cmem, pos)
+        if _size(ann) > cfg.k:
+            raise PreconditionError(f"announcement {list(bits(ann))} uses more than "
+                                    f"k={cfg.k} cops")
         rpos = RobberTurn(pos.U, ann, pos.R)
         trace.append(rpos)
         if not is_monotone_move(g, rpos):
             return PlayoutResult(NON_MONOTONE, tuple(trace), steps)
         Rp, rmem = robber_strategy.respond(rmem, rpos)
-        Rp = frozenset(Rp)
-        up_mask = mask_from(ann)
-        escapes = reach_mask(g.out_masks, mask_from(pos.R), mask_from(pos.U) & up_mask) & ~up_mask
-        if mask_from(Rp) & ~escapes or len(Rp) > cfg.r:
-            raise AdversaryContractError(f"illegal robber move {sorted(Rp)} at {rpos!r}")
+        escapes = reach_mask(g.out_masks, pos.R, pos.U & ann) & ~ann
+        if Rp & ~escapes or _size(Rp) > cfg.r:
+            raise AdversaryContractError(f"illegal robber move {list(bits(Rp))} at {rpos!r}")
         newpos = CopTurn(ann, Rp)
         trace.append(newpos)
         cmem = cop_strategy.update(cmem, pos, ann, newpos)
@@ -307,22 +326,22 @@ def validate_cop_strategy(g: Digraph, cfg: SearchConfig, strat: CopStrategy,
     def moves(state):
         nonlocal max_ann
         cmem, U, R = state
-        pos = CopTurn(set_from(U), set_from(R))
+        pos = CopTurn(U, R)
         try:
-            ann = frozenset(strat.announce(cmem, pos))
+            up = strat.announce(cmem, pos)
         except StrategyHoleError:
             return "strategy hole"
-        if len(ann) > cfg.k:
-            return f"announcement too large ({len(ann)} > {cfg.k})"
-        max_ann = max(max_ann, len(ann))
-        if not is_monotone_move(g, RobberTurn(pos.U, ann, pos.R)):
+        size = _size(up)
+        if size > cfg.k:
+            return f"announcement too large ({size} > {cfg.k})"
+        max_ann = max(max_ann, size)
+        rb = cache.reach(R, U & up)
+        if (U & ~up) & rb:
             return "non-monotone announcement"
-        up = mask_from(ann)
-        escapes = cache.reach(R, U & up) & ~up
-        return ((strat.update(cmem, pos, ann, CopTurn(ann, set_from(Rp))), up, Rp)
-                for Rp in subset_masks(sorted(bits(escapes)), robber_sets))
+        return ((strat.update(cmem, pos, up, CopTurn(up, Rp)), up, Rp)
+                for Rp in subset_masks(sorted(bits(rb & ~up)), robber_sets))
 
-    roots = ((strat.init_memory(CopTurn(frozenset(), set_from(R0))), 0, R0)
+    roots = ((strat.init_memory(CopTurn(0, R0)), 0, R0)
              for R0 in subset_masks(range(g.n), robber_sets))
     failure, states = explore(roots, moves, effective_budget(budget),
                               "cop-strategy validation", cycle="infinite play")
@@ -353,23 +372,21 @@ def validate_robber_strategy(g: Digraph, cfg: SearchConfig, strat: RobberStrateg
         return replies(rmem, U, R)
 
     def replies(rmem, U, R):
-        pos = CopTurn(set_from(U), set_from(R))
         for up in announcement_masks(cache, cfg, U, R):
             rb = cache.reach(R, U & up)
             if (U & ~up) & rb:
                 continue  # non-monotone announcements lose outright
-            rpos = RobberTurn(pos.U, set_from(up), pos.R)
+            rpos = RobberTurn(U, up, R)
             Rp, rmem2 = strat.respond(rmem, rpos)
-            Rp_mask = mask_from(Rp)
-            if Rp_mask & ~(rb & ~up) or len(Rp) > cfg.r:
+            if Rp & ~(rb & ~up) or _size(Rp) > cfg.r:
                 raise AdversaryContractError(
-                    f"robber strategy made an illegal move at {rpos!r}: {sorted(Rp)}")
-            if require_prudent and (Rp_mask & ~R) & cache.reach(R, up):
+                    f"robber strategy made an illegal move at {rpos!r}: {list(bits(Rp))}")
+            if require_prudent and (Rp & ~R) & cache.reach(R, up):
                 yield "imprudent move"
-            yield rmem2, up, Rp_mask
+            yield rmem2, up, Rp
 
-    R0 = frozenset(strat.initial_placement())
-    root = (strat.init_memory(CopTurn(frozenset(), R0)), 0, mask_from(R0))
+    R0 = strat.initial_placement()
+    root = (strat.init_memory(CopTurn(0, R0)), 0, R0)
     failure, states = explore([root], moves, effective_budget(budget),
                               "robber-strategy validation")
     return ValidationReport(failure is None, failure, states)
@@ -406,23 +423,18 @@ def antichain_reps(cache: GraphCache, up: int, R: int) -> int:
     return out
 
 
-def is_isolating_position(g: Digraph, U, R, cache: Optional[GraphCache] = None) -> bool:
-    cache = cache or GraphCache(g)
-    um = mask_from(U)
-    rm = mask_from(R)
-    region, _ = cache.under(um)
-    for v in bits(rm):
-        if region[v] & (rm & ~(1 << v)):
-            return False
-    return True
+def is_isolating_position(g: Digraph, U: int, R: int,
+                          cache: Optional[GraphCache] = None) -> bool:
+    """No robber of R can reach another once the cops U stand."""
+    region, _ = (cache or GraphCache(g)).under(U)
+    return not any(region[v] & (R & ~(1 << v)) for v in bits(R))
 
 
-def is_prudent_move(g: Digraph, U, Uprime, R, Rprime,
+def is_prudent_move(g: Digraph, Uprime: int, R: int, Rprime: int,
                     cache: Optional[GraphCache] = None) -> bool:
-    cache = cache or GraphCache(g)
-    um, upm, rm, rpm = (mask_from(x) for x in (U, Uprime, R, Rprime))
-    fresh = rpm & ~rm
-    return fresh & cache.reach(rm, upm) == 0
+    """Robbers move from R to Rprime only onto vertices that the landing cops
+    Uprime cut off from R."""
+    return (Rprime & ~R) & (cache or GraphCache(g)).reach(R, Uprime) == 0
 
 
 class _MirrorRobberStrategy(RobberStrategy):
@@ -435,20 +447,16 @@ class _MirrorRobberStrategy(RobberStrategy):
         self.inner = inner
         self.cache = GraphCache(g)
 
-    def initial_placement(self) -> frozenset:
-        R0 = frozenset(self.inner.initial_placement())
-        return set_from(antichain_reps(self.cache, 0, mask_from(R0)))
+    def initial_placement(self) -> int:
+        return antichain_reps(self.cache, 0, self.inner.initial_placement())
 
     def init_memory(self, pos: CopTurn):
-        R0 = frozenset(self.inner.initial_placement())
-        inner_mem = self.inner.init_memory(CopTurn(frozenset(), R0))
-        return (inner_mem, R0)
+        R0 = self.inner.initial_placement()
+        return (self.inner.init_memory(CopTurn(0, R0)), R0)
 
     def _mirror_move(self, memory, pos: RobberTurn):
         inner_mem, Rm = memory
-        mirror_pos = RobberTurn(pos.U, pos.Uprime, Rm)
-        Rp, inner_mem2 = self.inner.respond(inner_mem, mirror_pos)
-        return frozenset(Rp), inner_mem2
+        return self.inner.respond(inner_mem, RobberTurn(pos.U, pos.Uprime, Rm))
 
 
 class IsolatingRobberStrategy(_MirrorRobberStrategy):
@@ -456,9 +464,7 @@ class IsolatingRobberStrategy(_MirrorRobberStrategy):
 
     def respond(self, memory, pos: RobberTurn):
         Rp, inner_mem2 = self._mirror_move(memory, pos)
-        up = mask_from(pos.Uprime)
-        picked = antichain_reps(self.cache, up, mask_from(Rp))
-        return set_from(picked), (inner_mem2, Rp)
+        return antichain_reps(self.cache, pos.Uprime, Rp), (inner_mem2, Rp)
 
 
 class PrudentRobberStrategy(_MirrorRobberStrategy):
@@ -474,13 +480,11 @@ class PrudentRobberStrategy(_MirrorRobberStrategy):
     def respond(self, memory, pos: RobberTurn):
         Rp, inner_mem2 = self._mirror_move(memory, pos)
         cache = self.cache
-        up = mask_from(pos.Uprime)
-        cur = mask_from(pos.R)
+        up = pos.Uprime
+        cur = pos.R
         stay = cur & ~up
-        region, _ = cache.under(up)
-        target = mask_from(Rp)
+        region, comps = _member_components(cache, up, Rp)
         chosen = 0
-        _, comps = _member_components(cache, up, target)
         keys = sorted(comps)
         for cm in keys:
             if any(cm & region[comps[o][0]] for o in keys if o != cm):
@@ -493,9 +497,9 @@ class PrudentRobberStrategy(_MirrorRobberStrategy):
         picked = antichain_reps(cache, up, chosen)
         fresh = picked & ~cur
         if fresh & cache.reach(cur, up):
-            raise InvariantViolation("prudence", f"fresh robbers {sorted(bits(fresh))} "
+            raise InvariantViolation("prudence", f"fresh robbers {list(bits(fresh))} "
                                                  f"still reachable at {pos!r}")
-        return set_from(picked), (inner_mem2, Rp)
+        return picked, (inner_mem2, Rp)
 
 
 def isolating_transform(g: Digraph, cfg: SearchConfig, robber_strategy: RobberStrategy,
@@ -566,7 +570,7 @@ def cleanup_strategy(g: Digraph, f: PositionalCopStrategy, k: Optional[int] = No
         if (U, v) in fhat:
             continue
         w = witness[(U, v)]
-        ann = mask_from(f.lookup(set_from(w), {v}))
+        ann = f.lookup(w, 1 << v)
         A = _useful_subset(cache, U, ann, v)
         if cache.reach(1 << v, w) != cache.reach(1 << v, U):
             raise InvariantViolation(
@@ -603,11 +607,11 @@ def cleanup_strategy(g: Digraph, f: PositionalCopStrategy, k: Optional[int] = No
                 "cleanup-normal-form",
                 f"new cops {sorted(bits(new & ~cache.reach(1 << v, U)))} are outside "
                 f"the robber cone at (U={sorted(bits(U))}, v={v})")
-        ftilde[(set_from(U), frozenset({v}))] = set_from(a)
+        ftilde[U, 1 << v] = a
         escapes = cache.reach(1 << v, U & a) & ~a
         for v2 in bits(escapes):
             key = (a, v2)
             if key not in explored:
                 explored.add(key)
                 stack.append(key)
-    return PositionalCopStrategy(ftilde)
+    return PositionalCopStrategy.from_masks(ftilde)

@@ -1,12 +1,12 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from pursuitwidth.arena import (COPS, INITIAL, ROBBERS, CopTurn, RobberTurn,
-                                SearchConfig, _SearchSolver, cop_moves,
-                                is_monotone_move, robber_moves, solve_invisible,
-                                solve_search, validate_invisible_schedule, width)
+from pursuitwidth.arena import (COPS, ROBBERS, CopTurn, GraphCache, RobberTurn,
+                                SearchConfig, _SearchSolver, announcement_masks,
+                                is_monotone_move, solve_invisible, solve_search,
+                                validate_invisible_schedule, width)
 from pursuitwidth.cli import small_corpus
-from pursuitwidth.digraph import Digraph, bits, out_of, set_from
+from pursuitwidth.digraph import Digraph, bits, out_of
 from pursuitwidth.errors import ConfigError, ResourceError
 from pursuitwidth.families import (cycle_digraph, gen_grk, random_digraph,
                                    tree_T, two_tree_graph)
@@ -18,48 +18,50 @@ from oracles import minimax_solve
 single = Digraph(1, [])
 
 
-class TestMoves:
-    def test_cop_moves_single_vertex(self):
-        moves = cop_moves(single, SearchConfig(k=1), CopTurn(frozenset(), {0}))
-        assert moves == {RobberTurn(frozenset(), frozenset(), {0}),
-                         RobberTurn(frozenset(), {0}, {0})}
+class TestPositions:
+    def test_positions_hold_masks_and_print_vertex_lists(self):
+        assert repr(CopTurn(0b110, 0b1)) == "CopTurn(U=[1, 2], R=[0])"
+        assert repr(RobberTurn(0b10, 0b110, 0b1)) == "RobberTurn(U=[1], U'=[1, 2], R=[0])"
+        assert CopTurn(0b10, 0b1) == CopTurn(2, 1) and len({CopTurn(2, 1), CopTurn(2, 1)}) == 1
 
-    def test_cop_moves_count_on_cycle(self):
-        moves = cop_moves(cycle_digraph(3), SearchConfig(k=2),
-                          CopTurn(frozenset(), {0}))
-        assert len(moves) == 7  # all announcements of at most two cops
+    @pytest.mark.parametrize("fields", [(frozenset(), 1), (0, {0}), (-1, 1), (0, True)],
+                             ids=["frozenset-cops", "set-robbers", "negative", "bool"])
+    def test_vertex_sets_that_are_not_masks_are_rejected(self, fields):
+        with pytest.raises(TypeError, match="vertex mask"):
+            CopTurn(*fields)
+        with pytest.raises(TypeError, match="vertex mask"):
+            RobberTurn(fields[0], 0, fields[1])
+
+    def test_cops_and_robbers_may_not_overlap(self):
+        with pytest.raises(ConfigError, match=r"\[1\]"):
+            CopTurn(0b10, 0b11)
+        with pytest.raises(ConfigError):
+            RobberTurn(0b1, 0, 0b1)
+
+
+class TestMoves:
+    def test_announcements_single_vertex(self):
+        assert list(announcement_masks(GraphCache(single), SearchConfig(k=1), 0, 1)) == [1, 0]
+
+    def test_announcement_count_on_cycle(self):
+        moves = list(announcement_masks(GraphCache(cycle_digraph(3)), SearchConfig(k=2), 0, 1))
+        assert len(moves) == len(set(moves)) == 7  # all announcements of at most two cops
 
     def test_restricted_needs_single_robber(self):
         with pytest.raises(ConfigError):
-            cop_moves(cycle_digraph(3), SearchConfig(k=1, r=2, restrict_to_scc=True),
-                      CopTurn(frozenset(), {0, 1}))
-
-    def test_initial_robber_moves_exclude_empty(self):
-        moves = robber_moves(cycle_digraph(3), SearchConfig(k=1, r=2), INITIAL)
-        assert all(m.R for m in moves)
-        assert len(moves) == 6  # three singletons plus three pairs
-
-    def test_robber_moves_blocked_cycle(self):
-        moves = robber_moves(cycle_digraph(3), SearchConfig(k=1),
-                             RobberTurn({1}, {1}, {0}))
-        assert moves == {CopTurn({1}, {0}), CopTurn({1}, frozenset())}
-
-    def test_robber_escapes_or_leaves(self):
-        g = Digraph(2, [(0, 1)])
-        moves = robber_moves(g, SearchConfig(k=1), RobberTurn(frozenset(), {0}, {0}))
-        assert moves == {CopTurn({0}, {1}), CopTurn({0}, frozenset())}
+            SearchConfig(k=1, r=2, restrict_to_scc=True)
 
     def test_monotone_when_no_cop_abandoned(self):
         g = cycle_digraph(3)
-        assert is_monotone_move(g, RobberTurn({1}, {1, 2}, {0}))
+        assert is_monotone_move(g, RobberTurn(0b10, 0b110, 0b1))
 
     def test_non_monotone_abandonment(self):
         g = cycle_digraph(3)
-        assert not is_monotone_move(g, RobberTurn({1}, frozenset(), {0}))
+        assert not is_monotone_move(g, RobberTurn(0b10, 0, 0b1))
 
     def test_monotone_when_abandoned_cop_unreachable(self):
         g = Digraph(3, [(0, 2)])
-        assert is_monotone_move(g, RobberTurn({1}, {2}, {0}))
+        assert is_monotone_move(g, RobberTurn(0b10, 0b100, 0b1))
 
 
 class TestSolve:
@@ -203,8 +205,8 @@ class TestSearchSolver:
                     R = next(w for w in bits(reg) if strategy.cache.reach(1 << w, U) == reg)
                     off = ~(U | reg | out_of(g.out_masks, reg)) & g.full_mask
                     for v in bits(off):
-                        pos = CopTurn(set_from(U | 1 << v), {R})
-                        assert strategy.announce(None, pos) == set_from(ann)
+                        pos = CopTurn(U | 1 << v, 1 << R)
+                        assert strategy.announce(None, pos) == ann
                         checked += 1
         assert checked > 100
 

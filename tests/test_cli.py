@@ -146,6 +146,19 @@ class TestVerifyCommand:
         assert code == EXIT_PASS
         records = json.loads(trace.read_text())
         assert records and records[0]["mover"] == "robbers"
+        _assert_vertex_lists_and_passed_reports(records)
+
+    def test_trace_of_a_splitting_play_writes_memory_entries(self, tmp_path, capsys):
+        graph = tmp_path / "split5.edges"
+        graph.write_text("5\n0 1\n0 2\n1 0\n2 3\n3 2\n3 4\n4 1\n4 2\n")
+        trace = tmp_path / "trace.json"
+        code, rep = run(["verify", "thm10", "--graph", str(graph), "--r", "2",
+                         "--trace-out", str(trace)], capsys)
+        assert code == EXIT_PASS
+        records = json.loads(trace.read_text())
+        # some omitted set holds two vertices, so its order is pinned too
+        assert any(len(entry["O"]) > 1 for rec in records for entry in rec["zeta"]["entries"])
+        _assert_vertex_lists_and_passed_reports(records)
 
     def test_jobs_flag_gives_same_report(self, capsys):
         _, rep_a = run(["verify", "lemma9", "--nmax", "3"], capsys)
@@ -154,6 +167,32 @@ class TestVerifyCommand:
         for rep in (a, b):
             rep.pop("elapsed_s")
         assert a == b
+
+
+def _assert_vertex_lists_and_passed_reports(records):
+    """Every vertex set of a trace (positions, memory entries and histories)
+    is a sorted list of ints, and every invariant report passed."""
+    def fields(rec):
+        yield rec["U"]
+        yield rec["R"]
+        if rec["mover"] == "cops":
+            yield rec["U'"]
+        zeta = rec["zeta"]
+        histories = [entry["rho"] for entry in zeta["entries"]] + [zeta["rho_s"]]
+        for entry in zeta["entries"]:
+            yield entry["R"]
+            yield entry["O"]
+        for pos in (p for rho in histories for p in rho if p["type"] != "initial"):
+            yield from (pos[key] for key in pos if key != "type")
+
+    for rec in records:
+        for value in fields(rec):
+            assert isinstance(value, list) and all(type(v) is int for v in value), value
+            assert value == sorted(set(value)), (rec["step"], value)
+        if rec["mover"] == "robbers":
+            assert rec["invariant_report"]["passed"], rec["step"]
+        else:
+            assert rec["invariant_report"] is None
 
 
 def _check(rep, name):

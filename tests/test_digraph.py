@@ -3,7 +3,8 @@ from hypothesis import given, strategies as st
 
 from pursuitwidth.digraph import (Digraph, emit_dot, emit_edge_list,
                                   is_strongly_connected, parse_edge_list,
-                                  reach_excluding, sccs, symmetric_closure)
+                                  reach_excluding, scc_masks, set_from,
+                                  symmetric_closure)
 from pursuitwidth.errors import InputError
 from pursuitwidth.families import cycle_digraph
 
@@ -64,33 +65,43 @@ class TestReach:
         assert reach_excluding(g, X2, Y) <= reach_excluding(g, X, Y)
 
 
+def sccs(g):
+    """(blocks as frozensets, block index of each vertex)."""
+    blocks, index = scc_masks(g.out_masks, g.n)
+    return [set_from(b) for b in blocks], index
+
+
 class TestSccs:
     def test_cycle_is_one_block(self):
-        assert set(sccs(cycle_digraph(3)).blocks) == {frozenset({0, 1, 2})}
+        assert sccs(cycle_digraph(3))[0] == [frozenset({0, 1, 2})]
 
     def test_dag_splits(self):
         g = Digraph(2, [(0, 1)])
-        assert set(sccs(g).blocks) == {frozenset({0}), frozenset({1})}
+        assert set(sccs(g)[0]) == {frozenset({0}), frozenset({1})}
 
-    def test_component_accessor(self):
-        part = sccs(cycle_digraph(4))
-        assert part.component_of(2) == frozenset({0, 1, 2, 3})
+    def test_component_index(self):
+        blocks, index = sccs(cycle_digraph(4))
+        assert blocks[index[2]] == frozenset({0, 1, 2, 3})
+
+    def test_blocked_vertices_have_no_block(self):
+        blocks, index = scc_masks(cycle_digraph(4).out_masks, 4, blocked=0b0100)
+        assert index[2] == -1 and sorted(blocks) == [0b0001, 0b0010, 0b1000]
 
     @given(digraphs(max_n=8))
     def test_matches_closure_oracle(self, g):
-        assert set(sccs(g).blocks) == set(sccs_by_closure(g))
+        assert set(sccs(g)[0]) == set(sccs_by_closure(g))
 
     @given(digraphs())
     def test_blocks_partition_and_order(self, g):
-        part = sccs(g)
+        blocks, index = sccs(g)
         union = set()
-        for b in part.blocks:
+        for b in blocks:
             assert not (b & union)
             union |= b
         assert union == set(range(g.n))
         # edges between distinct blocks point to earlier (already-closed) blocks
         for (u, v) in g.edges:
-            assert part.index[u] >= part.index[v]
+            assert index[u] >= index[v]
 
 
 class TestSymmetricClosure:

@@ -12,7 +12,7 @@ import pytest
 
 from pursuitwidth.arena import (CopTurn, RobberTurn, SearchConfig, explore,
                                 is_monotone_move, subset_masks)
-from pursuitwidth.digraph import Digraph, mask_from, reach_mask, set_from
+from pursuitwidth.digraph import Digraph, reach_mask
 from pursuitwidth.errors import ResourceError, StrategyHoleError
 from pursuitwidth.families import cycle_digraph
 from pursuitwidth.multiply import (MultiplyStrategy,
@@ -99,19 +99,18 @@ class StepForward:
         self.g = g
 
     def initial_placement(self):
-        return frozenset({0})
+        return 0b1
 
     def init_memory(self, pos):
         return None
 
     def respond(self, memory, pos):
-        (v,) = pos.R
-        up = mask_from(pos.Uprime)
-        escapes = reach_mask(self.g.out_masks, 1 << v, mask_from(pos.U) & up) & ~up
+        v = pos.R.bit_length() - 1
+        escapes = reach_mask(self.g.out_masks, pos.R, pos.U & pos.Uprime) & ~pos.Uprime
         for w in ((v + 1) % self.g.n, v):
             if escapes >> w & 1:
-                return frozenset({w}), memory
-        return frozenset(), memory
+                return 1 << w, memory
+        return 0, memory
 
 
 def test_cop_validation_of_a_150_move_chase_needs_no_recursion():
@@ -138,38 +137,35 @@ def test_robber_validation_of_a_100_move_walk_needs_no_recursion():
 def _cop_line(g, cfg, strat, path):
     cmem, U, R = path[0]
     assert U == 0 and 0 < bin(R).count("1") <= cfg.r
-    assert cmem == strat.init_memory(CopTurn(frozenset(), set_from(R)))
+    assert cmem == strat.init_memory(CopTurn(0, R))
     for (cmem, U, R), (cmem2, U2, R2) in zip(path, path[1:]):
-        pos = CopTurn(set_from(U), set_from(R))
-        ann = frozenset(strat.announce(cmem, pos))
-        assert U2 == mask_from(ann)
+        pos = CopTurn(U, R)
+        assert U2 == strat.announce(cmem, pos)
         escapes = reach_mask(g.out_masks, R, U & U2) & ~U2
         assert R2 and not R2 & ~escapes and bin(R2).count("1") <= cfg.r
-        assert cmem2 == strat.update(cmem, pos, ann, CopTurn(ann, set_from(R2)))
+        assert cmem2 == strat.update(cmem, pos, U2, CopTurn(U2, R2))
 
 
 def _robber_line(g, cfg, strat, path):
     rmem, U, R = path[0]
-    R0 = frozenset(strat.initial_placement())
-    assert (rmem, U, R) == (strat.init_memory(CopTurn(frozenset(), R0)), 0, mask_from(R0))
+    R0 = strat.initial_placement()
+    assert (rmem, U, R) == (strat.init_memory(CopTurn(0, R0)), 0, R0)
     for (rmem, U, R), (rmem2, U2, R2) in zip(path, path[1:]):
-        rpos = RobberTurn(set_from(U), set_from(U2), set_from(R))
+        rpos = RobberTurn(U, U2, R)
         assert bin(U2).count("1") <= cfg.k and is_monotone_move(g, rpos)
-        Rp, mem = strat.respond(rmem, rpos)
-        assert (rmem2, R2) == (mem, mask_from(Rp))
+        assert (R2, rmem2) == strat.respond(rmem, rpos)
 
 
 def _multiplier_line(g, strat, path):
     zeta, U, R = path[0]
     assert U == 0 and bin(R).count("1") == 1
-    assert zeta == strat.init_memory(CopTurn(frozenset(), set_from(R)))
+    assert zeta == strat.init_memory(CopTurn(0, R))
     for (zeta, U, R), (zeta2, U2, R2) in zip(path, path[1:]):
-        pos = CopTurn(set_from(U), set_from(R))
-        ann = strat.announce(zeta, pos)
-        assert U2 == mask_from(ann)
-        moves = enumerate_prudent_isolating_moves(g, RobberTurn(pos.U, ann, pos.R), strat.r)
-        assert set_from(R2) in moves
-        assert zeta2 == strat.update(zeta, pos, ann, CopTurn(ann, set_from(R2)))
+        pos = CopTurn(U, R)
+        assert U2 == strat.announce(zeta, pos)
+        moves = enumerate_prudent_isolating_moves(g, RobberTurn(U, U2, R), strat.r)
+        assert R2 in moves
+        assert zeta2 == strat.update(zeta, pos, U2, CopTurn(U2, R2))
 
 
 def _cop_case(g, k, mapping, failing):
@@ -193,7 +189,7 @@ def _replies(g, cfg, strat, state):
     """(robber position, robber reply) for every monotone announcement at state."""
     rmem, U, R = state
     for up in range(1 << g.n):
-        rpos = RobberTurn(set_from(U), set_from(up), set_from(R))
+        rpos = RobberTurn(U, up, R)
         if bin(up).count("1") <= cfg.k and is_monotone_move(g, rpos):
             yield rpos, strat.respond(rmem, rpos)[0]
 
@@ -203,7 +199,7 @@ class Idle(MultiplyStrategy):
 
     def announce(self, memory, pos):
         self.last_tag = "idle"
-        return frozenset()
+        return 0
 
     def update(self, memory, pos, announced, newpos):
         return memory
@@ -213,17 +209,17 @@ class FirstTwoEscapes(StepForward):
     """Two robbers that move to the two smallest escape vertices."""
 
     def respond(self, memory, pos):
-        up = mask_from(pos.Uprime)
-        escapes = reach_mask(self.g.out_masks, mask_from(pos.R),
-                             mask_from(pos.U) & up) & ~up
-        return frozenset(sorted(set_from(escapes))[:2]), memory
+        escapes = reach_mask(self.g.out_masks, pos.R, pos.U & pos.Uprime) & ~pos.Uprime
+        first = escapes & -escapes
+        second = escapes & ~first
+        return first | (second & -second), memory
 
 
 class GiveUp(StepForward):
     """One robber that stays put and gives up once a cop lands on it."""
 
     def respond(self, memory, pos):
-        return (frozenset() if pos.R <= pos.Uprime else pos.R), memory
+        return (pos.R if pos.R & ~pos.Uprime else 0), memory
 
 
 def _repeats(g, cfg, strat, path):
@@ -231,21 +227,19 @@ def _repeats(g, cfg, strat, path):
 
 
 def _hole(g, cfg, strat, path):
-    last = path[-1]
+    cmem, U, R = path[-1]
     with pytest.raises(StrategyHoleError):
-        strat.announce(last[0], CopTurn(set_from(last[1]), set_from(last[2])))
+        strat.announce(cmem, CopTurn(U, R))
 
 
 def _too_large(g, cfg, strat, path):
-    last = path[-1]
-    assert len(strat.announce(last[0], CopTurn(set_from(last[1]), set_from(last[2])))) > cfg.k
+    cmem, U, R = path[-1]
+    assert bin(strat.announce(cmem, CopTurn(U, R))).count("1") > cfg.k
 
 
 def _non_monotone(g, cfg, strat, path):
-    last = path[-1]
-    pos = CopTurn(set_from(last[1]), set_from(last[2]))
-    ann = strat.announce(last[0], pos)
-    assert not is_monotone_move(g, RobberTurn(pos.U, ann, pos.R))
+    cmem, U, R = path[-1]
+    assert not is_monotone_move(g, RobberTurn(U, strat.announce(cmem, CopTurn(U, R)), R))
 
 
 def _captured(g, cfg, strat, path):
@@ -253,13 +247,13 @@ def _captured(g, cfg, strat, path):
 
 
 def _imprudent(g, cfg, strat, path):
-    assert any(not is_prudent_move(g, rpos.U, rpos.Uprime, rpos.R, Rp)
+    assert any(not is_prudent_move(g, rpos.Uprime, rpos.R, Rp)
                for rpos, Rp in _replies(g, cfg, strat, path[-1]))
 
 
 def _not_isolating(g, cfg, strat, path):
     _, U, R = path[-1]
-    assert not is_isolating_position(g, set_from(U), set_from(R))
+    assert not is_isolating_position(g, U, R)
 
 
 def _play_never_ends():

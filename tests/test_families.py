@@ -1,9 +1,9 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from pursuitwidth.arena import (ROBBERS, CopTurn, SearchConfig, cop_moves,
+from pursuitwidth.arena import (ROBBERS, GraphCache, SearchConfig, announcement_masks,
                                 solve_search, validate_invisible_schedule, width)
-from pursuitwidth.digraph import Digraph, is_strongly_connected, sccs
+from pursuitwidth.digraph import Digraph, bits, is_strongly_connected, scc_masks
 from pursuitwidth.errors import InputError
 from pursuitwidth.families import (clique, cops_dpw_tree, cops_topdown_thm7,
                                    cycle_digraph, enumerate_strongly_connected,
@@ -80,9 +80,8 @@ class TestTwoTreeFamily:
         outs = [v for v in range(g.n) if not g.successors(v)]
         assert outs == [sink]
         # everything else is one strongly connected block
-        blocks = sccs(g).blocks
-        assert frozenset({sink}) in blocks
-        assert frozenset(set(range(g.n)) - {sink}) in blocks
+        blocks, _ = scc_masks(g.out_masks, g.n)
+        assert sorted(blocks) == sorted([1 << sink, g.full_mask & ~(1 << sink)])
 
     def test_edge_count_small(self):
         g, _ = two_tree_graph(1)
@@ -93,13 +92,15 @@ class TestTwoTreeFamily:
         # mirrored ancestor chain entirely; cross-check against the SCC oracle
         g, co = two_tree_graph(1)
         v = co.vertex((1, 1))
-        U = frozenset({co.vertex(()), co.vertex((1,))})
+        U = {co.vertex(()), co.vertex((1,))}
         pre = {co.vertex((), True), co.vertex((1,), True), co.vertex((1, 1), True)}
-        comp = sccs_without(g, U).component_of(v)
+        comp = sccs_without(g, U)[v]
         cfg = SearchConfig(k=2, r=1, restrict_to_scc=True)
-        for move in cop_moves(g, cfg, CopTurn(U, {v})):
-            assert not ((move.Uprime - U) & pre)
-            assert (move.Uprime - U) <= comp
+        Um = sum(1 << u for u in U)
+        for up in announcement_masks(GraphCache(g), cfg, Um, 1 << v):
+            new = set(bits(up & ~Um))
+            assert not (new & pre)
+            assert new <= comp
 
     def test_topdown_sweep_wins_smallest(self):
         g, _ = two_tree_graph(1)
@@ -119,8 +120,10 @@ class TestTwoTreeFamily:
 
 
 def sccs_without(g, U):
+    """The SCC of each vertex, as a set, once the vertices U are deleted."""
     kept = [(u, v) for (u, v) in g.edges if u not in U and v not in U]
-    return sccs(Digraph(g.n, kept))
+    blocks, index = scc_masks(Digraph(g.n, kept).out_masks, g.n)
+    return [set(bits(blocks[i])) for i in index]
 
 
 class TestClearingSchedules:

@@ -8,8 +8,8 @@ from pursuitwidth.errors import (AdversaryContractError, InvariantViolation,
 from pursuitwidth import multiply
 from pursuitwidth.families import cycle_digraph
 from pursuitwidth.multiply import (CASE_II_2, HistoryEntry, MemoryZeta,
-                                   MultiplyStrategy, check_invariants,
-                                   cop_move_multiply, derived_sets,
+                                   MultiplyStrategy, _derive, check_invariants,
+                                   cop_move_multiply,
                                    enumerate_prudent_isolating_moves,
                                    exhaust_prudent_isolating, init_memory,
                                    multiply_strategy, robber_update_multiply,
@@ -29,46 +29,46 @@ def base_strategy(g, k):
 class TestInitMemory:
     def test_singleton_start(self):
         g = cycle_digraph(3)
-        zeta = init_memory(g, {0})
+        zeta = init_memory(g, 0b1)
         assert zeta.s == 1
-        assert zeta.rho_s.last() == CopTurn(frozenset(), {0})
-        report = check_invariants(g, CopTurn(frozenset(), {0}), zeta)
+        assert zeta.rho_s.last() == CopTurn(0, 0b1)
+        report = check_invariants(g, CopTurn(0, 0b1), zeta)
         assert report.passed
 
     def test_split_start_rejected(self):
         with pytest.raises(PreconditionError):
-            init_memory(cycle_digraph(3), {0, 2})
+            init_memory(cycle_digraph(3), 0b101)
 
     def test_needs_strong_connectivity(self):
         with pytest.raises(PreconditionError):
-            init_memory(Digraph(2, [(0, 1)]), {0})
+            init_memory(Digraph(2, [(0, 1)]), 0b1)
 
     def test_fresh_state_passes_checker_everywhere(self):
         g = cycle_digraph(4)
         for v in range(4):
-            zeta = init_memory(g, {v})
-            assert check_invariants(g, CopTurn(frozenset(), {v}), zeta).passed
+            zeta = init_memory(g, 1 << v)
+            assert check_invariants(g, CopTurn(0, 1 << v), zeta).passed
 
 
 class TestCopMove:
     def test_first_move_follows_base_strategy(self):
         g = cycle_digraph(3)
         f = base_strategy(g, 2)
-        zeta = init_memory(g, {0})
-        up, zeta2, tag = cop_move_multiply(g, f, CopTurn(frozenset(), {0}), zeta)
+        zeta = init_memory(g, 0b1)
+        up, zeta2, tag = cop_move_multiply(g, f, CopTurn(0, 0b1), zeta)
         assert tag == CASE_II_2
-        assert up == f.lookup(frozenset(), {0})
+        assert up == f.lookup(0, 0b1)
 
     def test_checker_names_broken_closure(self):
         g = cycle_digraph(3)
-        rho1 = History((CopTurn(frozenset(), {0}),
-                        RobberTurn(frozenset(), {2}, {0})))
-        rho2 = History((CopTurn(frozenset(), {0}),
-                        RobberTurn(frozenset(), {2}, {0}),
-                        CopTurn({2}, {1})))
+        rho1 = History((CopTurn(0, 0b1),
+                        RobberTurn(0, 0b100, 0b1)))
+        rho2 = History((CopTurn(0, 0b1),
+                        RobberTurn(0, 0b100, 0b1),
+                        CopTurn(0b100, 0b10)))
         # {0} is not closed once 2 is guarded: 0 still reaches 1
-        zeta = MemoryZeta((HistoryEntry(rho1, frozenset({0}), frozenset({0})),), rho2)
-        report = check_invariants(g, CopTurn({2}, {0, 1}), zeta)
+        zeta = MemoryZeta((HistoryEntry(rho1, 0b1, 0b1),), rho2)
+        report = check_invariants(g, CopTurn(0b100, 0b11), zeta)
         bad = report.first_violation()
         assert bad is not None and bad.name == "omit-closed"
         assert "1" in bad.witness
@@ -76,39 +76,43 @@ class TestCopMove:
     def test_entry_invariants_enforced(self):
         g = cycle_digraph(3)
         f = base_strategy(g, 2)
-        rho_bad = History((CopTurn(frozenset(), {0}),
-                           RobberTurn(frozenset(), {2}, {0})))  # not an f move
+        rho_bad = History((CopTurn(0, 0b1),
+                           RobberTurn(0, 0b100, 0b1)))  # not an f move
         zeta = MemoryZeta((), rho_bad)
         with pytest.raises(InvariantViolation):
-            cop_move_multiply(g, f, CopTurn(frozenset(), {0}), zeta)
+            cop_move_multiply(g, f, CopTurn(0, 0b1), zeta)
 
 
 class TestRobberUpdate:
     def test_stay_after_idle_announcement_keeps_memory(self):
         g = cycle_digraph(3)
-        zeta = init_memory(g, {0})
-        out = robber_update_multiply(g, CopTurn(frozenset(), {0}), {0}, zeta)
+        zeta = init_memory(g, 0b1)
+        out = robber_update_multiply(g, CopTurn(0, 0b1), 0b1, zeta)
         assert out == zeta
 
     def test_illegal_move_rejected(self):
         g = cycle_digraph(3)
         f = base_strategy(g, 2)
-        zeta = init_memory(g, {0})
-        pos = CopTurn(frozenset(), {0})
+        zeta = init_memory(g, 0b1)
+        pos = CopTurn(0, 0b1)
         up, zmid, _ = cop_move_multiply(g, f, pos, zeta)
-        bad = frozenset(range(3)) - up - {0}
-        imprudent = next(iter(bad))
+        bad = g.full_mask & ~up & ~0b1
+        imprudent = bad & -bad
         with pytest.raises(AdversaryContractError):
-            robber_update_multiply(g, pos, {0, imprudent}, zmid, snapshot=zeta)
+            robber_update_multiply(g, pos, 0b1 | imprudent, zmid, snapshot=zeta)
 
-    def test_derived_sets_cover_announcement(self):
+    def test_derivation_teams_cover_announcement(self):
         g = cycle_digraph(3)
         f = base_strategy(g, 2)
-        zeta = init_memory(g, {0})
-        pos = CopTurn(frozenset(), {0})
+        zeta = init_memory(g, 0b1)
+        pos = CopTurn(0, 0b1)
         up, zmid, _ = cop_move_multiply(g, f, pos, zeta)
-        d = derived_sets(g, zmid, pos.R)
-        assert frozenset().union(*d.teams) == up
+        d = _derive(zmid)
+        assert d.Ucum[d.s] == up
+        teams = 0
+        for i in range(1, d.s + 1):
+            teams |= d.U_[i]
+        assert teams == up
 
 
 class TestMultiplied:
@@ -185,12 +189,12 @@ class TestMultiplied:
 
     def test_adversary_moves_are_prudent_and_isolating(self):
         g = cycle_digraph(5)
-        pos = RobberTurn(frozenset(), {0}, {2, 4})
+        pos = RobberTurn(0, 0b1, 0b10100)
         moves = enumerate_prudent_isolating_moves(g, pos, 2)
         from pursuitwidth.strategy import is_isolating_position, is_prudent_move
         assert moves
         for Rp in moves:
-            assert is_prudent_move(g, pos.U, pos.Uprime, pos.R, Rp)
+            assert is_prudent_move(g, pos.Uprime, pos.R, Rp)
             assert is_isolating_position(g, pos.Uprime, Rp)
 
 
@@ -226,9 +230,9 @@ class TestSharedWork:
     once and reused; reuse must never change a result."""
 
     def test_memories_hash_by_value(self):
-        rho = History((CopTurn(frozenset(), {0}), RobberTurn(frozenset(), {2}, {0})))
-        a = MemoryZeta((HistoryEntry(rho, {0}, {0}),), rho.append(CopTurn({2}, {1})))
-        b = MemoryZeta((HistoryEntry(rho, [0], [0]),), rho.append(CopTurn({2}, {1})))
+        rho = History((CopTurn(0, 0b1), RobberTurn(0, 0b100, 0b1)))
+        a = MemoryZeta((HistoryEntry(rho, 0b1, 0b1),), rho.append(CopTurn(0b100, 0b10)))
+        b = MemoryZeta((HistoryEntry(History(rho), 1, 1),), rho.append(CopTurn(4, 2)))
         assert a == b and hash(a) == hash(b) and len({a, b}) == 1
         assert a != MemoryZeta((), rho)
 
@@ -257,14 +261,14 @@ class TestSharedWork:
     def test_determinism_is_checked_with_and_without_reuse(self, announced_first):
         g = cycle_digraph(3)
         strat = multiply_strategy(g, base_strategy(g, 2), r=2)
-        pos = CopTurn(frozenset(), {0})
+        pos = CopTurn(0, 0b1)
         zeta = strat.init_memory(pos)
         ann = multiply_strategy(g, strat.f, r=2).announce(zeta, pos)
         if announced_first:
             assert strat.announce(zeta, pos) == ann
         assert ann
         with pytest.raises(InvariantViolation) as err:
-            strat.update(zeta, pos, frozenset(), CopTurn(frozenset(), {0}))
+            strat.update(zeta, pos, 0, CopTurn(0, 0b1))
         assert err.value.name == "determinism"
         (Rp, *_) = enumerate_prudent_isolating_moves(g, RobberTurn(pos.U, ann, pos.R), 2)
         assert isinstance(strat.update(zeta, pos, ann, CopTurn(ann, Rp)), MemoryZeta)
@@ -272,12 +276,12 @@ class TestSharedWork:
     def test_a_move_announced_at_another_position_is_not_reused(self):
         g = cycle_digraph(3)
         strat = multiply_strategy(g, base_strategy(g, 2), r=2)
-        zeta = strat.init_memory(CopTurn(frozenset(), {0}))
-        ann = strat.announce(zeta, CopTurn(frozenset(), {0}))
+        zeta = strat.init_memory(CopTurn(0, 0b1))
+        ann = strat.announce(zeta, CopTurn(0, 0b1))
         assert ann
         # from {1}, the pursued robber 0 is gone: the recomputed move is idle
         with pytest.raises(InvariantViolation) as err:
-            strat.update(zeta, CopTurn(frozenset(), {1}), ann, CopTurn(ann, frozenset()))
+            strat.update(zeta, CopTurn(0, 0b10), ann, CopTurn(ann, 0))
         assert err.value.name == "determinism"
 
     def test_every_shared_derivation_equals_a_fresh_one(self, monkeypatch):

@@ -23,29 +23,26 @@ class FixedRobber:
         self.v = v
 
     def initial_placement(self):
-        return frozenset({self.v})
+        return 1 << self.v
 
     def init_memory(self, pos):
         return None
 
     def respond(self, memory, pos):
-        (v,) = pos.R
-        if v not in pos.Uprime:
-            return frozenset({v}), memory
-        return frozenset(), memory
+        return pos.R & ~pos.Uprime, memory
 
 
 class TestHistory:
     def test_prefix_relation(self):
-        a = History((CopTurn(frozenset(), {0}),))
-        b = a.append(RobberTurn(frozenset(), {1}, {0}))
+        a = History((CopTurn(0, 0b1),))
+        b = a.append(RobberTurn(0, 0b10, 0b1))
         assert a.is_strict_prefix_of(b)
         assert not b.is_strict_prefix_of(a)
         assert not a.is_strict_prefix_of(a)
 
     def test_last(self):
-        a = History((CopTurn(frozenset(), {0}),))
-        assert a.last() == CopTurn(frozenset(), {0})
+        a = History((CopTurn(0, 0b1),))
+        assert a.last() == CopTurn(0, 0b1)
 
 
 class TestPlayout:
@@ -110,8 +107,8 @@ class TestTransforms:
         iso = isolating_transform(g, cfg, rob)
         R0 = iso.initial_placement()
         # the whole cycle is one component, so one robber suffices at the start
-        assert len(R0) == 1
-        assert is_isolating_position(g, frozenset(), R0)
+        assert bin(R0).count("1") == 1
+        assert is_isolating_position(g, 0, R0)
 
     def test_transform_requires_winning_input(self):
         g = cycle_digraph(3)
@@ -133,11 +130,11 @@ class TestTransforms:
 
     def test_prudence_distinguishes_threatened_targets(self):
         g = cycle_digraph(3)
-        assert is_prudent_move(g, frozenset(), {1}, {0}, {0})  # staying is prudent
+        assert is_prudent_move(g, 0b010, 0b001, 0b001)  # staying is prudent
         # vertex 1 stays reachable once the cop lands on 2, so going there is rash
-        assert not is_prudent_move(g, frozenset(), {2}, {0}, {1})
+        assert not is_prudent_move(g, 0b100, 0b001, 0b010)
         # vertex 2 is about to be cut off by the cop landing on 1
-        assert is_prudent_move(g, frozenset(), {1}, {0}, {2})
+        assert is_prudent_move(g, 0b010, 0b001, 0b100)
 
 
 class TestCleanup:
@@ -148,8 +145,10 @@ class TestCleanup:
             (frozenset(), frozenset({1})): frozenset({0, 1}),  # 0 is unreachable from 1
         })
         ft = cleanup_strategy(g, f)
-        assert ft.lookup(frozenset(), {1}) == {1}
-        assert ft.lookup(frozenset(), {0}) == {0, 1}
+        assert ft.lookup(0, 0b10) == 0b10
+        assert ft.lookup(0, 0b01) == 0b11
+        assert dict(ft.items()) == {(frozenset(), frozenset({1})): frozenset({1}),
+                                    (frozenset(), frozenset({0})): frozenset({0, 1})}
 
     def test_idempotent_on_solver_strategies(self):
         for n in (3, 4):
@@ -192,3 +191,17 @@ class TestSerialization:
     def test_empty_set_spelling(self):
         f = PositionalCopStrategy({(frozenset(), frozenset({0})): frozenset({0})})
         assert f.serialize().startswith("- ; 0 -> 0")
+
+    def test_parse_reads_vertex_sets_into_masks(self):
+        f = PositionalCopStrategy.parse("# comment\n\n- ; 0 -> 0,2\n2 ; 1 -> 2,1\n")
+        assert f.mapping == {(0, 0b1): 0b101, (0b100, 0b10): 0b110}
+        assert f.serialize() == "- ; 0 -> 0,2\n2 ; 1 -> 1,2\n"
+
+    @pytest.mark.parametrize("text,line", [
+        ("0 ; 0 -> 0\na ; 0 -> 0", 2),   # not a vertex
+        ("-1 ; 0 -> 0", 1),               # no mask holds a negative vertex
+        ("- ; 0 -> 0\n\n0 ; 1", 3),       # no arrow
+    ], ids=["not-an-integer", "negative", "no-arrow"])
+    def test_malformed_lines_are_named(self, text, line):
+        with pytest.raises(PreconditionError, match=f"strategy line {line}: "):
+            PositionalCopStrategy.parse(text)
