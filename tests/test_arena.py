@@ -4,9 +4,9 @@ from hypothesis import given, settings, strategies as st
 from pursuitwidth.arena import (COPS, ROBBERS, CopTurn, GraphCache, RobberTurn,
                                 SearchConfig, _SearchSolver, announcement_masks,
                                 is_monotone_move, solve_invisible, solve_search,
-                                validate_invisible_schedule, width)
+                                subset_masks, validate_invisible_schedule, width)
 from pursuitwidth.cli import small_corpus
-from pursuitwidth.digraph import Digraph, bits, out_of
+from pursuitwidth.digraph import Digraph, bits, out_of, reach_mask
 from pursuitwidth.errors import ConfigError, ResourceError
 from pursuitwidth.families import (cycle_digraph, gen_grk, random_digraph,
                                    tree_T, two_tree_graph)
@@ -39,13 +39,35 @@ class TestPositions:
             RobberTurn(0b1, 0, 0b1)
 
 
+def robber_moves(g, cfg, pos=None):
+    """Every robber reply to `pos` as cop positions; every placement when pos is None."""
+    if pos is None:
+        return {CopTurn(0, R) for R in subset_masks(range(g.n), range(1, cfg.r + 1))}
+    escapes = reach_mask(g.out_masks, pos.R, pos.U & pos.Uprime) & ~pos.Uprime
+    return {CopTurn(pos.Uprime, Rp) for Rp in subset_masks(sorted(bits(escapes)), range(cfg.r + 1))}
+
+
 class TestMoves:
-    def test_announcements_single_vertex(self):
+    def test_cop_moves_single_vertex(self):
         assert list(announcement_masks(GraphCache(single), SearchConfig(k=1), 0, 1)) == [1, 0]
 
-    def test_announcement_count_on_cycle(self):
+    def test_cop_moves_count_on_cycle(self):
         moves = list(announcement_masks(GraphCache(cycle_digraph(3)), SearchConfig(k=2), 0, 1))
         assert len(moves) == len(set(moves)) == 7  # all announcements of at most two cops
+
+    def test_initial_robber_moves_exclude_empty(self):
+        moves = robber_moves(cycle_digraph(3), SearchConfig(k=1, r=2))
+        assert all(m.R for m in moves)
+        assert len(moves) == 6  # three singletons plus three pairs
+
+    def test_robber_moves_blocked_cycle(self):
+        moves = robber_moves(cycle_digraph(3), SearchConfig(k=1), RobberTurn(0b10, 0b10, 0b1))
+        assert moves == {CopTurn(0b10, 0b1), CopTurn(0b10, 0)}
+
+    def test_robber_escapes_or_leaves(self):
+        g = Digraph(2, [(0, 1)])
+        moves = robber_moves(g, SearchConfig(k=1), RobberTurn(0, 0b1, 0b1))
+        assert moves == {CopTurn(0b1, 0b10), CopTurn(0b1, 0)}
 
     def test_restricted_needs_single_robber(self):
         with pytest.raises(ConfigError):

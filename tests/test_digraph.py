@@ -79,7 +79,7 @@ class TestSccs:
         g = Digraph(2, [(0, 1)])
         assert set(sccs(g)[0]) == {frozenset({0}), frozenset({1})}
 
-    def test_component_index(self):
+    def test_component_accessor(self):
         blocks, index = sccs(cycle_digraph(4))
         assert blocks[index[2]] == frozenset({0, 1, 2, 3})
 

@@ -101,7 +101,7 @@ class TestRobberUpdate:
         with pytest.raises(AdversaryContractError):
             robber_update_multiply(g, pos, 0b1 | imprudent, zmid, snapshot=zeta)
 
-    def test_derivation_teams_cover_announcement(self):
+    def test_derived_sets_cover_announcement(self):
         g = cycle_digraph(3)
         f = base_strategy(g, 2)
         zeta = init_memory(g, 0b1)
