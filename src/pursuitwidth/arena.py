@@ -9,26 +9,24 @@ the robber set by a contaminated set and is a one-player search.
 The visible solver collapses robber sets to their reachability region: two
 positions with the same cop set whose robber sets reach exactly the same
 vertices have identical futures, and as regions only shrink, so do two
-whose cop sets agree on the region's border.  It builds that game once as an
-explicit graph of cop classes (border cops, region) and robber-turn nodes
-(announcement, escape set) with integer ids, then one backward attractor,
-shared with the parity-game solver, decides every class.  A won class's
-certificate is the announcement it was attracted through, a fastest-capture
-move.  No reachability memo is kept: each class is enumerated once, and a
-region is closed under successors outside its cop set, so no candidate
-needs a search.
+whose cop sets agree on the region's border.  Over those classes (border
+cops, region) it evaluates the game locally, depth first from the initial
+classes: a class is won at its first candidate announcement whose robber
+turn leads only into won classes, and that announcement is its certificate.
+Every non-idle announcement shrinks the region, so the classes form a DAG
+and no fixpoint is needed.  No reachability memo is kept: a region is closed
+under successors outside its cop set, so no candidate needs a search.
 """
 from __future__ import annotations
 
 import itertools
 import os
-from collections import deque
 from dataclasses import dataclass
 from functools import reduce
 from operator import or_
 from typing import Iterable, Optional
 
-from .digraph import (Digraph, bits, mask_from, out_of, reach_mask,
+from .digraph import (Digraph, _check_vertices, bits, out_of, reach_mask,
                       region_table, set_from, symmetric_closure)
 from .errors import ConfigError, PreconditionError, ResourceError
 
@@ -250,34 +248,6 @@ def is_monotone_move(g: Digraph, pos: RobberTurn) -> bool:
     return (pos.U & ~pos.Uprime) & reach_mask(g.out_masks, pos.R, pos.U & pos.Uprime) == 0
 
 
-# ---------------------------------------------------------------------------
-# Attractor
-
-def attract(pred, owner, player, target, count):
-    """Backward attractor of `target` for `player`, breadth first.
-
-    Zielonka's predecessor-counter attractor (TCS 200, 1998), linear in the
-    edges.  `pred[w]` lists the predecessors of w, `owner[v]` moves at v, and
-    `count[v]` (consumed) is how many successors of v must be attracted
-    before v is: 1 for a node of `player`, its successors in the game for an
-    opponent's node, 0 in `target` or outside the game.  Returns the nodes in
-    attraction order and, for `player`'s attracted nodes outside `target`,
-    the successor they were attracted through: a fastest way into `target`.
-    """
-    order = list(target)
-    strat = {}
-    for w in order:  # `order` grows while it is read: it is the FIFO queue
-        for v in pred[w]:
-            c = count[v]
-            if c:
-                count[v] = c - 1
-                if c == 1:
-                    if owner[v] == player:
-                        strat[v] = w
-                    order.append(v)
-    return order, strat
-
-
 def _region_unions(regs, r: int):
     """Distinct unions of 1..r of the regions `regs`, in combination order."""
     return list(dict.fromkeys(reduce(or_, comb)
@@ -289,7 +259,7 @@ def _region_unions(regs, r: int):
 # Visible-game solver
 
 class _SearchSolver:
-    """Least fixpoint of the cop-winnable predicate over an explicit class graph.
+    """Local depth-first AND-OR evaluation of the cop-winnable classes.
 
     A class is (border cops U, robber region reg): reg is closed under
     successors outside U and has an edge into every cop of U.  In monotone
@@ -299,14 +269,13 @@ class _SearchSolver:
     non-monotone, and such announcements lose outright) and add new cops X
     inside reg; any other announcement is dominated by one of these.
 
-    One breadth-first pass interns every class reachable from the initial
-    ones and every robber-turn node (Up, escapes) behind a non-capturing
-    candidate, and computes each robber-turn node's successor classes once.
-    The classes with a capturing candidate are the target; one `attract`
-    over the graph decides every class, and each won class's certificate is
-    the announcement it was first attracted through, a fastest-capture move.
-    No reachability memo is kept: every candidate's cone is reg itself, and
-    successor regions come from the region table of the announced cop set.
+    The idle candidate (X empty) leads back to the class itself and is
+    skipped; every other one leaves strictly smaller regions, so the classes
+    form a DAG and a depth-first AND-OR pass decides them without a fixpoint
+    (Liu & Smolka, ICALP 1998).  A class is won at its first candidate whose
+    robber turn (Up, escapes) has every successor class won, and that
+    announcement is its certificate; a memoised robber turn is lost at its
+    first lost successor, and the pass stops at the first lost initial class.
     """
 
     def __init__(self, g: Digraph, cfg: SearchConfig, budget: int,
@@ -318,6 +287,7 @@ class _SearchSolver:
         self.restricted = cfg.restrict_to_scc
         self.cache = cache or GraphCache(g)
         self.budget = budget
+        self.turns = {}  # robber turn (Up, escapes) -> whether the cops win it
 
     def _initial_classes(self):
         region, _ = self.cache.under(0)
@@ -348,52 +318,60 @@ class _SearchSolver:
             escapes &= ~comp[v]
         return sorted(regs)
 
+    def _cops_win(self):
+        """Yield the initial classes until one is lost; return whether none was."""
+        for key in self._initial_classes():
+            if not (yield key):
+                return False
+        return True
+
+    def _decide(self, U: int, reg: int):
+        """Yield the successor classes that deciding (U, reg) needs, each sent
+        back as won or not; return the certificate, or None when it is lost."""
+        for Up, escapes in self._candidates(U, reg):
+            if Up == U:
+                continue  # idle
+            won = escapes == 0 or self.turns.get((Up, escapes))  # no escape: capture
+            if won is None:
+                won = True
+                for u in _region_unions(self._escape_regions(Up, escapes), self.r):
+                    if not (yield self.cache.class_key(Up, u)):
+                        won = False
+                        break
+                self.turns[Up, escapes] = won
+            if won:
+                return Up
+        return None
+
     def run(self):
-        initial = self._initial_classes()
-        # Cop classes and robber turns share integer ids in discovery order;
-        # keys[v] is (U, reg) for a class and (Up, escapes) for a turn.
-        keys, owner, count, pred = [], [], [], []  # count: see `attract`
+        """Returns (cops win, {won class: certificate}, {lost class}).
 
-        def node(key, who, need):
-            keys.append(key)
-            owner.append(who)
-            count.append(need)
-            pred.append([])
-            return len(keys) - 1
-
-        class_id = {key: node(key, COPS, 1) for key in initial}
-        turn_id = {}
-        capture = {}  # class id -> its first capturing announcement
-        queue = deque(class_id.values())
-        while queue:
-            c = queue.popleft()
-            U, reg = keys[c]
-            for Up, escapes in self._candidates(U, reg):
-                if escapes == 0:
-                    capture.setdefault(c, Up)
-                    continue
-                t = turn_id.get((Up, escapes))
-                if t is None:
-                    succ = _region_unions(self._escape_regions(Up, escapes), self.r)
-                    t = turn_id[Up, escapes] = node((Up, escapes), ROBBERS, len(succ))
-                    for u in succ:
-                        key = self.cache.class_key(Up, u)
-                        s = class_id.get(key)
-                        if s is None:
-                            if len(class_id) >= self.budget:
-                                raise ResourceError(
-                                    f"arena exceeded the position budget ({self.budget})",
+        A trampoline, not recursion: one generator per class being decided,
+        on a stack as deep as the longest chain of shrinking regions.
+        """
+        value = {}  # decided class -> its certificate, or None when lost
+        stack = [(None, self._cops_win())]
+        answer = None
+        while True:
+            key, gen = stack[-1]
+            try:
+                need = gen.send(answer)
+            except StopIteration as done:
+                stack.pop()
+                if not stack:
+                    won = {c: up for c, up in value.items() if up is not None}
+                    return done.value, won, value.keys() - won.keys()
+                value[key] = done.value
+                answer = done.value is not None
+                continue
+            if need in value:
+                answer = value[need] is not None
+                continue
+            if len(value) + len(stack) > self.budget:
+                raise ResourceError(f"arena exceeded the position budget ({self.budget})",
                                     budget=self.budget, context=f"k={self.k}, r={self.r}")
-                            s = class_id[key] = node(key, COPS, 1)
-                            queue.append(s)
-                        pred[s].append(t)
-                pred[t].append(c)
-        for c in capture:
-            count[c] = 0
-        order, via = attract(pred, owner, COPS, list(capture), count)
-        cert = {keys[v]: capture[v] if v in capture else keys[via[v]][0]
-                for v in order if owner[v] == COPS}
-        return all(key in cert for key in initial), cert, len(class_id)
+            stack.append((need, self._decide(*need)))
+            answer = None
 
 
 def solve_search(g: Digraph, cfg: SearchConfig, budget: Optional[int] = None,
@@ -402,11 +380,12 @@ def solve_search(g: Digraph, cfg: SearchConfig, budget: Optional[int] = None,
     if g.n == 0:
         raise PreconditionError("cannot play on the empty graph")
     solver = _SearchSolver(g, cfg, effective_budget(budget), cache)
-    cops_win, cert, size = solver.run()
+    cops_win, won, lost = solver.run()
+    size = len(won) + len(lost)
     from .strategy import SolverCopStrategy, SolverRobberStrategy
     if cops_win:
-        return SolveResult(COPS, SolverCopStrategy(g, cfg, solver.cache, cert), None, size)
-    return SolveResult(ROBBERS, None, SolverRobberStrategy(g, cfg, solver.cache, cert.keys()), size)
+        return SolveResult(COPS, SolverCopStrategy(g, cfg, solver.cache, won), None, size)
+    return SolveResult(ROBBERS, None, SolverRobberStrategy(g, cfg, solver.cache, lost), size)
 
 
 # ---------------------------------------------------------------------------
@@ -464,7 +443,7 @@ def validate_invisible_schedule(g: Digraph, k: int, schedule: Iterable) -> tuple
     S = g.full_mask
     U = 0
     for step, placement in enumerate(schedule):
-        Up = mask_from(placement)
+        Up = _check_vertices(placement, f"the placement of step {step}", g.n)
         if bin(Up).count("1") > k:
             return False, f"step {step}: placement uses more than {k} cops"
         rb = reach_mask(g.out_masks, S, U & Up)

@@ -14,7 +14,8 @@ boundary:
   cop strategy turns into masks once;
 
 and JSON output (traces, memories, report witnesses) writes sorted vertex
-lists.  `mask_from` and `set_from` convert at those boundaries.
+lists.  `_check_vertices` (which rejects vertices out of range) and
+`set_from` convert at those boundaries.
 """
 from __future__ import annotations
 
@@ -23,13 +24,6 @@ from typing import Iterable, Iterator, Optional, Sequence
 from .errors import InputError
 
 VertexSet = frozenset
-
-
-def mask_from(vertices: Iterable[int]) -> int:
-    m = 0
-    for v in vertices:
-        m |= 1 << v
-    return m
 
 
 def bits(mask: int) -> Iterator[int]:
@@ -123,20 +117,22 @@ def reach_mask(out_masks: Sequence[int], sources: int, blocked: int) -> int:
     return seen
 
 
-def _check_vertices(g: Digraph, vs, name: str) -> int:
+def _check_vertices(vs, name: str, n: Optional[int] = None) -> int:
+    """The mask of `vs`; InputError for a vertex outside 0..n-1 (or below 0)."""
     m = 0
     for v in vs:
         v = int(v)
-        if not 0 <= v < g.n:
-            raise InputError(f"vertex {v} in {name} out of range for n={g.n}")
+        if v < 0 or n is not None and v >= n:
+            raise InputError(f"vertex {v} in {name} out of range"
+                             + ("" if n is None else f" for n={n}"))
         m |= 1 << v
     return m
 
 
 def reach_excluding(g: Digraph, X, Y) -> frozenset:
     """All vertices reachable from some y in Y along a path disjoint from X."""
-    xm = _check_vertices(g, X, "X")
-    ym = _check_vertices(g, Y, "Y")
+    xm = _check_vertices(X, "X", g.n)
+    ym = _check_vertices(Y, "Y", g.n)
     return set_from(reach_mask(g.out_masks, ym, xm))
 
 

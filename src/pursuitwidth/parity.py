@@ -15,8 +15,8 @@ import random
 from dataclasses import dataclass
 from typing import Optional
 
-from .arena import CopTurn, attract
-from .digraph import Digraph, bits, mask_from, reach_mask, scc_masks
+from .arena import CopTurn
+from .digraph import Digraph, _check_vertices, bits, reach_mask, scc_masks
 from .errors import InputError, InvariantViolation, PreconditionError
 from .strategy import CopStrategy
 
@@ -268,6 +268,31 @@ class _Expanded:
                 self.pred[w].append(v)
 
 
+def attract(pred, owner, player, target, count):
+    """Backward attractor of `target` for `player`, breadth first.
+
+    Zielonka's predecessor-counter attractor (TCS 200, 1998), linear in the
+    edges.  `pred[w]` lists the predecessors of w, `owner[v]` moves at v, and
+    `count[v]` (consumed) is how many successors of v must be attracted
+    before v is: 1 for a node of `player`, its successors in the game for an
+    opponent's node, 0 in `target` or outside the game.  Returns the nodes in
+    attraction order and, for `player`'s attracted nodes outside `target`,
+    the successor they were attracted through: a fastest way into `target`.
+    """
+    order = list(target)
+    strat = {}
+    for w in order:  # `order` grows while it is read: it is the FIFO queue
+        for v in pred[w]:
+            c = count[v]
+            if c:
+                count[v] = c - 1
+                if c == 1:
+                    if owner[v] == player:
+                        strat[v] = w
+                    order.append(v)
+    return order, strat
+
+
 def _counts(ex: _Expanded, nodes: set, target: set, player: int) -> list:
     """`attract` counters for the subgame on `nodes`."""
     count = [0] * ex.size
@@ -410,7 +435,8 @@ class LiftedCopStrategy(CopStrategy):
         self.g = g
         self.f_r = f_r
         self.kg = kg
-        self.teams = [mask_from(K) for K in kg.sets]  # knowledge position -> base vertices
+        # knowledge position -> base vertices
+        self.teams = [_check_vertices(K, "a knowledge set", g.n) for K in kg.sets]
 
     def init_memory(self, pos: CopTurn):
         return 0

@@ -16,7 +16,7 @@ from typing import Iterable, Optional
 from .arena import (INITIAL, CopTurn, GraphCache, Initial, RobberTurn,
                     SearchConfig, announcement_masks, effective_budget, explore,
                     is_monotone_move, subset_masks)
-from .digraph import Digraph, bits, mask_from, reach_mask, set_from
+from .digraph import Digraph, _check_vertices, bits, reach_mask, set_from
 from .errors import (AdversaryContractError, InvariantViolation,
                      PreconditionError, StrategyHoleError)
 
@@ -109,14 +109,10 @@ def _parse_set(text: str, lineno: int, raw: str) -> int:
     if text == "-" or not text:
         return 0
     try:
-        vertices = [int(t) for t in text.split(",")]
-    except ValueError:
-        raise PreconditionError(f"strategy line {lineno}: vertices must be integers: "
-                                f"{raw!r}") from None
-    if min(vertices) < 0:
-        raise PreconditionError(f"strategy line {lineno}: vertices must be nonnegative: "
-                                f"{raw!r}")
-    return mask_from(vertices)
+        return _check_vertices([int(t) for t in text.split(",")], "a strategy line")
+    except ValueError:  # InputError is one too
+        raise PreconditionError(f"strategy line {lineno}: vertices must be nonnegative "
+                                f"integers: {raw!r}") from None
 
 
 class PositionalCopStrategy(CopStrategy):
@@ -128,8 +124,10 @@ class PositionalCopStrategy(CopStrategy):
     """
 
     def __init__(self, mapping):
-        self.mapping = {(mask_from(u), mask_from(r)): mask_from(up)
-                        for (u, r), up in dict(mapping).items()}
+        self.mapping = {}
+        for (u, r), up in dict(mapping).items():
+            key = _check_vertices(u, "a cop set"), _check_vertices(r, "a robber set")
+            self.mapping[key] = _check_vertices(up, "an announcement")
 
     @classmethod
     def from_masks(cls, mapping) -> "PositionalCopStrategy":
@@ -214,22 +212,19 @@ class SolverCopStrategy(CopStrategy):
 
 
 class SolverRobberStrategy(RobberStrategy):
-    """Winning robber strategy that stays inside the cop-unwinnable classes:
-    `won` holds the solver's cop-won classes, as `GraphCache.class_key`s, so
-    cops parked off a region's border do not change its value."""
+    """Winning robber strategy that stays inside the classes the solver
+    decided lost, as `GraphCache.class_key`s, so cops parked off a region's
+    border do not change its value.  Undecided classes are not lost."""
 
-    def __init__(self, g: Digraph, cfg: SearchConfig, cache: GraphCache, won):
+    def __init__(self, g: Digraph, cfg: SearchConfig, cache: GraphCache, lost):
         self.g = g
         self.cfg = cfg
         self.cache = cache
-        self.won = won
-
-    def _class_won(self, U: int, reg: int) -> bool:
-        return self.cache.class_key(U, reg) in self.won
+        self.lost = lost
 
     def initial_placement(self) -> int:
         for R in subset_masks(range(self.g.n), range(1, self.cfg.r + 1)):
-            if not self._class_won(0, self.cache.reach(R, 0)):
+            if self.cache.class_key(0, self.cache.reach(R, 0)) in self.lost:
                 return R
         raise StrategyHoleError(INITIAL)
 
@@ -239,9 +234,9 @@ class SolverRobberStrategy(RobberStrategy):
         fallback = 0
         for Rp in subset_masks(sorted(bits(escapes)), range(1, self.cfg.r + 1)):
             fallback = fallback or Rp
-            if not self._class_won(up, self.cache.reach(Rp, up)):
+            if self.cache.class_key(up, self.cache.reach(Rp, up)) in self.lost:
                 return Rp, memory
-        # cornered: every escape class is cop-won (or there is none at all)
+        # cornered: no escape class is lost (or there is none at all)
         return fallback, memory
 
 

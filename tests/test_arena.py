@@ -7,7 +7,7 @@ from pursuitwidth.arena import (COPS, ROBBERS, CopTurn, GraphCache, RobberTurn,
                                 subset_masks, validate_invisible_schedule, width)
 from pursuitwidth.cli import small_corpus
 from pursuitwidth.digraph import Digraph, bits, out_of, reach_mask
-from pursuitwidth.errors import ConfigError, ResourceError
+from pursuitwidth.errors import ConfigError, InputError, ResourceError
 from pursuitwidth.families import (cycle_digraph, gen_grk, random_digraph,
                                    tree_T, two_tree_graph)
 from pursuitwidth.strategy import (validate_cop_strategy,
@@ -232,11 +232,24 @@ class TestSearchSolver:
                         checked += 1
         assert checked > 100
 
+    @pytest.mark.parametrize("cfg", [SearchConfig(k=2), SearchConfig(k=2, r=2),
+                                     SearchConfig(k=2, restrict_to_scc=True)],
+                             ids=["r1", "r2", "scc"])
+    def test_robbers_keep_to_the_classes_decided_lost(self, cfg):
+        # the local solve leaves classes undecided (21 of 23 decided at r=1,
+        # 21 of 40 at r=2); robbers that took every class not decided won
+        # for a lost one would be caught here
+        g = random_digraph(6, 0.35, 13)
+        res = solve_search(g, cfg)
+        assert res.winner == ROBBERS
+        rep = validate_robber_strategy(g, cfg, res.robber_strategy)
+        assert rep.ok, rep.witness
+
     def test_two_tree_arena_size_and_budget(self):
         g, _ = two_tree_graph(2)
         cfg = SearchConfig(k=2)
         size = solve_search(g, cfg).arena_size
-        assert size == 1357  # (border cops, region) classes
+        assert size == 432  # (border cops, region) classes decided
         assert solve_search(g, cfg, budget=size).arena_size == size
         with pytest.raises(ResourceError) as exc:
             solve_search(g, cfg, budget=size - 1)
@@ -267,6 +280,13 @@ class TestInvisible:
         g = cycle_digraph(3)
         ok, detail = validate_invisible_schedule(g, 1, [{0}, {1}])
         assert not ok
+
+    def test_replay_rejects_vertices_out_of_range(self):
+        g = cycle_digraph(3)
+        with pytest.raises(InputError, match="vertex 99 in the placement of step 0"):
+            validate_invisible_schedule(g, 2, [{0, 99}, {0, 1}, {1, 2}])
+        with pytest.raises(InputError, match="vertex -1 in the placement of step 1"):
+            validate_invisible_schedule(g, 2, [{0}, {-1}])
 
 
 class TestWidth:

@@ -149,8 +149,10 @@ class TestVerifyCommand:
         _assert_vertex_lists_and_passed_reports(records)
 
     def test_trace_of_a_splitting_play_writes_memory_entries(self, tmp_path, capsys):
+        # two cycles, 0-1-2-4-0 and 0-3-4-0: once cops stand on 0 and 1, the
+        # robbers split onto 2 and 3
         graph = tmp_path / "split5.edges"
-        graph.write_text("5\n0 1\n0 2\n1 0\n2 3\n3 2\n3 4\n4 1\n4 2\n")
+        graph.write_text("5\n0 1\n0 3\n1 2\n2 4\n3 4\n4 0\n")
         trace = tmp_path / "trace.json"
         code, rep = run(["verify", "thm10", "--graph", str(graph), "--r", "2",
                          "--trace-out", str(trace)], capsys)

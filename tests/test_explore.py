@@ -2,16 +2,18 @@
 
 Every exhaustive search (cop- and robber-strategy validation, the
 multiplier's adversary, the invisible game, strategy materialization) runs
-on `arena.explore`.  These tests pin its contract, show that long plays need
-no recursion, and replay the witness path of every failure verdict.
+on `arena.explore`.  These tests pin its contract, show that long plays (and
+the solver's deep chains of shrinking regions) need no recursion, and replay
+the witness path of every failure verdict.
 """
 import sys
 from contextlib import contextmanager
 
 import pytest
 
-from pursuitwidth.arena import (CopTurn, RobberTurn, SearchConfig, explore,
-                                is_monotone_move, subset_masks)
+from pursuitwidth.arena import (COPS, ROBBERS, CopTurn, RobberTurn, SearchConfig,
+                                explore, is_monotone_move, solve_search,
+                                subset_masks)
 from pursuitwidth.digraph import Digraph, reach_mask
 from pursuitwidth.errors import ResourceError, StrategyHoleError
 from pursuitwidth.families import cycle_digraph
@@ -129,6 +131,20 @@ def test_robber_validation_of_a_100_move_walk_needs_no_recursion():
     with recursion_headroom(60):
         rep = validate_robber_strategy(g, cfg, StepForward(g))
     assert rep.ok and rep.states == 10_000  # every (cop set, robber) with U <= {v}
+
+
+def test_solving_a_300_vertex_path_is_local_and_needs_no_recursion():
+    # a global solve of this game builds 45,150 classes; the local one
+    # decides the initial class and one per suffix the cops sweep off
+    g = Digraph(300, [(i, i + 1) for i in range(299)] + [(i + 1, i) for i in range(299)])
+    with recursion_headroom(60):
+        res = solve_search(g, SearchConfig(k=2))
+    assert res.winner == COPS and res.arena_size == 299
+    with recursion_headroom(60):
+        res = solve_search(g, SearchConfig(k=1))
+        rep = validate_robber_strategy(g, SearchConfig(k=1), res.robber_strategy)
+    assert res.winner == ROBBERS and res.arena_size == 301
+    assert rep.ok, rep.witness
 
 
 # ---------------------------------------------------------------------------

@@ -14,11 +14,28 @@ from pursuitwidth.multiply import (CASE_II_2, HistoryEntry, MemoryZeta,
                                    exhaust_prudent_isolating, init_memory,
                                    multiply_strategy, robber_update_multiply,
                                    traced_run)
-from pursuitwidth.strategy import History, playout
+from pursuitwidth.strategy import History, PositionalCopStrategy, playout
 
 # a six-vertex pursuit that drives the memory through every update case
 ALL_CASES_EDGES = [(0, 2), (0, 3), (0, 5), (1, 0), (2, 0), (2, 1), (2, 5),
                    (3, 4), (4, 1), (4, 3), (5, 0)]
+# the two-cop base strategy it is pursued with, pinned so that which cases
+# fire does not depend on the certificates the solver happens to pick
+# (`multiply_strategy` validates it while normalizing it)
+ALL_CASES_BASE = PositionalCopStrategy.parse("""
+- ; 0 -> 0,4
+- ; 1 -> 0,4
+- ; 2 -> 0,4
+- ; 3 -> 0,4
+- ; 4 -> 0,4
+- ; 5 -> 0,4
+0,2 ; 1 -> 0,1
+0,2 ; 5 -> 0,5
+0,4 ; 1 -> 0,1
+0,4 ; 2 -> 0,2
+0,4 ; 3 -> 3,4
+0,4 ; 5 -> 0,5
+""")
 
 
 def base_strategy(g, k):
@@ -137,7 +154,7 @@ class TestMultiplied:
         g = Digraph(6, ALL_CASES_EDGES)
         k = width(g, "dw")
         assert k == 2
-        mult = multiply_strategy(g, base_strategy(g, k), r=3)
+        mult = multiply_strategy(g, ALL_CASES_BASE, r=3)
         rep = exhaust_prudent_isolating(g, mult)
         assert rep.ok, rep.witness
         assert rep.max_cops <= 3 * k
@@ -238,7 +255,7 @@ class TestSharedWork:
 
     def test_update_with_and_without_announce_agree_on_every_line(self, monkeypatch):
         g = Digraph(6, ALL_CASES_EDGES)
-        base = multiply_strategy(g, base_strategy(g, 2), r=3)
+        base = multiply_strategy(g, ALL_CASES_BASE, r=3)
         strat = CrossChecked(g, base.f, 3, base.k)
         moves = _counting(monkeypatch, "cop_move_multiply")
         rep = exhaust_prudent_isolating(g, strat)
@@ -297,7 +314,7 @@ class TestSharedWork:
         monkeypatch.setattr(multiply, "_derive", compared)
         builds = _counting(monkeypatch, "_Derivation")
         g = Digraph(6, ALL_CASES_EDGES)
-        rep = exhaust_prudent_isolating(g, multiply_strategy(g, base_strategy(g, 2), r=3))
+        rep = exhaust_prudent_isolating(g, multiply_strategy(g, ALL_CASES_BASE, r=3))
         assert rep.ok, rep.witness
         assert len(rep.case_counts) == 6
         # each comparison builds one fresh derivation; fewer than half of the

@@ -3,7 +3,7 @@ import pytest
 from pursuitwidth.arena import (COPS, ROBBERS, CopTurn, RobberTurn,
                                 SearchConfig, solve_search, width)
 from pursuitwidth.digraph import Digraph, reach_excluding
-from pursuitwidth.errors import PreconditionError, StrategyHoleError
+from pursuitwidth.errors import InputError, PreconditionError, StrategyHoleError
 from pursuitwidth.families import cycle_digraph, enumerate_strongly_connected
 from pursuitwidth.strategy import (COPS_WIN, NON_MONOTONE,
                                    ROBBERS_WIN, History, PositionalCopStrategy,
@@ -205,3 +205,12 @@ class TestSerialization:
     def test_malformed_lines_are_named(self, text, line):
         with pytest.raises(PreconditionError, match=f"strategy line {line}: "):
             PositionalCopStrategy.parse(text)
+
+    @pytest.mark.parametrize("U,R,Up,name", [
+        ((), (-1,), (), "a robber set"),
+        ((-1,), (0,), (), "a cop set"),
+        ((), (0,), (-1,), "an announcement"),
+    ], ids=["robbers", "cops", "announcement"])
+    def test_negative_vertices_are_input_errors(self, U, R, Up, name):
+        with pytest.raises(InputError, match=f"vertex -1 in {name} out of range"):
+            PositionalCopStrategy({(frozenset(U), frozenset(R)): frozenset(Up)})
