@@ -3,8 +3,8 @@
 The visible game: k cops announce their next placement, r robbers relocate
 along cop-free paths.  Cops win a play when it stays monotone (no announced
 move abandons a vertex some robber can still reach through the cops that
-remain) and the robbers run out of vertices.  The invisible variant replaces
-the robber set by a contaminated set and is a one-player search.
+remain) and the robbers run out of vertices.  The invisible variant is
+directed vertex separation: a one-player search over contaminated sets.
 
 The visible solver collapses robber sets to their reachability region: two
 positions with the same cop set whose robber sets reach exactly the same
@@ -134,7 +134,6 @@ class GraphCache:
     """Reach and region caches reused across solves on one graph."""
 
     def __init__(self, g: Digraph):
-        self.g = g
         self.n = g.n
         self.out = g.out_masks
         self._reach = {}
@@ -398,40 +397,42 @@ class InvisibleResult:
     states: int
 
 
-def solve_invisible(g: Digraph, k: int, budget: Optional[int] = None,
-                    cache: Optional[GraphCache] = None) -> InvisibleResult:
+def solve_invisible(g: Digraph, k: int, budget: Optional[int] = None) -> InvisibleResult:
     """Can k cops monotonously clear the graph against an invisible robber?
 
-    State is (cop set, contaminated set); a move spreads contamination along
-    cop-free paths, recontamination loses.  One player, so plain search: the
-    path to the first cleared state is the schedule, and `states` counts the
-    expanded states, which the budget bounds.
+    Monotone clearing is directed vertex separation (Yang & Cao, DAM 2008;
+    Barat, Graphs and Combinatorics 2006): a state is the contaminated set
+    S, and a move clears one x of S by announcing x and the border
+    dS = out_of(S) & ~S, so it needs |dS| < k.  This is exact for the game
+    over (cop set U, S) with any announcement of at most k vertices: S is
+    closed under successors outside U, so dS is inside U; dropping a cop of
+    dS recontaminates, keeping dS leaves exactly S contaminated, and a cop
+    off dS never blocks again (the argument behind `GraphCache.class_key`);
+    and several placements at once split into single ones that need no more
+    cops, as d(S - {x}) is inside dS | {x}.  The path to the empty set is
+    the schedule; `states` counts the expanded sets, every reachable one
+    when k loses, and the budget bounds it.
     """
+    if k < 0:
+        raise ConfigError("k must be nonnegative")
     if g.n == 0:
         raise PreconditionError("cannot play on the empty graph")
-    cache = cache or GraphCache(g)
+    out = g.out_masks
 
-    def moves(state):
-        U, S = state
+    def moves(S):
         if S == 0:
             return "cleared"
-        out = []
-        for B in subset_masks(sorted(bits(U)), range(k, -1, -1)):
-            rb = cache.reach(S, B)
-            if (U & ~B) & rb:
-                continue
-            for X in subset_masks(sorted(bits(rb)), range(k - bin(B).count("1"), -1, -1)):
-                Up = B | X
-                if Up != U:
-                    out.append((Up, rb & ~Up))
-        out.sort(key=lambda t: (bin(t[1]).count("1"), t[0]))
-        return iter(out)
+        if bin(out_of(out, S) & ~S).count("1") >= k:
+            return ()
+        return (S & ~(1 << x) for x in bits(S))
 
-    cleared, states = explore([(0, g.full_mask)], moves, effective_budget(budget),
+    cleared, states = explore([g.full_mask], moves, effective_budget(budget),
                               f"invisible search with k={k}")
     if cleared is None:
         return InvisibleResult(False, None, states)
-    return InvisibleResult(True, [set_from(U) for U, _ in cleared[1][1:]], states)
+    path = cleared[1]
+    return InvisibleResult(True, [set_from((out_of(out, S) & ~S) | (S & ~Sp))
+                                  for S, Sp in zip(path, path[1:])], states)
 
 
 def validate_invisible_schedule(g: Digraph, k: int, schedule: Iterable) -> tuple:
@@ -440,6 +441,8 @@ def validate_invisible_schedule(g: Digraph, k: int, schedule: Iterable) -> tuple
     Returns (ok, detail).  The schedule clears iff the contaminated set hits
     empty with no recontamination and no placement exceeding k cops.
     """
+    if k < 0:
+        raise ConfigError("k must be nonnegative")
     S = g.full_mask
     U = 0
     for step, placement in enumerate(schedule):
@@ -479,16 +482,13 @@ def width(g: Digraph, measure: str, r: int = 1, budget: Optional[int] = None) ->
         return base - 1 if measure == "tw" else base
     if measure == "dw":
         r = 1
-    cache = GraphCache(g)
+    cache = None if measure == "dpw" else GraphCache(g)
     for k in range(1, g.n + 1):
         try:
-            if measure == "dpw":
-                if solve_invisible(g, k, budget=budget, cache=cache).cops_win:
-                    return k
-            else:
-                cfg = SearchConfig(k=k, r=r)
-                if solve_search(g, cfg, budget=budget, cache=cache).winner == COPS:
-                    return k
+            if (solve_invisible(g, k, budget=budget).cops_win if measure == "dpw" else
+                    solve_search(g, SearchConfig(k=k, r=r), budget=budget,
+                                 cache=cache).winner == COPS):
+                return k
         except ResourceError as e:
             raise ResourceError(f"{e} while testing k={k}", budget=e.budget,
                                 context=f"k={k}") from None

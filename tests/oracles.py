@@ -128,3 +128,45 @@ def minimax_solve(g, k, r):
     start_ok = all((frozenset(), R0) in won
                    for R0 in _subsets(V, r) if R0)
     return "cops" if start_ok else "robbers"
+
+
+def invisible_clears(g, k):
+    """Can k cops monotonously clear g against an invisible robber?
+
+    Plays the full clearing game by breadth-first search over states
+    (cop set, contaminated set), trying every announcement of at most k
+    vertices: contamination spreads from the contaminated set along paths
+    that avoid the cops who stay, an announcement that lifts a cop the
+    spread reaches is non-monotone, and the announced cops are clean after.
+    """
+    adj = adjacency(g)
+    V = frozenset(range(g.n))
+
+    def spread(S, X):
+        seen = set(S) - X
+        stack = list(seen)
+        while stack:
+            u = stack.pop()
+            for w in adj[u]:
+                if w not in X and w not in seen:
+                    seen.add(w)
+                    stack.append(w)
+        return frozenset(seen)
+
+    announcements = list(_subsets(V, k))
+    start = (frozenset(), V)
+    seen = {start}
+    queue = [start]
+    while queue:
+        U, S = queue.pop(0)
+        if not S:
+            return True
+        for Up in announcements:
+            contaminated = spread(S, U & Up)
+            if (U - Up) & contaminated:
+                continue
+            nxt = (Up, contaminated - Up)
+            if nxt not in seen:
+                seen.add(nxt)
+                queue.append(nxt)
+    return False

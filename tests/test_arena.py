@@ -13,7 +13,7 @@ from pursuitwidth.families import (cycle_digraph, gen_grk, random_digraph,
 from pursuitwidth.strategy import (validate_cop_strategy,
                                    validate_robber_strategy)
 
-from oracles import minimax_solve
+from oracles import invisible_clears, minimax_solve
 
 single = Digraph(1, [])
 
@@ -256,7 +256,51 @@ class TestSearchSolver:
         assert exc.value.budget == size - 1
 
 
+def _invisible_corpus():
+    """Every strongly connected digraph on at most 4 vertices, plus 40 seeded
+    random digraphs on 5 vertices."""
+    graphs = small_corpus(4)
+    for i in range(40):
+        graphs.append((f"rnd5-{i}", random_digraph(5, (0.25, 0.4)[i % 2], 2000 + i)))
+    return graphs
+
+
+INVISIBLE_CORPUS = _invisible_corpus()
+
+
 class TestInvisible:
+    @pytest.mark.parametrize("name,g", INVISIBLE_CORPUS, ids=[n for n, _ in INVISIBLE_CORPUS])
+    def test_matches_oracle_and_schedules_place_one_cop_per_vertex(self, name, g):
+        for k in range(g.n + 1):
+            res = solve_invisible(g, k)
+            assert res.cops_win == invisible_clears(g, k), (name, k)
+            if not res.cops_win:
+                continue
+            assert len(res.schedule) == g.n
+            before = set()
+            for U in res.schedule:
+                assert len(U - before) == 1
+                before = U
+            ok, detail = validate_invisible_schedule(g, k, res.schedule)
+            assert ok, detail
+
+    def test_lost_rung_state_count_and_budget(self):
+        # a lost k expands every reachable contaminated set, in any order
+        g = random_digraph(14, 0.3, 1)
+        res = solve_invisible(g, 5)
+        assert not res.cops_win and res.states == 4338
+        assert solve_invisible(g, 5, budget=res.states).states == res.states
+        with pytest.raises(ResourceError) as exc:
+            solve_invisible(g, 5, budget=res.states - 1)
+        assert exc.value.budget == res.states - 1
+
+    def test_negative_cop_count_is_rejected(self):
+        g = cycle_digraph(3)
+        with pytest.raises(ConfigError, match="k must be nonnegative"):
+            solve_invisible(g, -1)
+        with pytest.raises(ConfigError, match="k must be nonnegative"):
+            validate_invisible_schedule(g, -1, [{0}])
+
     def test_single_vertex(self):
         assert solve_invisible(single, 1).cops_win
 
