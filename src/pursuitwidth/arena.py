@@ -16,6 +16,12 @@ turn leads only into won classes, and that announcement is its certificate.
 Every non-idle announcement shrinks the region, so the classes form a DAG
 and no fixpoint is needed.  No reachability memo is kept: a region is closed
 under successors outside its cop set, so no candidate needs a search.
+
+The move rule and the robber normal forms live in `GraphCache` alone.  Three
+places restate the rule on purpose: the solver's pruned class game, which
+the validators check; the multiplier's checker, which evaluates every
+reachability condition itself; and `validate_invisible_schedule`, which
+plays the invisible game.
 """
 from __future__ import annotations
 
@@ -100,10 +106,9 @@ class RobberTurn:
 
 @dataclass(frozen=True)
 class SearchConfig:
-    """Game parameters: cop count, robber count, visibility, SCC restriction."""
+    """Game parameters: cop count, robber count, SCC restriction."""
     k: int
     r: int = 1
-    visible: bool = True
     restrict_to_scc: bool = False
 
     def __post_init__(self):
@@ -131,7 +136,8 @@ class SolveResult:
 # Shared per-graph caches
 
 class GraphCache:
-    """Reach and region caches reused across solves on one graph."""
+    """The visible game's move rule, on reach and region caches reused
+    across solves on one graph."""
 
     def __init__(self, g: Digraph):
         self.n = g.n
@@ -147,6 +153,22 @@ class GraphCache:
             got = reach_mask(self.out, sources, blocked)
             self._reach[key] = got
         return got
+
+    def robber_turn(self, U: int, up: int, R: int):
+        """Cops at U announce up; robbers at R run along paths that avoid the
+        kept cops U & up.  Returns (abandoned, escapes): the released cops they
+        reach, 0 iff the move is monotone, and where they may land."""
+        rb = self.reach(R, U & up)
+        return U & ~up & rb, rb & ~up
+
+    def is_isolating(self, U: int, R: int) -> bool:
+        """No robber of R can reach another once the cops U stand."""
+        region, _ = self.under(U)
+        return not any(region[v] & (R & ~(1 << v)) for v in bits(R))
+
+    def is_prudent(self, R: int, up: int, Rp: int) -> bool:
+        """Robbers move from R to Rp only onto vertices that up cuts off from R."""
+        return (Rp & ~R) & self.reach(R, up) == 0
 
     def class_key(self, U: int, reg: int):
         """The solver's class of cop set U against robber region reg: the
@@ -165,10 +187,11 @@ class GraphCache:
         return got
 
 
-def subset_masks(bitlist, sizes):
-    """Subsets of the given bits as masks: each size of `sizes` in turn, and
-    within a size in combination order.  Pass a descending range for largest
+def subset_masks(mask: int, sizes):
+    """Subsets of `mask`: each size of `sizes` in turn, within a size in
+    combination order of its vertices.  Pass a descending range for largest
     first (announcements), an ascending one for smallest first (robbers)."""
+    bitlist = list(bits(mask))
     for t in sizes:
         for comb in itertools.combinations(bitlist, t):
             m = 0
@@ -234,21 +257,22 @@ def announcement_masks(cache: GraphCache, cfg: SearchConfig, U: int, R: int):
     robber's current strongly connected component of the cop-deleted graph.
     """
     if not cfg.restrict_to_scc:
-        yield from subset_masks(range(cache.n), range(cfg.k, -1, -1))
+        yield from subset_masks((1 << cache.n) - 1, range(cfg.k, -1, -1))
         return
-    xbits = sorted(bits(cache.under(U)[1][R.bit_length() - 1]))
-    for B in subset_masks(sorted(bits(U)), range(cfg.k, -1, -1)):
-        for X in subset_masks(xbits, range(cfg.k - bin(B).count("1"), -1, -1)):
+    comp = cache.under(U)[1][R.bit_length() - 1]
+    for B in subset_masks(U, range(cfg.k, -1, -1)):
+        for X in subset_masks(comp, range(cfg.k - bin(B).count("1"), -1, -1)):
             yield B | X
 
 
 def is_monotone_move(g: Digraph, pos: RobberTurn) -> bool:
     """No abandoned cop vertex is reachable by a robber through the kept cops."""
-    return (pos.U & ~pos.Uprime) & reach_mask(g.out_masks, pos.R, pos.U & pos.Uprime) == 0
+    return not GraphCache(g).robber_turn(pos.U, pos.Uprime, pos.R)[0]
 
 
 def _region_unions(regs, r: int):
     """Distinct unions of 1..r of the regions `regs`, in combination order."""
+    # robber replies by region, apart from GraphCache: the validators check them
     return list(dict.fromkeys(reduce(or_, comb)
                               for t in range(1, min(r, len(regs)) + 1)
                               for comb in itertools.combinations(regs, t)))
@@ -279,8 +303,6 @@ class _SearchSolver:
 
     def __init__(self, g: Digraph, cfg: SearchConfig, budget: int,
                  cache: Optional[GraphCache] = None):
-        if not cfg.visible:
-            raise PreconditionError("solve_search plays the visible game")
         self.k = cfg.k
         self.r = cfg.r
         self.restricted = cfg.restrict_to_scc
@@ -299,12 +321,13 @@ class _SearchSolver:
         successors outside U: the announcement U | X keeps them all and
         leaves the robbers' cone at exactly `reg`.
         """
+        # the pruned class rule, apart from GraphCache: the validators check it
         allowed = reg
         if self.restricted:  # new cops only in the robber's component
             region, comp = self.cache.under(U)
             allowed = next(comp[v] for v in bits(reg) if region[v] == reg)
         room = self.k - bin(U).count("1")  # below 0 no subset is yielded
-        for X in subset_masks(sorted(bits(allowed)), range(room, -1, -1)):
+        for X in subset_masks(allowed, range(room, -1, -1)):
             yield U | X, reg & ~X
 
     def _escape_regions(self, Up: int, escapes: int):
@@ -445,6 +468,7 @@ def validate_invisible_schedule(g: Digraph, k: int, schedule: Iterable) -> tuple
         raise ConfigError("k must be nonnegative")
     S = g.full_mask
     U = 0
+    # not GraphCache.robber_turn: this is the invisible game's rule
     for step, placement in enumerate(schedule):
         Up = _check_vertices(placement, f"the placement of step {step}", g.n)
         if bin(Up).count("1") > k:

@@ -114,6 +114,13 @@ def random_corpus(n: int = 5, count: int = 200, seed: int = DEFAULT_SEED):
     return out
 
 
+def _require_instances(count: int, suite: str, what: str):
+    """A suite over no instance would pass every check without testing one."""
+    if count < 1:
+        raise InputError(f"verify {suite}: no {what} to check, so every check "
+                         f"would pass vacuously")
+
+
 def _run_tasks(fn, tasks, jobs: int):
     if jobs and jobs > 1:
         with Pool(processes=jobs) as pool:
@@ -139,6 +146,7 @@ def suite_hierarchy(nmax: int = 4, samples: int = 200, seed: int = DEFAULT_SEED,
     rep = Report(command=["verify", "hierarchy"],
                  params={"nmax": nmax, "samples": samples, "seed": seed})
     corpus = small_corpus(nmax) + random_corpus(5, samples, seed)
+    _require_instances(len(corpus), "hierarchy", "graph")
     results = _run_tasks(_hierarchy_task,
                          [(_edges_key(g), budget) for (_, g) in corpus], jobs)
     bad = []
@@ -186,6 +194,7 @@ def suite_thm10(nmax: int = 4, samples: int = 200, seed: int = DEFAULT_SEED,
         corpus += [(n, g) for (n, g) in random_corpus(5, samples, seed)
                    if is_strongly_connected(g)]
         rep.notes.append("random instances filtered to strongly connected graphs")
+    _require_instances(len(corpus), "thm10", "strongly connected graph")
     tasks = []
     for (name, g) in corpus:
         rs = [r] if graph is not None else ([2, 3] if g.n <= nmax else [2])
@@ -250,6 +259,7 @@ def _lemma9_task(args):
 def suite_lemma9(nmax: int = 4, budget: Optional[int] = None, jobs: int = 1) -> Report:
     rep = Report(command=["verify", "lemma9"], params={"nmax": nmax})
     corpus = small_corpus(nmax)
+    _require_instances(len(corpus), "lemma9", "graph")
     results = _run_tasks(_lemma9_task, [(_edges_key(g), budget) for (_, g) in corpus], jobs)
     bad = [{"graph": name, "problems": probs}
            for (name, _g), probs in zip(corpus, results) if probs]
@@ -296,6 +306,7 @@ def suite_lemmas58(nmax: int = 4, r: int = 2, budget: Optional[int] = None,
         used += 1
         if probs:
             bad.append({"graph": name, "problems": probs})
+    _require_instances(used, "lemmas58", f"graph with dw_{r} of at least 2")
     rep.results["instances"] = used
     rep.checks.append(Check("transforms-keep-winning-and-step-conditions", not bad,
                             bad or None))
@@ -422,6 +433,8 @@ def suite_lemma2(count: int = 100, seed: int = DEFAULT_SEED,
                  pipeline_count: int = 200) -> Report:
     rep = Report(command=["verify", "lemma2"],
                  params={"count": count, "seed": seed, "pipeline_count": pipeline_count})
+    _require_instances(count, "lemma2", "game for the lift checks")
+    _require_instances(pipeline_count, "lemma2", "game for the pipeline checks")
     rng = random.Random(seed)
     seeds = [rng.randrange(10 ** 9) for _ in range(max(count, pipeline_count))]
     lift_results = _run_tasks(_lemma2_task,

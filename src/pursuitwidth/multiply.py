@@ -23,8 +23,7 @@ from .arena import (CopTurn, GraphCache, RobberTurn, effective_budget, explore,
 from .digraph import Digraph, bits, is_strongly_connected
 from .errors import (AdversaryContractError, InvariantViolation,
                      PreconditionError, StrategyHoleError)
-from .strategy import (CopStrategy, History, PositionalCopStrategy,
-                       cleanup_strategy, is_isolating_position)
+from .strategy import CopStrategy, History, PositionalCopStrategy, cleanup_strategy
 
 CASE_WON = "Won"
 CASE_I_EMPTY = "I-empty"
@@ -197,6 +196,7 @@ def _history_consistent(g: Digraph, cache: GraphCache, f: PositionalCopStrategy,
             if not isinstance(b, CopTurn) or b.U != a.Uprime:
                 return False, f"{b!r} does not follow {a!r}"
             v0, v1 = _robber(a), _robber(b)
+            # not GraphCache.robber_turn: the checker asks reachability itself
             legal = cache.reach(a.R, a.U & a.Uprime) & ~a.Uprime
             if not (legal >> v1) & 1:
                 return False, f"robber move {v0}->{v1} illegal at {a!r}"
@@ -441,7 +441,7 @@ def cop_move_multiply(g: Digraph, f: PositionalCopStrategy, pos: CopTurn,
             tag = CASE_II_2
 
     if check:
-        spoiled = (Um & ~Uprime) & cache.reach(Rm, Um & Uprime)
+        spoiled, _ = cache.robber_turn(Um, Uprime, Rm)
         if spoiled:
             raise InvariantViolation("monotone", f"move abandons {_vs(spoiled)} while "
                                                  f"robbers reach it")
@@ -454,7 +454,6 @@ def cop_move_multiply(g: Digraph, f: PositionalCopStrategy, pos: CopTurn,
 
 def robber_update_multiply(g: Digraph, pos_before: CopTurn, Rp: int,
                            zeta: MemoryZeta, snapshot: Optional[MemoryZeta] = None,
-                           check: bool = True,
                            cache: Optional[GraphCache] = None) -> MemoryZeta:
     """Fold the robbers' move into the memory.
 
@@ -472,18 +471,17 @@ def robber_update_multiply(g: Digraph, pos_before: CopTurn, Rp: int,
     # when the robbers stand still right after a move on the top robber, the
     # pending announcement still has to be folded into the top history
     Uprime = d.Ucum[s]
-    legal = cache.reach(R, pos_before.U & Uprime) & ~Uprime
+    _, legal = cache.robber_turn(pos_before.U, Uprime, R)
     if Rp & ~legal:
         raise AdversaryContractError(f"robbers moved to unreachable vertices "
                                      f"{_vs(Rp & ~legal)}")
-    fresh = Rp & ~R
-    if fresh & cache.reach(R, Uprime):
-        raise AdversaryContractError(f"imprudent move: {_vs(fresh & cache.reach(R, Uprime))} "
+    if not cache.is_prudent(R, Uprime, Rp):
+        raise AdversaryContractError(f"imprudent move: {_vs(Rp & ~R & cache.reach(R, Uprime))} "
                                      f"still reachable once the cops land")
-    if not is_isolating_position(g, Uprime, Rp, cache=cache):
+    if not cache.is_isolating(Uprime, Rp):
         raise AdversaryContractError(f"robber set {_vs(Rp)} is not isolating")
 
-    if check and (Rp & ~R) and not (R >> d.b[s]) & 1:
+    if (Rp & ~R) and not (R >> d.b[s]) & 1:
         raise InvariantViolation("shape", "robbers took fresh vertices although the "
                                           "cops only removed guards")
 
@@ -493,7 +491,7 @@ def robber_update_multiply(g: Digraph, pos_before: CopTurn, Rp: int,
         i = next((j for j in range(1, s) if (d.Oset[j] >> b) & 1), s)
         assigned[i] |= 1 << b
 
-    if check and snapshot is not None:
+    if snapshot is not None:
         sd = _derive(snapshot)
         if sd.b[sd.s] == d.b[s]:  # the cop move kept pursuing the same robber
             bound = cache.reach(1 << sd.b[sd.s], sd.W[sd.s])
@@ -501,7 +499,7 @@ def robber_update_multiply(g: Digraph, pos_before: CopTurn, Rp: int,
                 raise InvariantViolation(
                     "reattachment", f"robbers {_vs(assigned[s] & ~bound)} attached to the "
                                     f"top history but outside the pursued robber's cone")
-    if check and d.ends_cop[s] and assigned[s] & ~(1 << d.b[s]):
+    if d.ends_cop[s] and assigned[s] & ~(1 << d.b[s]):
         raise InvariantViolation(
             "top-stability", f"top history rests at a cop position but gained robbers "
                              f"{_vs(assigned[s] & ~(1 << d.b[s]))}")
@@ -523,9 +521,8 @@ def robber_update_multiply(g: Digraph, pos_before: CopTurn, Rp: int,
     else:
         zeta2 = MemoryZeta(new_entries, zeta.rho_s)
 
-    if check:
-        _raise_on_violation(check_invariants(g, CopTurn(Uprime, Rp), zeta2, cache=cache),
-                            "after the robbers' move")
+    _raise_on_violation(check_invariants(g, CopTurn(Uprime, Rp), zeta2, cache=cache),
+                        "after the robbers' move")
     return zeta2
 
 
@@ -535,13 +532,11 @@ def robber_update_multiply(g: Digraph, pos_before: CopTurn, Rp: int,
 class MultiplyStrategy(CopStrategy):
     """r*k-cop memory strategy that simulates k-cop play against each robber."""
 
-    def __init__(self, g: Digraph, f: PositionalCopStrategy, r: int, k: int,
-                 check: bool = True):
+    def __init__(self, g: Digraph, f: PositionalCopStrategy, r: int, k: int):
         self.g = g
         self.f = f
         self.r = r
         self.k = k
-        self.check = check
         self.cache = GraphCache(g)
         self.last_tag = None
         # (memory, position, announcement, memory after it) of the last
@@ -561,15 +556,13 @@ class MultiplyStrategy(CopStrategy):
                     "chain-bound", "a full chain must repeat its last placement set")
 
     def announce(self, memory, pos: CopTurn) -> int:
-        up, zeta2, tag = cop_move_multiply(self.g, self.f, pos, memory,
-                                           check=self.check, cache=self.cache)
+        up, zeta2, tag = cop_move_multiply(self.g, self.f, pos, memory, cache=self.cache)
         self.last_tag = tag
         size = bin(up).count("1")
         if size > self.r * self.k:
             raise InvariantViolation("cop-bound", f"{size} cops announced, "
                                                   f"bound is {self.r * self.k}")
-        if self.check:
-            self._chain_bound_ok(zeta2)
+        self._chain_bound_ok(zeta2)
         self._last_move = (memory, pos, up, zeta2)
         return up
 
@@ -583,31 +576,25 @@ class MultiplyStrategy(CopStrategy):
         if up != announced:
             raise InvariantViolation("determinism", "recomputed announcement differs")
         out = robber_update_multiply(self.g, pos, newpos.R, zeta2, snapshot=memory,
-                                     check=self.check, cache=self.cache)
-        if self.check:
-            self._chain_bound_ok(out)
+                                     cache=self.cache)
+        self._chain_bound_ok(out)
         return out
 
 
 def multiply_strategy(g: Digraph, f: PositionalCopStrategy, r: int,
-                      k: Optional[int] = None, normalize: bool = True,
-                      budget: Optional[int] = None, check: bool = True
-                      ) -> MultiplyStrategy:
+                      budget: Optional[int] = None) -> MultiplyStrategy:
     """Package the multiplier for r robbers from a one-robber strategy.
 
     The base strategy is normalized first (every move places a new cop,
     only on robber-reachable vertices); the construction assumes exactly
-    that shape.
+    that shape, and the normalized strategy's cop count is k.
     """
     if not is_strongly_connected(g):
         raise PreconditionError("the multiplier is defined on strongly connected graphs")
     if r < 1:
         raise PreconditionError("r must be at least 1")
-    if normalize:
-        f = cleanup_strategy(g, f, budget=budget)
-    if k is None:
-        k = f.cop_count()
-    return MultiplyStrategy(g, f, r, k, check=check)
+    f = cleanup_strategy(g, f, budget=budget)
+    return MultiplyStrategy(g, f, r, f.cop_count())
 
 
 # ---------------------------------------------------------------------------
@@ -618,17 +605,9 @@ def enumerate_prudent_isolating_moves(g: Digraph, pos: RobberTurn, r: int,
     """All legal prudent isolating robber responses, largest sets first."""
     cache = cache or GraphCache(g)
     up, R = pos.Uprime, pos.R
-    legal = cache.reach(R, pos.U & up) & ~up
-    blocked_fresh = cache.reach(R, up)
-    region, _ = cache.under(up)
-    out = []
-    for Rp in subset_masks(sorted(bits(legal)), range(r, -1, -1)):
-        if (Rp & ~R) & blocked_fresh:
-            continue
-        if any(region[v] & (Rp & ~(1 << v)) for v in bits(Rp)):
-            continue
-        out.append(Rp)
-    return out
+    _, legal = cache.robber_turn(pos.U, up, R)
+    return [Rp for Rp in subset_masks(legal, range(r, -1, -1))
+            if cache.is_prudent(R, up, Rp) and cache.is_isolating(up, Rp)]
 
 
 @dataclass
@@ -662,7 +641,7 @@ def exhaust_prudent_isolating(g: Digraph, strat: MultiplyStrategy,
         up = strat.announce(zeta, pos)
         cases[strat.last_tag] = cases.get(strat.last_tag, 0) + 1
         max_cops = max(max_cops, bin(up).count("1"))
-        spoiled = (U & ~up) & cache.reach(R, U & up)
+        spoiled, _ = cache.robber_turn(U, up, R)
         if spoiled:
             return f"non-monotone announcement abandoning {_vs(spoiled)}"
         rpos = RobberTurn(U, up, R)
@@ -700,11 +679,12 @@ def zeta_json(zeta: MemoryZeta):
     }
 
 
-def traced_run(g: Digraph, strat: MultiplyStrategy, step_budget: int = 10_000):
+def traced_run(g: Digraph, strat: MultiplyStrategy):
     """One full play against a splitting adversary, as JSON-able records.
 
     The adversary keeps as many robbers alive as it can; every half-move is
-    recorded together with a fresh invariant report.
+    recorded together with a fresh invariant report.  The record stops at
+    10,000 half-moves.
     """
     cache = strat.cache
     records = []
@@ -717,7 +697,7 @@ def traced_run(g: Digraph, strat: MultiplyStrategy, step_budget: int = 10_000):
                     "invariant_report": check_invariants(g, pos, zeta, f=strat.f,
                                                          cache=cache).as_json()})
     step = 0
-    while pos.R and step < step_budget:
+    while pos.R and step < 10_000:
         step += 1
         ann = strat.announce(zeta, pos)
         tag = strat.last_tag

@@ -15,8 +15,8 @@ import random
 from dataclasses import dataclass
 from typing import Optional
 
-from .arena import CopTurn
-from .digraph import Digraph, _check_vertices, bits, reach_mask, scc_masks
+from .arena import CopTurn, GraphCache
+from .digraph import Digraph, _check_vertices, bits, scc_masks
 from .errors import InputError, InvariantViolation, PreconditionError
 from .strategy import CopStrategy
 
@@ -370,8 +370,8 @@ def _reachable_cycle_with_parity(start, succ_map, color, parity) -> Optional[lis
     return next(_parity_cycle_blocks(sorted(seen), succ_map, color, parity), None)
 
 
-def zielonka_solve(pg: ParityGame, verify: bool = True) -> ParityResult:
-    """Winning regions and positional strategies for both players."""
+def zielonka_solve(pg: ParityGame) -> ParityResult:
+    """Winning regions and both players' positional strategies, verified."""
     for v in range(pg.n):
         if not pg.post_all(v):
             raise PreconditionError(f"position {v} is a dead end")
@@ -392,8 +392,7 @@ def zielonka_solve(pg: ParityGame, verify: bool = True) -> ParityResult:
     for (v, ai), node in ex.inter.items():
         if node in w1:
             strategy1[(v, pg.actions[ai])] = s1[node]
-    if verify:
-        _verify_regions(pg, ex, w0, w1, s0, s1)
+    _verify_regions(pg, ex, w0, w1, s0, s1)
     return ParityResult(frozenset(v for v in w0 if v < pg.n),
                         frozenset(v for v in w1 if v < pg.n),
                         strategy0, strategy1)
@@ -435,6 +434,7 @@ class LiftedCopStrategy(CopStrategy):
         self.g = g
         self.f_r = f_r
         self.kg = kg
+        self.cache = GraphCache(g)
         # knowledge position -> base vertices
         self.teams = [_check_vertices(K, "a knowledge set", g.n) for K in kg.sets]
 
@@ -461,8 +461,8 @@ class LiftedCopStrategy(CopStrategy):
             return memory
         Up = self._base_announcement(memory, pos)
         old_team, new_team = self._team(pos.R), self._team(newpos.R)
-        legal = reach_mask(self.g.out_masks, old_team, memory & Up)
-        if new_team & ~(legal & ~Up):
+        _, escapes = self.cache.robber_turn(memory, Up, old_team)
+        if new_team & ~escapes:
             raise InvariantViolation(
                 "lift-translation",
                 f"knowledge move {sorted(bits(old_team))} -> {sorted(bits(new_team))} "
@@ -727,25 +727,23 @@ def emit_observation(eq: ObservationEquiv) -> str:
 # ---------------------------------------------------------------------------
 # Instance generators
 
-def gen_random_parity(seed, min_n: int = 4, max_n: int = 8, n_actions: int = 2,
-                      n_colors: int = 3, ensure_pairs: bool = True):
-    """Seeded random game with observable, owner-homogeneous 2-classes."""
+def gen_random_parity(seed):
+    """Seeded random game on 4-8 positions with two actions, three colours
+    and one or more observable, owner-homogeneous 2-classes."""
     rng = random.Random(seed)
-    n = rng.randint(min_n, max_n)
+    n = rng.randint(4, 8)
     owner = [rng.randint(0, 1) for _ in range(n)]
-    color = [rng.randrange(n_colors) for _ in range(n)]
+    color = [rng.randrange(3) for _ in range(n)]
     order = list(range(n))
     rng.shuffle(order)
-    lo = 1 if ensure_pairs else 0
-    npairs = rng.randint(lo, n // 2)
+    npairs = rng.randint(1, n // 2)
     classes = []
     for i in range(npairs):
         a, b = order[2 * i], order[2 * i + 1]
         owner[b] = owner[a]
         color[b] = color[a]
         classes.append({a, b})
-    actions = tuple("ab"[:n_actions]) if n_actions <= 2 else tuple(
-        f"a{i}" for i in range(n_actions))
+    actions = ("a", "b")
     p = rng.choice([0.25, 0.35])
     moves = []
     degree = [0] * n

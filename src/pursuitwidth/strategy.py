@@ -15,8 +15,8 @@ from typing import Iterable, Optional
 
 from .arena import (INITIAL, CopTurn, GraphCache, Initial, RobberTurn,
                     SearchConfig, announcement_masks, effective_budget, explore,
-                    is_monotone_move, subset_masks)
-from .digraph import Digraph, _check_vertices, bits, reach_mask, set_from
+                    subset_masks)
+from .digraph import Digraph, _check_vertices, bits, set_from
 from .errors import (AdversaryContractError, InvariantViolation,
                      PreconditionError, StrategyHoleError)
 
@@ -203,10 +203,10 @@ class SolverCopStrategy(CopStrategy):
         def moves(state):
             U, R = state
             up = mapping[state] = self.announce(None, CopTurn(U, R))
-            escapes = cache.reach(R, U & up) & ~up
-            return ((up, Rp) for Rp in subset_masks(sorted(bits(escapes)), robber_sets))
+            _, escapes = cache.robber_turn(U, up, R)
+            return ((up, Rp) for Rp in subset_masks(escapes, robber_sets))
 
-        explore(((0, R) for R in subset_masks(range(self.g.n), robber_sets)), moves,
+        explore(((0, R) for R in subset_masks(self.g.full_mask, robber_sets)), moves,
                 effective_budget(budget), "strategy materialization")
         return PositionalCopStrategy.from_masks(mapping)
 
@@ -223,16 +223,16 @@ class SolverRobberStrategy(RobberStrategy):
         self.lost = lost
 
     def initial_placement(self) -> int:
-        for R in subset_masks(range(self.g.n), range(1, self.cfg.r + 1)):
+        for R in subset_masks(self.g.full_mask, range(1, self.cfg.r + 1)):
             if self.cache.class_key(0, self.cache.reach(R, 0)) in self.lost:
                 return R
         raise StrategyHoleError(INITIAL)
 
     def respond(self, memory, pos: RobberTurn):
         up = pos.Uprime
-        escapes = self.cache.reach(pos.R, pos.U & up) & ~up
+        _, escapes = self.cache.robber_turn(pos.U, up, pos.R)
         fallback = 0
-        for Rp in subset_masks(sorted(bits(escapes)), range(1, self.cfg.r + 1)):
+        for Rp in subset_masks(escapes, range(1, self.cfg.r + 1)):
             fallback = fallback or Rp
             if self.cache.class_key(up, self.cache.reach(Rp, up)) in self.lost:
                 return Rp, memory
@@ -255,6 +255,7 @@ def playout(g: Digraph, cfg: SearchConfig, cop_strategy: CopStrategy,
             ) -> PlayoutResult:
     """Drive the unique play of the two strategies; report its verdict."""
     limit = step_budget if step_budget is not None else effective_budget(None)
+    cache = GraphCache(g)
     trace = [INITIAL]
     R0 = robber_strategy.initial_placement()
     if not R0 or _size(R0) > cfg.r:
@@ -276,10 +277,10 @@ def playout(g: Digraph, cfg: SearchConfig, cop_strategy: CopStrategy,
                                     f"k={cfg.k} cops")
         rpos = RobberTurn(pos.U, ann, pos.R)
         trace.append(rpos)
-        if not is_monotone_move(g, rpos):
+        abandoned, escapes = cache.robber_turn(pos.U, ann, pos.R)
+        if abandoned:
             return PlayoutResult(NON_MONOTONE, tuple(trace), steps)
         Rp, rmem = robber_strategy.respond(rmem, rpos)
-        escapes = reach_mask(g.out_masks, pos.R, pos.U & ann) & ~ann
         if Rp & ~escapes or _size(Rp) > cfg.r:
             raise AdversaryContractError(f"illegal robber move {list(bits(Rp))} at {rpos!r}")
         newpos = CopTurn(ann, Rp)
@@ -330,14 +331,14 @@ def validate_cop_strategy(g: Digraph, cfg: SearchConfig, strat: CopStrategy,
         if size > cfg.k:
             return f"announcement too large ({size} > {cfg.k})"
         max_ann = max(max_ann, size)
-        rb = cache.reach(R, U & up)
-        if (U & ~up) & rb:
+        abandoned, escapes = cache.robber_turn(U, up, R)
+        if abandoned:
             return "non-monotone announcement"
         return ((strat.update(cmem, pos, up, CopTurn(up, Rp)), up, Rp)
-                for Rp in subset_masks(sorted(bits(rb & ~up)), robber_sets))
+                for Rp in subset_masks(escapes, robber_sets))
 
     roots = ((strat.init_memory(CopTurn(0, R0)), 0, R0)
-             for R0 in subset_masks(range(g.n), robber_sets))
+             for R0 in subset_masks(g.full_mask, robber_sets))
     failure, states = explore(roots, moves, effective_budget(budget),
                               "cop-strategy validation", cycle="infinite play")
     return ValidationReport(failure is None, failure, states, max_ann)
@@ -360,23 +361,21 @@ def validate_robber_strategy(g: Digraph, cfg: SearchConfig, strat: RobberStrateg
         rmem, U, R = state
         if R == 0:
             return "captured"
-        if require_isolating:
-            region, _ = cache.under(U)
-            if any(region[v] & (R & ~(1 << v)) for v in bits(R)):
-                return "not isolating"
+        if require_isolating and not cache.is_isolating(U, R):
+            return "not isolating"
         return replies(rmem, U, R)
 
     def replies(rmem, U, R):
         for up in announcement_masks(cache, cfg, U, R):
-            rb = cache.reach(R, U & up)
-            if (U & ~up) & rb:
+            abandoned, escapes = cache.robber_turn(U, up, R)
+            if abandoned:
                 continue  # non-monotone announcements lose outright
             rpos = RobberTurn(U, up, R)
             Rp, rmem2 = strat.respond(rmem, rpos)
-            if Rp & ~(rb & ~up) or _size(Rp) > cfg.r:
+            if Rp & ~escapes or _size(Rp) > cfg.r:
                 raise AdversaryContractError(
                     f"robber strategy made an illegal move at {rpos!r}: {list(bits(Rp))}")
-            if require_prudent and (Rp & ~R) & cache.reach(R, up):
+            if require_prudent and not cache.is_prudent(R, up, Rp):
                 yield "imprudent move"
             yield rmem2, up, Rp
 
@@ -418,18 +417,15 @@ def antichain_reps(cache: GraphCache, up: int, R: int) -> int:
     return out
 
 
-def is_isolating_position(g: Digraph, U: int, R: int,
-                          cache: Optional[GraphCache] = None) -> bool:
+def is_isolating_position(g: Digraph, U: int, R: int) -> bool:
     """No robber of R can reach another once the cops U stand."""
-    region, _ = (cache or GraphCache(g)).under(U)
-    return not any(region[v] & (R & ~(1 << v)) for v in bits(R))
+    return GraphCache(g).is_isolating(U, R)
 
 
-def is_prudent_move(g: Digraph, Uprime: int, R: int, Rprime: int,
-                    cache: Optional[GraphCache] = None) -> bool:
+def is_prudent_move(g: Digraph, Uprime: int, R: int, Rprime: int) -> bool:
     """Robbers move from R to Rprime only onto vertices that the landing cops
     Uprime cut off from R."""
-    return (Rprime & ~R) & (cache or GraphCache(g)).reach(R, Uprime) == 0
+    return GraphCache(g).is_prudent(R, Uprime, Rprime)
 
 
 class _MirrorRobberStrategy(RobberStrategy):
@@ -490,32 +486,27 @@ class PrudentRobberStrategy(_MirrorRobberStrategy):
             else:
                 chosen |= 1 << min(comps[cm])
         picked = antichain_reps(cache, up, chosen)
-        fresh = picked & ~cur
-        if fresh & cache.reach(cur, up):
-            raise InvariantViolation("prudence", f"fresh robbers {list(bits(fresh))} "
+        if not cache.is_prudent(cur, up, picked):
+            raise InvariantViolation("prudence", f"fresh robbers {list(bits(picked & ~cur))} "
                                                  f"still reachable at {pos!r}")
         return picked, (inner_mem2, Rp)
 
 
 def isolating_transform(g: Digraph, cfg: SearchConfig, robber_strategy: RobberStrategy,
-                        budget: Optional[int] = None, validate: bool = True
-                        ) -> RobberStrategy:
+                        budget: Optional[int] = None) -> RobberStrategy:
     """Turn a winning robber strategy into an isolating winning one."""
-    if validate:
-        rep = validate_robber_strategy(g, cfg, robber_strategy, budget=budget)
-        if not rep.ok:
-            raise PreconditionError(f"input robber strategy is not winning: {rep.witness}")
+    rep = validate_robber_strategy(g, cfg, robber_strategy, budget=budget)
+    if not rep.ok:
+        raise PreconditionError(f"input robber strategy is not winning: {rep.witness}")
     return IsolatingRobberStrategy(g, cfg, robber_strategy)
 
 
 def prudent_transform(g: Digraph, cfg: SearchConfig, robber_strategy: RobberStrategy,
-                      budget: Optional[int] = None, validate: bool = True
-                      ) -> RobberStrategy:
+                      budget: Optional[int] = None) -> RobberStrategy:
     """Turn a winning robber strategy into a prudent (and isolating) one."""
-    if validate:
-        rep = validate_robber_strategy(g, cfg, robber_strategy, budget=budget)
-        if not rep.ok:
-            raise PreconditionError(f"input robber strategy is not winning: {rep.witness}")
+    rep = validate_robber_strategy(g, cfg, robber_strategy, budget=budget)
+    if not rep.ok:
+        raise PreconditionError(f"input robber strategy is not winning: {rep.witness}")
     return PrudentRobberStrategy(g, cfg, robber_strategy)
 
 
@@ -533,33 +524,25 @@ def _useful_subset(cache: GraphCache, standing: int, announced: int, v: int) -> 
     return (announced & standing) | (announced & cone)
 
 
-def cleanup_strategy(g: Digraph, f: PositionalCopStrategy, k: Optional[int] = None,
-                     budget: Optional[int] = None, validate: bool = True
-                     ) -> PositionalCopStrategy:
+def cleanup_strategy(g: Digraph, f: PositionalCopStrategy,
+                     budget: Optional[int] = None) -> PositionalCopStrategy:
     """Normalize a positional monotone winning one-robber cop strategy.
 
-    The output never announces a cop on a vertex the robber cannot reach and
-    always places at least one new cop, with every new cop inside the
-    robber's current cone.  Idle stretches of the input are compressed by
-    following its own play with the robber parked.
+    The input is validated first with its own cop count.  The output never
+    announces a cop on a vertex the robber cannot reach and always places at
+    least one new cop, with every new cop inside the robber's current cone.
+    Idle stretches of the input are compressed by following its own play
+    with the robber parked.
     """
-    if k is None:
-        k = f.cop_count()
-    cfg = SearchConfig(k=k, r=1)
-    if validate:
-        rep = validate_cop_strategy(g, cfg, f, budget=budget)
-        if not rep.ok:
-            raise PreconditionError(f"input cop strategy is not monotone winning: {rep.witness}")
+    rep = validate_cop_strategy(g, SearchConfig(k=f.cop_count(), r=1), f, budget=budget)
+    if not rep.ok:
+        raise PreconditionError(f"input cop strategy is not monotone winning: {rep.witness}")
     cache = GraphCache(g)
 
     # Pass 1: drop useless placements, carrying a witness position of f.
     fhat = {}
-    witness = {}
-    stack = []
-    for v in range(g.n):
-        key = (0, v)
-        witness[key] = 0
-        stack.append(key)
+    stack = [(0, v) for v in range(g.n)]
+    witness = dict.fromkeys(stack, 0)
     while stack:
         U, v = stack.pop()
         if (U, v) in fhat:
@@ -572,7 +555,7 @@ def cleanup_strategy(g: Digraph, f: PositionalCopStrategy, k: Optional[int] = No
                 "cleanup-cone", f"robber cone differs from the uncleaned play at "
                                 f"(U={sorted(bits(U))}, v={v})")
         fhat[(U, v)] = A
-        escapes = cache.reach(1 << v, U & A) & ~A
+        _, escapes = cache.robber_turn(U, A, 1 << v)
         for v2 in bits(escapes):
             key = (A, v2)
             if key not in witness:
@@ -596,14 +579,14 @@ def cleanup_strategy(g: Digraph, f: PositionalCopStrategy, k: Optional[int] = No
                 raise PreconditionError("input strategy idles forever against a "
                                         f"parked robber at (U={sorted(bits(U))}, v={v})")
             seen_sigma.add(sigma)
-        new = a & ~U
-        if new & ~cache.reach(1 << v, U):
+        outside = a & ~U & ~cache.reach(1 << v, U)
+        if outside:
             raise InvariantViolation(
                 "cleanup-normal-form",
-                f"new cops {sorted(bits(new & ~cache.reach(1 << v, U)))} are outside "
+                f"new cops {sorted(bits(outside))} are outside "
                 f"the robber cone at (U={sorted(bits(U))}, v={v})")
         ftilde[U, 1 << v] = a
-        escapes = cache.reach(1 << v, U & a) & ~a
+        _, escapes = cache.robber_turn(U, a, 1 << v)
         for v2 in bits(escapes):
             key = (a, v2)
             if key not in explored:

@@ -32,6 +32,32 @@ def reach_by_path_enumeration(g, X, Y):
     return frozenset(found)
 
 
+def escapes(g, U, Up, R):
+    """Where robbers at R may land after cops at U announce Up: along paths
+    that avoid the cops who stay, onto vertices no announced cop holds."""
+    return reach_by_path_enumeration(g, U & Up, R) - Up
+
+
+def abandoned(g, U, Up, R):
+    """The released cop vertices that robbers at R still reach during the
+    move from U to Up; the move is monotone iff there is none."""
+    return (U - Up) & reach_by_path_enumeration(g, U & Up, R)
+
+
+def is_monotone(g, U, Up, R):
+    return not abandoned(g, U, Up, R)
+
+
+def is_isolating(g, U, R):
+    """No robber of R has a path avoiding the cops U to another robber."""
+    return all(not (reach_by_path_enumeration(g, U, {v}) & (R - {v})) for v in R)
+
+
+def is_prudent(g, R, Up, Rp):
+    """Every vertex of Rp outside R is cut off from R by the landing cops Up."""
+    return not ((Rp - R) & reach_by_path_enumeration(g, Up, R))
+
+
 def sccs_by_closure(g):
     """SCC partition via pairwise mutual reachability on the closure."""
     n = g.n

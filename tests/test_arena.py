@@ -10,9 +10,11 @@ from pursuitwidth.digraph import Digraph, bits, out_of, reach_mask
 from pursuitwidth.errors import ConfigError, InputError, ResourceError
 from pursuitwidth.families import (cycle_digraph, gen_grk, random_digraph,
                                    tree_T, two_tree_graph)
-from pursuitwidth.strategy import (validate_cop_strategy,
+from pursuitwidth.strategy import (is_isolating_position, is_prudent_move,
+                                   validate_cop_strategy,
                                    validate_robber_strategy)
 
+import oracles
 from oracles import invisible_clears, minimax_solve
 
 single = Digraph(1, [])
@@ -42,9 +44,9 @@ class TestPositions:
 def robber_moves(g, cfg, pos=None):
     """Every robber reply to `pos` as cop positions; every placement when pos is None."""
     if pos is None:
-        return {CopTurn(0, R) for R in subset_masks(range(g.n), range(1, cfg.r + 1))}
+        return {CopTurn(0, R) for R in subset_masks(g.full_mask, range(1, cfg.r + 1))}
     escapes = reach_mask(g.out_masks, pos.R, pos.U & pos.Uprime) & ~pos.Uprime
-    return {CopTurn(pos.Uprime, Rp) for Rp in subset_masks(sorted(bits(escapes)), range(cfg.r + 1))}
+    return {CopTurn(pos.Uprime, Rp) for Rp in subset_masks(escapes, range(cfg.r + 1))}
 
 
 class TestMoves:
@@ -165,6 +167,61 @@ class TestSolve:
         assert res.cop_strategy is not None and res.robber_strategy is None
         res = solve_search(g, SearchConfig(k=1))
         assert res.cop_strategy is None and res.robber_strategy is not None
+
+
+def _move_rule_corpus():
+    """Every strongly connected digraph on at most 3 vertices, plus 6 seeded
+    random digraphs on 4 vertices."""
+    return small_corpus(3) + [(f"rnd4-{i}", random_digraph(4, 0.4, 2000 + i))
+                              for i in range(6)]
+
+
+MOVE_RULE_CORPUS = _move_rule_corpus()
+
+
+def _vset(mask):
+    return frozenset(bits(mask))
+
+
+class TestMoveRule:
+    """`GraphCache`'s move rule and normal-form predicates, and the public
+    one-liners on them, against the path-enumeration definitions of
+    `oracles`, for every triple of vertex sets."""
+
+    @pytest.mark.parametrize("name,g", MOVE_RULE_CORPUS, ids=[n for n, _ in MOVE_RULE_CORPUS])
+    def test_robber_turn_matches_the_definition(self, name, g):
+        cache = GraphCache(g)
+        for U in range(1 << g.n):
+            for R in range(1 << g.n):
+                if U & R:
+                    continue  # not a position
+                for up in range(1 << g.n):
+                    lost, esc = cache.robber_turn(U, up, R)
+                    sets = (g, _vset(U), _vset(up), _vset(R))
+                    assert _vset(esc) == oracles.escapes(*sets), (name, U, up, R)
+                    assert _vset(lost) == oracles.abandoned(*sets), (name, U, up, R)
+                    assert is_monotone_move(g, RobberTurn(U, up, R)) == \
+                        oracles.is_monotone(*sets), (name, U, up, R)
+
+    @pytest.mark.parametrize("name,g", MOVE_RULE_CORPUS, ids=[n for n, _ in MOVE_RULE_CORPUS])
+    def test_isolation_matches_the_definition(self, name, g):
+        cache = GraphCache(g)
+        for U in range(1 << g.n):
+            for R in range(1 << g.n):
+                if not U & R:
+                    want = oracles.is_isolating(g, _vset(U), _vset(R))
+                    assert cache.is_isolating(U, R) == want, (name, U, R)
+                    assert is_isolating_position(g, U, R) == want, (name, U, R)
+
+    @pytest.mark.parametrize("name,g", MOVE_RULE_CORPUS, ids=[n for n, _ in MOVE_RULE_CORPUS])
+    def test_prudence_matches_the_definition(self, name, g):
+        cache = GraphCache(g)
+        for R in range(1 << g.n):
+            for up in range(1 << g.n):
+                for Rp in range(1 << g.n):
+                    want = oracles.is_prudent(g, _vset(R), _vset(up), _vset(Rp))
+                    assert cache.is_prudent(R, up, Rp) == want, (name, R, up, Rp)
+                    assert is_prudent_move(g, up, R, Rp) == want, (name, R, up, Rp)
 
 
 def _solver_corpus():

@@ -170,6 +170,18 @@ class TestVerifyCommand:
             rep.pop("elapsed_s")
         assert a == b
 
+    @pytest.mark.parametrize("argv", [
+        ["verify", "hierarchy", "--nmax", "0", "--samples", "0"],
+        ["verify", "thm10", "--nmax", "0", "--samples", "0"],
+        ["verify", "lemma9", "--nmax", "0"],
+        ["verify", "lemmas58", "--nmax", "1"],  # every graph has dw_2 = 1
+        ["verify", "lemma2", "--count", "0"],
+    ], ids=lambda argv: argv[1])
+    def test_a_suite_over_no_instance_is_an_input_error(self, argv, capsys):
+        code, rep = run(argv, capsys)
+        assert code == EXIT_INPUT_ERROR and rep["kind"] == "input"
+        assert "vacuously" in rep["error"]
+
 
 def _assert_vertex_lists_and_passed_reports(records):
     """Every vertex set of a trace (positions, memory entries and histories)

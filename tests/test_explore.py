@@ -31,14 +31,14 @@ def directed_path(n):
 
 class TestSubsetMasks:
     def test_descending_sizes_go_largest_first(self):
-        assert list(subset_masks([0, 1, 2], range(2, -1, -1))) == \
+        assert list(subset_masks(0b111, range(2, -1, -1))) == \
             [0b011, 0b101, 0b110, 0b001, 0b010, 0b100, 0]
 
     def test_ascending_sizes_go_smallest_first(self):
-        assert list(subset_masks([1, 3], range(1, 3))) == [0b0010, 0b1000, 0b1010]
+        assert list(subset_masks(0b1010, range(1, 3))) == [0b0010, 0b1000, 0b1010]
 
     def test_sizes_beyond_the_bits_yield_nothing(self):
-        assert list(subset_masks([4], range(3, -1, -1))) == [0b10000, 0]
+        assert list(subset_masks(0b10000, range(3, -1, -1))) == [0b10000, 0]
 
 
 class TestEngine:
