@@ -495,17 +495,19 @@ def width(g: Digraph, measure: str, r: int = 1, budget: Optional[int] = None) ->
     dw / dw_r: visible game on g with 1 / r robbers.  tw / tw_r: the same on
     the symmetric closure, where tw is the classical tree-width tw_1 - 1.
     dpw: invisible game on g (cop count, i.e. classical value plus one).
+    dw, tw and dpw take only r = 1.
     """
     if measure not in _MEASURES:
         raise ConfigError(f"unknown measure {measure!r}; pick one of {_MEASURES}")
+    if r != 1 and measure in ("dw", "tw", "dpw"):
+        use = "tw_r" if measure == "tw" else "dw_r"
+        raise ConfigError(f"measure {measure!r} has one robber; use {use!r} for r={r}")
     if g.n == 0:
         raise PreconditionError("width of the empty graph is undefined")
     if measure in ("tw", "tw_r"):
         base = width(symmetric_closure(g), "dw_r" if measure == "tw_r" else "dw",
                      r=r, budget=budget)
         return base - 1 if measure == "tw" else base
-    if measure == "dw":
-        r = 1
     cache = None if measure == "dpw" else GraphCache(g)
     for k in range(1, g.n + 1):
         try:

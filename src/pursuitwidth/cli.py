@@ -521,6 +521,10 @@ def cmd_verify(args) -> Report:
         kwargs.update(n=args.n)
     if args.suite == "lemma2":
         kwargs.update(count=args.count, seed=args.seed)
+    if args.trace_out and not args.graph:
+        raise InputError("--trace-out needs --graph: only a single-graph run is traced")
+    if args.graph and args.suite != "thm10":
+        raise InputError(f"--graph applies to thm10 only, not to {args.suite}")
     digest = None
     if args.suite == "thm10":
         if args.graph:

@@ -68,9 +68,6 @@ class Digraph:
     def full_mask(self) -> int:
         return (1 << self.n) - 1
 
-    def vertices(self) -> range:
-        return range(self.n)
-
     def successors(self, v: int) -> frozenset:
         if not 0 <= v < self.n:
             raise InputError(f"vertex {v} out of range")

@@ -13,7 +13,7 @@ import random
 from dataclasses import dataclass
 
 from .arena import CopTurn, RobberTurn
-from .digraph import Digraph, bits, reach_mask
+from .digraph import Digraph, reach_mask
 from .errors import InputError, InvariantViolation
 from .strategy import CopStrategy, RobberStrategy
 
@@ -172,26 +172,15 @@ class TopDownTreeCops(CopStrategy):
         """A vertex and its primed twin, as a mask."""
         return 1 << self.coords.vertex(addr) | 1 << self.coords.vertex(addr, True)
 
-    def announce(self, memory, pos: CopTurn) -> int:
+    def announce(self, memory, pos: CopTurn):
         if memory[0] == "start":
-            return self._pair(())
+            return self._pair(()), ("hold", ())
         if memory[0] == "hold":
             w = memory[1]
             c = self._branch_child(w, pos.R.bit_length() - 1)
-            return self._pair(w) | self._pair(c)
+            return self._pair(w) | self._pair(c), ("placed", w, c)
         _, w, c = memory
-        return self._pair(c)
-
-    def update(self, memory, pos, announced, newpos):
-        co = self.coords
-        if memory[0] == "start":
-            return ("hold", ())
-        if memory[0] == "hold":
-            w = memory[1]
-            (c_vertex,) = [v for v in bits(announced & ~self._pair(w))
-                           if not co.address(v)[1]]
-            return ("placed", w, co.address(c_vertex)[0])
-        return ("hold", memory[2])
+        return self._pair(c), ("hold", c)
 
 
 def cops_topdown_thm7(n: int) -> TopDownTreeCops:

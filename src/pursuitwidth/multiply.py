@@ -360,13 +360,11 @@ def init_memory(g: Digraph, R0: int) -> MemoryZeta:
 
 
 def cop_move_multiply(g: Digraph, f: PositionalCopStrategy, pos: CopTurn,
-                      zeta: MemoryZeta, check: bool = True,
-                      cache: Optional[GraphCache] = None):
+                      zeta: MemoryZeta, cache: Optional[GraphCache] = None):
     """One cop move: returns (announcement, new memory, case tag)."""
     cache = cache or GraphCache(g)
-    if check:
-        _raise_on_violation(check_invariants(g, pos, zeta, f=f, cache=cache),
-                            "on entry to the cop move")
+    _raise_on_violation(check_invariants(g, pos, zeta, f=f, cache=cache),
+                        "on entry to the cop move")
     d = _derive(zeta)
     s = d.s
     Rm, Um = pos.R, pos.U
@@ -440,27 +438,25 @@ def cop_move_multiply(g: Digraph, f: PositionalCopStrategy, pos: CopTurn,
             zeta2 = MemoryZeta(zeta.entries, rho_new)
             tag = CASE_II_2
 
-    if check:
-        spoiled, _ = cache.robber_turn(Um, Uprime, Rm)
-        if spoiled:
-            raise InvariantViolation("monotone", f"move abandons {_vs(spoiled)} while "
-                                                 f"robbers reach it")
-        d2 = _derive(zeta2)
-        if tag != CASE_WON and d2.Ucum[d2.s] != Uprime:
-            raise InvariantViolation("cover", f"teams {_vs(d2.Ucum[d2.s])} != announced "
-                                              f"{_vs(Uprime)} after the move")
+    spoiled, _ = cache.robber_turn(Um, Uprime, Rm)
+    if spoiled:
+        raise InvariantViolation("monotone", f"move abandons {_vs(spoiled)} while "
+                                             f"robbers reach it")
+    d2 = _derive(zeta2)
+    if tag != CASE_WON and d2.Ucum[d2.s] != Uprime:
+        raise InvariantViolation("cover", f"teams {_vs(d2.Ucum[d2.s])} != announced "
+                                          f"{_vs(Uprime)} after the move")
     return Uprime, zeta2, tag
 
 
 def robber_update_multiply(g: Digraph, pos_before: CopTurn, Rp: int,
-                           zeta: MemoryZeta, snapshot: Optional[MemoryZeta] = None,
+                           zeta: MemoryZeta, snapshot: MemoryZeta,
                            cache: Optional[GraphCache] = None) -> MemoryZeta:
     """Fold the robbers' move into the memory.
 
     `pos_before` is the cop position from which the last announcement was
-    made; `zeta` is the memory right after the cop move; `snapshot`, when
-    given, is the memory before the cop move and enables the reattachment
-    bound check.
+    made; `zeta` is the memory right after the cop move; `snapshot` is the
+    memory before the cop move, which bounds where robbers may reattach.
     """
     cache = cache or GraphCache(g)
     R = pos_before.R
@@ -491,14 +487,13 @@ def robber_update_multiply(g: Digraph, pos_before: CopTurn, Rp: int,
         i = next((j for j in range(1, s) if (d.Oset[j] >> b) & 1), s)
         assigned[i] |= 1 << b
 
-    if snapshot is not None:
-        sd = _derive(snapshot)
-        if sd.b[sd.s] == d.b[s]:  # the cop move kept pursuing the same robber
-            bound = cache.reach(1 << sd.b[sd.s], sd.W[sd.s])
-            if assigned[s] & ~bound:
-                raise InvariantViolation(
-                    "reattachment", f"robbers {_vs(assigned[s] & ~bound)} attached to the "
-                                    f"top history but outside the pursued robber's cone")
+    sd = _derive(snapshot)
+    if sd.b[sd.s] == d.b[s]:  # the cop move kept pursuing the same robber
+        bound = cache.reach(1 << sd.b[sd.s], sd.W[sd.s])
+        if assigned[s] & ~bound:
+            raise InvariantViolation(
+                "reattachment", f"robbers {_vs(assigned[s] & ~bound)} attached to the "
+                                f"top history but outside the pursued robber's cone")
     if d.ends_cop[s] and assigned[s] & ~(1 << d.b[s]):
         raise InvariantViolation(
             "top-stability", f"top history rests at a cop position but gained robbers "
@@ -530,7 +525,12 @@ def robber_update_multiply(g: Digraph, pos_before: CopTurn, Rp: int,
 # The packaged memory strategy
 
 class MultiplyStrategy(CopStrategy):
-    """r*k-cop memory strategy that simulates k-cop play against each robber."""
+    """r*k-cop memory strategy that simulates k-cop play against each robber.
+
+    Its memory is a `MemoryZeta` at cop positions.  During the robbers' reply
+    it is `(memory before the move, position, memory after the move)`, which
+    `update` needs to fold the reply in and to bound where robbers reattach.
+    """
 
     def __init__(self, g: Digraph, f: PositionalCopStrategy, r: int, k: int):
         self.g = g
@@ -539,9 +539,6 @@ class MultiplyStrategy(CopStrategy):
         self.k = k
         self.cache = GraphCache(g)
         self.last_tag = None
-        # (memory, position, announcement, memory after it) of the last
-        # announce, which the update of every robber reply to it reuses
-        self._last_move = None
 
     def init_memory(self, pos: CopTurn):
         return init_memory(self.g, pos.R)
@@ -555,7 +552,7 @@ class MultiplyStrategy(CopStrategy):
                 raise InvariantViolation(
                     "chain-bound", "a full chain must repeat its last placement set")
 
-    def announce(self, memory, pos: CopTurn) -> int:
+    def announce(self, memory, pos: CopTurn):
         up, zeta2, tag = cop_move_multiply(self.g, self.f, pos, memory, cache=self.cache)
         self.last_tag = tag
         size = bin(up).count("1")
@@ -563,19 +560,11 @@ class MultiplyStrategy(CopStrategy):
             raise InvariantViolation("cop-bound", f"{size} cops announced, "
                                                   f"bound is {self.r * self.k}")
         self._chain_bound_ok(zeta2)
-        self._last_move = (memory, pos, up, zeta2)
-        return up
+        return up, (memory, pos, zeta2)
 
-    def update(self, memory, pos: CopTurn, announced: int, newpos: CopTurn):
-        last = self._last_move
-        if last is not None and last[0] is memory and last[1] == pos:
-            up, zeta2 = last[2], last[3]
-        else:
-            up, zeta2, _ = cop_move_multiply(self.g, self.f, pos, memory,
-                                             check=False, cache=self.cache)
-        if up != announced:
-            raise InvariantViolation("determinism", "recomputed announcement differs")
-        out = robber_update_multiply(self.g, pos, newpos.R, zeta2, snapshot=memory,
+    def update(self, memory, newpos: CopTurn):
+        zeta, pos, zeta2 = memory
+        out = robber_update_multiply(self.g, pos, newpos.R, zeta2, snapshot=zeta,
                                      cache=self.cache)
         self._chain_bound_ok(out)
         return out
@@ -602,7 +591,14 @@ def multiply_strategy(g: Digraph, f: PositionalCopStrategy, r: int,
 
 def enumerate_prudent_isolating_moves(g: Digraph, pos: RobberTurn, r: int,
                                       cache: Optional[GraphCache] = None):
-    """All legal prudent isolating robber responses, largest sets first."""
+    """All legal prudent isolating robber responses, largest sets first.
+
+    Sizes run r..0, so the empty robber set is always a response.  When no
+    escape remains it is the only one: the capture, and folding it into the
+    memory is how the memory after a capture gets its invariant check.  When
+    escapes remain it is the robbers leaving the graph, which ends the play
+    in a capture and so cannot help them.
+    """
     cache = cache or GraphCache(g)
     up, R = pos.Uprime, pos.R
     _, legal = cache.robber_turn(pos.U, up, R)
@@ -637,19 +633,15 @@ def exhaust_prudent_isolating(g: Digraph, strat: MultiplyStrategy,
         zeta, U, R = state
         if R == 0:
             return None
-        pos = CopTurn(U, R)
-        up = strat.announce(zeta, pos)
+        up, mid = strat.announce(zeta, CopTurn(U, R))
         cases[strat.last_tag] = cases.get(strat.last_tag, 0) + 1
         max_cops = max(max_cops, bin(up).count("1"))
         spoiled, _ = cache.robber_turn(U, up, R)
         if spoiled:
             return f"non-monotone announcement abandoning {_vs(spoiled)}"
-        rpos = RobberTurn(U, up, R)
-        # fold every reply before any child is expanded, while `update` can
-        # still reuse the move `announce` just made
-        return iter([(strat.update(zeta, pos, up, CopTurn(up, Rp)), up, Rp)
-                     for Rp in enumerate_prudent_isolating_moves(g, rpos, strat.r,
-                                                                 cache=cache)])
+        return ((strat.update(mid, CopTurn(up, Rp)), up, Rp)
+                for Rp in enumerate_prudent_isolating_moves(g, RobberTurn(U, up, R), strat.r,
+                                                            cache=cache))
 
     roots = ((strat.init_memory(CopTurn(0, 1 << v)), 0, 1 << v) for v in range(g.n))
     failure, states = explore(roots, moves, effective_budget(budget),
@@ -699,7 +691,7 @@ def traced_run(g: Digraph, strat: MultiplyStrategy):
     step = 0
     while pos.R and step < 10_000:
         step += 1
-        ann = strat.announce(zeta, pos)
+        ann, mid = strat.announce(zeta, pos)
         tag = strat.last_tag
         rpos = RobberTurn(pos.U, ann, pos.R)
         records.append({"step": step, "mover": "cops", "U": _vertices(pos.U),
@@ -708,7 +700,7 @@ def traced_run(g: Digraph, strat: MultiplyStrategy):
         moves = enumerate_prudent_isolating_moves(g, rpos, strat.r, cache=cache)
         Rp = moves[0] if moves else 0
         newpos = CopTurn(ann, Rp)
-        zeta = strat.update(zeta, pos, ann, newpos)
+        zeta = strat.update(mid, newpos)
         pos = newpos
         step += 1
         records.append({"step": step, "mover": "robbers", "U": _vertices(pos.U),

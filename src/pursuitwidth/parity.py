@@ -40,9 +40,6 @@ class ParityGame:
         if any(c < 0 for c in self.color):
             raise InputError("colors must be nonnegative")
 
-    def post(self, action_index: int, v: int) -> frozenset:
-        return self.succ[action_index][v]
-
     def post_all(self, v: int) -> frozenset:
         out = set()
         for ai in range(len(self.actions)):
@@ -427,7 +424,8 @@ class LiftedCopStrategy(CopStrategy):
     """Occupy every knowledge set that meets a vertex the base cops occupy.
 
     The memory is the base game's cop set; the shadowed multi-robber play
-    treats the robber's knowledge set as the robber team.
+    treats the robber's knowledge set as the robber team.  During the
+    robbers' reply it is (base cop set, base announcement, old team).
     """
 
     def __init__(self, g: Digraph, f_r: CopStrategy, kg: KnowledgeGame):
@@ -445,23 +443,21 @@ class LiftedCopStrategy(CopStrategy):
         """The base robber team of the one robber on knowledge position R."""
         return self.teams[R.bit_length() - 1]
 
-    def _base_announcement(self, memory, pos: CopTurn) -> int:
-        return self.f_r.announce(None, CopTurn(memory, self._team(pos.R)))
-
-    def announce(self, memory, pos: CopTurn) -> int:
-        Up = self._base_announcement(memory, pos)
+    def announce(self, memory, pos: CopTurn):
+        team = self._team(pos.R)
+        Up = self.f_r.announce(None, CopTurn(memory, team))[0]
         out = 0
-        for i, team in enumerate(self.teams):
-            if team & Up:
+        for i, t in enumerate(self.teams):
+            if t & Up:
                 out |= 1 << i
-        return out
+        return out, (memory, Up, team)
 
-    def update(self, memory, pos, announced, newpos):
+    def update(self, memory, newpos):
+        U, Up, old_team = memory
         if not newpos.R:
-            return memory
-        Up = self._base_announcement(memory, pos)
-        old_team, new_team = self._team(pos.R), self._team(newpos.R)
-        _, escapes = self.cache.robber_turn(memory, Up, old_team)
+            return U
+        new_team = self._team(newpos.R)
+        _, escapes = self.cache.robber_turn(U, Up, old_team)
         if new_team & ~escapes:
             raise InvariantViolation(
                 "lift-translation",

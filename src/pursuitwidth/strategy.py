@@ -1,10 +1,11 @@
 """Strategies, plays, exhaustive validation, and the normal-form transforms.
 
-Cop strategies answer cop positions with an announcement, optionally through
-a memory structure.  Robber strategies choose the initial placement and
-answer robber positions.  Positions, announcements and robber moves are
-vertex masks; only a positional strategy's constructor, `items()` and its
-text format take vertex sets.  Validation is exhaustive: the fixed side
+Cop strategies answer cop positions with an announcement and the memory
+they hold during the robbers' reply; `update` folds the reply into that
+memory, so a move is made once.  Robber strategies choose the initial
+placement and answer robber positions.  Positions, announcements and robber
+moves are vertex masks; only a positional strategy's constructor, `items()`
+and its text format take vertex sets.  Validation is exhaustive: the fixed side
 plays its strategy while the opponent branches over every legal move, so a
 green validation is a proof at the instance's scale.
 """
@@ -74,13 +75,23 @@ class History:
 # Strategy interfaces
 
 class CopStrategy:
+    """A cop strategy whose memory changes at the cop move and at the reply.
+
+    `announce(memory, pos)` returns `(announcement, memory during the
+    robbers' reply)`, and `update(memory, newpos)` folds the reply that led
+    to `newpos` into that memory.  Callers pass `update` the memory that
+    `announce` returned, so no move is ever computed twice.
+    """
+
     def init_memory(self, pos: CopTurn):
         return None
 
-    def announce(self, memory, pos: CopTurn) -> int:
+    def announce(self, memory, pos: CopTurn):
+        """Return (announcement, memory during the robbers' reply)."""
         raise NotImplementedError
 
-    def update(self, memory, pos: CopTurn, announced: int, newpos: CopTurn):
+    def update(self, memory, newpos: CopTurn):
+        """Return the memory at the next cop position `newpos`."""
         return memory
 
 
@@ -141,8 +152,8 @@ class PositionalCopStrategy(CopStrategy):
             raise StrategyHoleError(CopTurn(U, R))
         return got
 
-    def announce(self, memory, pos: CopTurn) -> int:
-        return self.lookup(pos.U, pos.R)
+    def announce(self, memory, pos: CopTurn):
+        return self.lookup(pos.U, pos.R), memory
 
     def cop_count(self) -> int:
         return max((_size(m) for (u, _), up in self.mapping.items() for m in (u, up)),
@@ -187,12 +198,12 @@ class SolverCopStrategy(CopStrategy):
         self.cache = cache
         self.cert = cert
 
-    def announce(self, memory, pos: CopTurn) -> int:
+    def announce(self, memory, pos: CopTurn):
         reg = self.cache.reach(pos.R, pos.U)
         got = self.cert.get(self.cache.class_key(pos.U, reg))
         if got is None:
             raise StrategyHoleError(pos)
-        return got
+        return got, memory
 
     def as_positional(self, budget: Optional[int] = None) -> PositionalCopStrategy:
         """Materialize the map over every position reachable under the strategy."""
@@ -202,7 +213,7 @@ class SolverCopStrategy(CopStrategy):
 
         def moves(state):
             U, R = state
-            up = mapping[state] = self.announce(None, CopTurn(U, R))
+            up = mapping[state] = self.announce(None, CopTurn(U, R))[0]
             _, escapes = cache.robber_turn(U, up, R)
             return ((up, Rp) for Rp in subset_masks(escapes, robber_sets))
 
@@ -271,7 +282,7 @@ def playout(g: Digraph, cfg: SearchConfig, cop_strategy: CopStrategy,
             return PlayoutResult(COPS_WIN, tuple(trace), steps)
         if steps >= limit:
             return PlayoutResult(BUDGET_EXCEEDED, tuple(trace), steps)
-        ann = cop_strategy.announce(cmem, pos)
+        ann, cmem = cop_strategy.announce(cmem, pos)
         if _size(ann) > cfg.k:
             raise PreconditionError(f"announcement {list(bits(ann))} uses more than "
                                     f"k={cfg.k} cops")
@@ -285,7 +296,7 @@ def playout(g: Digraph, cfg: SearchConfig, cop_strategy: CopStrategy,
             raise AdversaryContractError(f"illegal robber move {list(bits(Rp))} at {rpos!r}")
         newpos = CopTurn(ann, Rp)
         trace.append(newpos)
-        cmem = cop_strategy.update(cmem, pos, ann, newpos)
+        cmem = cop_strategy.update(cmem, newpos)
         pos = newpos
         steps += 1
         state = (pos, cmem, rmem)
@@ -322,9 +333,8 @@ def validate_cop_strategy(g: Digraph, cfg: SearchConfig, strat: CopStrategy,
     def moves(state):
         nonlocal max_ann
         cmem, U, R = state
-        pos = CopTurn(U, R)
         try:
-            up = strat.announce(cmem, pos)
+            up, cmem = strat.announce(cmem, CopTurn(U, R))
         except StrategyHoleError:
             return "strategy hole"
         size = _size(up)
@@ -334,7 +344,7 @@ def validate_cop_strategy(g: Digraph, cfg: SearchConfig, strat: CopStrategy,
         abandoned, escapes = cache.robber_turn(U, up, R)
         if abandoned:
             return "non-monotone announcement"
-        return ((strat.update(cmem, pos, up, CopTurn(up, Rp)), up, Rp)
+        return ((strat.update(cmem, CopTurn(up, Rp)), up, Rp)
                 for Rp in subset_masks(escapes, robber_sets))
 
     roots = ((strat.init_memory(CopTurn(0, R0)), 0, R0)

@@ -285,7 +285,7 @@ class TestSearchSolver:
                     off = ~(U | reg | out_of(g.out_masks, reg)) & g.full_mask
                     for v in bits(off):
                         pos = CopTurn(U | 1 << v, 1 << R)
-                        assert strategy.announce(None, pos) == ann
+                        assert strategy.announce(None, pos) == (ann, None)
                         checked += 1
         assert checked > 100
 
@@ -421,6 +421,12 @@ class TestWidth:
             tw1 = width(g, "tw_r", r=1)
             for r in (2, 3):
                 assert width(g, "tw_r", r=r) <= r * tw1
+
+    @pytest.mark.parametrize("measure, use", [("dw", "dw_r"), ("tw", "tw_r"),
+                                              ("dpw", "dw_r")])
+    def test_one_robber_measures_reject_another_r(self, measure, use):
+        with pytest.raises(ConfigError, match=f"use '{use}' for r=3"):
+            width(cycle_digraph(3), measure, r=3)
 
     def test_unknown_measure(self):
         with pytest.raises(ConfigError):

@@ -183,6 +183,21 @@ class TestVerifyCommand:
         assert "vacuously" in rep["error"]
 
 
+    @pytest.mark.parametrize("argv", [["verify", "thm10", "--nmax", "2", "--samples", "0"],
+                                      ["verify", "lemma9", "--nmax", "2"]],
+                             ids=lambda argv: argv[1])
+    def test_trace_out_without_graph_is_an_input_error(self, argv, tmp_path, capsys):
+        trace = tmp_path / "y.json"
+        code, rep = run(argv + ["--trace-out", str(trace)], capsys)
+        assert code == EXIT_INPUT_ERROR and rep["kind"] == "input"
+        assert not trace.exists()
+
+    def test_graph_on_a_suite_other_than_thm10_is_an_input_error(self, c3, capsys):
+        code, rep = run(["verify", "lemma9", "--nmax", "2", "--graph", c3], capsys)
+        assert code == EXIT_INPUT_ERROR and rep["kind"] == "input"
+        assert "thm10 only" in rep["error"]
+
+
 def _assert_vertex_lists_and_passed_reports(records):
     """Every vertex set of a trace (positions, memory entries and histories)
     is a sorted list of ints, and every invariant report passed."""
@@ -256,6 +271,11 @@ class TestExitCodes:
                             lambda *a, **kw: ValidationReport(False, ("captured", ()), 0))
         code, rep = run(["verify", "thm25"], capsys)
         assert code == EXIT_CHECK_FAILURE and rep["passed"] is False
+
+    def test_one_robber_measure_with_another_r_is_input_error(self, c3, capsys):
+        code, rep = run(["width", c3, "--measure", "dw", "--r", "3"], capsys)
+        assert code == EXIT_INPUT_ERROR and rep["kind"] == "input"
+        assert "dw_r" in rep["error"]
 
     def test_input_error(self, capsys):
         code, rep = run(["width", "/nonexistent.edges"], capsys)

@@ -155,11 +155,11 @@ def _cop_line(g, cfg, strat, path):
     assert U == 0 and 0 < bin(R).count("1") <= cfg.r
     assert cmem == strat.init_memory(CopTurn(0, R))
     for (cmem, U, R), (cmem2, U2, R2) in zip(path, path[1:]):
-        pos = CopTurn(U, R)
-        assert U2 == strat.announce(cmem, pos)
+        up, mid = strat.announce(cmem, CopTurn(U, R))
+        assert U2 == up
         escapes = reach_mask(g.out_masks, R, U & U2) & ~U2
         assert R2 and not R2 & ~escapes and bin(R2).count("1") <= cfg.r
-        assert cmem2 == strat.update(cmem, pos, U2, CopTurn(U2, R2))
+        assert cmem2 == strat.update(mid, CopTurn(U2, R2))
 
 
 def _robber_line(g, cfg, strat, path):
@@ -177,11 +177,11 @@ def _multiplier_line(g, strat, path):
     assert U == 0 and bin(R).count("1") == 1
     assert zeta == strat.init_memory(CopTurn(0, R))
     for (zeta, U, R), (zeta2, U2, R2) in zip(path, path[1:]):
-        pos = CopTurn(U, R)
-        assert U2 == strat.announce(zeta, pos)
+        up, mid = strat.announce(zeta, CopTurn(U, R))
+        assert U2 == up
         moves = enumerate_prudent_isolating_moves(g, RobberTurn(U, U2, R), strat.r)
         assert R2 in moves
-        assert zeta2 == strat.update(zeta, pos, U2, CopTurn(U2, R2))
+        assert zeta2 == strat.update(mid, CopTurn(U2, R2))
 
 
 def _cop_case(g, k, mapping, failing):
@@ -215,9 +215,9 @@ class Idle(MultiplyStrategy):
 
     def announce(self, memory, pos):
         self.last_tag = "idle"
-        return 0
+        return 0, memory
 
-    def update(self, memory, pos, announced, newpos):
+    def update(self, memory, newpos):
         return memory
 
 
@@ -250,12 +250,13 @@ def _hole(g, cfg, strat, path):
 
 def _too_large(g, cfg, strat, path):
     cmem, U, R = path[-1]
-    assert bin(strat.announce(cmem, CopTurn(U, R))).count("1") > cfg.k
+    assert bin(strat.announce(cmem, CopTurn(U, R))[0]).count("1") > cfg.k
 
 
 def _non_monotone(g, cfg, strat, path):
     cmem, U, R = path[-1]
-    assert not is_monotone_move(g, RobberTurn(U, strat.announce(cmem, CopTurn(U, R)), R))
+    up, _ = strat.announce(cmem, CopTurn(U, R))
+    assert not is_monotone_move(g, RobberTurn(U, up, R))
 
 
 def _captured(g, cfg, strat, path):

@@ -104,7 +104,7 @@ class TestRobberUpdate:
     def test_stay_after_idle_announcement_keeps_memory(self):
         g = cycle_digraph(3)
         zeta = init_memory(g, 0b1)
-        out = robber_update_multiply(g, CopTurn(0, 0b1), 0b1, zeta)
+        out = robber_update_multiply(g, CopTurn(0, 0b1), 0b1, zeta, snapshot=zeta)
         assert out == zeta
 
     def test_illegal_move_rejected(self):
@@ -215,19 +215,18 @@ class TestMultiplied:
             assert is_isolating_position(g, pos.Uprime, Rp)
 
 
-class CrossChecked(MultiplyStrategy):
-    """Checks every update, which reuses the announced move, against the
-    update of a twin that never announces and so recomputes the move."""
+class Recorded(MultiplyStrategy):
+    """Records every reply it folds in: (memory before the cop move, the
+    position it was made from, the next position, the memory it reached)."""
 
     def __init__(self, g, f, r, k):
         super().__init__(g, f, r, k)
-        self.twin = MultiplyStrategy(g, f, r, k)
         self.calls = []
 
-    def update(self, memory, pos, announced, newpos):
-        out = super().update(memory, pos, announced, newpos)
-        assert self.twin.update(memory, pos, announced, newpos) == out
-        self.calls.append((memory, pos, announced, newpos))
+    def update(self, memory, newpos):
+        out = super().update(memory, newpos)
+        zeta, pos, _ = memory
+        self.calls.append((zeta, pos, newpos, out))
         return out
 
 
@@ -243,8 +242,9 @@ def _counting(monkeypatch, name):
 
 
 class TestSharedWork:
-    """The move of `announce` and the derivation of a memory are computed
-    once and reused; reuse must never change a result."""
+    """The move of `announce` is made once and handed to `update`, and the
+    derivation of a memory is computed once and reused; neither may change
+    a result."""
 
     def test_memories_hash_by_value(self):
         rho = History((CopTurn(0, 0b1), RobberTurn(0, 0b100, 0b1)))
@@ -253,53 +253,30 @@ class TestSharedWork:
         assert a == b and hash(a) == hash(b) and len({a, b}) == 1
         assert a != MemoryZeta((), rho)
 
-    def test_update_with_and_without_announce_agree_on_every_line(self, monkeypatch):
+    def _recorded_run(self):
         g = Digraph(6, ALL_CASES_EDGES)
         base = multiply_strategy(g, ALL_CASES_BASE, r=3)
-        strat = CrossChecked(g, base.f, 3, base.k)
-        moves = _counting(monkeypatch, "cop_move_multiply")
+        strat = Recorded(g, base.f, 3, base.k)
         rep = exhaust_prudent_isolating(g, strat)
         assert rep.ok, rep.witness
         assert len(strat.calls) > rep.states
-        # one move per announce and per twin update: every update of the
-        # strategy itself reused the announced move
-        assert moves[0] == rep.states + len(strat.calls)
-        # a move announced for another memory at the same position is not reused
-        by_pos = {}
-        for call in strat.calls:
-            by_pos.setdefault(call[1], {}).setdefault(call[0], call)
-        pairs = [list(calls.values())[:2] for calls in by_pos.values() if len(calls) > 1]
-        assert pairs
-        for (memory, pos, *_), other in pairs:
-            strat.announce(memory, pos)
-            assert strat.update(*other) == strat.twin.update(*other)
+        return g, strat, rep
 
-    @pytest.mark.parametrize("announced_first", [True, False], ids=["hit", "miss"])
-    def test_determinism_is_checked_with_and_without_reuse(self, announced_first):
-        g = cycle_digraph(3)
-        strat = multiply_strategy(g, base_strategy(g, 2), r=2)
-        pos = CopTurn(0, 0b1)
-        zeta = strat.init_memory(pos)
-        ann = multiply_strategy(g, strat.f, r=2).announce(zeta, pos)
-        if announced_first:
-            assert strat.announce(zeta, pos) == ann
-        assert ann
-        with pytest.raises(InvariantViolation) as err:
-            strat.update(zeta, pos, 0, CopTurn(0, 0b1))
-        assert err.value.name == "determinism"
-        (Rp, *_) = enumerate_prudent_isolating_moves(g, RobberTurn(pos.U, ann, pos.R), 2)
-        assert isinstance(strat.update(zeta, pos, ann, CopTurn(ann, Rp)), MemoryZeta)
+    def test_exhaustion_makes_one_cop_move_per_expanded_state(self, monkeypatch):
+        moves = _counting(monkeypatch, "cop_move_multiply")
+        _, _, rep = self._recorded_run()
+        # every reply is folded into the memory the announcement handed over
+        assert moves[0] == rep.states
 
-    def test_a_move_announced_at_another_position_is_not_reused(self):
-        g = cycle_digraph(3)
-        strat = multiply_strategy(g, base_strategy(g, 2), r=2)
-        zeta = strat.init_memory(CopTurn(0, 0b1))
-        ann = strat.announce(zeta, CopTurn(0, 0b1))
-        assert ann
-        # from {1}, the pursued robber 0 is gone: the recomputed move is idle
-        with pytest.raises(InvariantViolation) as err:
-            strat.update(zeta, CopTurn(0, 0b10), ann, CopTurn(ann, 0))
-        assert err.value.name == "determinism"
+    def test_update_with_and_without_announce_agree_on_every_line(self):
+        # a twin replays each recorded (memory, position) with a move of its
+        # own and must reach the memory the exhaustion reached
+        g, strat, _ = self._recorded_run()
+        twin = MultiplyStrategy(g, strat.f, strat.r, strat.k)
+        for zeta, pos, newpos, out in strat.calls:
+            up, mid = twin.announce(zeta, pos)
+            assert up == newpos.U
+            assert twin.update(mid, newpos) == out
 
     def test_every_shared_derivation_equals_a_fresh_one(self, monkeypatch):
         derive = multiply._derive

@@ -4,7 +4,11 @@ from pursuitwidth.arena import (COPS, ROBBERS, CopTurn, RobberTurn,
                                 SearchConfig, solve_search, width)
 from pursuitwidth.digraph import Digraph, reach_excluding
 from pursuitwidth.errors import InputError, PreconditionError, StrategyHoleError
-from pursuitwidth.families import cycle_digraph, enumerate_strongly_connected
+from pursuitwidth.families import (cops_topdown_thm7, cycle_digraph,
+                                   enumerate_strongly_connected, two_tree_graph)
+from pursuitwidth.multiply import exhaust_prudent_isolating, multiply_strategy
+from pursuitwidth.parity import (ObservationEquiv, distinguisher_game,
+                                 lift_cop_strategy, powerset_construct)
 from pursuitwidth.strategy import (COPS_WIN, NON_MONOTONE,
                                    ROBBERS_WIN, History, PositionalCopStrategy,
                                    cleanup_strategy, isolating_transform,
@@ -89,6 +93,54 @@ class TestPlayout:
                for u in range(3) for v in range(3) if u != v})
         res = playout(g, SearchConfig(k=1), stay, rob, 200)
         assert res.verdict in (ROBBERS_WIN, NON_MONOTONE)
+
+
+def _pair_checked(strat):
+    """The strategy, with every announce checked to return an (int, memory)
+    pair; the list collects the pairs."""
+    pairs = []
+    announce = strat.announce
+
+    def checked(memory, pos):
+        got = announce(memory, pos)
+        assert isinstance(got, tuple) and len(got) == 2 and isinstance(got[0], int)
+        pairs.append(got)
+        return got
+    strat.announce = checked
+    return strat, pairs
+
+
+def _shipped_cop_strategies():
+    c3 = cycle_digraph(3)
+    solved = solve_search(c3, SearchConfig(k=2)).cop_strategy
+    pg, _ = distinguisher_game()
+    kg = powerset_construct(pg, ObservationEquiv.identity(pg.n))
+    base = pg.arena_digraph()
+    k = width(base, "dw")
+    tree, _ = two_tree_graph(1)
+    return {
+        "positional": (c3, SearchConfig(k=2), lambda: solved.as_positional()),
+        "solver": (c3, SearchConfig(k=2),
+                   lambda: solve_search(c3, SearchConfig(k=2)).cop_strategy),
+        "two-tree sweep": (tree, SearchConfig(k=4), lambda: cops_topdown_thm7(1)),
+        "lifted": (kg.arena_digraph(), SearchConfig(k=k), lambda: lift_cop_strategy(
+            base, solve_search(base, SearchConfig(k=k)).cop_strategy, kg)),
+        "multiplier": (c3, None, lambda: multiply_strategy(c3, solved.as_positional(), r=2)),
+    }
+
+
+class TestCopStrategyProtocol:
+    @pytest.mark.parametrize("name", ["positional", "solver", "two-tree sweep", "lifted",
+                                      "multiplier"])
+    def test_shipped_strategies_announce_a_pair_and_win(self, name):
+        g, cfg, make = _shipped_cop_strategies()[name]
+        strat, pairs = _pair_checked(make())
+        if cfg is None:
+            rep = exhaust_prudent_isolating(g, strat)
+        else:
+            rep = validate_cop_strategy(g, cfg, strat)
+        assert rep.ok, rep.witness
+        assert pairs
 
 
 class TestTransforms:
