@@ -490,6 +490,20 @@ SUITES = {
     "lemma2": suite_lemma2,
 }
 
+# the `verify` options each suite reads; giving it any other one is an input
+# error.  With --graph, thm10 checks that one graph at the given r, so it
+# reads --r alone.
+VERIFY_NUMBERS = ("nmax", "samples", "count", "seed", "n", "r")
+SUITE_OPTIONS = {
+    "hierarchy": ("nmax", "samples", "seed"),
+    "thm10": ("nmax", "samples", "seed"),
+    "lemma9": ("nmax",),
+    "lemmas58": ("nmax", "r"),
+    "thm7": ("n",),
+    "thm25": (),
+    "lemma2": ("count", "seed"),
+}
+
 
 # ---------------------------------------------------------------------------
 # Commands
@@ -509,29 +523,22 @@ def cmd_width(args) -> Report:
 
 
 def cmd_verify(args) -> Report:
-    fn = SUITES[args.suite]
-    kwargs = {"budget": args.budget, "jobs": args.jobs}
-    if args.suite in ("hierarchy", "thm10"):
-        kwargs.update(nmax=args.nmax, samples=args.samples, seed=args.seed)
-    if args.suite in ("lemma9", "lemmas58"):
-        kwargs.update(nmax=args.nmax)
-    if args.suite == "lemmas58":
-        kwargs.update(r=args.r)
-    if args.suite == "thm7":
-        kwargs.update(n=args.n)
-    if args.suite == "lemma2":
-        kwargs.update(count=args.count, seed=args.seed)
     if args.trace_out and not args.graph:
         raise InputError("--trace-out needs --graph: only a single-graph run is traced")
     if args.graph and args.suite != "thm10":
         raise InputError(f"--graph applies to thm10 only, not to {args.suite}")
+    reads = ("r",) if args.graph else SUITE_OPTIONS[args.suite]
+    given = {opt: getattr(args, opt) for opt in VERIFY_NUMBERS if getattr(args, opt) is not None}
+    ignored = [f"--{opt}" for opt in given if opt not in reads]
+    if ignored:
+        run = f"verify {args.suite}" + (" --graph" if args.graph else "")
+        raise InputError(f"{run} does not read {', '.join(ignored)}")
+    kwargs = dict(given, budget=args.budget, jobs=args.jobs)
     digest = None
-    if args.suite == "thm10":
-        if args.graph:
-            g, digest = _load_graph(args.graph)
-            kwargs.update(graph=g, r=args.r, trace_out=args.trace_out)
-        kwargs.setdefault("r", args.r)
-    rep = fn(**kwargs)
+    if args.graph:
+        g, digest = _load_graph(args.graph)
+        kwargs.update(graph=g, trace_out=args.trace_out)
+    rep = SUITES[args.suite](**kwargs)
     if digest is not None:
         rep.inputs[args.graph] = digest
     return rep
@@ -628,12 +635,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     v = sub.add_parser("verify", help="run a verification suite")
     v.add_argument("suite", choices=sorted(SUITES))
-    v.add_argument("--nmax", type=int, default=4)
-    v.add_argument("--samples", type=int, default=200)
-    v.add_argument("--count", type=int, default=100)
-    v.add_argument("--seed", type=int, default=DEFAULT_SEED)
-    v.add_argument("--n", type=int, default=2)
-    v.add_argument("--r", type=int, default=2)
+    # None tells a given option from a default: a suite applies its own
+    for opt in VERIFY_NUMBERS:
+        v.add_argument(f"--{opt}", type=int, default=None)
     v.add_argument("--graph", default=None)
     v.add_argument("--trace-out", default=None)
     v.add_argument("--jobs", type=int, default=1)

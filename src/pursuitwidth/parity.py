@@ -7,6 +7,10 @@ perfect-information one whose positions are the sets of positions player 0
 considers possible.  Cop strategies for the multi-robber game on the
 underlying arena lift to the knowledge arena by occupying every knowledge
 set that meets an occupied vertex.
+
+The knowledge step is written once, in `powerset_construct`.  The product
+verification of extracted strategies derives it again on purpose, sharing
+no helper, so that it checks the construction instead of repeating it.
 """
 from __future__ import annotations
 
@@ -39,20 +43,18 @@ class ParityGame:
             raise InputError("owner and color must cover every position")
         if any(c < 0 for c in self.color):
             raise InputError("colors must be nonnegative")
+        if len(set(self.actions)) != len(self.actions):
+            raise InputError(f"repeated action label in {list(self.actions)}")
 
     def post_all(self, v: int) -> frozenset:
+        """Every move of position v, whichever action is taken."""
         out = set()
-        for ai in range(len(self.actions)):
-            out |= self.succ[ai][v]
+        for row in self.succ:
+            out |= row[v]
         return frozenset(out)
 
     def arena_digraph(self) -> Digraph:
-        edges = set()
-        for ai in range(len(self.actions)):
-            for v in range(self.n):
-                for w in self.succ[ai][v]:
-                    edges.add((v, w))
-        return Digraph(self.n, edges)
+        return Digraph(self.n, {(v, w) for v in range(self.n) for w in self.post_all(v)})
 
 
 def make_parity_game(n, owner, color, actions, moves, init) -> ParityGame:
@@ -155,7 +157,7 @@ def powerset_construct(pg: ParityGame, eq: ObservationEquiv) -> KnowledgeGame:
     init_k = frozenset({pg.init})
     sets = []
     index = {}
-    edges = {ai: [] for ai in range(len(pg.actions))}
+    succ = [[] for _ in pg.actions]
 
     def intern(k: frozenset) -> int:
         got = index.get(k)
@@ -163,6 +165,8 @@ def powerset_construct(pg: ParityGame, eq: ObservationEquiv) -> KnowledgeGame:
             got = len(sets)
             index[k] = got
             sets.append(k)
+            for row in succ:
+                row.append(set())
         return got
 
     work = [intern(init_k)]
@@ -173,45 +177,25 @@ def powerset_construct(pg: ParityGame, eq: ObservationEquiv) -> KnowledgeGame:
             continue
         done.add(ki)
         K = sets[ki]
-        who = pg.owner[next(iter(K))]
-        if who == 0:
-            for ai in range(len(pg.actions)):
-                post = set()
-                for v in K:
-                    post |= pg.succ[ai][v]
-                for c in eq.classes:
-                    piece = frozenset(post & c)
-                    if piece:
-                        ti = intern(piece)
-                        edges[ai].append((ki, ti))
-                        if ti not in done:
-                            work.append(ti)
+        post = [frozenset().union(*[row[v] for v in K]) for row in pg.succ]
+        if pg.owner[next(iter(K))] == 0:
+            pieces = [(piece, (ai,)) for ai, p in enumerate(post)
+                      for c in eq.classes if (piece := p & c)]
         else:
-            post_by_action = []
-            union = set()
-            for ai in range(len(pg.actions)):
-                p = set()
-                for v in K:
-                    p |= pg.succ[ai][v]
-                post_by_action.append(p)
-                union |= p
-            for c in eq.classes:
-                piece = frozenset(union & c)
-                if not piece:
-                    continue
-                ti = intern(piece)
-                if ti not in done:
-                    work.append(ti)
-                for ai in range(len(pg.actions)):
-                    if piece & post_by_action[ai]:
-                        edges[ai].append((ki, ti))
-    m = len(sets)
+            union = frozenset().union(*post)
+            pieces = [(piece, [ai for ai, p in enumerate(post) if piece & p])
+                      for c in eq.classes if (piece := union & c)]
+        for piece, ais in pieces:
+            ti = intern(piece)
+            for ai in ais:
+                succ[ai][ki].add(ti)
+            if ti not in done:
+                work.append(ti)
     owner = tuple(pg.owner[next(iter(K))] for K in sets)
     color = tuple(pg.color[next(iter(K))] for K in sets)
-    succ = tuple(tuple(frozenset(t for (s, t) in edges[ai] if s == kj)
-                       for kj in range(m))
-                 for ai in range(len(pg.actions)))
-    game = ParityGame(m, owner, color, pg.actions, succ, index[init_k])
+    game = ParityGame(len(sets), owner, color, pg.actions,
+                      tuple(tuple(frozenset(t) for t in row) for row in succ),
+                      index[init_k])
     return KnowledgeGame(game, tuple(sets), index)
 
 
@@ -299,35 +283,26 @@ def _counts(ex: _Expanded, nodes: set, target: set, player: int) -> list:
 
 
 def _zielonka(ex: _Expanded, nodes: set):
+    """([win0, win1], [strategy0, strategy1]) of the subgame on `nodes`."""
     if not nodes:
-        return set(), set(), {}, {}
+        return [set(), set()], [{}, {}]
     d = min(ex.color[v] for v in nodes)  # the least color decides, so peel it
-    p = d % 2
+    p, q = d % 2, 1 - d % 2
     Z = {v for v in nodes if ex.color[v] == d}
     A, sA = attract(ex.pred, ex.owner, p, Z, _counts(ex, nodes, Z, p))
-    A = set(A)
-    w0, w1, s0, s1 = _zielonka(ex, nodes - A)
-    wp, sp = (w0, s0) if p == 0 else (w1, s1)
-    wq, sq = (w1, s1) if p == 0 else (w0, s0)
-    if not wq:
-        sp = dict(sp)
-        sp.update(sA)
+    win, strat = _zielonka(ex, nodes - set(A))
+    if not win[q]:  # so strat[q] is empty too: a strategy stays in its region
+        strat[p].update(sA)
         for v in Z:
-            if ex.owner[v] == p and v not in sp:
-                sp[v] = next(w for w in ex.succ[v] if w in nodes)
-        if p == 0:
-            return set(nodes), set(), sp, {}
-        return set(), set(nodes), {}, sp
-    B, sB = attract(ex.pred, ex.owner, 1 - p, wq, _counts(ex, nodes, wq, 1 - p))
-    B = set(B)
-    w0b, w1b, s0b, s1b = _zielonka(ex, nodes - B)
-    sq_full = dict(sq)
-    sq_full.update(sB)
-    if p == 0:
-        sq_full.update(s1b)
-        return w0b, w1b | B, s0b, sq_full
-    sq_full.update(s0b)
-    return w0b | B, w1b, sq_full, s1b
+            if ex.owner[v] == p and v not in strat[p]:
+                strat[p][v] = next(w for w in ex.succ[v] if w in nodes)
+        win[p], win[q] = set(nodes), set()
+        return win, strat
+    B, sB = attract(ex.pred, ex.owner, q, win[q], _counts(ex, nodes, win[q], q))
+    win_b, strat_b = _zielonka(ex, nodes - set(B))
+    win_b[q] = win_b[q] | set(B)
+    strat_b[q] = {**strat[q], **sB, **strat_b[q]}
+    return win_b, strat_b
 
 
 def _parity_cycle_blocks(nodes, succ_map, color, parity):
@@ -373,7 +348,7 @@ def zielonka_solve(pg: ParityGame) -> ParityResult:
         if not pg.post_all(v):
             raise PreconditionError(f"position {v} is a dead end")
     ex = _Expanded(pg)
-    w0, w1, s0, s1 = _zielonka(ex, set(range(ex.size)))
+    (w0, w1), (s0, s1) = _zielonka(ex, set(range(ex.size)))
     strategy0 = {}
     for v in range(pg.n):
         if pg.owner[v] == 0 and v in w0:
@@ -382,39 +357,24 @@ def zielonka_solve(pg: ParityGame) -> ParityResult:
                 raise InvariantViolation("zielonka", f"no move recorded at {v}")
             _, ai = ex.inter_info[node - pg.n]
             strategy0[v] = pg.actions[ai]
-    strategy1 = {}
-    for v in range(pg.n):
-        if pg.owner[v] == 1 and v in w1:
-            strategy1[v] = s1[v]
-    for (v, ai), node in ex.inter.items():
-        if node in w1:
-            strategy1[(v, pg.actions[ai])] = s1[node]
-    _verify_regions(pg, ex, w0, w1, s0, s1)
+    strategy1 = {v: s1[v] for v in range(pg.n) if pg.owner[v] == 1 and v in w1}
+    strategy1.update(((v, pg.actions[ai]), s1[node])
+                     for (v, ai), node in ex.inter.items() if node in w1)
+    _verify_regions(pg, ex, (w0, w1), (s0, s1))
     return ParityResult(frozenset(v for v in w0 if v < pg.n),
                         frozenset(v for v in w1 if v < pg.n),
                         strategy0, strategy1)
 
 
-def _verify_regions(pg, ex, w0, w1, s0, s1):
-    def succ0(v):
-        if ex.owner[v] == 0:
-            return [s0[v]]
-        return ex.succ[v]
-
-    bad = _reachable_cycle_with_parity([v for v in w0 if v < pg.n], succ0, ex.color, 1)
-    if bad is not None:
-        raise InvariantViolation("zielonka-verify",
-                                 f"player-0 strategy admits an odd cycle {bad}")
-
-    def succ1(v):
-        if ex.owner[v] == 1:
-            return [s1[v]]
-        return ex.succ[v]
-
-    bad = _reachable_cycle_with_parity([v for v in w1 if v < pg.n], succ1, ex.color, 0)
-    if bad is not None:
-        raise InvariantViolation("zielonka-verify",
-                                 f"player-1 strategy admits an even cycle {bad}")
+def _verify_regions(pg, ex, win, strat):
+    """No play from a region along its owner's strategy closes an opponent's cycle."""
+    for p in (0, 1):
+        bad = _reachable_cycle_with_parity(
+            [v for v in win[p] if v < pg.n],
+            lambda v: [strat[p][v]] if ex.owner[v] == p else ex.succ[v], ex.color, 1 - p)
+        if bad is not None:
+            raise InvariantViolation("zielonka-verify", f"player-{p} strategy admits an "
+                                     f"{('odd', 'even')[p]} cycle {bad}")
 
 
 # ---------------------------------------------------------------------------
@@ -500,7 +460,6 @@ def _verify_knowledge_strategy(pg, eq, kg, sigma) -> bool:
     """Product of the game with the knowledge automaton; opponent resolves all."""
     aidx = {a: i for i, a in enumerate(pg.actions)}
     start = (pg.init, frozenset({pg.init}))
-    nodes = {start}
     succ = {}
     work = [start]
     while work:
@@ -508,27 +467,15 @@ def _verify_knowledge_strategy(pg, eq, kg, sigma) -> bool:
         if state in succ:
             continue
         v, K = state
-        outs = []
+        rows = pg.succ
         if pg.owner[v] == 0:
             a = sigma.get(K)
             if a is None:
                 return False
-            ai = aidx[a]
-            post = set()
-            for u in K:
-                post |= pg.succ[ai][u]
-            for w in pg.succ[ai][v]:
-                K2 = frozenset(post & eq.class_of(w))
-                outs.append((w, K2))
-        else:
-            union = set()
-            for bi in range(len(pg.actions)):
-                for u in K:
-                    union |= pg.succ[bi][u]
-            for bi in range(len(pg.actions)):
-                for w in pg.succ[bi][v]:
-                    K2 = frozenset(union & eq.class_of(w))
-                    outs.append((w, K2))
+            rows = [pg.succ[aidx[a]]]
+        # knowledge after a move: what the rows in play reach from K, in w's class
+        post = set().union(*[row[u] for row in rows for u in K])
+        outs = [(w, frozenset(post & eq.class_of(w))) for row in rows for w in row[v]]
         succ[state] = outs
         for t in outs:
             if t not in succ:
@@ -552,14 +499,8 @@ def check_history_lifting(kg: KnowledgeGame, pg: ParityGame, max_len: int = 6) -
     history threading through all earlier sets; the lift exists iff that
     carrier never loses a member.  Works from the raw edge relations only.
     """
-    base_succ = [set() for _ in range(pg.n)]
-    for ai in range(len(pg.actions)):
-        for v in range(pg.n):
-            base_succ[v] |= pg.succ[ai][v]
-    ksucc = [set() for _ in range(kg.game.n)]
-    for ai in range(len(kg.game.actions)):
-        for v in range(kg.game.n):
-            ksucc[v] |= kg.game.succ[ai][v]
+    base_succ = [pg.post_all(v) for v in range(pg.n)]
+    ksucc = [kg.game.post_all(v) for v in range(kg.game.n)]
     start = kg.game.init
     seen = set()
     stack = [(start, frozenset({pg.init}), max_len)]
@@ -646,6 +587,8 @@ def parse_parity_game(text: str) -> ParityGame:
             actions = tuple(parts[ai + 1:])
             if not actions:
                 raise InputError(f"line {lineno}: at least one action is required")
+            if len(set(actions)) != len(actions):
+                raise InputError(f"line {lineno}: repeated action label")
             continue
         if parts[0] == "move":
             if len(parts) != 4:
@@ -660,6 +603,8 @@ def parse_parity_game(text: str) -> ParityGame:
                 raise InputError(f"line {lineno}: move out of range")
             moves.append((u, parts[2], v))
         elif parts[0] == "init":
+            if init is not None:
+                raise InputError(f"line {lineno}: second init line")
             try:
                 init = int(parts[1])
             except (ValueError, IndexError):
@@ -675,6 +620,8 @@ def parse_parity_game(text: str) -> ParityGame:
                 raise InputError(f"line {lineno}: position {vid} out of range")
             if own not in (0, 1):
                 raise InputError(f"line {lineno}: owner must be 0 or 1")
+            if vid in decl:
+                raise InputError(f"line {lineno}: position {vid} declared twice")
             decl[vid] = (col, own)
     if n is None:
         raise InputError("missing header")

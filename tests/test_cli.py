@@ -285,6 +285,21 @@ class TestExitCodes:
         code, rep = run(["width", c3, "--budget", "1"], capsys)
         assert code == EXIT_RESOURCE_ERROR and rep["kind"] == "resource"
 
+    @pytest.mark.parametrize("argv", [
+        ["verify", "thm10", "--nmax", "2", "--samples", "0", "--r", "5"],
+        ["verify", "thm25", "--r", "7", "--seed", "3", "--nmax", "9"],
+        ["verify", "thm10", "--graph", "C3", "--nmax", "2"],
+        ["verify", "thm10", "--graph", "C3", "--samples", "0"],
+        ["verify", "thm10", "--graph", "C3", "--seed", "3"],
+        ["verify", "lemma9", "--nmax", "2", "--seed", "3"],
+        ["verify", "thm7", "--n", "2", "--r", "3"],
+        ["verify", "lemma2", "--count", "1", "--samples", "5"],
+    ], ids=lambda argv: "-".join(a.strip("-") for a in argv[1:]))
+    def test_an_option_the_suite_does_not_read_is_input_error(self, argv, c3, capsys):
+        code, rep = run([c3 if a == "C3" else a for a in argv], capsys)
+        assert code == EXIT_INPUT_ERROR and rep["kind"] == "input"
+        assert "does not read --" in rep["error"]
+
     def test_negative_budget_is_input_error(self, c3, capsys):
         code, rep = run(["width", c3, "--budget", "-5"], capsys)
         assert code == EXIT_INPUT_ERROR and rep["kind"] == "input"

@@ -1,7 +1,8 @@
 import pytest
 
+from pursuitwidth import parity
 from pursuitwidth.arena import SearchConfig, solve_search, width
-from pursuitwidth.errors import InputError, PreconditionError
+from pursuitwidth.errors import InputError, InvariantViolation, PreconditionError
 from pursuitwidth.parity import (ObservationEquiv, check_history_lifting,
                                  distinguisher_game, emit_observation,
                                  emit_parity_game, gen_random_parity,
@@ -74,6 +75,27 @@ class TestPowerset:
         with pytest.raises(PreconditionError):
             powerset_construct(pg, ObservationEquiv(2, [{0, 1}]))
 
+    # knowledge positions are numbered in the order their sets are first
+    # met; these literals pin that order, the per-action successors and the
+    # initial position
+    @pytest.mark.parametrize("game, sets, succ", [
+        (distinguisher_game(), [[0], [1, 2], [3]],
+         [[[1], [], [2]], [[], [0, 2], [2]], [[], [0, 2], [2]]]),
+        (gen_random_parity(43),
+         [[0], [2, 3], [0, 1], [1], [2], [3]],
+         [[[], [1, 2], [1, 3], [1, 3], [2, 5], [1]],
+          [[0, 1], [2], [1, 2], [2, 4], [], [0]]]),
+        (gen_random_parity(7),
+         [[0], [5], [4], [2], [0, 4], [3, 5], [1, 2], [1], [3]],
+         [[[0, 1], [3, 4, 5], [1], [2], [0, 1], [4, 5, 6], [2, 6], [2, 6], [0, 7]],
+          [[1, 2, 3], [4, 5], [1], [1, 7], [1, 2, 3], [4, 5, 6], [5, 6], [8], [0, 5, 7]]]),
+    ], ids=["distinguisher", "seed43", "seed7"])
+    def test_knowledge_numbering_is_pinned(self, game, sets, succ):
+        kg = powerset_construct(*game)
+        assert [sorted(k) for k in kg.sets] == sets
+        assert [[sorted(row[v]) for v in range(kg.game.n)] for row in kg.game.succ] == succ
+        assert kg.game.init == 0
+
 
 class TestZielonka:
     def test_even_self_loop(self):
@@ -94,6 +116,29 @@ class TestZielonka:
             assert (res.win0, res.win1) == solve_by_strategy_enumeration(pg), seed
             checked += 1
         assert checked >= 15
+
+    @pytest.mark.parametrize("p", [0, 1])
+    def test_each_players_verification_can_fail(self, p, monkeypatch):
+        # player 0 keeps color 2 at position 0 by looping on "a", while "b"
+        # leads through 1 into a cycle of least color 1; player 1 keeps color
+        # 3 at position 2 by looping, while its other move leads through 3
+        # into a cycle of least color 2
+        pg = make_parity_game(4, (0, 1, 1, 0), (2, 1, 3, 2), ("a", "b"),
+                              [(0, "a", 0), (0, "b", 1), (1, "a", 0),
+                               (2, "a", 2), (2, "a", 3), (3, "a", 2)], 0)
+        assert zielonka_solve(pg).win0 == {0, 1}
+        real = parity._zielonka
+
+        def redirected(ex, nodes):
+            win, strat = real(ex, nodes)
+            if len(nodes) == ex.size:  # the outermost call
+                v = next(v for v in sorted(strat[p]) if v < pg.n and ex.owner[v] == p)
+                strat[p][v] = next(w for w in ex.succ[v] if w != strat[p][v])
+            return win, strat
+
+        monkeypatch.setattr(parity, "_zielonka", redirected)
+        with pytest.raises(InvariantViolation, match=f"zielonka-verify.*player-{p} "):
+            zielonka_solve(pg)
 
     def test_regions_partition(self):
         for seed in range(20):
@@ -177,6 +222,17 @@ class TestFileFormats:
             parse_parity_game("positions 1 actions a\n0 0 0\nmove 0 b 0\ninit 0\n")
         with pytest.raises(InputError, match="init"):
             parse_parity_game("positions 1 actions a\n0 0 0\nmove 0 a 0\n")
+        with pytest.raises(InputError, match="line 3: position 0 declared twice"):
+            parse_parity_game("positions 1 actions a\n0 0 0\n0 1 1\nmove 0 a 0\ninit 0\n")
+        with pytest.raises(InputError, match="line 6: second init"):
+            parse_parity_game("positions 2 actions a\n0 0 0\n1 0 0\nmove 0 a 1\n"
+                              "init 0\ninit 1\nmove 1 a 0\n")
+        with pytest.raises(InputError, match="line 1: repeated action"):
+            parse_parity_game("positions 1 actions a a\n0 0 0\nmove 0 a 0\ninit 0\n")
+
+    def test_game_rejects_repeated_action_labels(self):
+        with pytest.raises(InputError, match="repeated action"):
+            make_parity_game(1, (0,), (0,), ("a", "a"), [(0, "a", 0)], 0)
 
     def test_observation_rejects_overlap(self):
         with pytest.raises(InputError):
