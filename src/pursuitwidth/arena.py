@@ -15,7 +15,9 @@ classes: a class is won at its first candidate announcement whose robber
 turn leads only into won classes, and that announcement is its certificate.
 Every non-idle announcement shrinks the region, so the classes form a DAG
 and no fixpoint is needed.  No reachability memo is kept: a region is closed
-under successors outside its cop set, so no candidate needs a search.
+under successors outside its cop set, so no candidate needs a search, and
+the paths of a robber turn that avoid the announced cops stay inside its
+escape set, so its regions are searched for there, not in the whole graph.
 
 The move rule and the robber normal forms live in `GraphCache` alone.  Three
 places restate the rule on purpose: the solver's pruned class game, which
@@ -307,6 +309,7 @@ class _SearchSolver:
         self.r = cfg.r
         self.restricted = cfg.restrict_to_scc
         self.cache = cache or GraphCache(g)
+        self.out, self.inn = g.out_masks, g.in_masks
         self.budget = budget
         self.turns = {}  # robber turn (Up, escapes) -> whether the cops win it
 
@@ -331,13 +334,20 @@ class _SearchSolver:
             yield U | X, reg & ~X
 
     def _escape_regions(self, Up: int, escapes: int):
-        """Sorted distinct regions of the escape vertices, one SCC at a time."""
-        region, comp = self.cache.under(Up)
-        regs = set()
-        while escapes:
-            v = (escapes & -escapes).bit_length() - 1
-            regs.add(region[v])
-            escapes &= ~comp[v]
+        """Sorted distinct regions of the escape vertices, one SCC at a time.
+
+        Exact without a whole-graph table: the class region is closed under
+        successors outside U, and U is inside Up, so every path from an escape
+        vertex that avoids Up stays inside `escapes`.  A region is a forward
+        search there, its SCC a backward one inside the region (Fleischer,
+        Hendrickson & Pinar 2000).
+        """
+        regs, left = set(), escapes
+        while left:
+            v = left & -left
+            region = reach_mask(self.out, v, ~escapes)
+            regs.add(region)
+            left &= ~reach_mask(self.inn, v, ~region)
         return sorted(regs)
 
     def _cops_win(self):

@@ -184,7 +184,7 @@ def suite_thm10(nmax: int = 4, samples: int = 200, seed: int = DEFAULT_SEED,
                 graph: Optional[Digraph] = None, r: int = 2,
                 trace_out: Optional[str] = None) -> Report:
     rep = Report(command=["verify", "thm10"],
-                 params={"nmax": nmax, "samples": samples, "seed": seed, "r": r})
+                 params={"nmax": nmax, "samples": samples, "seed": seed})
     if graph is not None:
         if not is_strongly_connected(graph):
             raise PreconditionError("the multiplier needs a strongly connected graph")
@@ -199,6 +199,7 @@ def suite_thm10(nmax: int = 4, samples: int = 200, seed: int = DEFAULT_SEED,
     for (name, g) in corpus:
         rs = [r] if graph is not None else ([2, 3] if g.n <= nmax else [2])
         tasks.append((_edges_key(g), tuple(rs), budget))
+    rep.params["r"] = sorted({rr for _, rs, _ in tasks for rr in rs})  # the r values checked
     results = _run_tasks(_thm10_task, tasks, jobs)
     bad_bound, bad_adv, bad_tw = [], [], []
     for (name, _g), out in zip(corpus, results):

@@ -38,9 +38,9 @@ def set_from(mask: int) -> frozenset:
 
 
 class Digraph:
-    """Immutable digraph with precomputed successor masks."""
+    """Immutable digraph with precomputed successor and predecessor masks."""
 
-    __slots__ = ("n", "edges", "labels", "out_masks", "_hash")
+    __slots__ = ("n", "edges", "labels", "out_masks", "in_masks", "_hash")
 
     def __init__(self, n: int, edges: Iterable[tuple], labels: Optional[Sequence[str]] = None):
         n = int(n)
@@ -48,15 +48,18 @@ class Digraph:
             raise InputError("vertex count must be nonnegative")
         es = set()
         out = [0] * n
+        inn = [0] * n
         for u, v in edges:
             u, v = int(u), int(v)
             if not (0 <= u < n and 0 <= v < n):
                 raise InputError(f"edge ({u}, {v}) out of range for n={n}")
             es.add((u, v))
             out[u] |= 1 << v
+            inn[v] |= 1 << u
         self.n = n
         self.edges = frozenset(es)
         self.out_masks = tuple(out)
+        self.in_masks = tuple(inn)
         if labels is not None:
             labels = tuple(str(x) for x in labels)
             if len(labels) != n:
@@ -233,12 +236,7 @@ def is_strongly_connected(g: Digraph) -> bool:
     if g.n <= 1:
         return True
     full = g.full_mask
-    if reach_mask(g.out_masks, 1, 0) != full:
-        return False
-    rev = [0] * g.n
-    for (u, v) in g.edges:
-        rev[v] |= 1 << u
-    return reach_mask(rev, 1, 0) == full
+    return reach_mask(g.out_masks, 1, 0) == full and reach_mask(g.in_masks, 1, 0) == full
 
 
 def parse_edge_list(text: str) -> Digraph:

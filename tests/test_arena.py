@@ -6,7 +6,7 @@ from pursuitwidth.arena import (COPS, ROBBERS, CopTurn, GraphCache, RobberTurn,
                                 is_monotone_move, solve_invisible, solve_search,
                                 subset_masks, validate_invisible_schedule, width)
 from pursuitwidth.cli import small_corpus
-from pursuitwidth.digraph import Digraph, bits, out_of, reach_mask
+from pursuitwidth.digraph import Digraph, bits, out_of, reach_mask, region_table
 from pursuitwidth.errors import ConfigError, InputError, ResourceError
 from pursuitwidth.families import (cycle_digraph, gen_grk, random_digraph,
                                    tree_T, two_tree_graph)
@@ -311,6 +311,60 @@ class TestSearchSolver:
         with pytest.raises(ResourceError) as exc:
             solve_search(g, cfg, budget=size - 1)
         assert exc.value.budget == size - 1
+
+    @pytest.mark.parametrize("k,winner,size", [(5, ROBBERS, 3104), (6, COPS, 89)],
+                             ids=["lost-rung", "won-rung"])
+    def test_random_fourteen_vertex_rung_arena_sizes(self, k, winner, size):
+        res = solve_search(random_digraph(14, 0.3, 1), SearchConfig(k=k))
+        assert (res.winner, res.arena_size) == (winner, size)
+
+
+def _escape_corpus():
+    """Every strongly connected digraph on at most 4 vertices, plus 20 seeded
+    random digraphs on 6 to 9 vertices."""
+    graphs = small_corpus(4)
+    for i in range(20):
+        n = 6 + i % 4
+        graphs.append((f"rnd{n}-{i}", random_digraph(n, 0.3, 3000 + i)))
+    return graphs
+
+
+ESCAPE_CORPUS = _escape_corpus()
+
+
+def _ladder_robber_turns(g, r):
+    """(Up, escapes, escape regions) of every robber turn the dw_r ladder of g
+    evaluates, from one cop up to the first rung the cops win."""
+    turns = []
+
+    class Recording(_SearchSolver):
+        def _escape_regions(self, Up, escapes):
+            regs = super()._escape_regions(Up, escapes)
+            turns.append((Up, escapes, regs))
+            return regs
+
+    for k in range(1, g.n + 1):
+        if Recording(g, SearchConfig(k=k, r=r), 10 ** 7).run()[0]:
+            return turns
+    raise AssertionError("n cops always win")
+
+
+class TestEscapeRegions:
+    """The solver finds a robber turn's escape regions inside its escape set;
+    they must be the regions of the whole graph without the announced cops."""
+
+    @pytest.mark.parametrize("name,g", ESCAPE_CORPUS, ids=[n for n, _ in ESCAPE_CORPUS])
+    def test_match_the_whole_graph_regions(self, name, g):
+        for r in (1, 2):
+            turns = _ladder_robber_turns(g, r)
+            assert turns or g.n == 1, (name, r)
+            for Up, escapes, regs in turns:
+                region, _ = region_table(g.out_masks, g.n, Up)
+                assert regs == sorted({region[v] for v in bits(escapes)}), (name, r, Up, escapes)
+                if g.n <= 6:
+                    want = {sum(1 << w for w in oracles.reach_by_path_enumeration(
+                        g, _vset(Up), {v})) for v in bits(escapes)}
+                    assert regs == sorted(want), (name, r, Up, escapes)
 
 
 def _invisible_corpus():

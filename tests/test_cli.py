@@ -148,6 +148,16 @@ class TestVerifyCommand:
         assert records and records[0]["mover"] == "robbers"
         _assert_vertex_lists_and_passed_reports(records)
 
+    @pytest.mark.parametrize("options,rs", [
+        (["--nmax", "2", "--samples", "0"], [2, 3]),  # graphs of at most nmax vertices
+        (["--nmax", "0", "--samples", "20"], [2]),    # random 5-vertex graphs only
+        (["--graph", "C3", "--r", "2"], [2]),
+    ], ids=["small-corpus", "random-corpus", "graph"])
+    def test_thm10_report_names_the_r_values_it_checked(self, options, rs, c3, capsys):
+        code, rep = run(["verify", "thm10"] + [c3 if a == "C3" else a for a in options], capsys)
+        assert code == EXIT_PASS
+        assert rep["params"]["r"] == rs
+
     def test_trace_of_a_splitting_play_writes_memory_entries(self, tmp_path, capsys):
         # two cycles, 0-1-2-4-0 and 0-3-4-0: once cops stand on 0 and 1, the
         # robbers split onto 2 and 3
