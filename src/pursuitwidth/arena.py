@@ -70,8 +70,8 @@ INITIAL = Initial()
 
 
 def _check_masks(pos, names):
-    """Positions hold vertex sets as masks: nonnegative ints, cops and
-    robbers disjoint."""
+    """Raise for a position whose vertex sets are not masks (nonnegative
+    ints) or whose cops and robbers overlap; the constructors test inline."""
     for name in names:
         m = getattr(pos, name)
         if type(m) is not int or m < 0:
@@ -86,7 +86,9 @@ class CopTurn:
     R: int
 
     def __post_init__(self):
-        _check_masks(self, ("U", "R"))
+        U, R = self.U, self.R
+        if not (type(U) is type(R) is int and U | R >= 0) or U & R:
+            _check_masks(self, ("U", "R"))
 
     def __repr__(self):
         return f"CopTurn(U={list(bits(self.U))}, R={list(bits(self.R))})"
@@ -99,7 +101,9 @@ class RobberTurn:
     R: int
 
     def __post_init__(self):
-        _check_masks(self, ("U", "Uprime", "R"))
+        U, Up, R = self.U, self.Uprime, self.R
+        if not (type(U) is type(Up) is type(R) is int and U | Up | R >= 0) or U & R:
+            _check_masks(self, ("U", "Uprime", "R"))
 
     def __repr__(self):
         return (f"RobberTurn(U={list(bits(self.U))}, U'={list(bits(self.Uprime))}, "

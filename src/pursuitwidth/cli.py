@@ -172,7 +172,7 @@ def _thm10_task(args):
         mult = multiply_strategy(g, f, r=r, budget=budget)
         adv = exhaust_prudent_isolating(g, mult, budget=budget)
         out["adversarial"][r] = (adv.ok, adv.max_cops, r * k, adv.max_cops <= r * k,
-                                 adv.witness if not adv.ok else None)
+                                 adv.witness if not adv.ok else None, adv.max_robbers)
     tw1 = width(g, "tw_r", r=1, budget=budget)
     tw2 = width(g, "tw_r", r=2, budget=budget)
     out["tw"] = (tw2, 2 * tw1, tw2 <= 2 * tw1)
@@ -202,18 +202,20 @@ def suite_thm10(nmax: int = 4, samples: int = 200, seed: int = DEFAULT_SEED,
     rep.params["r"] = sorted({rr for _, rs, _ in tasks for rr in rs})  # the r values checked
     results = _run_tasks(_thm10_task, tasks, jobs)
     bad_bound, bad_adv, bad_tw = [], [], []
+    rep.results["instances"] = len(corpus)
+    max_robbers = rep.results["max_robbers"] = dict.fromkeys(rep.params["r"], 0)
     for (name, _g), out in zip(corpus, results):
         for rr, (dwr, cap, ok) in out["bounds"].items():
             if not ok:
                 bad_bound.append({"graph": name, "r": rr, "dw_r": dwr, "cap": cap})
-        for rr, (ok, used, cap, within, witness) in out["adversarial"].items():
+        for rr, (ok, used, cap, within, witness, held) in out["adversarial"].items():
+            max_robbers[rr] = max(max_robbers[rr], held)
             if not (ok and within):
                 bad_adv.append({"graph": name, "r": rr, "used": used, "cap": cap,
                                 "witness": str(witness)})
         tw2, cap, ok = out["tw"]
         if not ok:
             bad_tw.append({"graph": name, "tw_2": tw2, "cap": cap})
-    rep.results["instances"] = len(corpus)
     rep.checks.append(Check("multi-robber-width-at-most-r-times-width", not bad_bound,
                             bad_bound or None))
     rep.checks.append(Check("multiplier-beats-exhaustive-prudent-isolating-adversary",

@@ -5,8 +5,10 @@ team, together with the robbers attached to each history and the placements
 that were deliberately omitted because an earlier team's robber could still
 reach them.  Positions, robber sets and omitted sets are vertex masks
 throughout; a history's positions hold one robber each.  Every documented
-invariant of the construction is re-checked at runtime; a violation raises
-with the invariant's name and witness vertices.  The checker shares one
+invariant of the construction is checked at runtime, once per memory the
+strategy makes: when the robbers' reply makes it, or on entry to the cop
+move for an opening memory and one the reply left unchanged.  A violation
+raises with the invariant's name and witness vertices.  The checker shares one
 thing with the move and update code: the derivation of an immutable memory
 into per-history masks (`_derive`), a pure function of the memory.  Every
 reachability condition it evaluates itself.  Vertex lists appear only in
@@ -50,12 +52,14 @@ class HistoryEntry:
 
 @dataclass(frozen=True)
 class MemoryZeta:
-    """The multiplier's memory: entries 1..s-1 plus the longest history."""
+    """The multiplier's memory: entries 1..s-1 plus the longest history;
+    `_checked` is (U, R, base strategy) of a check no cop move has used yet."""
     entries: tuple
     rho_s: History
 
     def __post_init__(self):
         object.__setattr__(self, "_hash", hash((self.entries, self.rho_s)))
+        object.__setattr__(self, "_checked", None)
 
     def __hash__(self):
         return self._hash
@@ -146,6 +150,11 @@ def _derive(zeta: MemoryZeta) -> _Derivation:
 # ---------------------------------------------------------------------------
 # Invariants
 
+INVARIANTS = ("chain", "partition", "cover", "anchor", "omit-closed", "omit-bounded",
+              "consistent", "progress", "member-consistency", "team-region", "omitted-absorbs",
+              "region-unchanged")
+
+
 @dataclass
 class CheckItem:
     name: str
@@ -155,17 +164,20 @@ class CheckItem:
 
 @dataclass
 class InvariantReport:
-    items: list
+    """Each checked invariant's witness of its first violation, "" if it holds."""
+    witnesses: dict
+
+    @property
+    def items(self) -> list:
+        return [CheckItem(name, not why, why) for name, why in self.witnesses.items()]
 
     @property
     def passed(self) -> bool:
-        return all(it.passed for it in self.items)
+        return not any(self.witnesses.values())
 
     def first_violation(self):
-        for it in self.items:
-            if not it.passed:
-                return it
-        return None
+        return next((CheckItem(name, False, why) for name, why in self.witnesses.items() if why),
+                    None)
 
     def as_json(self):
         return {"passed": self.passed,
@@ -173,178 +185,158 @@ class InvariantReport:
                           for it in self.items]}
 
 
-def _history_consistent(g: Digraph, cache: GraphCache, f: PositionalCopStrategy,
-                        rho: History):
-    """Is the history a legal play whose cop moves all follow f?"""
+def _step_consistent(cache: GraphCache, f: PositionalCopStrategy, a, b) -> str:
+    """Why position b does not follow a by a legal move of a play of f ("" if it does)."""
+    if isinstance(a, CopTurn):
+        if not isinstance(b, RobberTurn) or b.U != a.U or b.R != a.R:
+            return f"{b!r} does not follow {a!r}"
+        try:
+            want = f.lookup(a.U, a.R)
+        except StrategyHoleError:
+            return f"base strategy undefined at {a!r}"
+        if b.Uprime != want:
+            return (f"announcement {list(bits(b.Uprime))} differs from base move "
+                    f"{list(bits(want))}")
+    else:
+        if not isinstance(b, CopTurn) or b.U != a.Uprime:
+            return f"{b!r} does not follow {a!r}"
+        v0, v1 = _robber(a), _robber(b)
+        # not GraphCache.robber_turn: the checker asks reachability itself
+        legal = cache.reach(a.R, a.U & a.Uprime) & ~a.Uprime
+        if not (legal >> v1) & 1:
+            return f"robber move {v0}->{v1} illegal at {a!r}"
+    return ""
+
+
+def _history_consistent(cache: GraphCache, f: PositionalCopStrategy, rho: History) -> str:
+    """Why the history is not a legal play whose cop moves all follow f ("" if it is).
+
+    Only the steps after the prefix that already passed against f are walked,
+    and a passing history records that it did.
+    """
     positions = rho.positions
-    if len(positions) < 2:
-        return False, "history has no placement"
-    if not isinstance(positions[1], CopTurn) or positions[1].U:
-        return False, f"first placement must have no cops, got {positions[1]!r}"
-    for a, b in zip(positions[1:], positions[2:]):
-        if isinstance(a, CopTurn):
-            if not isinstance(b, RobberTurn) or b.U != a.U or b.R != a.R:
-                return False, f"{b!r} does not follow {a!r}"
-            try:
-                want = f.lookup(a.U, a.R)
-            except StrategyHoleError:
-                return False, f"base strategy undefined at {a!r}"
-            if b.Uprime != want:
-                return False, (f"announcement {list(bits(b.Uprime))} differs from base move "
-                               f"{list(bits(want))}")
-        else:
-            if not isinstance(b, CopTurn) or b.U != a.Uprime:
-                return False, f"{b!r} does not follow {a!r}"
-            v0, v1 = _robber(a), _robber(b)
-            # not GraphCache.robber_turn: the checker asks reachability itself
-            legal = cache.reach(a.R, a.U & a.Uprime) & ~a.Uprime
-            if not (legal >> v1) & 1:
-                return False, f"robber move {v0}->{v1} illegal at {a!r}"
-    return True, ""
+    key, done = rho.checked or (None, 0)
+    if key is not f:
+        if len(positions) < 2:
+            return "history has no placement"
+        if not isinstance(positions[1], CopTurn) or positions[1].U:
+            return f"first placement must have no cops, got {positions[1]!r}"
+        done = 2
+    for i in range(done, len(positions)):
+        why = _step_consistent(cache, f, positions[i - 1], positions[i])
+        if why:
+            return why
+    rho.checked = (f, len(positions))
+    return ""
 
 
 def check_invariants(g: Digraph, pos: CopTurn, zeta: MemoryZeta,
                      f: Optional[PositionalCopStrategy] = None,
                      cache: Optional[GraphCache] = None) -> InvariantReport:
-    """Re-check every invariant of the memory state.
+    """Check every invariant of the memory state.
 
     Evaluates the seven core invariants, the anchoring side condition on the
     longest history, and the derived diagnostics.  It shares the memory's
     derivation into masks (`_derive`) with the move and update code, but
     makes every reachability check itself rather than trusting the sets the
-    update code computed.
+    update code computed.  One pass over the entries evaluates every
+    condition, and each invariant reports its first violation.  With `f`,
+    `consistent` walks each history only past the prefix that already passed
+    against f (`History.checked`), and once the chain holds only the longest
+    history, which the others prefix; `member-consistency` checks the one
+    step each attached robber adds.
     """
     cache = cache or GraphCache(g)
-    items = []
+    reach = cache.reach
     d = _derive(zeta)
     s = d.s
     Rm, Um = pos.R, pos.U
     R_s = Rm & (1 << d.b[s])
+    wit = dict.fromkeys(INVARIANTS, "")  # each invariant's first violation, "" if none
 
-    # chain: the histories strictly extend one another
-    ok, wit = True, ""
-    for i in range(1, s):
-        if not zeta.rho(i).is_strict_prefix_of(zeta.rho(i + 1)):
-            ok, wit = False, f"history {i} is not a strict prefix of history {i + 1}"
-            break
-    items.append(CheckItem("chain", ok, wit))
+    def violated(name, why):
+        wit[name] = wit[name] or why
 
-    # partition: the attached robber sets split R
     union = R_s
-    ok, wit = True, ""
     for i in range(1, s):
-        if d.Rset[i] & union:
-            ok, wit = False, f"robber sets overlap at {_vs(d.Rset[i] & union)}"
-            break
-        union |= d.Rset[i]
-    if ok and union != Rm:
-        ok, wit = False, f"attached robbers {_vs(union)} != position robbers {_vs(Rm)}"
-    items.append(CheckItem("partition", ok, wit))
-
+        R_i, O_i, W_i = d.Rset[i], d.Oset[i], d.W[i]
+        # chain: the histories strictly extend one another
+        if not zeta.rho(i).is_strict_prefix_of(zeta.rho(i + 1)):
+            violated("chain", f"history {i} is not a strict prefix of history {i + 1}")
+        # partition: the attached robber sets split R
+        if R_i & union:
+            violated("partition", f"robber sets overlap at {_vs(R_i & union)}")
+        union |= R_i
+        # omit-closed: omitted sets contain their robbers and absorb reachability
+        if R_i & ~O_i:
+            violated("omit-closed", f"robbers {_vs(R_i & ~O_i)} outside omitted set {i}")
+        elif reach(O_i, W_i) != O_i:
+            violated("omit-closed", f"omitted set {i} not closed: reaches "
+                                    f"{_vs(reach(O_i, W_i) & ~O_i)}")
+        # omit-bounded: omitted sets stay inside their robber's old cone
+        if O_i & ~reach(1 << d.b[i], d.Wm1[i]):
+            violated("omit-bounded", f"omitted set {i} leaves the cone at "
+                                     f"{_vs(O_i & ~reach(1 << d.b[i], d.Wm1[i]))}")
+        # progress: no later robber sits inside an earlier omitted set
+        if R_i & d.Ocum[i - 1]:
+            violated("progress", f"robbers {_vs(R_i & d.Ocum[i - 1])} of history {i} "
+                                 f"inside earlier omitted set")
+        # diagnostics implied by the invariants.  omitted-absorbs: what the
+        # history's robbers reach lies in the omitted sets
+        if reach(R_i, d.Ucum[i]) & ~d.Ocum[i]:
+            violated("omitted-absorbs", f"robbers of history {i} reach "
+                                        f"{_vs(reach(R_i, d.Ucum[i]) & ~d.Ocum[i])} outside "
+                                        f"omitted sets")
+        last = zeta.rho(i).last()
+        for b in bits(R_i):
+            # member-consistency: the robber extends its history by a legal
+            # move; team-region and region-unchanged: its cone is the same
+            # under its own team, all earlier teams and all teams
+            why = f is not None and _step_consistent(cache, f, last, CopTurn(W_i, 1 << b))
+            if why:
+                violated("member-consistency",
+                         f"robber {b} not consistent with history {i}: {why}")
+            if reach(1 << b, W_i) != reach(1 << b, d.Wcum[i]):
+                violated("team-region", f"robber {b}: cone under team {i} differs from cone "
+                                        f"under all earlier teams")
+            if reach(1 << b, Um) != reach(1 << b, d.Ucum[i]):
+                violated("region-unchanged", f"robber {b}: region shrinks under later teams")
+    if union != Rm:
+        violated("partition", f"attached robbers {_vs(union)} != position robbers {_vs(Rm)}")
+    if R_s & d.Ocum[s - 1]:
+        violated("progress", f"top robber {d.b[s]} inside an omitted set")
+    if reach(1 << d.b[s], d.W[s]) != reach(1 << d.b[s], d.Wcum[s]):
+        violated("team-region", "top robber cone differs under cumulative placements")
     # cover: cops on the graph are exactly the union of the teams
-    cover = d.Ucum[s]
-    items.append(CheckItem("cover", cover == Um,
-                           "" if cover == Um else f"teams {_vs(cover)} != cops {_vs(Um)}"))
-
+    if d.Ucum[s] != Um:
+        violated("cover", f"teams {_vs(d.Ucum[s])} != cops {_vs(Um)}")
     # anchor: while the top robber is on the graph, its history awaits a move
-    ok = not ((Rm >> d.b[s]) & 1) or d.ends_cop[s]
-    items.append(CheckItem("anchor", ok,
-                           "" if ok else "top history does not end in a cop position"))
-
-    # omit-closed: omitted sets contain their robbers and absorb reachability
-    ok, wit = True, ""
-    for i in range(1, s):
-        if d.Rset[i] & ~d.Oset[i]:
-            ok, wit = False, f"robbers {_vs(d.Rset[i] & ~d.Oset[i])} outside omitted set {i}"
-            break
-        closed = cache.reach(d.Oset[i], d.W[i])
-        if closed != d.Oset[i]:
-            ok, wit = False, f"omitted set {i} not closed: reaches {_vs(closed & ~d.Oset[i])}"
-            break
-    items.append(CheckItem("omit-closed", ok, wit))
-
-    # omit-bounded: omitted sets stay inside their robber's old cone
-    ok, wit = True, ""
-    for i in range(1, s):
-        cone = cache.reach(1 << d.b[i], d.Wm1[i])
-        if d.Oset[i] & ~cone:
-            ok, wit = False, f"omitted set {i} leaves the cone at {_vs(d.Oset[i] & ~cone)}"
-            break
-    items.append(CheckItem("omit-bounded", ok, wit))
-
-    # consistent: every stored history is a legal play of the base strategy
-    ok, wit = True, ""
-    if f is not None:
-        for i in range(1, s + 1):
-            good, why = _history_consistent(g, cache, f, zeta.rho(i))
-            if not good:
-                ok, wit = False, f"history {i}: {why}"
+    if R_s and not d.ends_cop[s]:
+        violated("anchor", "top history does not end in a cop position")
+    # consistent: every stored history is a legal play of the base strategy;
+    # once the chain holds, they are all prefixes of the longest one
+    if f is None:
+        del wit["member-consistency"]
+    else:
+        for i in range(1 if wit["chain"] else s, s + 1):
+            why = _history_consistent(cache, f, zeta.rho(i))
+            if why:
+                violated("consistent", f"history {i}: {why}")
                 break
-    items.append(CheckItem("consistent", ok, wit))
-
-    # progress: no later robber sits inside an earlier omitted set
-    ok, wit = True, ""
-    for i in range(2, s):
-        if d.Rset[i] & d.Ocum[i - 1]:
-            ok, wit = False, f"robbers {_vs(d.Rset[i] & d.Ocum[i - 1])} of history {i} " \
-                             f"inside earlier omitted set"
-            break
-    if ok and R_s and (d.Ocum[s - 1] >> d.b[s]) & 1:
-        ok, wit = False, f"top robber {d.b[s]} inside an omitted set"
-    items.append(CheckItem("progress", ok, wit))
-
-    # diagnostics implied by the invariants
-    if f is not None:
-        ok, wit = True, ""
-        for i in range(1, s):
-            for b in bits(d.Rset[i]):
-                ext = zeta.rho(i).append(CopTurn(d.W[i], 1 << b))
-                good, why = _history_consistent(g, cache, f, ext)
-                if not good:
-                    ok, wit = False, f"robber {b} not consistent with history {i}: {why}"
-                    break
-            if not ok:
-                break
-        items.append(CheckItem("member-consistency", ok, wit))
-
-    ok, wit = True, ""
-    for i in range(1, s):
-        for b in bits(d.Rset[i]):
-            if cache.reach(1 << b, d.W[i]) != cache.reach(1 << b, d.Wcum[i]):
-                ok, wit = False, f"robber {b}: cone under team {i} differs from cone " \
-                                 f"under all earlier teams"
-                break
-        if not ok:
-            break
-    if ok and cache.reach(1 << d.b[s], d.W[s]) != cache.reach(1 << d.b[s], d.Wcum[s]):
-        ok, wit = False, "top robber cone differs under cumulative placements"
-    items.append(CheckItem("team-region", ok, wit))
-
-    ok, wit = True, ""
-    for i in range(1, s):
-        spill = cache.reach(d.Rset[i], d.Ucum[i]) & ~d.Ocum[i]
-        if spill:
-            ok, wit = False, f"robbers of history {i} reach {_vs(spill)} outside omitted sets"
-            break
-    items.append(CheckItem("omitted-absorbs", ok, wit))
-
-    ok, wit = True, ""
-    for i in range(1, s):
-        for b in bits(d.Rset[i]):
-            if cache.reach(1 << b, Um) != cache.reach(1 << b, d.Ucum[i]):
-                ok, wit = False, f"robber {b}: region shrinks under later teams"
-                break
-        if not ok:
-            break
-    items.append(CheckItem("region-unchanged", ok, wit))
-
-    return InvariantReport(items)
+    return InvariantReport(wit)
 
 
-def _raise_on_violation(report: InvariantReport, where: str):
-    bad = report.first_violation()
+def _require_invariants(g: Digraph, pos: CopTurn, zeta: MemoryZeta, f, cache: GraphCache,
+                        where: str):
+    """Raise on the first violated invariant, unless this very memory object
+    already passed them all at `pos` against `f`; each check is used once."""
+    if zeta._checked == (pos.U, pos.R, f):
+        object.__setattr__(zeta, "_checked", None)
+        return
+    bad = check_invariants(g, pos, zeta, f=f, cache=cache).first_violation()
     if bad is not None:
         raise InvariantViolation(bad.name, f"{where}: {bad.witness}")
+    object.__setattr__(zeta, "_checked", (pos.U, pos.R, f))
 
 
 # ---------------------------------------------------------------------------
@@ -363,8 +355,7 @@ def cop_move_multiply(g: Digraph, f: PositionalCopStrategy, pos: CopTurn,
                       zeta: MemoryZeta, cache: Optional[GraphCache] = None):
     """One cop move: returns (announcement, new memory, case tag)."""
     cache = cache or GraphCache(g)
-    _raise_on_violation(check_invariants(g, pos, zeta, f=f, cache=cache),
-                        "on entry to the cop move")
+    _require_invariants(g, pos, zeta, f, cache, "on entry to the cop move")
     d = _derive(zeta)
     s = d.s
     Rm, Um = pos.R, pos.U
@@ -451,12 +442,15 @@ def cop_move_multiply(g: Digraph, f: PositionalCopStrategy, pos: CopTurn,
 
 def robber_update_multiply(g: Digraph, pos_before: CopTurn, Rp: int,
                            zeta: MemoryZeta, snapshot: MemoryZeta,
-                           cache: Optional[GraphCache] = None) -> MemoryZeta:
+                           cache: Optional[GraphCache] = None,
+                           f: Optional[PositionalCopStrategy] = None) -> MemoryZeta:
     """Fold the robbers' move into the memory.
 
     `pos_before` is the cop position from which the last announcement was
     made; `zeta` is the memory right after the cop move; `snapshot` is the
     memory before the cop move, which bounds where robbers may reattach.
+    A memory it makes is checked here, against `f` when given, so the next
+    cop move need not check it again.
     """
     cache = cache or GraphCache(g)
     R = pos_before.R
@@ -516,8 +510,7 @@ def robber_update_multiply(g: Digraph, pos_before: CopTurn, Rp: int,
     else:
         zeta2 = MemoryZeta(new_entries, zeta.rho_s)
 
-    _raise_on_violation(check_invariants(g, CopTurn(Uprime, Rp), zeta2, cache=cache),
-                        "after the robbers' move")
+    _require_invariants(g, CopTurn(Uprime, Rp), zeta2, f, cache, "after the robbers' move")
     return zeta2
 
 
@@ -565,7 +558,7 @@ class MultiplyStrategy(CopStrategy):
     def update(self, memory, newpos: CopTurn):
         zeta, pos, zeta2 = memory
         out = robber_update_multiply(self.g, pos, newpos.R, zeta2, snapshot=zeta,
-                                     cache=self.cache)
+                                     cache=self.cache, f=self.f)
         self._chain_bound_ok(out)
         return out
 
@@ -612,6 +605,7 @@ class AdversarialReport:
     witness: Optional[object]
     states: int
     max_cops: int
+    max_robbers: int
     case_counts: dict
 
 
@@ -622,15 +616,17 @@ def exhaust_prudent_isolating(g: Digraph, strat: MultiplyStrategy,
     Every branch must reach a monotone capture within the budget; any repeat
     of a (memory, cop set, robber set) state would be an infinite play and
     fails.  A failure's witness is its verdict and the path of states from a
-    robber placement to the failing one.
+    robber placement to the failing one.  `max_cops` and `max_robbers` are
+    the most cops announced and robbers held on any explored state.
     """
     cache = strat.cache
-    max_cops = 0
+    max_cops = max_robbers = 0
     cases = {}
 
     def moves(state):
-        nonlocal max_cops
+        nonlocal max_cops, max_robbers
         zeta, U, R = state
+        max_robbers = max(max_robbers, bin(R).count("1"))
         if R == 0:
             return None
         up, mid = strat.announce(zeta, CopTurn(U, R))
@@ -646,7 +642,7 @@ def exhaust_prudent_isolating(g: Digraph, strat: MultiplyStrategy,
     roots = ((strat.init_memory(CopTurn(0, 1 << v)), 0, 1 << v) for v in range(g.n))
     failure, states = explore(roots, moves, effective_budget(budget),
                               "adversarial search", cycle="play never ends")
-    return AdversarialReport(failure is None, failure, states, max_cops, cases)
+    return AdversarialReport(failure is None, failure, states, max_cops, max_robbers, cases)
 
 
 def _vertices(mask: int) -> list:

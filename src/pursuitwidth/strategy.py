@@ -31,9 +31,13 @@ BUDGET_EXCEEDED = "budget_exceeded"
 # Histories
 
 class History:
-    """A legal position sequence starting at the initial dummy position."""
+    """A legal position sequence starting at the initial dummy position.
 
-    __slots__ = ("positions", "_hash")
+    `checked` is None or `(key, n)`: the checker named by `key` passed the
+    first n positions.  `append` hands it on, as a prefix never changes.
+    """
+
+    __slots__ = ("positions", "_hash", "checked")
 
     def __init__(self, positions: Iterable):
         positions = tuple(positions)
@@ -41,12 +45,15 @@ class History:
             positions = (INITIAL,) + positions
         self.positions = positions
         self._hash = hash(positions)
+        self.checked = None
 
     def last(self):
         return self.positions[-1]
 
     def append(self, pos) -> "History":
-        return History(self.positions + (pos,))
+        longer = History(self.positions + (pos,))
+        longer.checked = self.checked
+        return longer
 
     def is_strict_prefix_of(self, other: "History") -> bool:
         return (len(self.positions) < len(other.positions)

@@ -33,6 +33,9 @@ class TestPositions:
             CopTurn(*fields)
         with pytest.raises(TypeError, match="vertex mask"):
             RobberTurn(fields[0], 0, fields[1])
+        bad = next(m for m in fields if type(m) is not int or m < 0)
+        with pytest.raises(TypeError, match="Uprime must be a vertex mask"):
+            RobberTurn(0, bad, 0)
 
     def test_cops_and_robbers_may_not_overlap(self):
         with pytest.raises(ConfigError, match=r"\[1\]"):

@@ -158,6 +158,12 @@ class TestVerifyCommand:
         assert code == EXIT_PASS
         assert rep["params"]["r"] == rs
 
+    def test_thm10_reports_the_most_robbers_the_adversary_held_per_r(self, c3, capsys):
+        # on a cycle the robbers can never split
+        code, rep = run(["verify", "thm10", "--graph", c3, "--r", "2"], capsys)
+        assert code == EXIT_PASS
+        assert rep["results"]["max_robbers"] == {"2": 1}
+
     def test_trace_of_a_splitting_play_writes_memory_entries(self, tmp_path, capsys):
         # two cycles, 0-1-2-4-0 and 0-3-4-0: once cops stand on 0 and 1, the
         # robbers split onto 2 and 3

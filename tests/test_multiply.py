@@ -160,6 +160,16 @@ class TestMultiplied:
         assert rep.max_cops <= 3 * k
         assert set(rep.case_counts) == {"II.2", "II.1a", "II.1b", "II.1c",
                                         "I-empty", "I-nonempty"}
+        assert rep.max_robbers == 3
+
+    @pytest.mark.parametrize("r", [2, 3])
+    def test_the_solvers_own_strategy_meets_at_most_two_robbers(self, r):
+        # measured: with the solver's certificate instead of ALL_CASES_BASE
+        # the adversary never keeps a third robber alive on this graph
+        g = Digraph(6, ALL_CASES_EDGES)
+        rep = exhaust_prudent_isolating(g, multiply_strategy(g, base_strategy(g, 2), r=r))
+        assert rep.ok, rep.witness
+        assert rep.max_robbers == 2
 
     def test_trace_records_and_rechecks(self):
         g = cycle_digraph(3)
@@ -215,6 +225,69 @@ class TestMultiplied:
             assert is_isolating_position(g, pos.Uprime, Rp)
 
 
+def _item(report, name):
+    return next(it for it in report.items if it.name == name)
+
+
+class TestCheckedOnce:
+    """A memory reached on the ALL_CASES_EDGES pursuit, checked by hand: the
+    shortcuts that let a check walk only new history steps must still catch
+    a bad step wherever it sits."""
+
+    def setup_method(self):
+        self.g = Digraph(6, ALL_CASES_EDGES)
+        self.f = multiply_strategy(self.g, ALL_CASES_BASE, r=3).f
+        self.pos = CopTurn(0b101, 0b100010)
+
+    def memory(self, announced=0b10001, Rset=0b100000):
+        # robber 0 is pursued to 2; robber 5 stays behind, robber 1 goes on
+        rho = History((CopTurn(0, 0b1), RobberTurn(0, announced, 0b1),
+                       CopTurn(announced, 0b100), RobberTurn(0b10001, 0b101, 0b100)))
+        return MemoryZeta((HistoryEntry(rho, Rset, 0b100000),),
+                          rho.append(CopTurn(0b101, 0b10)))
+
+    def test_the_hand_built_memory_passes(self):
+        zeta = self.memory()
+        assert check_invariants(self.g, self.pos, zeta, f=self.f).passed
+        assert zeta.rho_s.checked == (self.f, len(zeta.rho_s))
+
+    def test_a_corrupted_earlier_step_at_a_fresh_position_is_caught(self):
+        assert check_invariants(self.g, self.pos, self.memory(), f=self.f).passed
+        # the same memory with the first announcement changed in both
+        # histories: every set the invariants derive stays the same
+        bad = self.memory(announced=0b1001)
+        with pytest.raises(InvariantViolation) as err:
+            cop_move_multiply(self.g, self.f, self.pos, bad)
+        assert err.value.name == "consistent"
+        assert "announcement [0, 3] differs from base move [0, 4]" in err.value.witness
+
+    def test_without_the_chain_every_history_is_walked(self):
+        good, bad = self.memory(), self.memory(announced=0b1001)
+        report = check_invariants(self.g, self.pos, MemoryZeta(bad.entries, good.rho_s),
+                                  f=self.f)
+        assert not _item(report, "chain").passed
+        assert _item(report, "consistent").witness.startswith("history 1: announcement")
+
+    def test_the_appended_step_of_a_checked_history_is_walked(self):
+        zeta = self.memory()
+        assert check_invariants(self.g, self.pos, zeta, f=self.f).passed
+        want = self.f.lookup(0b101, 0b10)
+        for up, ok in ((want, True), (0b1001, False)):
+            longer = MemoryZeta(zeta.entries, zeta.rho_s.append(RobberTurn(0b101, up, 0b10)))
+            assert longer.rho_s.checked == zeta.rho_s.checked
+            report = check_invariants(self.g, self.pos, longer, f=self.f)
+            assert _item(report, "consistent").passed is ok
+
+    def test_an_attached_robber_needs_a_legal_added_step(self):
+        # from 2, with a cop kept on 0 and one landing on 2, a robber can
+        # reach 1 and 5 but not 3
+        report = check_invariants(self.g, CopTurn(0b101, 0b1010), self.memory(Rset=0b1000),
+                                  f=self.f)
+        item = _item(report, "member-consistency")
+        assert not item.passed and "robber move 2->3 illegal" in item.witness
+        assert _item(report, "consistent").passed
+
+
 class Recorded(MultiplyStrategy):
     """Records every reply it folds in: (memory before the cop move, the
     position it was made from, the next position, the memory it reached)."""
@@ -267,6 +340,32 @@ class TestSharedWork:
         _, _, rep = self._recorded_run()
         # every reply is folded into the memory the announcement handed over
         assert moves[0] == rep.states
+
+    def test_each_memory_object_is_checked_at_most_once(self, monkeypatch):
+        checked = []  # keeps every checked memory alive, so no id is reused
+        checked_at = set()
+        check = multiply.check_invariants
+
+        def recorded(g, pos, zeta, f=None, cache=None):
+            checked.append(zeta)
+            checked_at.add((id(zeta), pos, id(f)))
+            return check(g, pos, zeta, f=f, cache=cache)
+        monkeypatch.setattr(multiply, "check_invariants", recorded)
+        move = multiply.cop_move_multiply
+        moves = []
+
+        def passed_before(g, f, pos, zeta, cache=None):
+            out = move(g, f, pos, zeta, cache=cache)
+            # the cop move starts from a memory checked at this position against f
+            assert (id(zeta), pos, id(f)) in checked_at
+            moves.append(zeta)
+            return out
+        monkeypatch.setattr(multiply, "cop_move_multiply", passed_before)
+        g = Digraph(6, ALL_CASES_EDGES)
+        rep = exhaust_prudent_isolating(g, multiply_strategy(g, ALL_CASES_BASE, r=3))
+        assert rep.ok, rep.witness
+        assert len(moves) == rep.states
+        assert len({id(zeta) for zeta in checked}) == len(checked)
 
     def test_update_with_and_without_announce_agree_on_every_line(self):
         # a twin replays each recorded (memory, position) with a move of its
