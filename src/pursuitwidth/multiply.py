@@ -208,15 +208,16 @@ def _step_consistent(cache: GraphCache, f: PositionalCopStrategy, a, b) -> str:
     return ""
 
 
-def _history_consistent(cache: GraphCache, f: PositionalCopStrategy, rho: History) -> str:
+def _history_consistent(cache: GraphCache, f: PositionalCopStrategy, rho: History, done) -> str:
     """Why the history is not a legal play whose cop moves all follow f ("" if it is).
 
-    Only the steps after the prefix that already passed against f are walked,
-    and a passing history records that it did.
+    Only the steps after its first `done` positions, and after the prefix that
+    already passed against f, are walked; a passing history records that it did.
     """
     positions = rho.positions
-    key, done = rho.checked or (None, 0)
-    if key is not f:
+    key, n = rho.checked or (None, 0)
+    done = max(done, n if key is f else 0)
+    if done < 2:
         if len(positions) < 2:
             return "history has no placement"
         if not isinstance(positions[1], CopTurn) or positions[1].U:
@@ -242,9 +243,9 @@ def check_invariants(g: Digraph, pos: CopTurn, zeta: MemoryZeta,
     update code computed.  One pass over the entries evaluates every
     condition, and each invariant reports its first violation.  With `f`,
     `consistent` walks each history only past the prefix that already passed
-    against f (`History.checked`), and once the chain holds only the longest
-    history, which the others prefix; `member-consistency` checks the one
-    step each attached robber adds.
+    against f (`History.checked`) and, once the chain holds, past the history
+    before it, so a shared bad step is named by the first history holding it;
+    `member-consistency` checks the one step each attached robber adds.
     """
     cache = cache or GraphCache(g)
     reach = cache.reach
@@ -289,10 +290,11 @@ def check_invariants(g: Digraph, pos: CopTurn, zeta: MemoryZeta,
                                         f"omitted sets")
         last = zeta.rho(i).last()
         for b in bits(R_i):
-            # member-consistency: the robber extends its history by a legal
-            # move; team-region and region-unchanged: its cone is the same
-            # under its own team, all earlier teams and all teams
-            why = f is not None and _step_consistent(cache, f, last, CopTurn(W_i, 1 << b))
+            # member-consistency: the robber extends its history by a legal move (on a
+            # cop of its team it breaks partition, cover or progress); team-region and
+            # region-unchanged: its cone is the same under its team, earlier teams, all teams
+            step = f is not None and not (W_i >> b) & 1
+            why = step and _step_consistent(cache, f, last, CopTurn(W_i, 1 << b))
             if why:
                 violated("member-consistency",
                          f"robber {b} not consistent with history {i}: {why}")
@@ -314,20 +316,20 @@ def check_invariants(g: Digraph, pos: CopTurn, zeta: MemoryZeta,
     if R_s and not d.ends_cop[s]:
         violated("anchor", "top history does not end in a cop position")
     # consistent: every stored history is a legal play of the base strategy;
-    # once the chain holds, they are all prefixes of the longest one
+    # once the chain holds, each history walks only past the one before it
     if f is None:
         del wit["member-consistency"]
     else:
-        for i in range(1 if wit["chain"] else s, s + 1):
-            why = _history_consistent(cache, f, zeta.rho(i))
-            if why:
+        done = 0
+        for i in range(1, s + 1):
+            if why := _history_consistent(cache, f, zeta.rho(i), done):
                 violated("consistent", f"history {i}: {why}")
                 break
+            done = 0 if wit["chain"] else len(zeta.rho(i).positions)
     return InvariantReport(wit)
 
 
-def _require_invariants(g: Digraph, pos: CopTurn, zeta: MemoryZeta, f, cache: GraphCache,
-                        where: str):
+def _require_invariants(g, pos: CopTurn, zeta: MemoryZeta, f, cache: GraphCache, where: str):
     """Raise on the first violated invariant, unless this very memory object
     already passed them all at `pos` against `f`; each check is used once."""
     if zeta._checked == (pos.U, pos.R, f):
@@ -440,17 +442,16 @@ def cop_move_multiply(g: Digraph, f: PositionalCopStrategy, pos: CopTurn,
     return Uprime, zeta2, tag
 
 
-def robber_update_multiply(g: Digraph, pos_before: CopTurn, Rp: int,
-                           zeta: MemoryZeta, snapshot: MemoryZeta,
-                           cache: Optional[GraphCache] = None,
-                           f: Optional[PositionalCopStrategy] = None) -> MemoryZeta:
+def robber_update_multiply(g: Digraph, f: PositionalCopStrategy, pos_before: CopTurn,
+                           Rp: int, zeta: MemoryZeta, snapshot: MemoryZeta,
+                           cache: Optional[GraphCache] = None) -> MemoryZeta:
     """Fold the robbers' move into the memory.
 
     `pos_before` is the cop position from which the last announcement was
     made; `zeta` is the memory right after the cop move; `snapshot` is the
     memory before the cop move, which bounds where robbers may reattach.
-    A memory it makes is checked here, against `f` when given, so the next
-    cop move need not check it again.
+    A memory it makes is checked here against the base strategy `f`, so the
+    next cop move need not check it again.
     """
     cache = cache or GraphCache(g)
     R = pos_before.R
@@ -557,8 +558,8 @@ class MultiplyStrategy(CopStrategy):
 
     def update(self, memory, newpos: CopTurn):
         zeta, pos, zeta2 = memory
-        out = robber_update_multiply(self.g, pos, newpos.R, zeta2, snapshot=zeta,
-                                     cache=self.cache, f=self.f)
+        out = robber_update_multiply(self.g, self.f, pos, newpos.R, zeta2, snapshot=zeta,
+                                     cache=self.cache)
         self._chain_bound_ok(out)
         return out
 

@@ -104,7 +104,8 @@ class TestRobberUpdate:
     def test_stay_after_idle_announcement_keeps_memory(self):
         g = cycle_digraph(3)
         zeta = init_memory(g, 0b1)
-        out = robber_update_multiply(g, CopTurn(0, 0b1), 0b1, zeta, snapshot=zeta)
+        out = robber_update_multiply(g, base_strategy(g, 2), CopTurn(0, 0b1), 0b1, zeta,
+                                     snapshot=zeta)
         assert out == zeta
 
     def test_illegal_move_rejected(self):
@@ -116,7 +117,7 @@ class TestRobberUpdate:
         bad = g.full_mask & ~up & ~0b1
         imprudent = bad & -bad
         with pytest.raises(AdversaryContractError):
-            robber_update_multiply(g, pos, 0b1 | imprudent, zmid, snapshot=zeta)
+            robber_update_multiply(g, f, pos, 0b1 | imprudent, zmid, snapshot=zeta)
 
     def test_derived_sets_cover_announcement(self):
         g = cycle_digraph(3)
@@ -259,14 +260,36 @@ class TestCheckedOnce:
         with pytest.raises(InvariantViolation) as err:
             cop_move_multiply(self.g, self.f, self.pos, bad)
         assert err.value.name == "consistent"
-        assert "announcement [0, 3] differs from base move [0, 4]" in err.value.witness
+        # named by the first history that holds the bad step, as when every
+        # history was walked from its start
+        assert err.value.witness.endswith(
+            ": history 1: announcement [0, 3] differs from base move [0, 4]")
 
-    def test_without_the_chain_every_history_is_walked(self):
+    @pytest.mark.parametrize("bad_history", [1, 2])
+    def test_without_the_chain_every_history_is_walked(self, bad_history):
         good, bad = self.memory(), self.memory(announced=0b1001)
-        report = check_invariants(self.g, self.pos, MemoryZeta(bad.entries, good.rho_s),
-                                  f=self.f)
+        entries, top = (bad.entries, good.rho_s) if bad_history == 1 else (good.entries,
+                                                                            bad.rho_s)
+        report = check_invariants(self.g, self.pos, MemoryZeta(entries, top), f=self.f)
         assert not _item(report, "chain").passed
-        assert _item(report, "consistent").witness.startswith("history 1: announcement")
+        assert _item(report, "consistent").witness.startswith(
+            f"history {bad_history}: announcement")
+
+    def test_a_check_against_one_strategy_does_not_pass_another(self):
+        zeta = self.memory()
+        cop_move_multiply(self.g, self.f, self.pos, zeta)
+        other = PositionalCopStrategy.from_masks({**self.f.mapping, (0, 0b1): 0b1001})
+        with pytest.raises(InvariantViolation) as err:
+            cop_move_multiply(self.g, other, self.pos, zeta)
+        assert err.value.witness.endswith(
+            ": history 1: announcement [0, 4] differs from base move [0, 3]")
+
+    def test_a_check_at_one_position_does_not_pass_another(self):
+        zeta = self.memory()
+        cop_move_multiply(self.g, self.f, self.pos, zeta)
+        with pytest.raises(InvariantViolation) as err:
+            cop_move_multiply(self.g, self.f, CopTurn(0b101, 0b1010), zeta)
+        assert err.value.name == "partition"
 
     def test_the_appended_step_of_a_checked_history_is_walked(self):
         zeta = self.memory()
@@ -286,6 +309,12 @@ class TestCheckedOnce:
         item = _item(report, "member-consistency")
         assert not item.passed and "robber move 2->3 illegal" in item.witness
         assert _item(report, "consistent").passed
+
+    def test_an_attached_robber_on_a_cop_of_its_team_is_reported(self):
+        # robber 0 attached to history 1, whose team holds 0: no robber
+        # position can be built for its step, and partition names it
+        report = check_invariants(self.g, self.pos, self.memory(Rset=0b100001), f=self.f)
+        assert report.first_violation().name == "partition"
 
 
 class Recorded(MultiplyStrategy):
