@@ -14,16 +14,19 @@ cops, region) it evaluates the game locally, depth first from the initial
 classes: a class is won at its first candidate announcement whose robber
 turn leads only into won classes, and that announcement is its certificate.
 Every non-idle announcement shrinks the region, so the classes form a DAG
-and no fixpoint is needed.  No reachability memo is kept: a region is closed
-under successors outside its cop set, so no candidate needs a search, and
-the paths of a robber turn that avoid the announced cops stay inside its
-escape set, so its regions are searched for there, not in the whole graph.
+and no fixpoint is needed.  A region is closed under successors outside its
+cop set, so no candidate needs a search, and the paths of a robber turn
+that avoid the announced cops stay inside its escape set, so its regions
+are searched for there, not in the whole graph.
 
-The move rule and the robber normal forms live in `GraphCache` alone.  Three
-places restate the rule on purpose: the solver's pruned class game, which
-the validators check; the multiplier's checker, which evaluates every
-reachability condition itself; and `validate_invisible_schedule`, which
-plays the invisible game.
+The move rule and the robber normal forms live in `GraphCache` alone, and
+every region and component it answers comes from its reach memo: the region
+of v avoiding U is `reach(1 << v, U)`, and v's strongly connected component
+one backward search inside that region.  No whole-graph region table is
+built.  Three places restate the rule on purpose: the solver's pruned class
+game, which the validators check; the multiplier's checker, which evaluates
+every reachability condition itself; and `validate_invisible_schedule`,
+which plays the invisible game.
 """
 from __future__ import annotations
 
@@ -35,7 +38,7 @@ from operator import or_
 from typing import Iterable, Optional
 
 from .digraph import (Digraph, _check_vertices, bits, out_of, reach_mask,
-                      region_table, set_from, symmetric_closure)
+                      set_from, symmetric_closure)
 from .errors import ConfigError, PreconditionError, ResourceError
 
 DEFAULT_POSITION_BUDGET = 10_000_000
@@ -142,14 +145,13 @@ class SolveResult:
 # Shared per-graph caches
 
 class GraphCache:
-    """The visible game's move rule, on reach and region caches reused
+    """The visible game's move rule, on reach and border caches reused
     across solves on one graph."""
 
     def __init__(self, g: Digraph):
         self.n = g.n
-        self.out = g.out_masks
+        self.out, self.inn = g.out_masks, g.in_masks
         self._reach = {}
-        self._under = {}
         self._border = {}
 
     def reach(self, sources: int, blocked: int) -> int:
@@ -160,6 +162,11 @@ class GraphCache:
             self._reach[key] = got
         return got
 
+    def component(self, U: int, v: int) -> int:
+        """The strongly connected component of v in the graph minus U: the
+        vertices of v's region that reach v back (0 when v is in U)."""
+        return reach_mask(self.inn, 1 << v, ~self.reach(1 << v, U))
+
     def robber_turn(self, U: int, up: int, R: int):
         """Cops at U announce up; robbers at R run along paths that avoid the
         kept cops U & up.  Returns (abandoned, escapes): the released cops they
@@ -169,8 +176,7 @@ class GraphCache:
 
     def is_isolating(self, U: int, R: int) -> bool:
         """No robber of R can reach another once the cops U stand."""
-        region, _ = self.under(U)
-        return not any(region[v] & (R & ~(1 << v)) for v in bits(R))
+        return not any(self.reach(1 << v, U) & R & ~(1 << v) for v in bits(R))
 
     def is_prudent(self, R: int, up: int, Rp: int) -> bool:
         """Robbers move from R to Rp only onto vertices that up cuts off from R."""
@@ -183,14 +189,6 @@ class GraphCache:
         if border is None:
             border = self._border[reg] = out_of(self.out, reg)
         return U & border, reg
-
-    def under(self, blocked: int):
-        """(region, comp) vertex arrays for the subgraph avoiding `blocked`."""
-        got = self._under.get(blocked)
-        if got is None:
-            got = region_table(self.out, self.n, blocked)
-            self._under[blocked] = got
-        return got
 
 
 def subset_masks(mask: int, sizes):
@@ -265,7 +263,7 @@ def announcement_masks(cache: GraphCache, cfg: SearchConfig, U: int, R: int):
     if not cfg.restrict_to_scc:
         yield from subset_masks((1 << cache.n) - 1, range(cfg.k, -1, -1))
         return
-    comp = cache.under(U)[1][R.bit_length() - 1]
+    comp = cache.component(U, R.bit_length() - 1)
     for B in subset_masks(U, range(cfg.k, -1, -1)):
         for X in subset_masks(comp, range(cfg.k - bin(B).count("1"), -1, -1)):
             yield B | X
@@ -313,13 +311,13 @@ class _SearchSolver:
         self.r = cfg.r
         self.restricted = cfg.restrict_to_scc
         self.cache = cache or GraphCache(g)
-        self.out, self.inn = g.out_masks, g.in_masks
+        self.out, self.inn, self.full = g.out_masks, g.in_masks, g.full_mask
         self.budget = budget
         self.turns = {}  # robber turn (Up, escapes) -> whether the cops win it
 
     def _initial_classes(self):
-        region, _ = self.cache.under(0)
-        return [(0, u) for u in sorted(_region_unions(sorted(set(region)), self.r))]
+        regions = self._escape_regions(0, self.full)
+        return [(0, u) for u in sorted(_region_unions(regions, self.r))]
 
     def _candidates(self, U: int, reg: int):
         """Yield (announcement, escape set) pairs, aggressive placements first.
@@ -330,9 +328,9 @@ class _SearchSolver:
         """
         # the pruned class rule, apart from GraphCache: the validators check it
         allowed = reg
-        if self.restricted:  # new cops only in the robber's component
-            region, comp = self.cache.under(U)
-            allowed = next(comp[v] for v in bits(reg) if region[v] == reg)
+        if self.restricted:  # new cops only in the component of reg's root
+            root = next(v for v in bits(reg) if self.cache.reach(1 << v, U) == reg)
+            allowed = self.cache.component(U, root)
         room = self.k - bin(U).count("1")  # below 0 no subset is yielded
         for X in subset_masks(allowed, range(room, -1, -1)):
             yield U | X, reg & ~X

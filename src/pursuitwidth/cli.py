@@ -98,6 +98,8 @@ def _graph_from_key(key) -> Digraph:
 
 def small_corpus(nmax: int = 4):
     """Every strongly connected digraph up to isomorphism, n = 1..nmax."""
+    if nmax < 0:
+        raise InputError(f"nmax must be nonnegative, not {nmax}")
     out = []
     for n in range(1, nmax + 1):
         for i, g in enumerate(families.enumerate_strongly_connected(n)):
@@ -106,6 +108,8 @@ def small_corpus(nmax: int = 4):
 
 
 def random_corpus(n: int = 5, count: int = 200, seed: int = DEFAULT_SEED):
+    if count < 0:
+        raise InputError(f"the number of random samples must be nonnegative, not {count}")
     rng = random.Random(seed)
     out = []
     for i in range(count):

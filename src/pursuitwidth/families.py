@@ -108,6 +108,8 @@ def cycle_digraph(n: int) -> Digraph:
 
 
 def random_digraph(n: int, p: float, seed) -> Digraph:
+    if not 0 <= p <= 1:
+        raise InputError(f"the edge probability p must lie in [0, 1], not {p}")
     rng = seed if isinstance(seed, random.Random) else random.Random(seed)
     edges = [(u, v) for u in range(n) for v in range(n)
              if u != v and rng.random() < p]

@@ -406,31 +406,20 @@ def validate_robber_strategy(g: Digraph, cfg: SearchConfig, strat: RobberStrateg
 # ---------------------------------------------------------------------------
 # Robber normal forms
 
-def _member_components(cache: GraphCache, up: int, R: int):
-    """Distinct SCCs of the robber vertices in the cop-deleted graph."""
-    region, comp = cache.under(up)
-    comps = {}
-    for v in bits(R):
-        comps.setdefault(comp[v], []).append(v)
-    return region, comps
-
-
 def antichain_reps(cache: GraphCache, up: int, R: int) -> int:
-    """One smallest member per source component of R; pairwise unreachable.
+    """One smallest member per source component of R, which avoids up;
+    pairwise unreachable.
 
-    The chosen components are the ones no other member component reaches, so
-    together they reach everything R reaches.
+    A member is kept iff every other member that reaches it is reached back
+    and is larger: it is the smallest of its strongly connected component,
+    and no member of another component reaches it.  So together the kept
+    members reach everything R reaches.
     """
-    if R == 0:
-        return 0
-    region, comps = _member_components(cache, up, R)
-    keys = sorted(comps)
+    regions = [(v, cache.reach(1 << v, up)) for v in bits(R)]
     out = 0
-    for cm in keys:
-        reachable_from_other = any(cm & region[comps[other][0]]
-                                   for other in keys if other != cm)
-        if not reachable_from_other:
-            out |= 1 << min(comps[cm])
+    for v, rv in regions:
+        if all(w > v and rv >> w & 1 for w, rw in regions if w != v and rw >> v & 1):
+            out |= 1 << v
     return out
 
 
@@ -491,17 +480,9 @@ class PrudentRobberStrategy(_MirrorRobberStrategy):
         up = pos.Uprime
         cur = pos.R
         stay = cur & ~up
-        region, comps = _member_components(cache, up, Rp)
         chosen = 0
-        keys = sorted(comps)
-        for cm in keys:
-            if any(cm & region[comps[o][0]] for o in keys if o != cm):
-                continue  # a non-source component stays covered through its source
-            coverer = next((s for s in sorted(bits(stay)) if region[s] & cm), None)
-            if coverer is not None:
-                chosen |= 1 << coverer
-            else:
-                chosen |= 1 << min(comps[cm])
+        for v in bits(antichain_reps(cache, up, Rp)):  # a source component's least member
+            chosen |= 1 << next((s for s in bits(stay) if cache.reach(1 << s, up) >> v & 1), v)
         picked = antichain_reps(cache, up, chosen)
         if not cache.is_prudent(cur, up, picked):
             raise InvariantViolation("prudence", f"fresh robbers {list(bits(picked & ~cur))} "

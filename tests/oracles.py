@@ -58,6 +58,21 @@ def is_prudent(g, R, Up, Rp):
     return not ((Rp - R) & reach_by_path_enumeration(g, Up, R))
 
 
+def component(g, U, v):
+    """The vertices that v reaches and that reach v back along paths that
+    avoid U: v's strongly connected component in g - U (empty if v is in U)."""
+    return frozenset(w for w in reach_by_path_enumeration(g, U, {v})
+                     if v in reach_by_path_enumeration(g, U, {w}))
+
+
+def antichain_reps(g, U, R):
+    """The smallest member of each source component of R in g - U: of each
+    class of mutually reachable members that no other member reaches."""
+    reaches = {v: reach_by_path_enumeration(g, U, {v}) for v in R}
+    classes = {frozenset(w for w in R if w in reaches[v] and v in reaches[w]) for v in R}
+    return frozenset(min(c) for c in classes if not any(reaches[w] & c for w in R - c))
+
+
 def sccs_by_closure(g):
     """SCC partition via pairwise mutual reachability on the closure."""
     n = g.n

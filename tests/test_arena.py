@@ -1,3 +1,5 @@
+import itertools
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -10,8 +12,8 @@ from pursuitwidth.digraph import Digraph, bits, out_of, reach_mask, region_table
 from pursuitwidth.errors import ConfigError, InputError, ResourceError
 from pursuitwidth.families import (cycle_digraph, gen_grk, random_digraph,
                                    tree_T, two_tree_graph)
-from pursuitwidth.strategy import (is_isolating_position, is_prudent_move,
-                                   validate_cop_strategy,
+from pursuitwidth.strategy import (antichain_reps, is_isolating_position,
+                                   is_prudent_move, validate_cop_strategy,
                                    validate_robber_strategy)
 
 import oracles
@@ -225,6 +227,40 @@ class TestMoveRule:
                     want = oracles.is_prudent(g, _vset(R), _vset(up), _vset(Rp))
                     assert cache.is_prudent(R, up, Rp) == want, (name, R, up, Rp)
                     assert is_prudent_move(g, up, R, Rp) == want, (name, R, up, Rp)
+
+    @pytest.mark.parametrize("name,g", MOVE_RULE_CORPUS, ids=[n for n, _ in MOVE_RULE_CORPUS])
+    def test_components_match_the_definition(self, name, g):
+        cache = GraphCache(g)
+        for U in range(1 << g.n):
+            for v in range(g.n):
+                assert _vset(cache.component(U, v)) == oracles.component(g, _vset(U), v), \
+                    (name, U, v)
+
+    @pytest.mark.parametrize("name,g", MOVE_RULE_CORPUS, ids=[n for n, _ in MOVE_RULE_CORPUS])
+    def test_antichain_reps_match_the_definition(self, name, g):
+        cache = GraphCache(g)
+        for U in range(1 << g.n):
+            for R in range(1 << g.n):
+                if not U & R:
+                    want = oracles.antichain_reps(g, _vset(U), _vset(R))
+                    assert _vset(antichain_reps(cache, U, R)) == want, (name, U, R)
+
+    @pytest.mark.parametrize("name,g", MOVE_RULE_CORPUS, ids=[n for n, _ in MOVE_RULE_CORPUS])
+    def test_restricted_announcements_match_the_definition(self, name, g):
+        """Standing cops anywhere, new ones in the robber's component: each
+        set of at most k such vertices, once."""
+        cache = GraphCache(g)
+        for U in range(1 << g.n):
+            for v in range(g.n):
+                if U >> v & 1:
+                    continue
+                allowed = _vset(U) | oracles.component(g, _vset(U), v)
+                for k in range(g.n + 1):
+                    cfg = SearchConfig(k=k, restrict_to_scc=True)
+                    got = [_vset(m) for m in announcement_masks(cache, cfg, U, 1 << v)]
+                    want = {frozenset(c) for t in range(k + 1)
+                            for c in itertools.combinations(sorted(allowed), t)}
+                    assert len(got) == len(want) and set(got) == want, (name, U, v, k)
 
 
 def _solver_corpus():

@@ -316,6 +316,20 @@ class TestExitCodes:
         assert code == EXIT_INPUT_ERROR and rep["kind"] == "input"
         assert "does not read --" in rep["error"]
 
+    @pytest.mark.parametrize("argv,named", [
+        (["verify", "hierarchy", "--nmax", "-1", "--samples", "3"], "-1"),
+        (["verify", "thm10", "--nmax", "2", "--samples", "-5"], "-5"),
+        (["verify", "lemma9", "--nmax", "-2"], "-2"),
+        (["generate", "random", "--n", "3", "--p", "-1"], "-1"),
+        (["generate", "random", "--n", "3", "--p", "1.5"], "1.5"),
+        (["generate", "random", "--n", "3", "--p", "nan"], "nan"),
+    ], ids=["hierarchy-nmax", "thm10-samples", "lemma9-nmax", "p-negative", "p-above-one",
+            "p-nan"])
+    def test_a_size_or_probability_out_of_range_is_input_error(self, argv, named, capsys):
+        code, rep = run(argv, capsys)
+        assert code == EXIT_INPUT_ERROR and rep["kind"] == "input"
+        assert named in rep["error"]
+
     def test_negative_budget_is_input_error(self, c3, capsys):
         code, rep = run(["width", c3, "--budget", "-5"], capsys)
         assert code == EXIT_INPUT_ERROR and rep["kind"] == "input"

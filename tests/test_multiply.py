@@ -230,6 +230,29 @@ def _item(report, name):
     return next(it for it in report.items if it.name == name)
 
 
+# one memory per invariant that only a hand-built memory breaks: the
+# invariant, the cop position (None: TestCheckedOnce's), the changes to
+# TestCheckedOnce.memory and the witness
+BROKEN_MEMORIES = [
+    # the cops stand on 0 alone, not on the teams' 0 and 2
+    ("cover", CopTurn(0b1, 0b100000), {}, "teams {0,2} != cops {0}"),
+    # the top history ends at the robbers' turn, with robber 1 on the graph
+    ("anchor", None, {"tail": (CopTurn(0b101, 0b10), RobberTurn(0b101, 0b1, 0b10))},
+     "top history does not end in a cop position"),
+    # 0 is outside the cone of history 1's robber 2 under the cops 0 and 4
+    ("omit-bounded", None, {"Oset": 0b100001}, "omitted set 1 leaves the cone at {0}"),
+    ("progress", None, {"Oset": 0b100010}, "top robber 1 inside an omitted set"),
+    # the top history places no cop, while history 1's cop on 0 blocks robber 1
+    ("team-region", None, {"tail": (CopTurn(0, 0b10),)},
+     "top robber cone differs under cumulative placements"),
+    ("omitted-absorbs", None, {"Oset": 0},
+     "robbers of history 1 reach {5} outside omitted sets"),
+    # no cop stands, so robber 5 reaches past its team's cops
+    ("region-unchanged", CopTurn(0, 0b100000), {},
+     "robber 5: region shrinks under later teams"),
+]
+
+
 class TestCheckedOnce:
     """A memory reached on the ALL_CASES_EDGES pursuit, checked by hand: the
     shortcuts that let a check walk only new history steps must still catch
@@ -240,12 +263,12 @@ class TestCheckedOnce:
         self.f = multiply_strategy(self.g, ALL_CASES_BASE, r=3).f
         self.pos = CopTurn(0b101, 0b100010)
 
-    def memory(self, announced=0b10001, Rset=0b100000):
+    def memory(self, announced=0b10001, Rset=0b100000, Oset=0b100000,
+               tail=(CopTurn(0b101, 0b10),)):
         # robber 0 is pursued to 2; robber 5 stays behind, robber 1 goes on
         rho = History((CopTurn(0, 0b1), RobberTurn(0, announced, 0b1),
                        CopTurn(announced, 0b100), RobberTurn(0b10001, 0b101, 0b100)))
-        return MemoryZeta((HistoryEntry(rho, Rset, 0b100000),),
-                          rho.append(CopTurn(0b101, 0b10)))
+        return MemoryZeta((HistoryEntry(rho, Rset, Oset),), History(rho.positions + tail))
 
     def test_the_hand_built_memory_passes(self):
         zeta = self.memory()
@@ -309,6 +332,30 @@ class TestCheckedOnce:
         item = _item(report, "member-consistency")
         assert not item.passed and "robber move 2->3 illegal" in item.witness
         assert _item(report, "consistent").passed
+
+    @pytest.mark.parametrize("name,pos,changes,witness", BROKEN_MEMORIES,
+                             ids=[case[0] for case in BROKEN_MEMORIES])
+    def test_each_invariant_fires_on_a_memory_that_breaks_it(self, name, pos, changes, witness):
+        report = check_invariants(self.g, pos or self.pos, self.memory(**changes), f=self.f)
+        assert _item(report, name).witness == witness
+
+    @pytest.mark.parametrize("tail,witness", [
+        # the robbers' turn after the top cop position holds another robber
+        ((CopTurn(0b101, 0b10), RobberTurn(0b101, 0b11, 0b100000)),
+         "RobberTurn(U=[0, 2], U'=[0, 1], R=[5]) does not follow CopTurn(U=[0, 2], R=[1])"),
+        # the cop position after the robbers' turn lost the announced cops
+        ((CopTurn(0, 0b10),),
+         "CopTurn(U=[], R=[1]) does not follow RobberTurn(U=[0, 4], U'=[0, 2], R=[2])"),
+    ], ids=["after-a-cop-turn", "after-a-robber-turn"])
+    def test_a_step_that_does_not_follow_is_named(self, tail, witness):
+        report = check_invariants(self.g, self.pos, self.memory(tail=tail), f=self.f)
+        assert _item(report, "consistent").witness == f"history 2: {witness}"
+
+    def test_a_first_placement_with_cops_is_named(self):
+        zeta = MemoryZeta((), History((CopTurn(0b1, 0b10),)))
+        report = check_invariants(self.g, CopTurn(0b1, 0b10), zeta, f=self.f)
+        assert _item(report, "consistent").witness == (
+            "history 1: first placement must have no cops, got CopTurn(U=[0], R=[1])")
 
     def test_an_attached_robber_on_a_cop_of_its_team_is_reported(self):
         # robber 0 attached to history 1, whose team holds 0: no robber
