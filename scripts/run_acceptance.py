@@ -4,9 +4,7 @@ import argparse
 import sys
 import time
 
-from pursuitwidth.cli import (DEFAULT_SEED, suite_hierarchy, suite_lemma2,
-                              suite_lemma9, suite_lemmas58, suite_thm7,
-                              suite_thm10, suite_thm25)
+from pursuitwidth.cli import DEFAULT_SEED, SUITE_OPTIONS, SUITES
 
 
 def main():
@@ -15,26 +13,17 @@ def main():
     ap.add_argument("--jobs", type=int, default=1)
     args = ap.parse_args()
 
-    runs = [
-        ("hierarchy", lambda: suite_hierarchy(seed=args.seed, jobs=args.jobs)),
-        ("thm10", lambda: suite_thm10(seed=args.seed, jobs=args.jobs)),
-        ("lemma9", lambda: suite_lemma9(jobs=args.jobs)),
-        ("lemmas58", lambda: suite_lemmas58(jobs=args.jobs)),
-        ("thm7", lambda: suite_thm7(n=2)),
-        ("thm25", lambda: suite_thm25()),
-        ("lemma2", lambda: suite_lemma2(seed=args.seed, jobs=args.jobs)),
-    ]
     all_ok = True
     print(f"{'suite':<10} {'verdict':<8} {'seconds':>8}  checks")
-    for name, fn in runs:
+    for name, suite in SUITES.items():
+        seed = {"seed": args.seed} if "seed" in SUITE_OPTIONS[name] else {}
         t0 = time.time()
-        rep = fn()
+        rep = suite(jobs=args.jobs, **seed)
         dt = time.time() - t0
-        ok = rep.passed
-        all_ok &= ok
+        all_ok &= rep.passed
         detail = ", ".join(f"{c.name}={'ok' if c.passed else 'FAIL'}"
                            for c in rep.checks)
-        print(f"{name:<10} {'PASS' if ok else 'FAIL':<8} {dt:>8.1f}  {detail}")
+        print(f"{name:<10} {'PASS' if rep.passed else 'FAIL':<8} {dt:>8.1f}  {detail}")
     return 0 if all_ok else 1
 
 

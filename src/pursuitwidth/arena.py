@@ -254,11 +254,14 @@ def explore(roots, moves, limit: int, what: str, cycle: Optional[str] = None):
 # Move relations (exhaustive; the solver uses a pruned equivalent internally)
 
 def announcement_masks(cache: GraphCache, cfg: SearchConfig, U: int, R: int):
-    """Every announcement from cop set U against robbers R, as masks, largest first.
+    """Every announcement from cop set U against robbers R, as masks.
 
-    Unrestricted: any set of at most k vertices.  SCC-restricted: standing
-    cops may stay anywhere, but newly placed cops must land inside the
-    robber's current strongly connected component of the cop-deleted graph.
+    Unrestricted: any set of at most k vertices, largest first.
+    SCC-restricted: standing cops may stay anywhere, but newly placed cops
+    must land inside the robber's current strongly connected component of
+    the cop-deleted graph.  These come by the standing cops kept, most
+    first, and for each kept set by the new cops, most first, so sizes can
+    rise again (2, 1, 2 on the bidirected 4-cycle with U = {0} and k = 2).
     """
     if not cfg.restrict_to_scc:
         yield from subset_masks((1 << cache.n) - 1, range(cfg.k, -1, -1))

@@ -15,7 +15,7 @@ from . import families, parity
 from .arena import (ROBBERS, SearchConfig, solve_invisible, solve_search,
                     validate_invisible_schedule, width)
 from .digraph import (Digraph, emit_dot, emit_edge_list,
-                      is_strongly_connected, parse_edge_list)
+                      is_strongly_connected, parse_edge_list, reach_excluding)
 from .errors import (AdversaryContractError, ConfigError, InputError,
                      InvariantViolation, PreconditionError, ResourceError,
                      StrategyHoleError)
@@ -84,15 +84,6 @@ def _load_graph(path: str) -> tuple:
     return parse_edge_list(text), _digest(text)
 
 
-def _edges_key(g: Digraph):
-    return (g.n, tuple(sorted(g.edges)))
-
-
-def _graph_from_key(key) -> Digraph:
-    n, edges = key
-    return Digraph(n, edges)
-
-
 # ---------------------------------------------------------------------------
 # Corpora
 
@@ -132,17 +123,30 @@ def _run_tasks(fn, tasks, jobs: int):
     return [fn(t) for t in tasks]
 
 
+def _tally(rep: Report, names, key: str, ids, records):
+    """Append one check per name of `names`, in that order.  `records[i]`
+    lists the (check name, detail) pairs instance `ids[i]` failed; a check's
+    witness lists its failing instances, each as its id (detail None) or as
+    `{key: id, **detail}`."""
+    bad = {name: [] for name in names}
+    for i, failures in zip(ids, records):
+        for name, detail in failures:
+            bad[name].append(i if detail is None else {key: i, **detail})
+    rep.checks += [Check(name, not b, b or None) for name, b in bad.items()]
+
+
 # ---------------------------------------------------------------------------
 # Suites (one per acceptance battery; lemma2 also carries the pipeline
-# checks and thm10 also carries the symmetric-closure bound)
+# checks and thm10 also carries the symmetric-closure bound).  A task checks
+# one instance and returns the checks it failed as (name, detail) pairs.
 
 def _hierarchy_task(args):
-    key, budget = args
-    g = _graph_from_key(key)
+    g, budget = args
     chain = [width(g, "dw_r", r=r, budget=budget) for r in range(1, g.n + 1)]
     dpw = width(g, "dpw", budget=budget)
-    ok = all(chain[i] <= chain[i + 1] for i in range(len(chain) - 1)) and chain[-1] == dpw
-    return ok, chain, dpw
+    if all(chain[i] <= chain[i + 1] for i in range(len(chain) - 1)) and chain[-1] == dpw:
+        return []
+    return [("chain-monotone-and-top-equals-invisible", {"chain": chain, "dpw": dpw})]
 
 
 def suite_hierarchy(nmax: int = 4, samples: int = 200, seed: int = DEFAULT_SEED,
@@ -151,36 +155,38 @@ def suite_hierarchy(nmax: int = 4, samples: int = 200, seed: int = DEFAULT_SEED,
                  params={"nmax": nmax, "samples": samples, "seed": seed})
     corpus = small_corpus(nmax) + random_corpus(5, samples, seed)
     _require_instances(len(corpus), "hierarchy", "graph")
-    results = _run_tasks(_hierarchy_task,
-                         [(_edges_key(g), budget) for (_, g) in corpus], jobs)
-    bad = []
-    for (name, _g), (ok, chain, dpw) in zip(corpus, results):
-        if not ok:
-            bad.append({"graph": name, "chain": chain, "dpw": dpw})
+    results = _run_tasks(_hierarchy_task, [(g, budget) for (_, g) in corpus], jobs)
     rep.results["instances"] = len(corpus)
-    rep.checks.append(Check("chain-monotone-and-top-equals-invisible", not bad,
-                            bad or None))
+    _tally(rep, ("chain-monotone-and-top-equals-invisible",), "graph",
+           [name for name, _ in corpus], results)
     return rep
 
 
 def _thm10_task(args):
-    key, rs, budget = args
-    g = _graph_from_key(key)
+    """(dw, robbers the adversary held per r, failures)."""
+    g, rs, budget = args
     k = width(g, "dw", budget=budget)
     res = solve_search(g, SearchConfig(k=k, r=1), budget=budget)
     f = res.cop_strategy.as_positional(budget=budget)
-    out = {"k": k, "bounds": {}, "adversarial": {}}
+    held, failures = {}, []
     for r in rs:
         dwr = width(g, "dw_r", r=r, budget=budget)
-        out["bounds"][r] = (dwr, r * k, dwr <= r * k)
+        if dwr > r * k:
+            failures.append(("multi-robber-width-at-most-r-times-width",
+                             {"r": r, "dw_r": dwr, "cap": r * k}))
         mult = multiply_strategy(g, f, r=r, budget=budget)
         adv = exhaust_prudent_isolating(g, mult, budget=budget)
-        out["adversarial"][r] = (adv.ok, adv.max_cops, r * k, adv.max_cops <= r * k,
-                                 adv.witness if not adv.ok else None, adv.max_robbers)
+        held[r] = adv.max_robbers
+        if not (adv.ok and adv.max_cops <= r * k):
+            failures.append(("multiplier-beats-exhaustive-prudent-isolating-adversary",
+                             {"r": r, "used": adv.max_cops, "cap": r * k,
+                              "witness": str(None if adv.ok else adv.witness)}))
     tw1 = width(g, "tw_r", r=1, budget=budget)
     tw2 = width(g, "tw_r", r=2, budget=budget)
-    out["tw"] = (tw2, 2 * tw1, tw2 <= 2 * tw1)
-    return out
+    if tw2 > 2 * tw1:
+        failures.append(("symmetric-closure-bound-tw2-at-most-2tw1",
+                         {"tw_2": tw2, "cap": 2 * tw1}))
+    return k, held, failures
 
 
 def suite_thm10(nmax: int = 4, samples: int = 200, seed: int = DEFAULT_SEED,
@@ -202,32 +208,18 @@ def suite_thm10(nmax: int = 4, samples: int = 200, seed: int = DEFAULT_SEED,
     tasks = []
     for (name, g) in corpus:
         rs = [r] if graph is not None else ([2, 3] if g.n <= nmax else [2])
-        tasks.append((_edges_key(g), tuple(rs), budget))
+        tasks.append((g, tuple(rs), budget))
     rep.params["r"] = sorted({rr for _, rs, _ in tasks for rr in rs})  # the r values checked
     results = _run_tasks(_thm10_task, tasks, jobs)
-    bad_bound, bad_adv, bad_tw = [], [], []
     rep.results["instances"] = len(corpus)
-    max_robbers = rep.results["max_robbers"] = dict.fromkeys(rep.params["r"], 0)
-    for (name, _g), out in zip(corpus, results):
-        for rr, (dwr, cap, ok) in out["bounds"].items():
-            if not ok:
-                bad_bound.append({"graph": name, "r": rr, "dw_r": dwr, "cap": cap})
-        for rr, (ok, used, cap, within, witness, held) in out["adversarial"].items():
-            max_robbers[rr] = max(max_robbers[rr], held)
-            if not (ok and within):
-                bad_adv.append({"graph": name, "r": rr, "used": used, "cap": cap,
-                                "witness": str(witness)})
-        tw2, cap, ok = out["tw"]
-        if not ok:
-            bad_tw.append({"graph": name, "tw_2": tw2, "cap": cap})
-    rep.checks.append(Check("multi-robber-width-at-most-r-times-width", not bad_bound,
-                            bad_bound or None))
-    rep.checks.append(Check("multiplier-beats-exhaustive-prudent-isolating-adversary",
-                            not bad_adv, bad_adv or None))
-    rep.checks.append(Check("symmetric-closure-bound-tw2-at-most-2tw1", not bad_tw,
-                            bad_tw or None))
+    rep.results["max_robbers"] = {rr: max(held.get(rr, 0) for _, held, _ in results)
+                                  for rr in rep.params["r"]}
+    _tally(rep, ("multi-robber-width-at-most-r-times-width",
+                 "multiplier-beats-exhaustive-prudent-isolating-adversary",
+                 "symmetric-closure-bound-tw2-at-most-2tw1"), "graph",
+           [name for name, _ in corpus], [failures for _, _, failures in results])
     if graph is not None and trace_out:
-        k = results[0]["k"]
+        k = results[0][0]
         res = solve_search(graph, SearchConfig(k=k, r=1), budget=budget)
         mult = multiply_strategy(graph, res.cop_strategy.as_positional(budget=budget),
                                  r=r, budget=budget)
@@ -242,9 +234,7 @@ def suite_thm10(nmax: int = 4, samples: int = 200, seed: int = DEFAULT_SEED,
 
 
 def _lemma9_task(args):
-    key, budget = args
-    g = _graph_from_key(key)
-    from .digraph import reach_excluding
+    g, budget = args
     k = width(g, "dw", budget=budget)
     res = solve_search(g, SearchConfig(k=k, r=1), budget=budget)
     f = res.cop_strategy.as_positional(budget=budget)
@@ -260,24 +250,24 @@ def _lemma9_task(args):
     win = validate_cop_strategy(g, SearchConfig(k=k, r=1), ft, budget=budget)
     if not win.ok:
         problems.append(("not-winning", str(win.witness)))
-    return problems
+    return [("cleanup-normal-form-and-winning", {"problems": problems})] if problems else []
 
 
 def suite_lemma9(nmax: int = 4, budget: Optional[int] = None, jobs: int = 1) -> Report:
     rep = Report(command=["verify", "lemma9"], params={"nmax": nmax})
     corpus = small_corpus(nmax)
     _require_instances(len(corpus), "lemma9", "graph")
-    results = _run_tasks(_lemma9_task, [(_edges_key(g), budget) for (_, g) in corpus], jobs)
-    bad = [{"graph": name, "problems": probs}
-           for (name, _g), probs in zip(corpus, results) if probs]
+    results = _run_tasks(_lemma9_task, [(g, budget) for (_, g) in corpus], jobs)
     rep.results["instances"] = len(corpus)
-    rep.checks.append(Check("cleanup-normal-form-and-winning", not bad, bad or None))
+    _tally(rep, ("cleanup-normal-form-and-winning",), "graph",
+           [name for name, _ in corpus], results)
     return rep
 
 
 def _lemmas58_task(args):
-    key, r, budget = args
-    g = _graph_from_key(key)
+    """The failures, or None for a graph with dw_r below 2 (no robber strategy
+    to transform)."""
+    g, r, budget = args
     dwr = width(g, "dw_r", r=r, budget=budget)
     k = dwr - 1
     if k < 1:
@@ -285,38 +275,32 @@ def _lemmas58_task(args):
     cfg = SearchConfig(k=k, r=r)
     res = solve_search(g, cfg, budget=budget)
     if res.winner != ROBBERS:
-        return [("solver-disagrees-with-width", k)]
-    problems = []
-    iso = isolating_transform(g, cfg, res.robber_strategy, budget=budget)
-    rep1 = validate_robber_strategy(g, cfg, iso, budget=budget, require_isolating=True)
-    if not rep1.ok:
-        problems.append(("isolating", str(rep1.witness)))
-    pru = prudent_transform(g, cfg, res.robber_strategy, budget=budget)
-    rep2 = validate_robber_strategy(g, cfg, pru, budget=budget,
-                                    require_isolating=True, require_prudent=True)
-    if not rep2.ok:
-        problems.append(("prudent", str(rep2.witness)))
-    return problems
+        problems = [("solver-disagrees-with-width", k)]
+    else:
+        problems = []
+        iso = isolating_transform(g, cfg, res.robber_strategy, budget=budget)
+        rep1 = validate_robber_strategy(g, cfg, iso, budget=budget, require_isolating=True)
+        if not rep1.ok:
+            problems.append(("isolating", str(rep1.witness)))
+        pru = prudent_transform(g, cfg, res.robber_strategy, budget=budget)
+        rep2 = validate_robber_strategy(g, cfg, pru, budget=budget,
+                                        require_isolating=True, require_prudent=True)
+        if not rep2.ok:
+            problems.append(("prudent", str(rep2.witness)))
+    return ([("transforms-keep-winning-and-step-conditions", {"problems": problems})]
+            if problems else [])
 
 
 def suite_lemmas58(nmax: int = 4, r: int = 2, budget: Optional[int] = None,
                    jobs: int = 1) -> Report:
     rep = Report(command=["verify", "lemmas58"], params={"nmax": nmax, "r": r})
     corpus = small_corpus(nmax)
-    results = _run_tasks(_lemmas58_task,
-                         [(_edges_key(g), r, budget) for (_, g) in corpus], jobs)
-    bad = []
-    used = 0
-    for (name, _g), probs in zip(corpus, results):
-        if probs is None:
-            continue
-        used += 1
-        if probs:
-            bad.append({"graph": name, "problems": probs})
-    _require_instances(used, "lemmas58", f"graph with dw_{r} of at least 2")
-    rep.results["instances"] = used
-    rep.checks.append(Check("transforms-keep-winning-and-step-conditions", not bad,
-                            bad or None))
+    results = _run_tasks(_lemmas58_task, [(g, r, budget) for (_, g) in corpus], jobs)
+    checked = [(name, out) for (name, _), out in zip(corpus, results) if out is not None]
+    _require_instances(len(checked), "lemmas58", f"graph with dw_{r} of at least 2")
+    rep.results["instances"] = len(checked)
+    _tally(rep, ("transforms-keep-winning-and-step-conditions",), "graph",
+           [name for name, _ in checked], [out for _, out in checked])
     return rep
 
 
@@ -393,21 +377,23 @@ def _lemma2_task(args):
     pg, eq = parity.gen_random_parity(seed)
     g = pg.arena_digraph()
     kg = parity.powerset_construct(pg, eq)
-    out = {"n": pg.n, "kg": kg.game.n}
-    lifted_ok = parity.check_history_lifting(kg, pg, max_len=6)
-    out["lifting"] = lifted_ok
+    failures = []
+    if not parity.check_history_lifting(kg, pg, max_len=6):
+        failures.append(("history-lifting-to-length-6", None))
     k = width(g, "dw_r", r=2, budget=budget)
-    out["dw2"] = k
     cap = 2 * k
     res = solve_search(g, SearchConfig(k=k, r=2), budget=budget)
     kgraph = kg.arena_digraph()
     lifted = parity.lift_cop_strategy(g, res.cop_strategy, kg)
     val = validate_cop_strategy(kgraph, SearchConfig(k=cap, r=1), lifted, budget=budget)
-    out["lift_ok"] = val.ok and val.max_announced <= cap
-    out["lift_witness"] = None if val.ok else str(val.witness)
+    if not (val.ok and val.max_announced <= cap):
+        failures.append(("lifted-strategy-wins-with-k-times-2^(r-1)-cops",
+                         {"witness": None if val.ok else str(val.witness)}))
     direct = width(kgraph, "dw", budget=budget)
-    out["direct"] = (direct, cap, direct <= cap)
-    return out
+    if direct > cap:
+        failures.append(("knowledge-arena-width-within-bound",
+                         {"direct": (direct, cap, False)}))
+    return failures
 
 
 def _solve_verified(pg, eq) -> tuple:
@@ -421,18 +407,24 @@ def _solve_verified(pg, eq) -> tuple:
 
 
 def _thm4_task(args):
+    """(knowledge arena size / its bound, failures)."""
     seed, budget = args
     pg, eq = parity.gen_random_parity(seed)
+    failures = []
     wins, ident_ok = _solve_verified(pg, parity.ObservationEquiv.identity(pg.n))
     r2 = parity.zielonka_solve(pg)
-    agree = wins == (pg.init in r2.win0)
+    if wins != (pg.init in r2.win0):
+        failures.append(("identity-observations-match-direct-solve", None))
     _, merged_ok = _solve_verified(pg, eq)
-    oracle_ok = True
-    if pg.n <= 6:
-        oracle = parity.solve_by_strategy_enumeration(pg)
-        oracle_ok = oracle == (r2.win0, r2.win1)
-    size = (parity.powerset_construct(pg, eq).game.n, parity.knowledge_size_bound(pg, eq))
-    return agree, ident_ok and merged_ok, oracle_ok, size
+    if not (ident_ok and merged_ok):
+        failures.append(("player0-wins-pass-product-verification", None))
+    if pg.n <= 6 and parity.solve_by_strategy_enumeration(pg) != (r2.win0, r2.win1):
+        failures.append(("solver-matches-strategy-enumeration-oracle", None))
+    n, bound = parity.powerset_construct(pg, eq).game.n, parity.knowledge_size_bound(pg, eq)
+    if n > bound:
+        failures.append(("knowledge-arena-at-most-n-times-2^(r-1)-positions",
+                         {"positions": n, "bound": bound}))
+    return n / bound, failures
 
 
 def suite_lemma2(count: int = 100, seed: int = DEFAULT_SEED,
@@ -444,46 +436,20 @@ def suite_lemma2(count: int = 100, seed: int = DEFAULT_SEED,
     _require_instances(pipeline_count, "lemma2", "game for the pipeline checks")
     rng = random.Random(seed)
     seeds = [rng.randrange(10 ** 9) for _ in range(max(count, pipeline_count))]
-    lift_results = _run_tasks(_lemma2_task,
-                              [(s, budget) for s in seeds[:count]], jobs)
-    bad_lift, bad_width, bad_lifting = [], [], []
-    for s, out in zip(seeds[:count], lift_results):
-        if not out["lifting"]:
-            bad_lifting.append(s)
-        if not out["lift_ok"]:
-            bad_lift.append({"seed": s, "witness": out["lift_witness"]})
-        if not out["direct"][2]:
-            bad_width.append({"seed": s, "direct": out["direct"]})
+    lift_results = _run_tasks(_lemma2_task, [(s, budget) for s in seeds[:count]], jobs)
     rep.results["lift_instances"] = count
-    rep.checks.append(Check("history-lifting-to-length-6", not bad_lifting,
-                            bad_lifting or None))
-    rep.checks.append(Check("lifted-strategy-wins-with-k-times-2^(r-1)-cops",
-                            not bad_lift, bad_lift or None))
-    rep.checks.append(Check("knowledge-arena-width-within-bound", not bad_width,
-                            bad_width or None))
+    _tally(rep, ("history-lifting-to-length-6",
+                 "lifted-strategy-wins-with-k-times-2^(r-1)-cops",
+                 "knowledge-arena-width-within-bound"), "seed", seeds, lift_results)
     pipe_results = _run_tasks(_thm4_task,
                               [(s, budget) for s in seeds[:pipeline_count]], jobs)
-    bad_agree, bad_verify, bad_oracle, bad_size, ratios = [], [], [], [], []
-    for s, (agree, verified, oracle_ok, (n, bound)) in zip(seeds, pipe_results):
-        if not agree:
-            bad_agree.append(s)
-        if not verified:
-            bad_verify.append(s)
-        if not oracle_ok:
-            bad_oracle.append(s)
-        if n > bound:
-            bad_size.append({"seed": s, "positions": n, "bound": bound})
-        ratios.append(n / bound)
     rep.results["pipeline_instances"] = pipeline_count
-    rep.results["knowledge_size_max_ratio"] = max(ratios, default=None)
-    rep.checks.append(Check("identity-observations-match-direct-solve",
-                            not bad_agree, bad_agree or None))
-    rep.checks.append(Check("solver-matches-strategy-enumeration-oracle",
-                            not bad_oracle, bad_oracle or None))
-    rep.checks.append(Check("player0-wins-pass-product-verification",
-                            not bad_verify, bad_verify or None))
-    rep.checks.append(Check("knowledge-arena-at-most-n-times-2^(r-1)-positions",
-                            not bad_size, bad_size or None))
+    rep.results["knowledge_size_max_ratio"] = max(ratio for ratio, _ in pipe_results)
+    _tally(rep, ("identity-observations-match-direct-solve",
+                 "solver-matches-strategy-enumeration-oracle",
+                 "player0-wins-pass-product-verification",
+                 "knowledge-arena-at-most-n-times-2^(r-1)-positions"), "seed", seeds,
+           [failures for _, failures in pipe_results])
     return rep
 
 
@@ -691,12 +657,8 @@ def main(argv=None) -> int:
                           "kind": "internal"}))
         return EXIT_INTERNAL_ERROR
     rep.elapsed_s = time.time() - t0
-    out = json.dumps(rep.as_json(), indent=1)
-    if getattr(args, "cmd", None) == "verify" or args.func is cmd_verify:
-        print(out)
-        return EXIT_PASS if rep.passed else EXIT_CHECK_FAILURE
-    print(out)
-    return EXIT_PASS
+    print(json.dumps(rep.as_json(), indent=1))
+    return EXIT_PASS if rep.passed else EXIT_CHECK_FAILURE
 
 
 if __name__ == "__main__":

@@ -271,6 +271,8 @@ def check_invariants(g: Digraph, pos: CopTurn, zeta: MemoryZeta,
         # omit-closed: omitted sets contain their robbers and absorb reachability
         if R_i & ~O_i:
             violated("omit-closed", f"robbers {_vs(R_i & ~O_i)} outside omitted set {i}")
+        elif O_i & W_i:  # reach(O_i, W_i) drops blocked sources: name them
+            violated("omit-closed", f"omitted set {i} holds team cops {_vs(O_i & W_i)}")
         elif reach(O_i, W_i) != O_i:
             violated("omit-closed", f"omitted set {i} not closed: reaches "
                                     f"{_vs(reach(O_i, W_i) & ~O_i)}")

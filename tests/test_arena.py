@@ -1,4 +1,5 @@
 import itertools
+import math
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -188,6 +189,10 @@ def _vset(mask):
     return frozenset(bits(mask))
 
 
+def _size(mask):
+    return bin(mask).count("1")
+
+
 class TestMoveRule:
     """`GraphCache`'s move rule and normal-form predicates, and the public
     one-liners on them, against the path-enumeration definitions of
@@ -257,10 +262,23 @@ class TestMoveRule:
                 allowed = _vset(U) | oracles.component(g, _vset(U), v)
                 for k in range(g.n + 1):
                     cfg = SearchConfig(k=k, restrict_to_scc=True)
-                    got = [_vset(m) for m in announcement_masks(cache, cfg, U, 1 << v)]
+                    masks = list(announcement_masks(cache, cfg, U, 1 << v))
+                    got = [_vset(m) for m in masks]
                     want = {frozenset(c) for t in range(k + 1)
                             for c in itertools.combinations(sorted(allowed), t)}
                     assert len(got) == len(want) and set(got) == want, (name, U, v, k)
+                    # most standing cops kept first, then most new cops
+                    for a, b in zip(masks, masks[1:]):
+                        assert _size(a & U) >= _size(b & U), (name, U, v, k)
+                        assert a & U != b & U or _size(a) >= _size(b), (name, U, v, k)
+
+    @pytest.mark.parametrize("name,g", MOVE_RULE_CORPUS, ids=[n for n, _ in MOVE_RULE_CORPUS])
+    def test_unrestricted_announcements_come_largest_first(self, name, g):
+        cache = GraphCache(g)
+        for k in range(g.n + 1):
+            sizes = [_size(m) for m in announcement_masks(cache, SearchConfig(k=k), 0, 1)]
+            assert sizes == sorted(sizes, reverse=True), (name, k)
+            assert len(sizes) == sum(math.comb(g.n, t) for t in range(k + 1)), (name, k)
 
 
 def _solver_corpus():

@@ -1,12 +1,15 @@
+import dataclasses
 import json
 
 import pytest
 
 from pursuitwidth import cli, parity
+from pursuitwidth.arena import COPS
 from pursuitwidth.cli import (EXIT_CHECK_FAILURE, EXIT_INPUT_ERROR,
                               EXIT_INTERNAL_ERROR, EXIT_PASS,
                               EXIT_RESOURCE_ERROR, SCHEMA, main, suite_lemma2,
                               suite_thm25)
+from pursuitwidth.digraph import Digraph
 from pursuitwidth.errors import (AdversaryContractError, InvariantViolation,
                                  StrategyHoleError)
 from pursuitwidth.strategy import ValidationReport
@@ -178,9 +181,13 @@ class TestVerifyCommand:
         assert any(len(entry["O"]) > 1 for rec in records for entry in rec["zeta"]["entries"])
         _assert_vertex_lists_and_passed_reports(records)
 
-    def test_jobs_flag_gives_same_report(self, capsys):
-        _, rep_a = run(["verify", "lemma9", "--nmax", "3"], capsys)
-        _, rep_b = run(["verify", "lemma9", "--nmax", "3", "--jobs", "2"], capsys)
+    @pytest.mark.parametrize("argv", [
+        ["verify", "lemma9", "--nmax", "3"],
+        ["verify", "thm10", "--nmax", "3", "--samples", "10"],
+    ], ids=lambda argv: argv[1])
+    def test_jobs_flag_gives_same_report(self, argv, capsys):
+        _, rep_a = run(argv, capsys)
+        _, rep_b = run(argv + ["--jobs", "2"], capsys)
         a, b = rep_a, rep_b
         for rep in (a, b):
             rep.pop("elapsed_s")
@@ -244,6 +251,110 @@ def _check(rep, name):
     return next(c for c in rep.checks if c.name == name)
 
 
+_WIDTH, _SOLVE_SEARCH, _SOLVE_INVISIBLE, _EXHAUST, _TRACED_RUN, _SOLVE_IMPERFECT = (
+    cli.width, cli.solve_search, cli.solve_invisible, cli.exhaust_prudent_isolating,
+    cli.traced_run, parity.solve_imperfect)
+
+
+def _raised(measure, by, r=None):
+    """`width` with `measure` (at `r` robbers, if given) raised by `by`."""
+    def width(g, m, **kw):
+        value = _WIDTH(g, m, **kw)
+        return value + by if m == measure and r in (None, kw.get("r")) else value
+    return width
+
+
+def _replaced(fn, **changes):
+    """`fn` with the given fields of its result replaced."""
+    return lambda *a, **kw: dataclasses.replace(fn(*a, **kw), **changes)
+
+
+def _lost(*a, **kw):
+    return ValidationReport(False, ("captured",), 0)
+
+
+def _trace_with_a_failed_report(*a, **kw):
+    records = _TRACED_RUN(*a, **kw)
+    records[0]["invariant_report"] = {"passed": False}
+    return records
+
+
+def _flipped_imperfect(*a, **kw):
+    res = _SOLVE_IMPERFECT(*a, **kw)
+    return dataclasses.replace(res, player0_wins=not res.player0_wins)
+
+
+SEED0 = 735074711  # the first game seed drawn from DEFAULT_SEED
+C3 = Digraph(3, [(0, 1), (1, 2), (2, 0)])
+
+# one case per suite check not covered above: the check, the suite run (given
+# a trace path), the call it makes that is replaced, the stand-in, and the
+# witness the check then reports
+CAN_FAIL = [
+    ("chain-monotone-and-top-equals-invisible",
+     lambda out: cli.suite_hierarchy(nmax=1, samples=0), cli, "width", _raised("dpw", 1),
+     [{"graph": "sc1-0", "chain": [1], "dpw": 2}]),
+    ("multi-robber-width-at-most-r-times-width",
+     lambda out: cli.suite_thm10(nmax=1, samples=0), cli, "width", _raised("dw_r", 10),
+     [{"graph": "sc1-0", "r": 2, "dw_r": 11, "cap": 2},
+      {"graph": "sc1-0", "r": 3, "dw_r": 11, "cap": 3}]),
+    ("multiplier-beats-exhaustive-prudent-isolating-adversary",
+     lambda out: cli.suite_thm10(nmax=1, samples=0), cli, "exhaust_prudent_isolating",
+     _replaced(_EXHAUST, ok=False, witness=("escaped",)),
+     [{"graph": "sc1-0", "r": 2, "used": 1, "cap": 2, "witness": "('escaped',)"},
+      {"graph": "sc1-0", "r": 3, "used": 1, "cap": 3, "witness": "('escaped',)"}]),
+    ("symmetric-closure-bound-tw2-at-most-2tw1",
+     lambda out: cli.suite_thm10(nmax=1, samples=0), cli, "width", _raised("tw_r", 10, r=2),
+     [{"graph": "sc1-0", "tw_2": 11, "cap": 2}]),
+    ("trace-invariants",
+     lambda out: cli.suite_thm10(graph=C3, r=2, trace_out=out), cli, "traced_run",
+     _trace_with_a_failed_report, None),
+    ("cleanup-normal-form-and-winning",
+     lambda out: cli.suite_lemma9(nmax=1), cli, "validate_cop_strategy", _lost,
+     [{"graph": "sc1-0", "problems": [("not-winning", "('captured',)")]}]),
+    ("transforms-keep-winning-and-step-conditions",
+     lambda out: cli.suite_lemmas58(nmax=2), cli, "validate_robber_strategy", _lost,
+     [{"graph": "sc2-0",
+       "problems": [("isolating", "('captured',)"), ("prudent", "('captured',)")]}]),
+    ("four-cop-sweep-wins-monotonously",
+     lambda out: cli.suite_thm7(n=1), cli, "validate_cop_strategy", _lost, "('captured',)"),
+    ("restricted-game-lost-by-n-cops-exhaustively",
+     lambda out: cli.suite_thm7(n=1), cli, "solve_search",
+     _replaced(_SOLVE_SEARCH, winner=COPS), None),
+    ("escape-robber-survives-with-invariants",
+     lambda out: cli.suite_thm7(n=1), cli, "validate_robber_strategy", _lost,
+     "('captured',)"),
+    ("exact-widths-of-the-product-family",
+     lambda out: suite_thm25(), cli, "width", _raised("dpw", 1),
+     {"dpw(T1)": (3, 2), "dpw(T2)": (4, 3), "dpw(G_1^2)": (5, 4)}),
+    ("hierarchy-gap-witness",
+     lambda out: suite_thm25(), cli, "width", _raised("dw", 1), None),
+    ("invisible-game-needs-more-than-r-cops",
+     lambda out: suite_thm25(), cli, "solve_invisible",
+     _replaced(_SOLVE_INVISIBLE, cops_win=True), None),
+    ("clearing-schedules-use-exactly-k(r+1)-cops",
+     lambda out: suite_thm25(), cli, "validate_invisible_schedule",
+     lambda *a: (False, "cop 0 leaves too early"),
+     [{"r": r, "k": k, "peak": k * (r + 1), "cap": k * (r + 1),
+       "detail": "cop 0 leaves too early"} for (r, k) in ((1, 1), (2, 1), (1, 2))]),
+    ("history-lifting-to-length-6",
+     lambda out: suite_lemma2(count=1, pipeline_count=1), parity, "check_history_lifting",
+     lambda *a, **kw: False, [SEED0]),
+    ("lifted-strategy-wins-with-k-times-2^(r-1)-cops",
+     lambda out: suite_lemma2(count=1, pipeline_count=1), cli, "validate_cop_strategy",
+     _lost, [{"seed": SEED0, "witness": "('captured',)"}]),
+    ("knowledge-arena-width-within-bound",
+     lambda out: suite_lemma2(count=1, pipeline_count=1), cli, "width", _raised("dw", 100),
+     [{"seed": SEED0, "direct": (102, 4, False)}]),
+    ("identity-observations-match-direct-solve",
+     lambda out: suite_lemma2(count=1, pipeline_count=1), parity, "solve_imperfect",
+     _flipped_imperfect, [SEED0]),
+    ("solver-matches-strategy-enumeration-oracle",
+     lambda out: suite_lemma2(count=1, pipeline_count=1), parity,
+     "solve_by_strategy_enumeration", lambda pg: (set(), set()), [SEED0]),
+]
+
+
 class TestChecksCanFail:
     def test_failed_product_verification_fails_the_check(self, monkeypatch):
         monkeypatch.setattr(parity, "_verify_knowledge_strategy", lambda *a: False)
@@ -273,6 +384,50 @@ class TestChecksCanFail:
         check = _check(suite_thm25(), name)
         assert not check.passed
         assert check.witness == {"winner": "robbers", "witness": "('captured',)"}
+
+    @pytest.mark.parametrize("run,names", [
+        pytest.param(lambda out: cli.suite_hierarchy(nmax=1, samples=0),
+                     ["chain-monotone-and-top-equals-invisible"], id="hierarchy"),
+        pytest.param(lambda out: cli.suite_thm10(graph=C3, r=2, trace_out=out),
+                     ["multi-robber-width-at-most-r-times-width",
+                      "multiplier-beats-exhaustive-prudent-isolating-adversary",
+                      "symmetric-closure-bound-tw2-at-most-2tw1", "trace-invariants"],
+                     id="thm10"),
+        pytest.param(lambda out: cli.suite_lemma9(nmax=1),
+                     ["cleanup-normal-form-and-winning"], id="lemma9"),
+        pytest.param(lambda out: cli.suite_lemmas58(nmax=2),
+                     ["transforms-keep-winning-and-step-conditions"], id="lemmas58"),
+        pytest.param(lambda out: cli.suite_thm7(n=1),
+                     ["four-cop-sweep-wins-monotonously",
+                      "restricted-game-lost-by-n-cops-exhaustively",
+                      "escape-robber-survives-with-invariants"], id="thm7"),
+        pytest.param(lambda out: suite_thm25(),
+                     ["exact-widths-of-the-product-family", "hierarchy-gap-witness",
+                      "invisible-game-needs-more-than-r-cops",
+                      "clearing-schedules-use-exactly-k(r+1)-cops",
+                      "robber-team-lower-bound-smallest-instance"], id="thm25"),
+        pytest.param(lambda out: suite_lemma2(count=1, pipeline_count=1),
+                     ["history-lifting-to-length-6",
+                      "lifted-strategy-wins-with-k-times-2^(r-1)-cops",
+                      "knowledge-arena-width-within-bound",
+                      "identity-observations-match-direct-solve",
+                      "solver-matches-strategy-enumeration-oracle",
+                      "player0-wins-pass-product-verification",
+                      "knowledge-arena-at-most-n-times-2^(r-1)-positions"], id="lemma2"),
+    ])
+    def test_every_suite_reports_its_checks_in_order(self, run, names, tmp_path):
+        rep = run(str(tmp_path / "trace.json"))
+        assert rep.passed and [c.name for c in rep.checks] == names
+
+    @pytest.mark.parametrize("name,suite,module,attr,stand_in,witness", CAN_FAIL,
+                             ids=[case[0] for case in CAN_FAIL])
+    def test_each_check_fails_with_its_witness(self, name, suite, module, attr, stand_in,
+                                               witness, monkeypatch, tmp_path):
+        monkeypatch.setattr(module, attr, stand_in)
+        rep = suite(str(tmp_path / "trace.json"))
+        check = _check(rep, name)
+        assert not check.passed and not rep.passed
+        assert check.witness == witness
 
 
 class TestExitCodes:

@@ -241,6 +241,8 @@ BROKEN_MEMORIES = [
      "top history does not end in a cop position"),
     # 0 is outside the cone of history 1's robber 2 under the cops 0 and 4
     ("omit-bounded", None, {"Oset": 0b100001}, "omitted set 1 leaves the cone at {0}"),
+    # the same omitted set holds history 1's team cop on 0
+    ("omit-closed", None, {"Oset": 0b100001}, "omitted set 1 holds team cops {0}"),
     ("progress", None, {"Oset": 0b100010}, "top robber 1 inside an omitted set"),
     # the top history places no cop, while history 1's cop on 0 blocks robber 1
     ("team-region", None, {"tail": (CopTurn(0, 0b10),)},
