@@ -193,13 +193,13 @@ def suite_thm10(nmax: int = 4, samples: int = 200, seed: int = DEFAULT_SEED,
                 budget: Optional[int] = None, jobs: int = 1,
                 graph: Optional[Digraph] = None, r: int = 2,
                 trace_out: Optional[str] = None) -> Report:
-    rep = Report(command=["verify", "thm10"],
-                 params={"nmax": nmax, "samples": samples, "seed": seed})
+    rep = Report(command=["verify", "thm10"])
     if graph is not None:
         if not is_strongly_connected(graph):
             raise PreconditionError("the multiplier needs a strongly connected graph")
         corpus = [("input", graph)]
     else:
+        rep.params.update(nmax=nmax, samples=samples, seed=seed)
         corpus = [(n, g) for (n, g) in small_corpus(nmax)]
         corpus += [(n, g) for (n, g) in random_corpus(5, samples, seed)
                    if is_strongly_connected(g)]

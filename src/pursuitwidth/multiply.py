@@ -4,9 +4,11 @@ A memory state tracks a chain of one-robber play histories, one per robber
 team, together with the robbers attached to each history and the placements
 that were deliberately omitted because an earlier team's robber could still
 reach them.  Positions, robber sets and omitted sets are vertex masks
-throughout; a history's positions hold one robber each.  Every documented
-invariant of the construction is checked at runtime, once per memory the
-strategy makes: when the robbers' reply makes it, or on entry to the cop
+throughout; a history's positions hold one robber each.  The strategy
+object `MultiplyStrategy` makes every memory and bounds it: no memory holds
+more than r+1 histories and no move announces more than r*k cops.  It also
+checks every documented invariant of the construction at runtime, once per
+memory it makes: when the robbers' reply makes it, or on entry to the cop
 move for an opening memory and one the reply left unchanged.  A violation
 raises with the invariant's name and witness vertices.  The checker shares one
 thing with the move and update code: the derivation of an immutable memory
@@ -155,36 +157,6 @@ INVARIANTS = ("chain", "partition", "cover", "anchor", "omit-closed", "omit-boun
               "region-unchanged")
 
 
-@dataclass
-class CheckItem:
-    name: str
-    passed: bool
-    witness: str = ""
-
-
-@dataclass
-class InvariantReport:
-    """Each checked invariant's witness of its first violation, "" if it holds."""
-    witnesses: dict
-
-    @property
-    def items(self) -> list:
-        return [CheckItem(name, not why, why) for name, why in self.witnesses.items()]
-
-    @property
-    def passed(self) -> bool:
-        return not any(self.witnesses.values())
-
-    def first_violation(self):
-        return next((CheckItem(name, False, why) for name, why in self.witnesses.items() if why),
-                    None)
-
-    def as_json(self):
-        return {"passed": self.passed,
-                "items": [{"name": it.name, "passed": it.passed, "witness": it.witness}
-                          for it in self.items]}
-
-
 def _step_consistent(cache: GraphCache, f: PositionalCopStrategy, a, b) -> str:
     """Why position b does not follow a by a legal move of a play of f ("" if it does)."""
     if isinstance(a, CopTurn):
@@ -233,8 +205,9 @@ def _history_consistent(cache: GraphCache, f: PositionalCopStrategy, rho: Histor
 
 def check_invariants(g: Digraph, pos: CopTurn, zeta: MemoryZeta,
                      f: Optional[PositionalCopStrategy] = None,
-                     cache: Optional[GraphCache] = None) -> InvariantReport:
-    """Check every invariant of the memory state.
+                     cache: Optional[GraphCache] = None) -> dict:
+    """Check every invariant of the memory state: `{invariant: witness of its
+    first violation, or "" if it holds}`, in INVARIANTS order.
 
     Evaluates the seven core invariants, the anchoring side condition on the
     longest history, and the derived diagnostics.  It shares the memory's
@@ -328,197 +301,11 @@ def check_invariants(g: Digraph, pos: CopTurn, zeta: MemoryZeta,
                 violated("consistent", f"history {i}: {why}")
                 break
             done = 0 if wit["chain"] else len(zeta.rho(i).positions)
-    return InvariantReport(wit)
-
-
-def _require_invariants(g, pos: CopTurn, zeta: MemoryZeta, f, cache: GraphCache, where: str):
-    """Raise on the first violated invariant, unless this very memory object
-    already passed them all at `pos` against `f`; each check is used once."""
-    if zeta._checked == (pos.U, pos.R, f):
-        object.__setattr__(zeta, "_checked", None)
-        return
-    bad = check_invariants(g, pos, zeta, f=f, cache=cache).first_violation()
-    if bad is not None:
-        raise InvariantViolation(bad.name, f"{where}: {bad.witness}")
-    object.__setattr__(zeta, "_checked", (pos.U, pos.R, f))
+    return wit
 
 
 # ---------------------------------------------------------------------------
-# Memory initialization and updates
-
-def init_memory(g: Digraph, R0: int) -> MemoryZeta:
-    """Memory after the robbers' opening placement (a single vertex)."""
-    if not is_strongly_connected(g):
-        raise PreconditionError("the multiplier is defined on strongly connected graphs")
-    if not R0 or R0 & (R0 - 1):
-        raise PreconditionError(f"unsupported initial split: {list(bits(R0))}")
-    return MemoryZeta((), History((CopTurn(0, R0),)))
-
-
-def cop_move_multiply(g: Digraph, f: PositionalCopStrategy, pos: CopTurn,
-                      zeta: MemoryZeta, cache: Optional[GraphCache] = None):
-    """One cop move: returns (announcement, new memory, case tag)."""
-    cache = cache or GraphCache(g)
-    _require_invariants(g, pos, zeta, f, cache, "on entry to the cop move")
-    d = _derive(zeta)
-    s = d.s
-    Rm, Um = pos.R, pos.U
-
-    if not (Rm >> d.b[s]) & 1:
-        # the pursued top robber left the graph
-        if s == 1:
-            return pos.U, zeta, CASE_WON
-        Uprime = d.Ucum[s - 1]
-        top = zeta.entries[-1]
-        if not top.Rset:
-            rho_new = top.rho.append(CopTurn(d.W[s - 1], 1 << d.b[s]))
-            zeta2 = MemoryZeta(zeta.entries[:-1], rho_new)
-            tag = CASE_I_EMPTY
-        else:
-            b = _lowest(top.Rset)
-            rest = top.Rset & ~(1 << b)
-            O_t = cache.reach(rest, d.W[s - 1])
-            entry = HistoryEntry(top.rho, rest, O_t)
-            rho_new = top.rho.append(CopTurn(d.W[s - 1], 1 << b))
-            zeta2 = MemoryZeta(zeta.entries[:-1] + (entry,), rho_new)
-            tag = CASE_I_NONEMPTY
-    else:
-        empties = [i for i in range(1, s) if d.Rset[i] == 0]
-        if empties:
-            i = min(empties)
-            rho_i = zeta.rho(i)
-            rho_next = zeta.rho(i + 1)
-            step = rho_next[len(rho_i)]
-            if not isinstance(step, CopTurn) or step.U != d.W[i]:
-                raise InvariantViolation("chain", f"history {i + 1} does not continue "
-                                                  f"history {i} with its announced cops")
-            b_t = _robber(step)
-            if len(rho_next) == len(rho_i) + 1:
-                if i + 1 != s:
-                    raise InvariantViolation("shape", "an intermediate history ends in a "
-                                                      "cop position")
-                zeta2 = MemoryZeta(zeta.entries[:i - 1] + zeta.entries[i:], zeta.rho_s)
-                Uprime = Um
-                tag = CASE_II_1A
-            else:
-                W_t = f.lookup(d.W[i], step.R)
-                Uprime = (W_t & ~d.Ocum[i - 1])
-                for j in range(1, s + 1):
-                    if j != i:
-                        Uprime |= d.U_[j]
-                O_t = (d.Oset[i] & cache.reach(1 << b_t, d.W[i])) & ~W_t
-                rho_t = rho_i.append(step).append(RobberTurn(d.W[i], W_t, step.R))
-                if rho_t != rho_next:
-                    entry = HistoryEntry(rho_t, zeta.entries[i - 1].Rset, O_t)
-                    zeta2 = MemoryZeta(zeta.entries[:i - 1] + (entry,) + zeta.entries[i:],
-                                       zeta.rho_s)
-                    tag = CASE_II_1B
-                else:
-                    if i + 1 == s:
-                        raise InvariantViolation("shape", "cannot merge into the top history")
-                    nxt = zeta.entries[i]
-                    merged = HistoryEntry(nxt.rho, nxt.Rset, nxt.Oset | O_t)
-                    zeta2 = MemoryZeta(zeta.entries[:i - 1] + (merged,) + zeta.entries[i + 1:],
-                                       zeta.rho_s)
-                    tag = CASE_II_1C
-        else:
-            if not d.ends_cop[s]:
-                raise InvariantViolation("anchor", "pursuing the top robber but its history "
-                                                   "already holds an announcement")
-            W_t = f.lookup(d.W[s], 1 << d.b[s])
-            Uprime = W_t & ~d.Ocum[s - 1]
-            for j in range(1, s):
-                Uprime |= d.U_[j]
-            rho_new = zeta.rho_s.append(RobberTurn(d.W[s], W_t, 1 << d.b[s]))
-            zeta2 = MemoryZeta(zeta.entries, rho_new)
-            tag = CASE_II_2
-
-    spoiled, _ = cache.robber_turn(Um, Uprime, Rm)
-    if spoiled:
-        raise InvariantViolation("monotone", f"move abandons {_vs(spoiled)} while "
-                                             f"robbers reach it")
-    d2 = _derive(zeta2)
-    if tag != CASE_WON and d2.Ucum[d2.s] != Uprime:
-        raise InvariantViolation("cover", f"teams {_vs(d2.Ucum[d2.s])} != announced "
-                                          f"{_vs(Uprime)} after the move")
-    return Uprime, zeta2, tag
-
-
-def robber_update_multiply(g: Digraph, f: PositionalCopStrategy, pos_before: CopTurn,
-                           Rp: int, zeta: MemoryZeta, snapshot: MemoryZeta,
-                           cache: Optional[GraphCache] = None) -> MemoryZeta:
-    """Fold the robbers' move into the memory.
-
-    `pos_before` is the cop position from which the last announcement was
-    made; `zeta` is the memory right after the cop move; `snapshot` is the
-    memory before the cop move, which bounds where robbers may reattach.
-    A memory it makes is checked here against the base strategy `f`, so the
-    next cop move need not check it again.
-    """
-    cache = cache or GraphCache(g)
-    R = pos_before.R
-    d = _derive(zeta)
-    s = d.s
-    if Rp == R and d.ends_cop[s]:
-        return zeta
-    # when the robbers stand still right after a move on the top robber, the
-    # pending announcement still has to be folded into the top history
-    Uprime = d.Ucum[s]
-    _, legal = cache.robber_turn(pos_before.U, Uprime, R)
-    if Rp & ~legal:
-        raise AdversaryContractError(f"robbers moved to unreachable vertices "
-                                     f"{_vs(Rp & ~legal)}")
-    if not cache.is_prudent(R, Uprime, Rp):
-        raise AdversaryContractError(f"imprudent move: {_vs(Rp & ~R & cache.reach(R, Uprime))} "
-                                     f"still reachable once the cops land")
-    if not cache.is_isolating(Uprime, Rp):
-        raise AdversaryContractError(f"robber set {_vs(Rp)} is not isolating")
-
-    if (Rp & ~R) and not (R >> d.b[s]) & 1:
-        raise InvariantViolation("shape", "robbers took fresh vertices although the "
-                                          "cops only removed guards")
-
-    # attach every robber to the first omitted set that contains it
-    assigned = [0] * (s + 1)
-    for b in bits(Rp):
-        i = next((j for j in range(1, s) if (d.Oset[j] >> b) & 1), s)
-        assigned[i] |= 1 << b
-
-    sd = _derive(snapshot)
-    if sd.b[sd.s] == d.b[s]:  # the cop move kept pursuing the same robber
-        bound = cache.reach(1 << sd.b[sd.s], sd.W[sd.s])
-        if assigned[s] & ~bound:
-            raise InvariantViolation(
-                "reattachment", f"robbers {_vs(assigned[s] & ~bound)} attached to the "
-                                f"top history but outside the pursued robber's cone")
-    if d.ends_cop[s] and assigned[s] & ~(1 << d.b[s]):
-        raise InvariantViolation(
-            "top-stability", f"top history rests at a cop position but gained robbers "
-                             f"{_vs(assigned[s] & ~(1 << d.b[s]))}")
-
-    new_entries = tuple(HistoryEntry(e.rho, assigned[i], e.Oset)
-                        for i, e in enumerate(zeta.entries, start=1))
-    if not d.ends_cop[s] and assigned[s]:
-        b = _lowest(assigned[s])
-        rest = assigned[s] & ~(1 << b)
-        rho_new = zeta.rho_s.append(CopTurn(d.W[s], 1 << b))
-        if rest:
-            O_t = cache.reach(rest, d.W[s])
-            entry = HistoryEntry(zeta.rho_s, rest, O_t)
-            zeta2 = MemoryZeta(new_entries + (entry,), rho_new)
-        else:
-            # nobody else stays attached to the old top history, so the
-            # extension replaces it instead of leaving an empty stub behind
-            zeta2 = MemoryZeta(new_entries, rho_new)
-    else:
-        zeta2 = MemoryZeta(new_entries, zeta.rho_s)
-
-    _require_invariants(g, CopTurn(Uprime, Rp), zeta2, f, cache, "after the robbers' move")
-    return zeta2
-
-
-# ---------------------------------------------------------------------------
-# The packaged memory strategy
+# The multiplier
 
 class MultiplyStrategy(CopStrategy):
     """r*k-cop memory strategy that simulates k-cop play against each robber.
@@ -529,6 +316,8 @@ class MultiplyStrategy(CopStrategy):
     """
 
     def __init__(self, g: Digraph, f: PositionalCopStrategy, r: int, k: int):
+        if not is_strongly_connected(g):
+            raise PreconditionError("the multiplier is defined on strongly connected graphs")
         self.g = g
         self.f = f
         self.r = r
@@ -536,10 +325,17 @@ class MultiplyStrategy(CopStrategy):
         self.cache = GraphCache(g)
         self.last_tag = None
 
-    def init_memory(self, pos: CopTurn):
-        return init_memory(self.g, pos.R)
+    def init_memory(self, pos: CopTurn) -> MemoryZeta:
+        """Memory after the robbers' opening placement (a single vertex)."""
+        R0 = pos.R
+        if not R0 or R0 & (R0 - 1):
+            raise PreconditionError(f"unsupported initial split: {list(bits(R0))}")
+        return MemoryZeta((), History((CopTurn(0, R0),)))
 
-    def _chain_bound_ok(self, zeta: MemoryZeta):
+    def _memory(self, entries: tuple, rho_s: History) -> MemoryZeta:
+        """A new memory, held to the chain bound: at most r+1 histories, and a
+        full chain repeats its last placement set."""
+        zeta = MemoryZeta(entries, rho_s)
         if zeta.s > self.r + 1:
             raise InvariantViolation("chain-bound", f"{zeta.s} histories for r={self.r}")
         if zeta.s == self.r + 1:
@@ -547,23 +343,184 @@ class MultiplyStrategy(CopStrategy):
             if d.W[zeta.s] != d.W[zeta.s - 1]:
                 raise InvariantViolation(
                     "chain-bound", "a full chain must repeat its last placement set")
+        return zeta
 
-    def announce(self, memory, pos: CopTurn):
-        up, zeta2, tag = cop_move_multiply(self.g, self.f, pos, memory, cache=self.cache)
+    def _require_invariants(self, pos: CopTurn, zeta: MemoryZeta, where: str):
+        """Raise on the first violated invariant, unless this very memory object
+        already passed them all at `pos` against `f`; each check is used once."""
+        f = self.f
+        if zeta._checked == (pos.U, pos.R, f):
+            object.__setattr__(zeta, "_checked", None)
+            return
+        wit = check_invariants(self.g, pos, zeta, f=f, cache=self.cache)
+        for name, why in wit.items():
+            if why:
+                raise InvariantViolation(name, f"{where}: {why}")
+        object.__setattr__(zeta, "_checked", (pos.U, pos.R, f))
+
+    def announce(self, zeta: MemoryZeta, pos: CopTurn):
+        """One cop move: returns (announcement, memory during the reply) and
+        records the memory case it took in `last_tag`."""
+        self._require_invariants(pos, zeta, "on entry to the cop move")
+        f, cache = self.f, self.cache
+        d = _derive(zeta)
+        s = d.s
+        Rm, Um = pos.R, pos.U
+
+        if not (Rm >> d.b[s]) & 1 and s == 1:
+            # the one pursued robber left the graph: the cops have won
+            Uprime, zeta2, tag = Um, zeta, CASE_WON
+        elif not (Rm >> d.b[s]) & 1:
+            # the pursued top robber left the graph
+            Uprime = d.Ucum[s - 1]
+            top = zeta.entries[-1]
+            if not top.Rset:
+                rho_new = top.rho.append(CopTurn(d.W[s - 1], 1 << d.b[s]))
+                zeta2 = self._memory(zeta.entries[:-1], rho_new)
+                tag = CASE_I_EMPTY
+            else:
+                b = _lowest(top.Rset)
+                rest = top.Rset & ~(1 << b)
+                O_t = cache.reach(rest, d.W[s - 1])
+                entry = HistoryEntry(top.rho, rest, O_t)
+                rho_new = top.rho.append(CopTurn(d.W[s - 1], 1 << b))
+                zeta2 = self._memory(zeta.entries[:-1] + (entry,), rho_new)
+                tag = CASE_I_NONEMPTY
+        else:
+            empties = [i for i in range(1, s) if d.Rset[i] == 0]
+            if empties:
+                i = min(empties)
+                rho_i = zeta.rho(i)
+                rho_next = zeta.rho(i + 1)
+                step = rho_next[len(rho_i)]
+                if not isinstance(step, CopTurn) or step.U != d.W[i]:
+                    raise InvariantViolation("chain", f"history {i + 1} does not continue "
+                                                      f"history {i} with its announced cops")
+                b_t = _robber(step)
+                if len(rho_next) == len(rho_i) + 1:
+                    if i + 1 != s:
+                        raise InvariantViolation("shape", "an intermediate history ends in a "
+                                                          "cop position")
+                    zeta2 = self._memory(zeta.entries[:i - 1] + zeta.entries[i:], zeta.rho_s)
+                    Uprime = Um
+                    tag = CASE_II_1A
+                else:
+                    W_t = f.lookup(d.W[i], step.R)
+                    Uprime = (W_t & ~d.Ocum[i - 1])
+                    for j in range(1, s + 1):
+                        if j != i:
+                            Uprime |= d.U_[j]
+                    O_t = (d.Oset[i] & cache.reach(1 << b_t, d.W[i])) & ~W_t
+                    rho_t = rho_i.append(step).append(RobberTurn(d.W[i], W_t, step.R))
+                    if rho_t != rho_next:
+                        entry = HistoryEntry(rho_t, zeta.entries[i - 1].Rset, O_t)
+                        zeta2 = self._memory(zeta.entries[:i - 1] + (entry,) + zeta.entries[i:],
+                                             zeta.rho_s)
+                        tag = CASE_II_1B
+                    else:
+                        if i + 1 == s:
+                            raise InvariantViolation("shape", "cannot merge into the top history")
+                        nxt = zeta.entries[i]
+                        merged = HistoryEntry(nxt.rho, nxt.Rset, nxt.Oset | O_t)
+                        zeta2 = self._memory(
+                            zeta.entries[:i - 1] + (merged,) + zeta.entries[i + 1:], zeta.rho_s)
+                        tag = CASE_II_1C
+            else:
+                if not d.ends_cop[s]:
+                    raise InvariantViolation("anchor", "pursuing the top robber but its history "
+                                                       "already holds an announcement")
+                W_t = f.lookup(d.W[s], 1 << d.b[s])
+                Uprime = W_t & ~d.Ocum[s - 1]
+                for j in range(1, s):
+                    Uprime |= d.U_[j]
+                rho_new = zeta.rho_s.append(RobberTurn(d.W[s], W_t, 1 << d.b[s]))
+                zeta2 = self._memory(zeta.entries, rho_new)
+                tag = CASE_II_2
+
+        spoiled, _ = cache.robber_turn(Um, Uprime, Rm)
+        if spoiled:
+            raise InvariantViolation("monotone", f"move abandons {_vs(spoiled)} while "
+                                                 f"robbers reach it")
+        d2 = _derive(zeta2)
+        if d2.Ucum[d2.s] != Uprime:
+            raise InvariantViolation("cover", f"teams {_vs(d2.Ucum[d2.s])} != announced "
+                                              f"{_vs(Uprime)} after the move")
         self.last_tag = tag
-        size = bin(up).count("1")
+        size = bin(Uprime).count("1")
         if size > self.r * self.k:
             raise InvariantViolation("cop-bound", f"{size} cops announced, "
                                                   f"bound is {self.r * self.k}")
-        self._chain_bound_ok(zeta2)
-        return up, (memory, pos, zeta2)
+        return Uprime, (zeta, pos, zeta2)
 
-    def update(self, memory, newpos: CopTurn):
-        zeta, pos, zeta2 = memory
-        out = robber_update_multiply(self.g, self.f, pos, newpos.R, zeta2, snapshot=zeta,
-                                     cache=self.cache)
-        self._chain_bound_ok(out)
-        return out
+    def update(self, memory, newpos: CopTurn) -> MemoryZeta:
+        """Fold the robbers' reply into the memory.
+
+        `memory` is what `announce` returned: the memory before the cop move,
+        which bounds where robbers may reattach, the position the move was
+        made from, and the memory right after the move.  A memory it makes is
+        checked here against `f`, so the next cop move need not check it again.
+        """
+        snapshot, pos_before, zeta = memory
+        cache = self.cache
+        R, Rp = pos_before.R, newpos.R
+        d = _derive(zeta)
+        s = d.s
+        if Rp == R and d.ends_cop[s]:
+            return zeta
+        # when the robbers stand still right after a move on the top robber, the
+        # pending announcement still has to be folded into the top history
+        Uprime = d.Ucum[s]
+        _, legal = cache.robber_turn(pos_before.U, Uprime, R)
+        if Rp & ~legal:
+            raise AdversaryContractError(f"robbers moved to unreachable vertices "
+                                         f"{_vs(Rp & ~legal)}")
+        if not cache.is_prudent(R, Uprime, Rp):
+            raise AdversaryContractError(f"imprudent move: {_vs(Rp & ~R & cache.reach(R, Uprime))} "
+                                         f"still reachable once the cops land")
+        if not cache.is_isolating(Uprime, Rp):
+            raise AdversaryContractError(f"robber set {_vs(Rp)} is not isolating")
+
+        if (Rp & ~R) and not (R >> d.b[s]) & 1:
+            raise InvariantViolation("shape", "robbers took fresh vertices although the "
+                                              "cops only removed guards")
+
+        # attach every robber to the first omitted set that contains it
+        assigned = [0] * (s + 1)
+        for b in bits(Rp):
+            i = next((j for j in range(1, s) if (d.Oset[j] >> b) & 1), s)
+            assigned[i] |= 1 << b
+
+        sd = _derive(snapshot)
+        if sd.b[sd.s] == d.b[s]:  # the cop move kept pursuing the same robber
+            bound = cache.reach(1 << sd.b[sd.s], sd.W[sd.s])
+            if assigned[s] & ~bound:
+                raise InvariantViolation(
+                    "reattachment", f"robbers {_vs(assigned[s] & ~bound)} attached to the "
+                                    f"top history but outside the pursued robber's cone")
+        if d.ends_cop[s] and assigned[s] & ~(1 << d.b[s]):
+            raise InvariantViolation(
+                "top-stability", f"top history rests at a cop position but gained robbers "
+                                 f"{_vs(assigned[s] & ~(1 << d.b[s]))}")
+
+        new_entries = tuple(HistoryEntry(e.rho, assigned[i], e.Oset)
+                            for i, e in enumerate(zeta.entries, start=1))
+        if not d.ends_cop[s] and assigned[s]:
+            b = _lowest(assigned[s])
+            rest = assigned[s] & ~(1 << b)
+            rho_new = zeta.rho_s.append(CopTurn(d.W[s], 1 << b))
+            if rest:
+                O_t = cache.reach(rest, d.W[s])
+                entry = HistoryEntry(zeta.rho_s, rest, O_t)
+                zeta2 = self._memory(new_entries + (entry,), rho_new)
+            else:
+                # nobody else stays attached to the old top history, so the
+                # extension replaces it instead of leaving an empty stub behind
+                zeta2 = self._memory(new_entries, rho_new)
+        else:
+            zeta2 = self._memory(new_entries, zeta.rho_s)
+
+        self._require_invariants(CopTurn(Uprime, Rp), zeta2, "after the robbers' move")
+        return zeta2
 
 
 def multiply_strategy(g: Digraph, f: PositionalCopStrategy, r: int,
@@ -574,8 +531,6 @@ def multiply_strategy(g: Digraph, f: PositionalCopStrategy, r: int,
     only on robber-reachable vertices); the construction assumes exactly
     that shape, and the normalized strategy's cop count is k.
     """
-    if not is_strongly_connected(g):
-        raise PreconditionError("the multiplier is defined on strongly connected graphs")
     if r < 1:
         raise PreconditionError("r must be at least 1")
     f = cleanup_strategy(g, f, budget=budget)
@@ -678,15 +633,19 @@ def traced_run(g: Digraph, strat: MultiplyStrategy):
     10,000 half-moves.
     """
     cache = strat.cache
+
+    def report(pos, zeta):
+        wit = check_invariants(g, pos, zeta, f=strat.f, cache=cache)
+        return {"passed": not any(wit.values()),
+                "items": [{"name": name, "passed": not why, "witness": why}
+                          for name, why in wit.items()]}
     records = []
     v0 = 0
     pos = CopTurn(0, 1 << v0)
     zeta = strat.init_memory(pos)
     records.append({"step": 0, "mover": "robbers", "U": [], "U'": None,
                     "R": _vertices(pos.R), "case_tag": None,
-                    "zeta": zeta_json(zeta),
-                    "invariant_report": check_invariants(g, pos, zeta, f=strat.f,
-                                                         cache=cache).as_json()})
+                    "zeta": zeta_json(zeta), "invariant_report": report(pos, zeta)})
     step = 0
     while pos.R and step < 10_000:
         step += 1
@@ -704,7 +663,5 @@ def traced_run(g: Digraph, strat: MultiplyStrategy):
         step += 1
         records.append({"step": step, "mover": "robbers", "U": _vertices(pos.U),
                         "U'": None, "R": _vertices(pos.R), "case_tag": None,
-                        "zeta": zeta_json(zeta),
-                        "invariant_report": check_invariants(g, pos, zeta, f=strat.f,
-                                                             cache=cache).as_json()})
+                        "zeta": zeta_json(zeta), "invariant_report": report(pos, zeta)})
     return records

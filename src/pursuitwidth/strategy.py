@@ -276,9 +276,9 @@ def playout(g: Digraph, cfg: SearchConfig, cop_strategy: CopStrategy,
     cache = GraphCache(g)
     trace = [INITIAL]
     R0 = robber_strategy.initial_placement()
-    if not R0 or _size(R0) > cfg.r:
-        raise PreconditionError(f"illegal initial placement {list(bits(R0))}")
     pos = CopTurn(0, R0)
+    if not R0 or R0 & ~g.full_mask or _size(R0) > cfg.r:
+        raise PreconditionError(f"illegal initial placement {list(bits(R0))}")
     trace.append(pos)
     cmem = cop_strategy.init_memory(pos)
     rmem = robber_strategy.init_memory(pos)
@@ -396,8 +396,11 @@ def validate_robber_strategy(g: Digraph, cfg: SearchConfig, strat: RobberStrateg
                 yield "imprudent move"
             yield rmem2, up, Rp
 
-    R0 = strat.initial_placement()
-    root = (strat.init_memory(CopTurn(0, R0)), 0, R0)
+    pos = CopTurn(0, strat.initial_placement())
+    if pos.R & ~g.full_mask or _size(pos.R) > cfg.r:
+        raise AdversaryContractError(
+            f"robber strategy made an illegal initial placement: {list(bits(pos.R))}")
+    root = (strat.init_memory(pos), 0, pos.R)
     failure, states = explore([root], moves, effective_budget(budget),
                               "robber-strategy validation")
     return ValidationReport(failure is None, failure, states)

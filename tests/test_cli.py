@@ -161,6 +161,11 @@ class TestVerifyCommand:
         assert code == EXIT_PASS
         assert rep["params"]["r"] == rs
 
+    def test_thm10_with_a_graph_reports_only_the_options_it_reads(self, c3, capsys):
+        code, rep = run(["verify", "thm10", "--graph", c3, "--r", "2"], capsys)
+        assert code == EXIT_PASS
+        assert rep["params"] == {"r": [2]}
+
     def test_thm10_reports_the_most_robbers_the_adversary_held_per_r(self, c3, capsys):
         # on a cycle the robbers can never split
         code, rep = run(["verify", "thm10", "--graph", c3, "--r", "2"], capsys)

@@ -9,10 +9,8 @@ from pursuitwidth import multiply
 from pursuitwidth.families import cycle_digraph
 from pursuitwidth.multiply import (CASE_II_2, HistoryEntry, MemoryZeta,
                                    MultiplyStrategy, _derive, check_invariants,
-                                   cop_move_multiply,
                                    enumerate_prudent_isolating_moves,
-                                   exhaust_prudent_isolating, init_memory,
-                                   multiply_strategy, robber_update_multiply,
+                                   exhaust_prudent_isolating, multiply_strategy,
                                    traced_run)
 from pursuitwidth.strategy import History, PositionalCopStrategy, playout
 
@@ -43,38 +41,45 @@ def base_strategy(g, k):
     return res.cop_strategy.as_positional()
 
 
+def multiplied(g, k, r=1):
+    """The multiplier over the solver's k-cop strategy on g."""
+    return multiply_strategy(g, base_strategy(g, k), r=r)
+
+
 class TestInitMemory:
     def test_singleton_start(self):
         g = cycle_digraph(3)
-        zeta = init_memory(g, 0b1)
+        zeta = multiplied(g, 2).init_memory(CopTurn(0, 0b1))
         assert zeta.s == 1
         assert zeta.rho_s.last() == CopTurn(0, 0b1)
         report = check_invariants(g, CopTurn(0, 0b1), zeta)
-        assert report.passed
+        assert not any(report.values())
 
     def test_split_start_rejected(self):
         with pytest.raises(PreconditionError):
-            init_memory(cycle_digraph(3), 0b101)
+            multiplied(cycle_digraph(3), 2).init_memory(CopTurn(0, 0b101))
 
     def test_needs_strong_connectivity(self):
-        with pytest.raises(PreconditionError):
-            init_memory(Digraph(2, [(0, 1)]), 0b1)
+        g = Digraph(2, [(0, 1)])
+        with pytest.raises(PreconditionError, match="strongly connected"):
+            MultiplyStrategy(g, PositionalCopStrategy.from_masks({}), 1, 1)
 
     def test_fresh_state_passes_checker_everywhere(self):
         g = cycle_digraph(4)
+        strat = multiplied(g, 2)
         for v in range(4):
-            zeta = init_memory(g, 1 << v)
-            assert check_invariants(g, CopTurn(0, 1 << v), zeta).passed
+            zeta = strat.init_memory(CopTurn(0, 1 << v))
+            assert not any(check_invariants(g, CopTurn(0, 1 << v), zeta).values())
 
 
 class TestCopMove:
     def test_first_move_follows_base_strategy(self):
         g = cycle_digraph(3)
-        f = base_strategy(g, 2)
-        zeta = init_memory(g, 0b1)
-        up, zeta2, tag = cop_move_multiply(g, f, CopTurn(0, 0b1), zeta)
-        assert tag == CASE_II_2
-        assert up == f.lookup(0, 0b1)
+        strat = multiplied(g, 2)
+        pos = CopTurn(0, 0b1)
+        up, _ = strat.announce(strat.init_memory(pos), pos)
+        assert strat.last_tag == CASE_II_2
+        assert up == strat.f.lookup(0, 0b1)
 
     def test_checker_names_broken_closure(self):
         g = cycle_digraph(3)
@@ -86,45 +91,53 @@ class TestCopMove:
         # {0} is not closed once 2 is guarded: 0 still reaches 1
         zeta = MemoryZeta((HistoryEntry(rho1, 0b1, 0b1),), rho2)
         report = check_invariants(g, CopTurn(0b100, 0b11), zeta)
-        bad = report.first_violation()
-        assert bad is not None and bad.name == "omit-closed"
-        assert "1" in bad.witness
+        name, witness = _first_violation(report)
+        assert name == "omit-closed"
+        assert "1" in witness
 
     def test_entry_invariants_enforced(self):
         g = cycle_digraph(3)
-        f = base_strategy(g, 2)
+        strat = multiplied(g, 2)
         rho_bad = History((CopTurn(0, 0b1),
                            RobberTurn(0, 0b100, 0b1)))  # not an f move
         zeta = MemoryZeta((), rho_bad)
         with pytest.raises(InvariantViolation):
-            cop_move_multiply(g, f, CopTurn(0, 0b1), zeta)
+            strat.announce(zeta, CopTurn(0, 0b1))
+
+    def test_a_move_past_r_times_k_cops_raises_cop_bound(self):
+        g = cycle_digraph(3)
+        f = multiplied(g, 2).f
+        strat = MultiplyStrategy(g, f, 1, f.cop_count() - 1)
+        with pytest.raises(InvariantViolation) as err:
+            exhaust_prudent_isolating(g, strat)
+        assert (err.value.name, err.value.witness) == ("cop-bound",
+                                                       "2 cops announced, bound is 1")
 
 
 class TestRobberUpdate:
     def test_stay_after_idle_announcement_keeps_memory(self):
         g = cycle_digraph(3)
-        zeta = init_memory(g, 0b1)
-        out = robber_update_multiply(g, base_strategy(g, 2), CopTurn(0, 0b1), 0b1, zeta,
-                                     snapshot=zeta)
-        assert out == zeta
+        strat = multiplied(g, 2)
+        pos = CopTurn(0, 0b1)
+        zeta = strat.init_memory(pos)
+        assert strat.update((zeta, pos, zeta), pos) == zeta
 
     def test_illegal_move_rejected(self):
-        g = cycle_digraph(3)
-        f = base_strategy(g, 2)
-        zeta = init_memory(g, 0b1)
-        pos = CopTurn(0, 0b1)
-        up, zmid, _ = cop_move_multiply(g, f, pos, zeta)
-        bad = g.full_mask & ~up & ~0b1
-        imprudent = bad & -bad
-        with pytest.raises(AdversaryContractError):
-            robber_update_multiply(g, f, pos, 0b1 | imprudent, zmid, snapshot=zeta)
+        # the cops land on 0 and 1, and robber 2 still reaches 3 once they
+        # have landed, so a reply onto 3 is imprudent
+        g = cycle_digraph(4)
+        strat = multiplied(g, 2)
+        pos = CopTurn(0, 0b100)
+        up, mid = strat.announce(strat.init_memory(pos), pos)
+        assert up == 0b11
+        with pytest.raises(AdversaryContractError, match="imprudent"):
+            strat.update(mid, CopTurn(up, 0b1000))
 
     def test_derived_sets_cover_announcement(self):
         g = cycle_digraph(3)
-        f = base_strategy(g, 2)
-        zeta = init_memory(g, 0b1)
+        strat = multiplied(g, 2)
         pos = CopTurn(0, 0b1)
-        up, zmid, _ = cop_move_multiply(g, f, pos, zeta)
+        up, (_, _, zmid) = strat.announce(strat.init_memory(pos), pos)
         d = _derive(zmid)
         assert d.Ucum[d.s] == up
         teams = 0
@@ -226,8 +239,9 @@ class TestMultiplied:
             assert is_isolating_position(g, pos.Uprime, Rp)
 
 
-def _item(report, name):
-    return next(it for it in report.items if it.name == name)
+def _first_violation(report):
+    """(invariant, witness) of the first invariant the report says fails."""
+    return next((name, why) for name, why in report.items() if why)
 
 
 # one memory per invariant that only a hand-built memory breaks: the
@@ -262,7 +276,8 @@ class TestCheckedOnce:
 
     def setup_method(self):
         self.g = Digraph(6, ALL_CASES_EDGES)
-        self.f = multiply_strategy(self.g, ALL_CASES_BASE, r=3).f
+        self.strat = multiply_strategy(self.g, ALL_CASES_BASE, r=3)
+        self.f = self.strat.f
         self.pos = CopTurn(0b101, 0b100010)
 
     def memory(self, announced=0b10001, Rset=0b100000, Oset=0b100000,
@@ -274,16 +289,16 @@ class TestCheckedOnce:
 
     def test_the_hand_built_memory_passes(self):
         zeta = self.memory()
-        assert check_invariants(self.g, self.pos, zeta, f=self.f).passed
+        assert not any(check_invariants(self.g, self.pos, zeta, f=self.f).values())
         assert zeta.rho_s.checked == (self.f, len(zeta.rho_s))
 
     def test_a_corrupted_earlier_step_at_a_fresh_position_is_caught(self):
-        assert check_invariants(self.g, self.pos, self.memory(), f=self.f).passed
+        assert not any(check_invariants(self.g, self.pos, self.memory(), f=self.f).values())
         # the same memory with the first announcement changed in both
         # histories: every set the invariants derive stays the same
         bad = self.memory(announced=0b1001)
         with pytest.raises(InvariantViolation) as err:
-            cop_move_multiply(self.g, self.f, self.pos, bad)
+            self.strat.announce(bad, self.pos)
         assert err.value.name == "consistent"
         # named by the first history that holds the bad step, as when every
         # history was walked from its start
@@ -296,50 +311,61 @@ class TestCheckedOnce:
         entries, top = (bad.entries, good.rho_s) if bad_history == 1 else (good.entries,
                                                                             bad.rho_s)
         report = check_invariants(self.g, self.pos, MemoryZeta(entries, top), f=self.f)
-        assert not _item(report, "chain").passed
-        assert _item(report, "consistent").witness.startswith(
+        assert report["chain"]
+        assert report["consistent"].startswith(
             f"history {bad_history}: announcement")
 
     def test_a_check_against_one_strategy_does_not_pass_another(self):
         zeta = self.memory()
-        cop_move_multiply(self.g, self.f, self.pos, zeta)
+        self.strat.announce(zeta, self.pos)
         other = PositionalCopStrategy.from_masks({**self.f.mapping, (0, 0b1): 0b1001})
         with pytest.raises(InvariantViolation) as err:
-            cop_move_multiply(self.g, other, self.pos, zeta)
+            MultiplyStrategy(self.g, other, self.strat.r, self.strat.k).announce(zeta, self.pos)
         assert err.value.witness.endswith(
             ": history 1: announcement [0, 4] differs from base move [0, 3]")
 
     def test_a_check_at_one_position_does_not_pass_another(self):
         zeta = self.memory()
-        cop_move_multiply(self.g, self.f, self.pos, zeta)
+        self.strat.announce(zeta, self.pos)
         with pytest.raises(InvariantViolation) as err:
-            cop_move_multiply(self.g, self.f, CopTurn(0b101, 0b1010), zeta)
+            self.strat.announce(zeta, CopTurn(0b101, 0b1010))
         assert err.value.name == "partition"
+
+    @pytest.mark.parametrize("r,witness", [
+        (0, "2 histories for r=0"),
+        (1, "a full chain must repeat its last placement set"),
+    ])
+    def test_a_move_past_the_chain_bound_raises(self, r, witness):
+        # pursuing robber 1 places cops its history does not share with
+        # history 1; a strategy for fewer robbers may not make that memory
+        strat = MultiplyStrategy(self.g, self.f, r, self.g.n)
+        with pytest.raises(InvariantViolation) as err:
+            strat.announce(self.memory(), self.pos)
+        assert (err.value.name, err.value.witness) == ("chain-bound", witness)
 
     def test_the_appended_step_of_a_checked_history_is_walked(self):
         zeta = self.memory()
-        assert check_invariants(self.g, self.pos, zeta, f=self.f).passed
+        assert not any(check_invariants(self.g, self.pos, zeta, f=self.f).values())
         want = self.f.lookup(0b101, 0b10)
         for up, ok in ((want, True), (0b1001, False)):
             longer = MemoryZeta(zeta.entries, zeta.rho_s.append(RobberTurn(0b101, up, 0b10)))
             assert longer.rho_s.checked == zeta.rho_s.checked
             report = check_invariants(self.g, self.pos, longer, f=self.f)
-            assert _item(report, "consistent").passed is ok
+            assert (not report["consistent"]) is ok
 
     def test_an_attached_robber_needs_a_legal_added_step(self):
         # from 2, with a cop kept on 0 and one landing on 2, a robber can
         # reach 1 and 5 but not 3
         report = check_invariants(self.g, CopTurn(0b101, 0b1010), self.memory(Rset=0b1000),
                                   f=self.f)
-        item = _item(report, "member-consistency")
-        assert not item.passed and "robber move 2->3 illegal" in item.witness
-        assert _item(report, "consistent").passed
+        assert "robber move 2->3 illegal" in report["member-consistency"]
+        assert not report["consistent"]
 
     @pytest.mark.parametrize("name,pos,changes,witness", BROKEN_MEMORIES,
                              ids=[case[0] for case in BROKEN_MEMORIES])
     def test_each_invariant_fires_on_a_memory_that_breaks_it(self, name, pos, changes, witness):
         report = check_invariants(self.g, pos or self.pos, self.memory(**changes), f=self.f)
-        assert _item(report, name).witness == witness
+        assert report[name] == witness
 
     @pytest.mark.parametrize("tail,witness", [
         # the robbers' turn after the top cop position holds another robber
@@ -351,19 +377,19 @@ class TestCheckedOnce:
     ], ids=["after-a-cop-turn", "after-a-robber-turn"])
     def test_a_step_that_does_not_follow_is_named(self, tail, witness):
         report = check_invariants(self.g, self.pos, self.memory(tail=tail), f=self.f)
-        assert _item(report, "consistent").witness == f"history 2: {witness}"
+        assert report["consistent"] == f"history 2: {witness}"
 
     def test_a_first_placement_with_cops_is_named(self):
         zeta = MemoryZeta((), History((CopTurn(0b1, 0b10),)))
         report = check_invariants(self.g, CopTurn(0b1, 0b10), zeta, f=self.f)
-        assert _item(report, "consistent").witness == (
+        assert report["consistent"] == (
             "history 1: first placement must have no cops, got CopTurn(U=[0], R=[1])")
 
     def test_an_attached_robber_on_a_cop_of_its_team_is_reported(self):
         # robber 0 attached to history 1, whose team holds 0: no robber
         # position can be built for its step, and partition names it
         report = check_invariants(self.g, self.pos, self.memory(Rset=0b100001), f=self.f)
-        assert report.first_violation().name == "partition"
+        assert _first_violation(report)[0] == "partition"
 
 
 class Recorded(MultiplyStrategy):
@@ -381,14 +407,14 @@ class Recorded(MultiplyStrategy):
         return out
 
 
-def _counting(monkeypatch, name):
+def _counting(monkeypatch, name, owner=multiply):
     calls = [0]
-    original = getattr(multiply, name)
+    original = getattr(owner, name)
 
     def counted(*args, **kwargs):
         calls[0] += 1
         return original(*args, **kwargs)
-    monkeypatch.setattr(multiply, name, counted)
+    monkeypatch.setattr(owner, name, counted)
     return calls
 
 
@@ -414,7 +440,7 @@ class TestSharedWork:
         return g, strat, rep
 
     def test_exhaustion_makes_one_cop_move_per_expanded_state(self, monkeypatch):
-        moves = _counting(monkeypatch, "cop_move_multiply")
+        moves = _counting(monkeypatch, "announce", MultiplyStrategy)
         _, _, rep = self._recorded_run()
         # every reply is folded into the memory the announcement handed over
         assert moves[0] == rep.states
@@ -429,16 +455,16 @@ class TestSharedWork:
             checked_at.add((id(zeta), pos, id(f)))
             return check(g, pos, zeta, f=f, cache=cache)
         monkeypatch.setattr(multiply, "check_invariants", recorded)
-        move = multiply.cop_move_multiply
+        announce = MultiplyStrategy.announce
         moves = []
 
-        def passed_before(g, f, pos, zeta, cache=None):
-            out = move(g, f, pos, zeta, cache=cache)
+        def passed_before(strat, zeta, pos):
+            out = announce(strat, zeta, pos)
             # the cop move starts from a memory checked at this position against f
-            assert (id(zeta), pos, id(f)) in checked_at
+            assert (id(zeta), pos, id(strat.f)) in checked_at
             moves.append(zeta)
             return out
-        monkeypatch.setattr(multiply, "cop_move_multiply", passed_before)
+        monkeypatch.setattr(MultiplyStrategy, "announce", passed_before)
         g = Digraph(6, ALL_CASES_EDGES)
         rep = exhaust_prudent_isolating(g, multiply_strategy(g, ALL_CASES_BASE, r=3))
         assert rep.ok, rep.witness

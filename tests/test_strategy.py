@@ -3,7 +3,8 @@ import pytest
 from pursuitwidth.arena import (COPS, ROBBERS, CopTurn, RobberTurn,
                                 SearchConfig, solve_search, width)
 from pursuitwidth.digraph import Digraph, reach_excluding
-from pursuitwidth.errors import InputError, PreconditionError, StrategyHoleError
+from pursuitwidth.errors import (AdversaryContractError, InputError, PreconditionError,
+                                 StrategyHoleError)
 from pursuitwidth.families import (cops_topdown_thm7, cycle_digraph,
                                    enumerate_strongly_connected, two_tree_graph)
 from pursuitwidth.multiply import exhaust_prudent_isolating, multiply_strategy
@@ -93,6 +94,42 @@ class TestPlayout:
                for u in range(3) for v in range(3) if u != v})
         res = playout(g, SearchConfig(k=1), stay, rob, 200)
         assert res.verdict in (ROBBERS_WIN, NON_MONOTONE)
+
+
+class TestInitialPlacement:
+    """A robber strategy's opening placement is held to the rules of its moves."""
+
+    @staticmethod
+    def placed(R0):
+        rob = FixedRobber(0)
+        rob.initial_placement = lambda: R0
+        return rob
+
+    @pytest.mark.parametrize("R0", [0b11, 1 << 7], ids=["two-robbers", "outside-the-graph"])
+    def test_validation_rejects_an_illegal_placement(self, R0):
+        with pytest.raises(AdversaryContractError, match="illegal initial placement"):
+            validate_robber_strategy(cycle_digraph(3), SearchConfig(k=1, r=1), self.placed(R0))
+
+    def test_validation_of_an_empty_placement_is_a_capture(self):
+        rep = validate_robber_strategy(cycle_digraph(3), SearchConfig(k=1, r=1), self.placed(0))
+        assert not rep.ok and rep.witness[0] == "captured"
+
+    @pytest.mark.parametrize("positional", [True, False], ids=["positional", "solver"])
+    def test_playout_rejects_a_placement_outside_the_graph(self, positional):
+        g = cycle_digraph(3)
+        cops = solve_search(g, SearchConfig(k=2)).cop_strategy
+        if positional:
+            cops = cops.as_positional()
+        with pytest.raises(PreconditionError, match=r"illegal initial placement \[7\]"):
+            playout(g, SearchConfig(k=2), cops, self.placed(1 << 7), 10)
+
+    def test_a_placement_that_is_no_mask_is_rejected_before_it_is_read(self):
+        # the vertices of a negative int never run out
+        g, cfg = cycle_digraph(3), SearchConfig(k=1, r=1)
+        with pytest.raises(TypeError, match="nonnegative"):
+            playout(g, cfg, PositionalCopStrategy({}), self.placed(-3), 10)
+        with pytest.raises(TypeError, match="nonnegative"):
+            validate_robber_strategy(g, cfg, self.placed(-3))
 
 
 def _pair_checked(strat):
