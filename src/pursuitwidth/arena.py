@@ -37,8 +37,8 @@ from functools import reduce
 from operator import or_
 from typing import Iterable, Optional
 
-from .digraph import (Digraph, _check_vertices, bits, out_of, reach_mask,
-                      set_from, symmetric_closure)
+from .digraph import (Digraph, _check_vertices, bits, induced, out_of,
+                      reach_mask, set_from, symmetric_closure)
 from .errors import ConfigError, PreconditionError, ResourceError
 
 DEFAULT_POSITION_BUDGET = 10_000_000
@@ -503,6 +503,10 @@ def validate_invisible_schedule(g: Digraph, k: int, schedule: Iterable) -> tuple
 
 _MEASURES = ("dw", "dw_r", "tw", "tw_r", "dpw")
 
+# the subgraph ladder's first rung has this many vertices, and each next one
+# twice as many; a graph no larger takes the plain ladder
+LADDER_START = 8
+
 
 def width(g: Digraph, measure: str, r: int = 1, budget: Optional[int] = None) -> int:
     """Minimum cop count for the requested measure, by ascending search.
@@ -510,7 +514,70 @@ def width(g: Digraph, measure: str, r: int = 1, budget: Optional[int] = None) ->
     dw / dw_r: visible game on g with 1 / r robbers.  tw / tw_r: the same on
     the symmetric closure, where tw is the classical tree-width tw_1 - 1.
     dpw: invisible game on g (cop count, i.e. classical value plus one).
-    dw, tw and dpw take only r = 1.
+    dw, tw and dpw take only r = 1.  The visible measures climb the ladder
+    along induced subgraphs (see `_ladder`); the budget bounds each solve.
+    """
+    return _ladder(g, measure, r, budget)[0]
+
+
+def _search_order(g: Digraph, size: int) -> list:
+    """The first `size` vertices of a maximum cardinality search over the
+    symmetric closure (Tarjan & Yannakakis, SIAM J. Comput. 1984): the next
+    vertex has the most neighbours already ordered, then the highest degree,
+    then the lowest number.  So every prefix is a dense core grown from a
+    vertex of highest degree, connected when the graph is."""
+    adj = [(o | i) & ~(1 << v) for v, (o, i) in enumerate(zip(g.out_masks, g.in_masks))]
+    degree = [bin(a).count("1") for a in adj]
+    weight = [0] * g.n
+    left = set(range(g.n))
+    order = []
+    while len(order) < size:
+        v = max(left, key=lambda u: (weight[u], degree[u], -u))
+        left.remove(v)
+        order.append(v)
+        for w in bits(adj[v]):
+            weight[w] += 1
+    return order
+
+
+def _chain(g: Digraph) -> list:
+    """The vertex sets of the ladder's rungs: the search order's prefixes of
+    LADDER_START, twice as many, ... vertices below g.n, then all of g."""
+    sizes = []
+    while LADDER_START << len(sizes) < g.n:
+        sizes.append(LADDER_START << len(sizes))
+    if not sizes:
+        return [range(g.n)]
+    order = _search_order(g, sizes[-1])
+    return [order[:m] for m in sizes] + [range(g.n)]
+
+
+def _rung(h: Digraph, measure: str, k: int, r: int, budget: Optional[int],
+          cache: Optional[GraphCache]) -> tuple:
+    """One solve of the ladder: (whether k cops win, the classes it decided
+    or, for dpw, the contaminated sets it expanded).  The solve's strategy
+    is dropped here, so it holds no cache while the next rung is solved."""
+    if measure == "dpw":
+        res = solve_invisible(h, k, budget=budget)
+        return res.cops_win, res.states
+    res = solve_search(h, SearchConfig(k=k, r=r), budget=budget, cache=cache)
+    return res.winner == COPS, res.arena_size
+
+
+def _ladder(g: Digraph, measure: str, r: int = 1, budget: Optional[int] = None,
+            plain: bool = False):
+    """`width`'s ascending search, as (value, rungs).
+
+    Each rung is one solve, (vertices, k, winner, classes): the vertices of g
+    it was played on, the cop count, the winner and the classes it decided
+    (the contaminated sets it expanded, for dpw).  The plain ladder tries
+    k = 1, 2, ... on g.  Otherwise the visible measures climb `_chain(g)`:
+    on each induced subgraph H the search starts at the last k it reached,
+    and the last subgraph is g.  That is exact because the measures are
+    monotone under induced subgraphs: a monotone cop strategy on g,
+    restricted to H, is one on H with no more cops, since every path in H is
+    a path in g.  So k cops that lose on H lose on g.  dpw, and graphs of at
+    most LADDER_START vertices, take the plain ladder.
     """
     if measure not in _MEASURES:
         raise ConfigError(f"unknown measure {measure!r}; pick one of {_MEASURES}")
@@ -520,17 +587,24 @@ def width(g: Digraph, measure: str, r: int = 1, budget: Optional[int] = None) ->
     if g.n == 0:
         raise PreconditionError("width of the empty graph is undefined")
     if measure in ("tw", "tw_r"):
-        base = width(symmetric_closure(g), "dw_r" if measure == "tw_r" else "dw",
-                     r=r, budget=budget)
-        return base - 1 if measure == "tw" else base
-    cache = None if measure == "dpw" else GraphCache(g)
-    for k in range(1, g.n + 1):
-        try:
-            if (solve_invisible(g, k, budget=budget).cops_win if measure == "dpw" else
-                    solve_search(g, SearchConfig(k=k, r=r), budget=budget,
-                                 cache=cache).winner == COPS):
-                return k
-        except ResourceError as e:
-            raise ResourceError(f"{e} while testing k={k}", budget=e.budget,
-                                context=f"k={k}") from None
-    raise AssertionError("n cops always win; unreachable")
+        base, rungs = _ladder(symmetric_closure(g), "dw_r" if measure == "tw_r" else "dw",
+                              r, budget, plain)
+        return (base - 1 if measure == "tw" else base), rungs
+    rungs = []
+    k = 1
+    for vs in [range(g.n)] if plain or measure == "dpw" else _chain(g):
+        h = g if len(vs) == g.n else induced(g, vs)
+        cache = None if measure == "dpw" else GraphCache(h)
+        while True:
+            try:
+                won, classes = _rung(h, measure, k, r, budget, cache)
+            except ResourceError as e:
+                on, context = ("", f"k={k}") if h is g else (
+                    f" on an induced subgraph of {h.n} vertices", f"k={k}, vertices={h.n}")
+                raise ResourceError(f"{e} while testing k={k}{on}", budget=e.budget,
+                                    context=context) from None
+            rungs.append((vs, k, COPS if won else ROBBERS, classes))
+            if won:
+                break
+            k += 1
+    return k, rungs

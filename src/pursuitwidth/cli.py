@@ -12,9 +12,9 @@ from multiprocessing import Pool
 from typing import Optional
 
 from . import families, parity
-from .arena import (ROBBERS, SearchConfig, solve_invisible, solve_search,
-                    validate_invisible_schedule, width)
-from .digraph import (Digraph, emit_dot, emit_edge_list,
+from .arena import (ROBBERS, SearchConfig, _ladder, solve_invisible,
+                    solve_search, validate_invisible_schedule, width)
+from .digraph import (Digraph, emit_dot, emit_edge_list, induced,
                       is_strongly_connected, parse_edge_list, reach_excluding)
 from .errors import (AdversaryContractError, ConfigError, InputError,
                      InvariantViolation, PreconditionError, ResourceError,
@@ -140,25 +140,80 @@ def _tally(rep: Report, names, key: str, ids, records):
 # checks and thm10 also carries the symmetric-closure bound).  A task checks
 # one instance and returns the checks it failed as (name, detail) pairs.
 
+def _plain_width(g: Digraph, measure: str, r: int = 1, budget: Optional[int] = None) -> int:
+    """`width` by the plain ladder on the whole graph: the checks of the
+    subgraph ladder must not rest on what they check."""
+    return _ladder(g, measure, r, budget, plain=True)[0]
+
+
 def _hierarchy_task(args):
-    g, budget = args
+    g, budget, deletions = args
     chain = [width(g, "dw_r", r=r, budget=budget) for r in range(1, g.n + 1)]
     dpw = width(g, "dpw", budget=budget)
-    if all(chain[i] <= chain[i + 1] for i in range(len(chain) - 1)) and chain[-1] == dpw:
-        return []
-    return [("chain-monotone-and-top-equals-invisible", {"chain": chain, "dpw": dpw})]
+    failures = []
+    if not (all(chain[i] <= chain[i + 1] for i in range(len(chain) - 1))
+            and chain[-1] == dpw):
+        failures.append(("chain-monotone-and-top-equals-invisible",
+                         {"chain": chain, "dpw": dpw}))
+    if not deletions or g.n == 1:  # deleting the one vertex leaves no graph
+        return failures
+    for v in range(g.n):
+        h = induced(g, [u for u in range(g.n) if u != v])
+        sub = [_plain_width(h, "dw_r", r=r, budget=budget) for r in range(1, h.n + 1)]
+        sub_dpw = _plain_width(h, "dpw", budget=budget)
+        if any(a > b for a, b in zip(sub, chain)) or sub_dpw > dpw:
+            failures.append(("width-monotone-under-induced-subgraphs",
+                             {"deleted": v, "chain": sub, "dpw": sub_dpw}))
+    return failures
+
+
+def ladder_corpus():
+    """The fixed (name, graph, measure, r) instances on which `verify
+    hierarchy` compares the subgraph ladder with the plain one.  All but the
+    first have more than LADDER_START vertices, so their ladders climb at
+    least two rungs."""
+    two_tree1, _ = families.two_tree_graph(1)
+    two_tree2, _ = families.two_tree_graph(2)
+    t2, _ = families.tree_T(2)
+    rnd10 = families.random_digraph(10, 0.3, DEFAULT_SEED + 10)
+    rnd12 = families.random_digraph(12, 0.3, DEFAULT_SEED + 12)
+    return [("two-tree(1)", two_tree1, "dw", 1), ("two-tree(2)", two_tree2, "dw", 1),
+            ("T_2", t2, "dw", 1), ("T_2", t2, "dw_r", 2),
+            ("G_2^1", families.gen_grk(2, 1), "tw_r", 2),
+            ("rnd10", rnd10, "dw_r", 2), ("rnd12", rnd12, "dw", 1)]
+
+
+def _ladder_task(args):
+    """(whether the subgraph ladder climbed two rungs or more, failures)."""
+    g, measure, r, budget = args
+    value, rungs = _ladder(g, measure, r, budget)
+    plain = _plain_width(g, measure, r, budget)
+    climbed = len({len(vs) for vs, _, _, _ in rungs}) > 1
+    return climbed, ([] if value == plain else [
+        ("subgraph-ladder-equals-plain-ladder",
+         {"measure": measure, "r": r, "subgraph_ladder": value, "plain_ladder": plain})])
 
 
 def suite_hierarchy(nmax: int = 4, samples: int = 200, seed: int = DEFAULT_SEED,
                     budget: Optional[int] = None, jobs: int = 1) -> Report:
     rep = Report(command=["verify", "hierarchy"],
                  params={"nmax": nmax, "samples": samples, "seed": seed})
-    corpus = small_corpus(nmax) + random_corpus(5, samples, seed)
+    small = small_corpus(nmax)
+    corpus = small + random_corpus(5, samples, seed)
     _require_instances(len(corpus), "hierarchy", "graph")
-    results = _run_tasks(_hierarchy_task, [(g, budget) for (_, g) in corpus], jobs)
+    results = _run_tasks(_hierarchy_task, [(g, budget, i < len(small))
+                                           for i, (_, g) in enumerate(corpus)], jobs)
     rep.results["instances"] = len(corpus)
-    _tally(rep, ("chain-monotone-and-top-equals-invisible",), "graph",
+    _tally(rep, ("chain-monotone-and-top-equals-invisible",
+                 "width-monotone-under-induced-subgraphs"), "graph",
            [name for name, _ in corpus], results)
+    ladders = ladder_corpus()
+    climbs = _run_tasks(_ladder_task, [(g, m, r, budget) for _, g, m, r in ladders], jobs)
+    _tally(rep, ("subgraph-ladder-equals-plain-ladder",), "graph",
+           [name for name, _, _, _ in ladders], [failures for _, failures in climbs])
+    if not any(climbed for climbed, _ in climbs):
+        rep.checks[-1] = Check("subgraph-ladder-equals-plain-ladder", False,
+                               "no instance climbed two rungs, so the check is vacuous")
     return rep
 
 
@@ -486,8 +541,20 @@ def cmd_width(args) -> Report:
                  params={"measure": args.measure, "r": args.r})
     g, digest = _load_graph(args.graph)
     rep.inputs[args.graph] = digest
-    value = width(g, args.measure, r=args.r, budget=args.budget)
+    value, rungs = _ladder(g, args.measure, r=args.r, budget=args.budget)
     rep.results["value"] = value
+    rep.results["rungs"] = [{"vertices": len(vs), "k": k, "winner": winner, "classes": classes}
+                            for vs, k, winner, classes in rungs]
+    lost = [(vs, k) for vs, k, winner, _ in rungs if winner == ROBBERS]
+    rep.results["lower_bound"] = (None if not lost else
+                                  {"k": lost[-1][1], "vertices": sorted(lost[-1][0])})
+    rep.notes.append("each rung is one solve with k cops on the subgraph induced by the "
+                     "first `vertices` vertices of the ladder's order (the whole graph "
+                     "last); `classes` counts "
+                     + ("the contaminated sets it expanded" if args.measure == "dpw"
+                        else "the classes it decided"))
+    rep.notes.append("lower_bound: k cops lose on the subgraph induced by `vertices` "
+                     "(input numbering), so the graph needs more than k cops")
     if args.measure == "dpw":
         rep.notes.append("cop-count convention: classical directed path-width plus one")
     if args.measure == "tw":

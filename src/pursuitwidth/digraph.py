@@ -232,6 +232,19 @@ def symmetric_closure(g: Digraph) -> Digraph:
     return Digraph(g.n, es, labels=g.labels)
 
 
+def induced(g: Digraph, vertices) -> Digraph:
+    """The subgraph of g induced by `vertices`, renumbered in their order:
+    vertex i is the i-th of `vertices`, and keeps its label."""
+    vs = [int(v) for v in vertices]
+    keep = _check_vertices(vs, "the induced vertex set", g.n)
+    if bin(keep).count("1") != len(vs):
+        raise InputError("the induced vertex set repeats a vertex")
+    index = {v: i for i, v in enumerate(vs)}
+    edges = [(i, index[w]) for i, v in enumerate(vs) for w in bits(g.out_masks[v] & keep)]
+    labels = None if g.labels is None else [g.labels[v] for v in vs]
+    return Digraph(len(vs), edges, labels)
+
+
 def is_strongly_connected(g: Digraph) -> bool:
     if g.n <= 1:
         return True

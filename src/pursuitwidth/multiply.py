@@ -571,13 +571,14 @@ def exhaust_prudent_isolating(g: Digraph, strat: MultiplyStrategy,
                               budget: Optional[int] = None) -> AdversarialReport:
     """Play the multiplier against every prudent isolating robber line.
 
-    Every branch must reach a monotone capture within the budget; any repeat
-    of a (memory, cop set, robber set) state would be an infinite play and
-    fails.  A failure's witness is its verdict and the path of states from a
-    robber placement to the failing one.  `max_cops` and `max_robbers` are
-    the most cops announced and robbers held on any explored state.
+    Every branch must reach a capture within the budget; any repeat of a
+    (memory, cop set, robber set) state would be an infinite play and fails,
+    and `MultiplyStrategy.announce` raises `InvariantViolation("monotone")`
+    on a non-monotone move.  A failure's witness is its verdict and the path
+    of states from a robber placement to the failing one.  `max_cops` and
+    `max_robbers` are the most cops announced and robbers held on any
+    explored state.
     """
-    cache = strat.cache
     max_cops = max_robbers = 0
     cases = {}
 
@@ -590,12 +591,9 @@ def exhaust_prudent_isolating(g: Digraph, strat: MultiplyStrategy,
         up, mid = strat.announce(zeta, CopTurn(U, R))
         cases[strat.last_tag] = cases.get(strat.last_tag, 0) + 1
         max_cops = max(max_cops, bin(up).count("1"))
-        spoiled, _ = cache.robber_turn(U, up, R)
-        if spoiled:
-            return f"non-monotone announcement abandoning {_vs(spoiled)}"
         return ((strat.update(mid, CopTurn(up, Rp)), up, Rp)
                 for Rp in enumerate_prudent_isolating_moves(g, RobberTurn(U, up, R), strat.r,
-                                                            cache=cache))
+                                                            cache=strat.cache))
 
     roots = ((strat.init_memory(CopTurn(0, 1 << v)), 0, 1 << v) for v in range(g.n))
     failure, states = explore(roots, moves, effective_budget(budget),

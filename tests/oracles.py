@@ -73,6 +73,14 @@ def antichain_reps(g, U, R):
     return frozenset(min(c) for c in classes if not any(reaches[w] & c for w in R - c))
 
 
+def induced(g, vertices):
+    """The edges of g between `vertices`, each endpoint renumbered by its
+    position in `vertices`."""
+    position = {v: i for i, v in enumerate(vertices)}
+    return frozenset((position[u], position[v]) for (u, v) in g.edges
+                     if u in position and v in position)
+
+
 def sccs_by_closure(g):
     """SCC partition via pairwise mutual reachability on the closure."""
     n = g.n

@@ -4,10 +4,12 @@ import math
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from pursuitwidth.arena import (COPS, ROBBERS, CopTurn, GraphCache, RobberTurn,
-                                SearchConfig, _SearchSolver, announcement_masks,
-                                is_monotone_move, solve_invisible, solve_search,
-                                subset_masks, validate_invisible_schedule, width)
+from pursuitwidth import arena
+from pursuitwidth.arena import (COPS, LADDER_START, ROBBERS, CopTurn, GraphCache,
+                                RobberTurn, SearchConfig, _ladder, _SearchSolver,
+                                announcement_masks, is_monotone_move,
+                                solve_invisible, solve_search, subset_masks,
+                                validate_invisible_schedule, width)
 from pursuitwidth.cli import small_corpus
 from pursuitwidth.digraph import Digraph, bits, out_of, reach_mask, region_table
 from pursuitwidth.errors import ConfigError, InputError, ResourceError
@@ -542,3 +544,61 @@ class TestWidth:
     def test_unknown_measure(self):
         with pytest.raises(ConfigError):
             width(single, "nope")
+
+
+# graphs the ladder's order was not chosen on: no seed here was used to pick
+# it, and none is a seed of the benchmark or of `verify hierarchy`
+LADDER_CASES = [
+    *[(f"rand({n},{p},{5000 + n})", random_digraph(n, p, 5000 + n), m, r)
+      for n, p, m, r in [(9, 0.3, "dw", 1), (9, 0.3, "dw_r", 2), (9, 0.3, "tw", 1),
+                         (9, 0.3, "tw_r", 2), (10, 0.25, "dw_r", 2), (11, 0.2, "dw", 1),
+                         (12, 0.2, "tw", 1), (13, 0.15, "dw_r", 2), (14, 0.15, "tw_r", 2),
+                         (15, 0.12, "dw", 1), (16, 0.12, "dw_r", 2)]],
+    ("G_2^1", gen_grk(2, 1), "dw_r", 2),
+    ("T_2", tree_T(2)[0], "dw", 1),
+    ("T_2", tree_T(2)[0], "tw_r", 2),
+    ("two-tree(1)", two_tree_graph(1)[0], "dw_r", 2),
+    ("two-tree(2)", two_tree_graph(2)[0], "dw", 1),
+    ("two-tree(2)", two_tree_graph(2)[0], "tw", 1),
+]
+
+
+class TestSubgraphLadder:
+    @pytest.mark.parametrize("name,g,measure,r", LADDER_CASES,
+                             ids=[f"{c[0]}-{c[2]}-r{c[3]}" for c in LADDER_CASES])
+    def test_equals_the_plain_ladder(self, name, g, measure, r):
+        value, rungs = _ladder(g, measure, r)
+        assert value == width(g, measure, r=r) == _ladder(g, measure, r, plain=True)[0]
+        # a graph above the start size climbs two rungs or more; every rung
+        # starts at the k the one before reached, and the last is g, won
+        sizes = [len(vs) for vs, _, _, _ in rungs]
+        assert (len(set(sizes)) > 1) == (g.n > LADDER_START)
+        assert sizes == sorted(sizes) and sizes[-1] == g.n and rungs[-1][2] == COPS
+        for (_, k, winner, _), (_, k2, _, _) in zip(rungs, rungs[1:]):
+            assert k2 == (k + 1 if winner == ROBBERS else k)
+
+    def test_two_tree_3_fits_a_budget_the_plain_ladder_exceeds(self):
+        g, _ = two_tree_graph(3)
+        assert width(g, "dw", budget=2000) == 3
+        # the plain ladder needs 28,749 classes at k=2 here, and takes
+        # seconds to exceed the budget; on two_tree_graph(2) it needs 432
+        small, _ = two_tree_graph(2)
+        assert width(small, "dw", budget=100) == 3
+        with pytest.raises(ResourceError) as exc:
+            _ladder(small, "dw", budget=100, plain=True)
+        assert exc.value.context == "k=2"
+
+    def test_a_budget_error_on_a_subgraph_names_k_and_its_size(self):
+        with pytest.raises(ResourceError) as exc:
+            width(two_tree_graph(3)[0], "dw", budget=10)
+        assert exc.value.context == "k=2, vertices=8" and exc.value.budget == 10
+        assert str(exc.value).endswith("while testing k=2 on an induced subgraph of 8 vertices")
+
+    @pytest.mark.parametrize("g,measure", [(gen_grk(1, 2), "dw"),
+                                           (random_digraph(12, 0.3, 5), "dpw")],
+                             ids=["eight-vertices", "dpw"])
+    def test_plain_ladder_computes_no_order(self, g, measure, monkeypatch):
+        want = width(g, measure)
+        monkeypatch.setattr(arena, "_search_order", None)
+        assert width(g, measure) == want
+        assert {len(vs) for vs, _, _, _ in _ladder(g, measure)[1]} == {g.n}

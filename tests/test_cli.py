@@ -3,16 +3,17 @@ import json
 
 import pytest
 
-from pursuitwidth import cli, parity
-from pursuitwidth.arena import COPS
+from pursuitwidth import arena, cli, parity
+from pursuitwidth.arena import COPS, ROBBERS, SearchConfig, solve_search
 from pursuitwidth.cli import (EXIT_CHECK_FAILURE, EXIT_INPUT_ERROR,
                               EXIT_INTERNAL_ERROR, EXIT_PASS,
                               EXIT_RESOURCE_ERROR, SCHEMA, main, suite_lemma2,
                               suite_thm25)
-from pursuitwidth.digraph import Digraph
+from pursuitwidth.digraph import Digraph, induced
 from pursuitwidth.errors import (AdversaryContractError, InvariantViolation,
                                  StrategyHoleError)
-from pursuitwidth.strategy import ValidationReport
+from pursuitwidth.families import two_tree_graph
+from pursuitwidth.strategy import ValidationReport, validate_robber_strategy
 
 
 def run(argv, capsys):
@@ -49,6 +50,31 @@ class TestWidthCommand:
         p.write_text("1\n")
         code, rep = run(["width", str(p), "--measure", "dw"], capsys)
         assert rep["results"]["value"] == 1
+        assert rep["results"]["lower_bound"] is None  # no rung was lost
+
+    def test_reports_each_rung_and_the_lower_bound(self, c3, capsys):
+        code, rep = run(["width", c3], capsys)
+        assert rep["results"]["rungs"] == [
+            {"vertices": 3, "k": 1, "winner": ROBBERS, "classes": 4},
+            {"vertices": 3, "k": 2, "winner": COPS, "classes": 2}]
+        assert rep["results"]["lower_bound"] == {"k": 1, "vertices": [0, 1, 2]}
+
+    def test_two_tree_3_climbs_to_a_lower_bound_witness_that_holds(self, tmp_path, capsys):
+        path = str(tmp_path / "t3.edges")
+        run(["generate", "thm7", "--n", "3", "-o", path], capsys)
+        code, rep = run(["width", path, "--budget", "2000"], capsys)
+        assert code == EXIT_PASS and rep["results"]["value"] == 3
+        assert [tuple(rung.values()) for rung in rep["results"]["rungs"]] == [
+            (8, 1, ROBBERS, 8), (8, 2, COPS, 14), (16, 2, COPS, 51), (32, 2, ROBBERS, 518),
+            (32, 3, COPS, 51), (64, 3, COPS, 99), (128, 3, COPS, 474), (242, 3, COPS, 647)]
+        bound = rep["results"]["lower_bound"]
+        assert bound["k"] == 2 and len(bound["vertices"]) == 32
+        # the robbers' win on the witness, validated on every cop line
+        h = induced(two_tree_graph(3)[0], bound["vertices"])
+        cfg = SearchConfig(k=2)
+        solved = solve_search(h, cfg)
+        assert solved.winner == ROBBERS
+        assert validate_robber_strategy(h, cfg, solved.robber_strategy).ok
 
     def test_missing_file_is_input_error(self, capsys):
         code, rep = run(["width", "/nonexistent.edges"], capsys)
@@ -259,6 +285,7 @@ def _check(rep, name):
 _WIDTH, _SOLVE_SEARCH, _SOLVE_INVISIBLE, _EXHAUST, _TRACED_RUN, _SOLVE_IMPERFECT = (
     cli.width, cli.solve_search, cli.solve_invisible, cli.exhaust_prudent_isolating,
     cli.traced_run, parity.solve_imperfect)
+_PLAIN_WIDTH, _LADDER = cli._plain_width, cli._ladder
 
 
 def _raised(measure, by, r=None):
@@ -267,6 +294,18 @@ def _raised(measure, by, r=None):
         value = _WIDTH(g, m, **kw)
         return value + by if m == measure and r in (None, kw.get("r")) else value
     return width
+
+
+def _plain_dw_of_one_vertex_raised(g, m, r=1, budget=None):
+    """The plain ladder with dw of a one-vertex graph raised by 5."""
+    value = _PLAIN_WIDTH(g, m, r, budget)
+    return value + 5 if g.n == 1 and m == "dw_r" else value
+
+
+def _subgraph_ladder_of_twelve_vertices_raised(g, m, r=1, budget=None, plain=False):
+    """The subgraph ladder on a 12-vertex graph one too high."""
+    value, rungs = _LADDER(g, m, r, budget, plain)
+    return (value + 1 if g.n == 12 and not plain else value), rungs
 
 
 def _replaced(fn, **changes):
@@ -299,6 +338,15 @@ CAN_FAIL = [
     ("chain-monotone-and-top-equals-invisible",
      lambda out: cli.suite_hierarchy(nmax=1, samples=0), cli, "width", _raised("dpw", 1),
      [{"graph": "sc1-0", "chain": [1], "dpw": 2}]),
+    ("width-monotone-under-induced-subgraphs",
+     lambda out: cli.suite_hierarchy(nmax=2, samples=0), cli, "_plain_width",
+     _plain_dw_of_one_vertex_raised,
+     [{"graph": "sc2-0", "deleted": 0, "chain": [6], "dpw": 1},
+      {"graph": "sc2-0", "deleted": 1, "chain": [6], "dpw": 1}]),
+    ("subgraph-ladder-equals-plain-ladder",
+     lambda out: cli.suite_hierarchy(nmax=1, samples=0), cli, "_ladder",
+     _subgraph_ladder_of_twelve_vertices_raised,
+     [{"graph": "rnd12", "measure": "dw", "r": 1, "subgraph_ladder": 5, "plain_ladder": 4}]),
     ("multi-robber-width-at-most-r-times-width",
      lambda out: cli.suite_thm10(nmax=1, samples=0), cli, "width", _raised("dw_r", 10),
      [{"graph": "sc1-0", "r": 2, "dw_r": 11, "cap": 2},
@@ -390,9 +438,20 @@ class TestChecksCanFail:
         assert not check.passed
         assert check.witness == {"winner": "robbers", "witness": "('captured',)"}
 
+    def test_a_ladder_check_where_no_ladder_climbs_fails(self, monkeypatch):
+        name = "subgraph-ladder-equals-plain-ladder"
+        # every instance then has at most the start size
+        monkeypatch.setattr(arena, "LADDER_START", 32)
+        rep = cli.suite_hierarchy(nmax=1, samples=0)
+        check = _check(rep, name)
+        assert not check.passed and not rep.passed
+        assert check.witness == "no instance climbed two rungs, so the check is vacuous"
+
     @pytest.mark.parametrize("run,names", [
         pytest.param(lambda out: cli.suite_hierarchy(nmax=1, samples=0),
-                     ["chain-monotone-and-top-equals-invisible"], id="hierarchy"),
+                     ["chain-monotone-and-top-equals-invisible",
+                      "width-monotone-under-induced-subgraphs",
+                      "subgraph-ladder-equals-plain-ladder"], id="hierarchy"),
         pytest.param(lambda out: cli.suite_thm10(graph=C3, r=2, trace_out=out),
                      ["multi-robber-width-at-most-r-times-width",
                       "multiplier-beats-exhaustive-prudent-isolating-adversary",
@@ -512,7 +571,7 @@ class TestExitCodes:
     def test_internal_error(self, error, c3, monkeypatch, capsys):
         def broken(*args, **kwargs):
             raise error
-        monkeypatch.setattr(cli, "width", broken)
+        monkeypatch.setattr(cli, "_ladder", broken)
         code, rep = run(["width", c3], capsys)
         assert code == EXIT_INTERNAL_ERROR
         assert rep == {"schema": SCHEMA, "kind": "internal",

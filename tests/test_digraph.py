@@ -1,13 +1,14 @@
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
-from pursuitwidth.digraph import (Digraph, emit_dot, emit_edge_list,
+from pursuitwidth.digraph import (Digraph, emit_dot, emit_edge_list, induced,
                                   is_strongly_connected, parse_edge_list,
                                   reach_excluding, scc_masks, set_from,
                                   symmetric_closure)
 from pursuitwidth.errors import InputError
 from pursuitwidth.families import cycle_digraph
 
+import oracles
 from oracles import reach_by_path_enumeration, sccs_by_closure
 
 
@@ -116,6 +117,28 @@ class TestSymmetricClosure:
     def test_idempotent(self, g):
         once = symmetric_closure(g)
         assert symmetric_closure(once) == once
+
+
+class TestInduced:
+    @settings(max_examples=40)
+    @given(digraphs(), st.data())
+    def test_matches_oracle(self, g, data):
+        vertices = data.draw(st.permutations(range(g.n)).flatmap(
+            lambda order: st.integers(0, g.n).map(lambda m: order[:m])))
+        h = induced(g, vertices)
+        assert h.n == len(vertices)
+        assert h.edges == oracles.induced(g, vertices)
+
+    def test_keeps_labels_in_the_given_order(self):
+        g = Digraph(3, [(0, 1), (1, 2), (2, 0)], labels=["a", "b", "c"])
+        h = induced(g, [2, 0])
+        assert h.labels == ("c", "a") and h.edges == {(0, 1)}
+
+    @pytest.mark.parametrize("vertices,message", [([0, 3], "out of range"),
+                                                  ([1, 1], "repeats a vertex")])
+    def test_bad_vertex_sets_are_rejected(self, vertices, message):
+        with pytest.raises(InputError, match=message):
+            induced(cycle_digraph(3), vertices)
 
 
 class TestEdgeListFormat:

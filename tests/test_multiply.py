@@ -113,6 +113,17 @@ class TestCopMove:
         assert (err.value.name, err.value.witness) == ("cop-bound",
                                                        "2 cops announced, bound is 1")
 
+    def test_a_non_monotone_move_in_the_exhaustion_raises_monotone(self):
+        # the base strategy guards the robber's vertex, then moves that cop
+        # onward while the robber can still run around the cycle to it
+        g = cycle_digraph(3)
+        f = PositionalCopStrategy.from_masks({(0, 0b001): 0b001, (0b001, 0b010): 0b010,
+                                              (0b001, 0b100): 0b100})
+        with pytest.raises(InvariantViolation) as err:
+            exhaust_prudent_isolating(g, MultiplyStrategy(g, f, 1, 2))
+        assert (err.value.name, err.value.witness) == (
+            "monotone", "move abandons {0} while robbers reach it")
+
 
 class TestRobberUpdate:
     def test_stay_after_idle_announcement_keeps_memory(self):
