@@ -117,7 +117,7 @@ def _require_instances(count: int, suite: str, what: str):
 
 
 def _run_tasks(fn, tasks, jobs: int):
-    if jobs and jobs > 1:
+    if jobs > 1:
         with Pool(processes=jobs) as pool:
             return pool.map(fn, tasks)
     return [fn(t) for t in tasks]
@@ -567,6 +567,8 @@ def cmd_verify(args) -> Report:
         raise InputError("--trace-out needs --graph: only a single-graph run is traced")
     if args.graph and args.suite != "thm10":
         raise InputError(f"--graph applies to thm10 only, not to {args.suite}")
+    if args.jobs < 1:
+        raise InputError(f"--jobs must be at least 1, not {args.jobs}")
     reads = ("r",) if args.graph else SUITE_OPTIONS[args.suite]
     given = {opt: getattr(args, opt) for opt in VERIFY_NUMBERS if getattr(args, opt) is not None}
     ignored = [f"--{opt}" for opt in given if opt not in reads]

@@ -16,6 +16,10 @@ boundary:
 and JSON output (traces, memories, report witnesses) writes sorted vertex
 lists.  `_check_vertices` (which rejects vertices out of range) and
 `set_from` convert at those boundaries.
+
+`reach_mask` answers every reachability question in the package, strongly
+connected components included: a forward search, then a backward search
+inside what it reached (Fleischer, Hendrickson & Pinar, 2000).
 """
 from __future__ import annotations
 
@@ -136,93 +140,17 @@ def reach_excluding(g: Digraph, X, Y) -> frozenset:
     return set_from(reach_mask(g.out_masks, ym, xm))
 
 
-def scc_masks(out_masks: Sequence[int], n: int, blocked: int = 0):
-    """Tarjan over the subgraph avoiding `blocked`.
-
-    Returns (components, index) where components is a list of bitmasks in
-    reverse topological order (sinks of the condensation first) and
-    index[v] is the component position, or -1 for blocked vertices.
-    """
-    index = [-1] * n
-    low = [0] * n
-    num = [0] * n
-    onstack = [False] * n
-    visited = [False] * n
-    comps = []
-    stack = []
-    counter = [0]
-    for root in range(n):
-        if visited[root] or (blocked >> root) & 1:
-            continue
-        work = [(root, iter(bits(out_masks[root] & ~blocked)))]
-        visited[root] = True
-        num[root] = low[root] = counter[0]
-        counter[0] += 1
-        stack.append(root)
-        onstack[root] = True
-        while work:
-            v, it = work[-1]
-            advanced = False
-            for w in it:
-                if not visited[w]:
-                    visited[w] = True
-                    num[w] = low[w] = counter[0]
-                    counter[0] += 1
-                    stack.append(w)
-                    onstack[w] = True
-                    work.append((w, iter(bits(out_masks[w] & ~blocked))))
-                    advanced = True
-                    break
-                elif onstack[w]:
-                    if num[w] < low[v]:
-                        low[v] = num[w]
-            if advanced:
-                continue
-            work.pop()
-            if work:
-                pv = work[-1][0]
-                if low[v] < low[pv]:
-                    low[pv] = low[v]
-            if low[v] == num[v]:
-                cm = 0
-                while True:
-                    w = stack.pop()
-                    onstack[w] = False
-                    cm |= 1 << w
-                    index[w] = len(comps)
-                    if w == v:
-                        break
-                comps.append(cm)
-    return comps, index
-
-
 def region_table(out_masks: Sequence[int], n: int, blocked: int = 0):
     """Per-vertex reachability regions in the subgraph avoiding `blocked`.
 
     Returns (region, comp) lists: region[v] is the bitmask of everything v
-    reaches (including itself), comp[v] its SCC bitmask; both 0 for blocked v.
-    Computed once over the condensation instead of one BFS per vertex.
+    reaches (including itself), comp[v] its SCC bitmask, the members of
+    region[v] whose own region holds v; both 0 for blocked v.  One
+    `reach_mask` per vertex: a reference table for tests and tracing.
     """
-    comps, index = scc_masks(out_masks, n, blocked)
-    creach = [0] * len(comps)
-    for ci, cm in enumerate(comps):  # reverse topo: successors already done
-        acc = cm
-        m = cm
-        while m:
-            b = m & -m
-            v = b.bit_length() - 1
-            m ^= b
-            for w in bits(out_masks[v] & ~blocked):
-                if index[w] != ci:
-                    acc |= creach[index[w]]
-        creach[ci] = acc
-    region = [0] * n
-    comp = [0] * n
-    for v in range(n):
-        ci = index[v]
-        if ci >= 0:
-            region[v] = creach[ci]
-            comp[v] = comps[ci]
+    region = [0 if (blocked >> v) & 1 else reach_mask(out_masks, 1 << v, blocked)
+              for v in range(n)]
+    comp = [sum(1 << w for w in bits(region[v]) if (region[w] >> v) & 1) for v in range(n)]
     return region, comp
 
 

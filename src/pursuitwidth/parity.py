@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .arena import CopTurn, GraphCache
-from .digraph import Digraph, _check_vertices, bits, scc_masks
+from .digraph import Digraph, _check_vertices, bits, reach_mask
 from .errors import InputError, InvariantViolation, PreconditionError
 from .strategy import CopStrategy
 
@@ -310,23 +310,31 @@ def _parity_cycle_blocks(nodes, succ_map, color, parity):
 
     For each such color c present, in ascending order, yields every cyclic
     SCC of the subgraph on the nodes of color at least c that contains a node
-    of color c.  Every node of a yielded block lies on such a cycle.
+    of color c, as a list in the order of `nodes`.  Every node of a yielded
+    block lies on such a cycle.  A color-c node v lies on one iff the
+    forward search from v's successors returns to v; its block is then the
+    backward search from v inside what that search reached.
     """
+    idx = {v: i for i, v in enumerate(nodes)}
+    out = [0] * len(idx)
+    inn = [0] * len(idx)
+    for v, i in idx.items():
+        for w in succ_map(v):
+            j = idx.get(w)
+            if j is not None:
+                out[i] |= 1 << j
+                inn[j] |= 1 << i
     for c in sorted({color[v] for v in nodes if color[v] % 2 == parity}):
-        sub = [v for v in nodes if color[v] >= c]
-        idx = {v: i for i, v in enumerate(sub)}
-        out = [0] * len(sub)
-        for v in sub:
-            for w in succ_map(v):
-                i = idx.get(w)
-                if i is not None:
-                    out[idx[v]] |= 1 << i
-        comps, _ = scc_masks(out, len(sub))
-        for cm in comps:
-            block = [sub[i] for i in bits(cm)]
-            cyclic = len(block) > 1 or any((out[idx[v]] >> idx[v]) & 1 for v in block)
-            if cyclic and any(color[v] == c for v in block):
-                yield block
+        outside = sum(1 << i for i, v in enumerate(nodes) if color[v] < c)
+        covered = 0
+        for i, v in enumerate(nodes):
+            if color[v] != c or (covered >> i) & 1:
+                continue
+            forward = reach_mask(out, out[i], outside)
+            if (forward >> i) & 1:
+                block = reach_mask(inn, 1 << i, ~forward)
+                covered |= block
+                yield [nodes[j] for j in bits(block)]
 
 
 def _reachable_cycle_with_parity(start, succ_map, color, parity) -> Optional[list]:
@@ -349,16 +357,10 @@ def zielonka_solve(pg: ParityGame) -> ParityResult:
             raise PreconditionError(f"position {v} is a dead end")
     ex = _Expanded(pg)
     (w0, w1), (s0, s1) = _zielonka(ex, set(range(ex.size)))
-    strategy0 = {}
-    for v in range(pg.n):
-        if pg.owner[v] == 0 and v in w0:
-            node = s0.get(v)
-            if node is None:
-                raise InvariantViolation("zielonka", f"no move recorded at {v}")
-            _, ai = ex.inter_info[node - pg.n]
-            strategy0[v] = pg.actions[ai]
-    strategy1 = {v: s1[v] for v in range(pg.n) if pg.owner[v] == 1 and v in w1}
-    strategy1.update(((v, pg.actions[ai]), s1[node])
+    strategy0 = {v: pg.actions[ex.inter_info[_move(s0, v) - pg.n][1]]
+                 for v in range(pg.n) if pg.owner[v] == 0 and v in w0}
+    strategy1 = {v: _move(s1, v) for v in range(pg.n) if pg.owner[v] == 1 and v in w1}
+    strategy1.update(((v, pg.actions[ai]), _move(s1, node))
                      for (v, ai), node in ex.inter.items() if node in w1)
     _verify_regions(pg, ex, (w0, w1), (s0, s1))
     return ParityResult(frozenset(v for v in w0 if v < pg.n),
@@ -366,12 +368,19 @@ def zielonka_solve(pg: ParityGame) -> ParityResult:
                         strategy0, strategy1)
 
 
+def _move(strat, v):
+    """The successor `strat` picks at node v of the expanded graph."""
+    if v not in strat:
+        raise InvariantViolation("zielonka", f"no move recorded at {v}")
+    return strat[v]
+
+
 def _verify_regions(pg, ex, win, strat):
     """No play from a region along its owner's strategy closes an opponent's cycle."""
     for p in (0, 1):
         bad = _reachable_cycle_with_parity(
             [v for v in win[p] if v < pg.n],
-            lambda v: [strat[p][v]] if ex.owner[v] == p else ex.succ[v], ex.color, 1 - p)
+            lambda v: [_move(strat[p], v)] if ex.owner[v] == p else ex.succ[v], ex.color, 1 - p)
         if bad is not None:
             raise InvariantViolation("zielonka-verify", f"player-{p} strategy admits an "
                                      f"{('odd', 'even')[p]} cycle {bad}")

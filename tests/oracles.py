@@ -105,6 +105,29 @@ def sccs_by_closure(g):
     return blocks
 
 
+def parity_cycle_blocks(nodes, succ, color, parity):
+    """(c, block) for each color c of the given parity, ascending, and each
+    class of nodes of color at least c that lie on a common closed walk
+    through a node of color c, using only such nodes: the walk's least color
+    is then c.  Closures are plain depth-first searches from each node."""
+    out = []
+    for c in sorted({color[v] for v in nodes if color[v] % 2 == parity}):
+        sub = {v for v in nodes if color[v] >= c}
+        after = {}  # v -> what v reaches in one step or more inside sub
+        for v in sub:
+            seen, stack = set(), [v]
+            while stack:
+                for w in succ(stack.pop()):
+                    if w in sub and w not in seen:
+                        seen.add(w)
+                        stack.append(w)
+            after[v] = seen
+        blocks = {frozenset(u for u in after[v] if v in after[u])
+                  for v in sub if color[v] == c and v in after[v]}
+        out.extend((c, b) for b in sorted(blocks, key=sorted))
+    return out
+
+
 def _subsets(universe, kmax):
     for t in range(kmax + 1):
         for comb in itertools.combinations(sorted(universe), t):

@@ -133,6 +133,20 @@ class TestParityCommand:
         assert code == EXIT_PASS
         assert rep["results"]["player0_wins_from_init"] is True
 
+    @pytest.mark.parametrize("p", [0, 1])
+    def test_a_missing_zielonka_move_is_an_internal_error(self, p, game, monkeypatch, capsys):
+        real = parity._zielonka
+
+        def forgetful(ex, nodes):
+            win, strat = real(ex, nodes)
+            strat[p] = {}
+            return win, strat
+
+        monkeypatch.setattr(parity, "_zielonka", forgetful)
+        code, rep = run(["parity", game[0], "--action", "solve"], capsys)
+        assert code == EXIT_INTERNAL_ERROR
+        assert "zielonka violated: no move recorded at" in rep["error"]
+
     def test_identity_pipeline_matches_solve(self, game, capsys):
         gp, _ = game
         _, direct = run(["parity", gp, "--action", "solve"], capsys)
@@ -539,11 +553,13 @@ class TestExitCodes:
         (["verify", "hierarchy", "--nmax", "-1", "--samples", "3"], "-1"),
         (["verify", "thm10", "--nmax", "2", "--samples", "-5"], "-5"),
         (["verify", "lemma9", "--nmax", "-2"], "-2"),
+        (["verify", "lemma9", "--nmax", "2", "--jobs", "-3"], "-3"),
+        (["verify", "lemma9", "--nmax", "2", "--jobs", "0"], "not 0"),
         (["generate", "random", "--n", "3", "--p", "-1"], "-1"),
         (["generate", "random", "--n", "3", "--p", "1.5"], "1.5"),
         (["generate", "random", "--n", "3", "--p", "nan"], "nan"),
-    ], ids=["hierarchy-nmax", "thm10-samples", "lemma9-nmax", "p-negative", "p-above-one",
-            "p-nan"])
+    ], ids=["hierarchy-nmax", "thm10-samples", "lemma9-nmax", "lemma9-jobs-negative",
+            "lemma9-jobs-zero", "p-negative", "p-above-one", "p-nan"])
     def test_a_size_or_probability_out_of_range_is_input_error(self, argv, named, capsys):
         code, rep = run(argv, capsys)
         assert code == EXIT_INPUT_ERROR and rep["kind"] == "input"

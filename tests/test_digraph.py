@@ -3,7 +3,7 @@ from hypothesis import given, settings, strategies as st
 
 from pursuitwidth.digraph import (Digraph, emit_dot, emit_edge_list, induced,
                                   is_strongly_connected, parse_edge_list,
-                                  reach_excluding, scc_masks, set_from,
+                                  reach_excluding, region_table, set_from,
                                   symmetric_closure)
 from pursuitwidth.errors import InputError
 from pursuitwidth.families import cycle_digraph
@@ -66,43 +66,63 @@ class TestReach:
         assert reach_excluding(g, X2, Y) <= reach_excluding(g, X, Y)
 
 
-def sccs(g):
-    """(blocks as frozensets, block index of each vertex)."""
-    blocks, index = scc_masks(g.out_masks, g.n)
-    return [set_from(b) for b in blocks], index
+def sccs(g, blocked=frozenset()):
+    """(the distinct components of region_table as frozensets, each vertex's
+    component) in g minus the vertices `blocked`."""
+    _, comp = region_table(g.out_masks, g.n, sum(1 << v for v in blocked))
+    return {set_from(c) for c in comp if c}, [set_from(c) for c in comp]
+
+
+def without(g, blocked):
+    """g with every edge at a vertex of `blocked` deleted."""
+    return Digraph(g.n, [(u, v) for (u, v) in g.edges if u not in blocked and v not in blocked])
 
 
 class TestSccs:
     def test_cycle_is_one_block(self):
-        assert sccs(cycle_digraph(3))[0] == [frozenset({0, 1, 2})]
+        assert sccs(cycle_digraph(3))[0] == {frozenset({0, 1, 2})}
 
     def test_dag_splits(self):
         g = Digraph(2, [(0, 1)])
-        assert set(sccs(g)[0]) == {frozenset({0}), frozenset({1})}
+        assert sccs(g)[0] == {frozenset({0}), frozenset({1})}
 
     def test_component_accessor(self):
-        blocks, index = sccs(cycle_digraph(4))
-        assert blocks[index[2]] == frozenset({0, 1, 2, 3})
+        _, comp = sccs(cycle_digraph(4))
+        assert comp[2] == frozenset({0, 1, 2, 3})
 
     def test_blocked_vertices_have_no_block(self):
-        blocks, index = scc_masks(cycle_digraph(4).out_masks, 4, blocked=0b0100)
-        assert index[2] == -1 and sorted(blocks) == [0b0001, 0b0010, 0b1000]
+        region, comp = region_table(cycle_digraph(4).out_masks, 4, blocked=0b0100)
+        assert comp == [0b0001, 0b0010, 0, 0b1000]
+        assert region == [0b0011, 0b0010, 0, 0b1011]
 
-    @given(digraphs(max_n=8))
-    def test_matches_closure_oracle(self, g):
-        assert set(sccs(g)[0]) == set(sccs_by_closure(g))
+    @given(digraphs(max_n=8), st.data())
+    def test_matches_closure_oracle(self, g, data):
+        X = data.draw(subset_of(g.n))
+        want = {b for b in sccs_by_closure(without(g, X)) if not b & X}
+        assert sccs(g, X)[0] == want
 
-    @given(digraphs())
-    def test_blocks_partition_and_order(self, g):
-        blocks, index = sccs(g)
+    @given(digraphs(), st.data())
+    def test_blocks_partition_and_order(self, g, data):
+        X = data.draw(subset_of(g.n))
+        blocks, comp = sccs(g, X)
         union = set()
         for b in blocks:
             assert not (b & union)
             union |= b
-        assert union == set(range(g.n))
-        # edges between distinct blocks point to earlier (already-closed) blocks
+        assert union == set(range(g.n)) - X
+        assert all(v in comp[v] for v in union)
+        # an edge between unblocked vertices reaches no further than its tail
+        region, _ = region_table(g.out_masks, g.n, sum(1 << v for v in X))
         for (u, v) in g.edges:
-            assert index[u] >= index[v]
+            if u not in X and v not in X:
+                assert region[v] | region[u] == region[u]
+
+    @given(digraphs(), st.data())
+    def test_regions_match_path_enumeration(self, g, data):
+        X = data.draw(subset_of(g.n))
+        region, _ = region_table(g.out_masks, g.n, sum(1 << v for v in X))
+        assert [set_from(m) for m in region] == [
+            frozenset() if v in X else reach_by_path_enumeration(g, X, {v}) for v in range(g.n)]
 
 
 class TestSymmetricClosure:

@@ -3,7 +3,7 @@ from hypothesis import given, strategies as st
 
 from pursuitwidth.arena import (ROBBERS, GraphCache, SearchConfig, announcement_masks,
                                 solve_search, validate_invisible_schedule, width)
-from pursuitwidth.digraph import Digraph, bits, is_strongly_connected, scc_masks
+from pursuitwidth.digraph import Digraph, bits, is_strongly_connected
 from pursuitwidth.errors import InputError
 from pursuitwidth.families import (clique, cops_dpw_tree, cops_topdown_thm7,
                                    cycle_digraph, enumerate_strongly_connected,
@@ -12,6 +12,8 @@ from pursuitwidth.families import (clique, cops_dpw_tree, cops_topdown_thm7,
                                    two_tree_graph)
 from pursuitwidth.strategy import (validate_cop_strategy,
                                    validate_robber_strategy)
+
+import oracles
 
 
 class TestFullTree:
@@ -80,8 +82,8 @@ class TestTwoTreeFamily:
         outs = [v for v in range(g.n) if not g.successors(v)]
         assert outs == [sink]
         # everything else is one strongly connected block
-        blocks, _ = scc_masks(g.out_masks, g.n)
-        assert sorted(blocks) == sorted([1 << sink, g.full_mask & ~(1 << sink)])
+        assert set(oracles.sccs_by_closure(g)) == {frozenset({sink}),
+                                                   frozenset(range(g.n)) - {sink}}
 
     def test_edge_count_small(self):
         g, _ = two_tree_graph(1)
@@ -122,8 +124,8 @@ class TestTwoTreeFamily:
 def sccs_without(g, U):
     """The SCC of each vertex, as a set, once the vertices U are deleted."""
     kept = [(u, v) for (u, v) in g.edges if u not in U and v not in U]
-    blocks, index = scc_masks(Digraph(g.n, kept).out_masks, g.n)
-    return [set(bits(blocks[i])) for i in index]
+    blocks = oracles.sccs_by_closure(Digraph(g.n, kept))
+    return [set(next(b for b in blocks if v in b)) for v in range(g.n)]
 
 
 class TestClearingSchedules:

@@ -1,4 +1,5 @@
 import pytest
+from hypothesis import given, strategies as st
 
 from pursuitwidth import parity
 from pursuitwidth.arena import SearchConfig, solve_search, width
@@ -11,6 +12,8 @@ from pursuitwidth.parity import (ObservationEquiv, check_history_lifting,
                                  powerset_construct, solve_by_strategy_enumeration,
                                  solve_imperfect, validate, zielonka_solve)
 from pursuitwidth.strategy import validate_cop_strategy
+
+import oracles
 
 
 def loop_game(color, owner=0):
@@ -140,12 +143,87 @@ class TestZielonka:
         with pytest.raises(InvariantViolation, match=f"zielonka-verify.*player-{p} "):
             zielonka_solve(pg)
 
+    @pytest.mark.parametrize("p", [0, 1])
+    def test_verification_reports_a_missing_move(self, p):
+        pg, _ = distinguisher_game()
+        ex = parity._Expanded(pg)
+        win, strat = parity._zielonka(ex, set(range(ex.size)))
+        strat[p] = {}
+        with pytest.raises(InvariantViolation, match="zielonka violated: no move recorded"):
+            parity._verify_regions(pg, ex, win, strat)
+
     def test_regions_partition(self):
         for seed in range(20):
             pg, _ = gen_random_parity(seed)
             res = zielonka_solve(pg)
             assert res.win0 | res.win1 == frozenset(range(pg.n))
             assert not (res.win0 & res.win1)
+
+
+@st.composite
+def colored_graphs(draw):
+    """(nodes, successor function, colors, parity): at most 8 nodes drawn
+    from a universe up to 10, colors 0-3, and edges that may leave `nodes`."""
+    size = draw(st.integers(1, 10))
+    nodes = sorted(draw(st.sets(st.integers(0, size - 1), min_size=1, max_size=8)))
+    edges = draw(st.lists(st.tuples(st.integers(0, size - 1), st.integers(0, size - 1)),
+                          max_size=3 * len(nodes)))
+    color = draw(st.lists(st.integers(0, 3), min_size=size, max_size=size))
+    succ = {v: sorted({w for u, w in edges if u == v}) for v in range(size)}
+    return nodes, succ.__getitem__, color, draw(st.integers(0, 1))
+
+
+def blocks(nodes, succ, color, par):
+    return [frozenset(b) for b in parity._parity_cycle_blocks(nodes, succ, color, par)]
+
+
+class TestCycleBlocks:
+    @pytest.mark.parametrize("color,edges,par,want", [
+        # a lone node of the parity's color without a self-loop holds no cycle
+        ((1,), [], 1, []),
+        ((1, 2), [(0, 1)], 1, []),
+        # a self-loop is a cycle
+        ((1,), [(0, 0)], 1, [{0}]),
+        ((2, 1), [(0, 1), (1, 1)], 1, [{1}]),
+        # the tail 0 -> 1 leaves the loop at 0 and never returns
+        ((1, 2), [(0, 0), (0, 1)], 1, [{0}]),
+        ((3, 1, 3), [(0, 1), (1, 0), (1, 2), (2, 2)], 1, [{0, 1}, {2}]),
+        # the cycle through 0 and 1 has least color 0, so it is even
+        ((1, 0), [(0, 1), (1, 0)], 1, []),
+        ((1, 0), [(0, 1), (1, 0)], 0, [{0, 1}]),
+        ((3, 2, 3), [(0, 1), (1, 2), (2, 0)], 1, []),
+    ], ids=["lone-node", "path", "self-loop", "self-loop-after-a-tail", "tail-off-a-loop",
+            "tail-to-another-loop", "lower-color-decides-odd", "lower-color-decides-even",
+            "lower-color-inside-a-longer-cycle"])
+    def test_pinned_cases(self, color, edges, par, want):
+        succ = [[w for u, w in edges if u == v] for v in range(len(color))]
+        assert blocks(range(len(color)), succ.__getitem__, color, par) == \
+            [frozenset(b) for b in want]
+
+    @given(colored_graphs())
+    def test_blocks_match_the_closure_oracle(self, case):
+        nodes, succ, color, par = case
+        want = oracles.parity_cycle_blocks(nodes, succ, color, par)
+        got = blocks(nodes, succ, color, par)
+        assert sorted(got, key=sorted) == sorted((b for _, b in want), key=sorted)
+        assert [min(color[v] for v in b) for b in got] == [c for c, _ in want]
+
+    @given(colored_graphs())
+    def test_reachable_cycle_matches_the_closure_oracle(self, case):
+        nodes, succ, color, par = case
+        start = nodes[:1]
+        seen, stack = set(start), list(start)
+        while stack:
+            for w in succ(stack.pop()):
+                if w not in seen:
+                    seen.add(w)
+                    stack.append(w)
+        want = oracles.parity_cycle_blocks(sorted(seen), succ, color, par)
+        got = parity._reachable_cycle_with_parity(start, succ, color, par)
+        if not want:
+            assert got is None
+        else:
+            assert frozenset(got) in {b for c, b in want if c == want[0][0]}
 
 
 class TestImperfect:
