@@ -1,8 +1,7 @@
 """Game-based digraph width measures via exhaustive cops-and-robbers solving."""
 
 from .arena import (COPS, INITIAL, ROBBERS, CopTurn, Initial, RobberTurn,
-                    SearchConfig, SolveResult, is_monotone_move,
-                    solve_invisible, solve_search,
+                    SearchConfig, SolveResult, solve_invisible, solve_search,
                     validate_invisible_schedule, width)
 from .digraph import (Digraph, VertexSet, emit_dot, emit_edge_list,
                       is_strongly_connected, parse_edge_list, reach_excluding,

@@ -268,13 +268,8 @@ def announcement_masks(cache: GraphCache, cfg: SearchConfig, U: int, R: int):
         return
     comp = cache.component(U, R.bit_length() - 1)
     for B in subset_masks(U, range(cfg.k, -1, -1)):
-        for X in subset_masks(comp, range(cfg.k - bin(B).count("1"), -1, -1)):
+        for X in subset_masks(comp, range(cfg.k - B.bit_count(), -1, -1)):
             yield B | X
-
-
-def is_monotone_move(g: Digraph, pos: RobberTurn) -> bool:
-    """No abandoned cop vertex is reachable by a robber through the kept cops."""
-    return not GraphCache(g).robber_turn(pos.U, pos.Uprime, pos.R)[0]
 
 
 def _region_unions(regs, r: int):
@@ -334,7 +329,7 @@ class _SearchSolver:
         if self.restricted:  # new cops only in the component of reg's root
             root = next(v for v in bits(reg) if self.cache.reach(1 << v, U) == reg)
             allowed = self.cache.component(U, root)
-        room = self.k - bin(U).count("1")  # below 0 no subset is yielded
+        room = self.k - U.bit_count()  # below 0 no subset is yielded
         for X in subset_masks(allowed, range(room, -1, -1)):
             yield U | X, reg & ~X
 
@@ -460,7 +455,7 @@ def solve_invisible(g: Digraph, k: int, budget: Optional[int] = None) -> Invisib
     def moves(S):
         if S == 0:
             return "cleared"
-        if bin(out_of(out, S) & ~S).count("1") >= k:
+        if (out_of(out, S) & ~S).bit_count() >= k:
             return ()
         return (S & ~(1 << x) for x in bits(S))
 
@@ -486,7 +481,7 @@ def validate_invisible_schedule(g: Digraph, k: int, schedule: Iterable) -> tuple
     # not GraphCache.robber_turn: this is the invisible game's rule
     for step, placement in enumerate(schedule):
         Up = _check_vertices(placement, f"the placement of step {step}", g.n)
-        if bin(Up).count("1") > k:
+        if Up.bit_count() > k:
             return False, f"step {step}: placement uses more than {k} cops"
         rb = reach_mask(g.out_masks, S, U & Up)
         if (U & ~Up) & rb:
@@ -527,7 +522,7 @@ def _search_order(g: Digraph, size: int) -> list:
     then the lowest number.  So every prefix is a dense core grown from a
     vertex of highest degree, connected when the graph is."""
     adj = [(o | i) & ~(1 << v) for v, (o, i) in enumerate(zip(g.out_masks, g.in_masks))]
-    degree = [bin(a).count("1") for a in adj]
+    degree = [a.bit_count() for a in adj]
     weight = [0] * g.n
     left = set(range(g.n))
     order = []

@@ -19,7 +19,10 @@ lists.  `_check_vertices` (which rejects vertices out of range) and
 
 `reach_mask` answers every reachability question in the package, strongly
 connected components included: a forward search, then a backward search
-inside what it reached (Fleischer, Hendrickson & Pinar, 2000).
+inside what it reached (Fleischer, Hendrickson & Pinar, 2000).  Every
+closure over a vertex set is one call too; a backward closure passes
+predecessor masks.  Searches over game states, which are not vertices, run
+on `arena.explore`.
 """
 from __future__ import annotations
 
@@ -165,7 +168,7 @@ def induced(g: Digraph, vertices) -> Digraph:
     vertex i is the i-th of `vertices`, and keeps its label."""
     vs = [int(v) for v in vertices]
     keep = _check_vertices(vs, "the induced vertex set", g.n)
-    if bin(keep).count("1") != len(vs):
+    if keep.bit_count() != len(vs):
         raise InputError("the induced vertex set repeats a vertex")
     index = {v: i for i, v in enumerate(vs)}
     edges = [(i, index[w]) for i, v in enumerate(vs) for w in bits(g.out_masks[v] & keep)]

@@ -446,7 +446,7 @@ class MultiplyStrategy(CopStrategy):
             raise InvariantViolation("cover", f"teams {_vs(d2.Ucum[d2.s])} != announced "
                                               f"{_vs(Uprime)} after the move")
         self.last_tag = tag
-        size = bin(Uprime).count("1")
+        size = Uprime.bit_count()
         if size > self.r * self.k:
             raise InvariantViolation("cop-bound", f"{size} cops announced, "
                                                   f"bound is {self.r * self.k}")
@@ -585,12 +585,12 @@ def exhaust_prudent_isolating(g: Digraph, strat: MultiplyStrategy,
     def moves(state):
         nonlocal max_cops, max_robbers
         zeta, U, R = state
-        max_robbers = max(max_robbers, bin(R).count("1"))
+        max_robbers = max(max_robbers, R.bit_count())
         if R == 0:
             return None
         up, mid = strat.announce(zeta, CopTurn(U, R))
         cases[strat.last_tag] = cases.get(strat.last_tag, 0) + 1
-        max_cops = max(max_cops, bin(up).count("1"))
+        max_cops = max(max_cops, up.bit_count())
         return ((strat.update(mid, CopTurn(up, Rp)), up, Rp)
                 for Rp in enumerate_prudent_isolating_moves(g, RobberTurn(U, up, R), strat.r,
                                                             cache=strat.cache))

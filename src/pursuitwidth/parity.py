@@ -11,6 +11,12 @@ set that meets an occupied vertex.
 The knowledge step is written once, in `powerset_construct`.  The product
 verification of extracted strategies derives it again on purpose, sharing
 no helper, so that it checks the construction instead of repeating it.
+
+Every search over reachable states (the knowledge construction, the product
+verification, history lifting and the cycle search that checks Zielonka's
+strategies) runs on `arena.explore`, so the position budget bounds each; it
+comes from PURSUITWIDTH_BUDGET, as no function here takes one.  The
+enumeration oracle's backward closure is one `reach_mask`.
 """
 from __future__ import annotations
 
@@ -19,7 +25,7 @@ import random
 from dataclasses import dataclass
 from typing import Optional
 
-from .arena import CopTurn, GraphCache
+from .arena import CopTurn, GraphCache, effective_budget, explore
 from .digraph import Digraph, _check_vertices, bits, reach_mask
 from .errors import InputError, InvariantViolation, PreconditionError
 from .strategy import CopStrategy
@@ -138,7 +144,6 @@ def validate(pg: ParityGame, eq: ObservationEquiv):
 class KnowledgeGame:
     game: ParityGame
     sets: tuple            # knowledge set per position of `game`
-    index: dict            # frozenset -> position
 
     def arena_digraph(self) -> Digraph:
         return self.game.arena_digraph()
@@ -154,7 +159,6 @@ def powerset_construct(pg: ParityGame, eq: ObservationEquiv) -> KnowledgeGame:
     bad = validate(pg, eq)
     if bad:
         raise PreconditionError("; ".join(bad))
-    init_k = frozenset({pg.init})
     sets = []
     index = {}
     succ = [[] for _ in pg.actions]
@@ -169,13 +173,7 @@ def powerset_construct(pg: ParityGame, eq: ObservationEquiv) -> KnowledgeGame:
                 row.append(set())
         return got
 
-    work = [intern(init_k)]
-    done = set()
-    while work:
-        ki = work.pop()
-        if ki in done:
-            continue
-        done.add(ki)
+    def expand(ki):
         K = sets[ki]
         post = [frozenset().union(*[row[v] for v in K]) for row in pg.succ]
         if pg.owner[next(iter(K))] == 0:
@@ -185,18 +183,21 @@ def powerset_construct(pg: ParityGame, eq: ObservationEquiv) -> KnowledgeGame:
             union = frozenset().union(*post)
             pieces = [(piece, [ai for ai, p in enumerate(post) if piece & p])
                       for c in eq.classes if (piece := union & c)]
+        targets = []
         for piece, ais in pieces:
             ti = intern(piece)
             for ai in ais:
                 succ[ai][ki].add(ti)
-            if ti not in done:
-                work.append(ti)
+            targets.append(ti)
+        return reversed(targets)  # last met first, as a worklist pops them
+
+    init = intern(frozenset({pg.init}))
+    explore([init], expand, effective_budget(None), "knowledge construction")
     owner = tuple(pg.owner[next(iter(K))] for K in sets)
     color = tuple(pg.color[next(iter(K))] for K in sets)
     game = ParityGame(len(sets), owner, color, pg.actions,
-                      tuple(tuple(frozenset(t) for t in row) for row in succ),
-                      index[init_k])
-    return KnowledgeGame(game, tuple(sets), index)
+                      tuple(tuple(frozenset(t) for t in row) for row in succ), init)
+    return KnowledgeGame(game, tuple(sets))
 
 
 def knowledge_size_bound(pg: ParityGame, eq: ObservationEquiv) -> int:
@@ -339,14 +340,13 @@ def _parity_cycle_blocks(nodes, succ_map, color, parity):
 
 def _reachable_cycle_with_parity(start, succ_map, color, parity) -> Optional[list]:
     """A reachable cycle whose least color has the given parity, if any."""
-    seen = set()
-    stack = list(start)
-    while stack:
-        v = stack.pop()
-        if v in seen:
-            continue
-        seen.add(v)
-        stack.extend(succ_map(v))
+    seen = []
+
+    def moves(v):
+        seen.append(v)
+        return iter(succ_map(v))
+
+    explore(start, moves, effective_budget(None), "cycle search")
     return next(_parity_cycle_blocks(sorted(seen), succ_map, color, parity), None)
 
 
@@ -447,54 +447,50 @@ class ImperfectResult:
     player0_wins: bool
     knowledge_strategy: Optional[dict]
     knowledge_game: KnowledgeGame
-    verified: bool
 
 
 def solve_imperfect(pg: ParityGame, eq: ObservationEquiv) -> ImperfectResult:
     """Solve the knowledge arena; verify extracted wins back in the game."""
     kg = powerset_construct(pg, eq)
     res = zielonka_solve(kg.game)
-    init_idx = kg.index[frozenset({pg.init})]
-    if init_idx not in res.win0:
-        return ImperfectResult(False, None, kg, True)
+    if kg.game.init not in res.win0:
+        return ImperfectResult(False, None, kg)
     sigma = {kg.sets[v]: a for v, a in res.strategy0.items()}
-    verified = _verify_knowledge_strategy(pg, eq, kg, sigma)
-    if not verified:
+    if not _verify_knowledge_strategy(pg, eq, kg, sigma):
         raise InvariantViolation("imperfect-witness",
                                  "extracted knowledge strategy fails in the base game")
-    return ImperfectResult(True, sigma, kg, verified)
+    return ImperfectResult(True, sigma, kg)
 
 
 def _verify_knowledge_strategy(pg, eq, kg, sigma) -> bool:
-    """Product of the game with the knowledge automaton; opponent resolves all."""
+    """Product of the game with the knowledge automaton; opponent resolves all.
+
+    Fails at a reached player-0 knowledge set that sigma gives no action, or
+    at a reached cycle whose least color is odd.
+    """
     aidx = {a: i for i, a in enumerate(pg.actions)}
-    start = (pg.init, frozenset({pg.init}))
     succ = {}
-    work = [start]
-    while work:
-        state = work.pop()
-        if state in succ:
-            continue
+
+    def moves(state):
         v, K = state
         rows = pg.succ
         if pg.owner[v] == 0:
             a = sigma.get(K)
             if a is None:
-                return False
+                return "no action"
             rows = [pg.succ[aidx[a]]]
         # knowledge after a move: what the rows in play reach from K, in w's class
         post = set().union(*[row[u] for row in rows for u in K])
-        outs = [(w, frozenset(post & eq.class_of(w))) for row in rows for w in row[v]]
-        succ[state] = outs
-        for t in outs:
-            if t not in succ:
-                work.append(t)
-    order = sorted(succ)
-    idx = {s: i for i, s in enumerate(order)}
-    color = [pg.color[s[0]] for s in order]
-    bad = _reachable_cycle_with_parity(
-        [idx[start]], lambda i: [idx[t] for t in succ[order[i]]], color, 1)
-    return bad is None
+        outs = succ[state] = [(w, frozenset(post & eq.class_of(w)))
+                              for row in rows for w in row[v]]
+        return iter(outs)
+
+    failure, _ = explore([(pg.init, frozenset({pg.init}))], moves, effective_budget(None),
+                         "product verification")
+    if failure is not None:
+        return False
+    color = {state: pg.color[state[0]] for state in succ}
+    return next(_parity_cycle_blocks(list(succ), succ.__getitem__, color, 1), None) is None
 
 
 # ---------------------------------------------------------------------------
@@ -510,24 +506,20 @@ def check_history_lifting(kg: KnowledgeGame, pg: ParityGame, max_len: int = 6) -
     """
     base_succ = [pg.post_all(v) for v in range(pg.n)]
     ksucc = [kg.game.post_all(v) for v in range(kg.game.n)]
-    start = kg.game.init
-    seen = set()
-    stack = [(start, frozenset({pg.init}), max_len)]
-    while stack:
-        node, carrier, left = stack.pop()
+
+    def moves(state):
+        node, carrier, left = state
         if carrier != kg.sets[node]:
-            return False
+            return "lost a member"
         if left == 0:
-            continue
-        key = (node, carrier, left)
-        if key in seen:
-            continue
-        seen.add(key)
-        for nxt in ksucc[node]:
-            carrier2 = frozenset(w for w in kg.sets[nxt]
-                                 if any(w in base_succ[u] for u in carrier))
-            stack.append((nxt, carrier2, left - 1))
-    return True
+            return None
+        return ((nxt, frozenset(w for w in kg.sets[nxt]
+                                if any(w in base_succ[u] for u in carrier)), left - 1)
+                for nxt in ksucc[node])
+
+    failure, _ = explore([(kg.game.init, frozenset({pg.init}), max_len)], moves,
+                         effective_budget(None), "history lifting")
+    return failure is None
 
 
 def solve_by_strategy_enumeration(pg: ParityGame):
@@ -552,22 +544,15 @@ def solve_by_strategy_enumeration(pg: ParityGame):
             return sorted(pg.post_all(v))
 
         # positions that can reach a cycle whose least color is odd
-        bad_core = set()
+        core = 0
         for block in _parity_cycle_blocks(range(pg.n), succ_of, pg.color, 1):
-            bad_core.update(block)
-        pred = [[] for _ in range(pg.n)]
+            core |= sum(1 << v for v in block)
+        inn = [0] * pg.n
         for v in range(pg.n):
             for w in succ_of(v):
-                pred[w].append(v)
-        bad = set(bad_core)
-        queue = list(bad_core)
-        while queue:
-            w = queue.pop()
-            for v in pred[w]:
-                if v not in bad:
-                    bad.add(v)
-                    queue.append(v)
-        win0.update(v for v in range(pg.n) if v not in bad)
+                inn[w] |= 1 << v
+        bad = reach_mask(inn, core, 0)
+        win0.update(v for v in range(pg.n) if not bad >> v & 1)
     return frozenset(win0), frozenset(v for v in range(pg.n) if v not in win0)
 
 

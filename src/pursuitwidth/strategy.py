@@ -114,10 +114,6 @@ class RobberStrategy:
         raise NotImplementedError
 
 
-def _size(mask: int) -> int:
-    return bin(mask).count("1")
-
-
 def _fmt_set(mask: int) -> str:
     return ",".join(str(v) for v in bits(mask)) or "-"
 
@@ -163,7 +159,7 @@ class PositionalCopStrategy(CopStrategy):
         return self.lookup(pos.U, pos.R), memory
 
     def cop_count(self) -> int:
-        return max((_size(m) for (u, _), up in self.mapping.items() for m in (u, up)),
+        return max((m.bit_count() for (u, _), up in self.mapping.items() for m in (u, up)),
                    default=0)
 
     def items(self):
@@ -277,7 +273,7 @@ def playout(g: Digraph, cfg: SearchConfig, cop_strategy: CopStrategy,
     trace = [INITIAL]
     R0 = robber_strategy.initial_placement()
     pos = CopTurn(0, R0)
-    if not R0 or R0 & ~g.full_mask or _size(R0) > cfg.r:
+    if not R0 or R0 & ~g.full_mask or R0.bit_count() > cfg.r:
         raise PreconditionError(f"illegal initial placement {list(bits(R0))}")
     trace.append(pos)
     cmem = cop_strategy.init_memory(pos)
@@ -290,7 +286,7 @@ def playout(g: Digraph, cfg: SearchConfig, cop_strategy: CopStrategy,
         if steps >= limit:
             return PlayoutResult(BUDGET_EXCEEDED, tuple(trace), steps)
         ann, cmem = cop_strategy.announce(cmem, pos)
-        if _size(ann) > cfg.k:
+        if ann.bit_count() > cfg.k:
             raise PreconditionError(f"announcement {list(bits(ann))} uses more than "
                                     f"k={cfg.k} cops")
         rpos = RobberTurn(pos.U, ann, pos.R)
@@ -299,7 +295,7 @@ def playout(g: Digraph, cfg: SearchConfig, cop_strategy: CopStrategy,
         if abandoned:
             return PlayoutResult(NON_MONOTONE, tuple(trace), steps)
         Rp, rmem = robber_strategy.respond(rmem, rpos)
-        if Rp & ~escapes or _size(Rp) > cfg.r:
+        if Rp & ~escapes or Rp.bit_count() > cfg.r:
             raise AdversaryContractError(f"illegal robber move {list(bits(Rp))} at {rpos!r}")
         newpos = CopTurn(ann, Rp)
         trace.append(newpos)
@@ -344,7 +340,7 @@ def validate_cop_strategy(g: Digraph, cfg: SearchConfig, strat: CopStrategy,
             up, cmem = strat.announce(cmem, CopTurn(U, R))
         except StrategyHoleError:
             return "strategy hole"
-        size = _size(up)
+        size = up.bit_count()
         if size > cfg.k:
             return f"announcement too large ({size} > {cfg.k})"
         max_ann = max(max_ann, size)
@@ -389,7 +385,7 @@ def validate_robber_strategy(g: Digraph, cfg: SearchConfig, strat: RobberStrateg
                 continue  # non-monotone announcements lose outright
             rpos = RobberTurn(U, up, R)
             Rp, rmem2 = strat.respond(rmem, rpos)
-            if Rp & ~escapes or _size(Rp) > cfg.r:
+            if Rp & ~escapes or Rp.bit_count() > cfg.r:
                 raise AdversaryContractError(
                     f"robber strategy made an illegal move at {rpos!r}: {list(bits(Rp))}")
             if require_prudent and not cache.is_prudent(R, up, Rp):
@@ -397,7 +393,7 @@ def validate_robber_strategy(g: Digraph, cfg: SearchConfig, strat: RobberStrateg
             yield rmem2, up, Rp
 
     pos = CopTurn(0, strat.initial_placement())
-    if pos.R & ~g.full_mask or _size(pos.R) > cfg.r:
+    if pos.R & ~g.full_mask or pos.R.bit_count() > cfg.r:
         raise AdversaryContractError(
             f"robber strategy made an illegal initial placement: {list(bits(pos.R))}")
     root = (strat.init_memory(pos), 0, pos.R)
@@ -424,17 +420,6 @@ def antichain_reps(cache: GraphCache, up: int, R: int) -> int:
         if all(w > v and rv >> w & 1 for w, rw in regions if w != v and rw >> v & 1):
             out |= 1 << v
     return out
-
-
-def is_isolating_position(g: Digraph, U: int, R: int) -> bool:
-    """No robber of R can reach another once the cops U stand."""
-    return GraphCache(g).is_isolating(U, R)
-
-
-def is_prudent_move(g: Digraph, Uprime: int, R: int, Rprime: int) -> bool:
-    """Robbers move from R to Rprime only onto vertices that the landing cops
-    Uprime cut off from R."""
-    return GraphCache(g).is_prudent(R, Uprime, Rprime)
 
 
 class _MirrorRobberStrategy(RobberStrategy):
@@ -539,36 +524,39 @@ def cleanup_strategy(g: Digraph, f: PositionalCopStrategy,
     if not rep.ok:
         raise PreconditionError(f"input cop strategy is not monotone winning: {rep.witness}")
     cache = GraphCache(g)
+    limit = effective_budget(budget)
+    # Each pass hands `explore` a state once, when it is first generated, and
+    # the last generated first: the order of a worklist.  Pass 1 fixes a
+    # state's witness when it is generated, so that order is its output's.
+    roots = [(0, v) for v in range(g.n)]
 
     # Pass 1: drop useless placements, carrying a witness position of f.
     fhat = {}
-    stack = [(0, v) for v in range(g.n)]
-    witness = dict.fromkeys(stack, 0)
-    while stack:
-        U, v = stack.pop()
-        if (U, v) in fhat:
-            continue
-        w = witness[(U, v)]
+    witness = dict.fromkeys(roots, 0)
+
+    def drop_useless(state):
+        U, v = state
+        w = witness[state]
         ann = f.lookup(w, 1 << v)
         A = _useful_subset(cache, U, ann, v)
         if cache.reach(1 << v, w) != cache.reach(1 << v, U):
             raise InvariantViolation(
                 "cleanup-cone", f"robber cone differs from the uncleaned play at "
                                 f"(U={sorted(bits(U))}, v={v})")
-        fhat[(U, v)] = A
+        fhat[state] = A
         _, escapes = cache.robber_turn(U, A, 1 << v)
-        for v2 in bits(escapes):
-            key = (A, v2)
-            if key not in witness:
-                witness[key] = ann
-                stack.append(key)
+        new = [key for v2 in bits(escapes) if (key := (A, v2)) not in witness]
+        witness.update(dict.fromkeys(new, ann))
+        return reversed(new)
+
+    explore(roots[::-1], drop_useless, limit, "cleanup")
 
     # Pass 2: compress stretches that add no cop outside the current set.
     ftilde = {}
-    stack = [(0, v) for v in range(g.n)]
-    explored = set(stack)
-    while stack:
-        U, v = stack.pop()
+    generated = set(roots)
+
+    def compress(state):
+        U, v = state
         sigma = U
         seen_sigma = {sigma}
         while True:
@@ -588,9 +576,9 @@ def cleanup_strategy(g: Digraph, f: PositionalCopStrategy,
                 f"the robber cone at (U={sorted(bits(U))}, v={v})")
         ftilde[U, 1 << v] = a
         _, escapes = cache.robber_turn(U, a, 1 << v)
-        for v2 in bits(escapes):
-            key = (a, v2)
-            if key not in explored:
-                explored.add(key)
-                stack.append(key)
+        new = [key for v2 in bits(escapes) if (key := (a, v2)) not in generated]
+        generated.update(new)
+        return reversed(new)
+
+    explore(roots[::-1], compress, limit, "cleanup")
     return PositionalCopStrategy.from_masks(ftilde)

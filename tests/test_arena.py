@@ -7,16 +7,14 @@ from hypothesis import given, settings, strategies as st
 from pursuitwidth import arena
 from pursuitwidth.arena import (COPS, LADDER_START, ROBBERS, CopTurn, GraphCache,
                                 RobberTurn, SearchConfig, _ladder, _SearchSolver,
-                                announcement_masks, is_monotone_move,
-                                solve_invisible, solve_search, subset_masks,
-                                validate_invisible_schedule, width)
+                                announcement_masks, solve_invisible, solve_search,
+                                subset_masks, validate_invisible_schedule, width)
 from pursuitwidth.cli import small_corpus
 from pursuitwidth.digraph import Digraph, bits, out_of, reach_mask, region_table
 from pursuitwidth.errors import ConfigError, InputError, ResourceError
 from pursuitwidth.families import (cycle_digraph, gen_grk, random_digraph,
                                    tree_T, two_tree_graph)
-from pursuitwidth.strategy import (antichain_reps, is_isolating_position,
-                                   is_prudent_move, validate_cop_strategy,
+from pursuitwidth.strategy import (antichain_reps, validate_cop_strategy,
                                    validate_robber_strategy)
 
 import oracles
@@ -85,15 +83,15 @@ class TestMoves:
 
     def test_monotone_when_no_cop_abandoned(self):
         g = cycle_digraph(3)
-        assert is_monotone_move(g, RobberTurn(0b10, 0b110, 0b1))
+        assert GraphCache(g).robber_turn(0b10, 0b110, 0b1)[0] == 0
 
     def test_non_monotone_abandonment(self):
         g = cycle_digraph(3)
-        assert not is_monotone_move(g, RobberTurn(0b10, 0, 0b1))
+        assert GraphCache(g).robber_turn(0b10, 0, 0b1)[0] != 0
 
     def test_monotone_when_abandoned_cop_unreachable(self):
         g = Digraph(3, [(0, 2)])
-        assert is_monotone_move(g, RobberTurn(0b10, 0b100, 0b1))
+        assert GraphCache(g).robber_turn(0b10, 0b100, 0b1)[0] == 0
 
 
 class TestSolve:
@@ -196,8 +194,8 @@ def _size(mask):
 
 
 class TestMoveRule:
-    """`GraphCache`'s move rule and normal-form predicates, and the public
-    one-liners on them, against the path-enumeration definitions of
+    """`GraphCache`'s move rule and normal-form predicates, on a warm cache
+    and on a fresh one, against the path-enumeration definitions of
     `oracles`, for every triple of vertex sets."""
 
     @pytest.mark.parametrize("name,g", MOVE_RULE_CORPUS, ids=[n for n, _ in MOVE_RULE_CORPUS])
@@ -212,7 +210,7 @@ class TestMoveRule:
                     sets = (g, _vset(U), _vset(up), _vset(R))
                     assert _vset(esc) == oracles.escapes(*sets), (name, U, up, R)
                     assert _vset(lost) == oracles.abandoned(*sets), (name, U, up, R)
-                    assert is_monotone_move(g, RobberTurn(U, up, R)) == \
+                    assert (GraphCache(g).robber_turn(U, up, R)[0] == 0) == \
                         oracles.is_monotone(*sets), (name, U, up, R)
 
     @pytest.mark.parametrize("name,g", MOVE_RULE_CORPUS, ids=[n for n, _ in MOVE_RULE_CORPUS])
@@ -223,7 +221,7 @@ class TestMoveRule:
                 if not U & R:
                     want = oracles.is_isolating(g, _vset(U), _vset(R))
                     assert cache.is_isolating(U, R) == want, (name, U, R)
-                    assert is_isolating_position(g, U, R) == want, (name, U, R)
+                    assert GraphCache(g).is_isolating(U, R) == want, (name, U, R)
 
     @pytest.mark.parametrize("name,g", MOVE_RULE_CORPUS, ids=[n for n, _ in MOVE_RULE_CORPUS])
     def test_prudence_matches_the_definition(self, name, g):
@@ -233,7 +231,7 @@ class TestMoveRule:
                 for Rp in range(1 << g.n):
                     want = oracles.is_prudent(g, _vset(R), _vset(up), _vset(Rp))
                     assert cache.is_prudent(R, up, Rp) == want, (name, R, up, Rp)
-                    assert is_prudent_move(g, up, R, Rp) == want, (name, R, up, Rp)
+                    assert GraphCache(g).is_prudent(R, up, Rp) == want, (name, R, up, Rp)
 
     @pytest.mark.parametrize("name,g", MOVE_RULE_CORPUS, ids=[n for n, _ in MOVE_RULE_CORPUS])
     def test_components_match_the_definition(self, name, g):

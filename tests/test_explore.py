@@ -1,8 +1,9 @@
 """The one exhaustive explorer and the subset enumerator it is fed with.
 
 Every exhaustive search (cop- and robber-strategy validation, the
-multiplier's adversary, the invisible game, strategy materialization) runs
-on `arena.explore`.  These tests pin its contract, show that long plays (and
+multiplier's adversary, the invisible game, strategy materialization, the
+cleanup passes and the knowledge arena's construction and checks) runs on
+`arena.explore`.  These tests pin its contract, show that long plays (and
 the solver's deep chains of shrinking regions) need no recursion, and replay
 the witness path of every failure verdict.
 """
@@ -11,17 +12,15 @@ from contextlib import contextmanager
 
 import pytest
 
-from pursuitwidth.arena import (COPS, ROBBERS, CopTurn, RobberTurn, SearchConfig,
-                                explore, is_monotone_move, solve_search,
-                                subset_masks)
+from pursuitwidth.arena import (COPS, ROBBERS, CopTurn, GraphCache, RobberTurn,
+                                SearchConfig, explore, solve_search, subset_masks)
 from pursuitwidth.digraph import Digraph, reach_mask
 from pursuitwidth.errors import ResourceError, StrategyHoleError
 from pursuitwidth.families import cycle_digraph
 from pursuitwidth.multiply import (MultiplyStrategy,
                                    enumerate_prudent_isolating_moves,
                                    exhaust_prudent_isolating)
-from pursuitwidth.strategy import (PositionalCopStrategy, is_isolating_position,
-                                   is_prudent_move, validate_cop_strategy,
+from pursuitwidth.strategy import (PositionalCopStrategy, validate_cop_strategy,
                                    validate_robber_strategy)
 
 
@@ -168,7 +167,7 @@ def _robber_line(g, cfg, strat, path):
     assert (rmem, U, R) == (strat.init_memory(CopTurn(0, R0)), 0, R0)
     for (rmem, U, R), (rmem2, U2, R2) in zip(path, path[1:]):
         rpos = RobberTurn(U, U2, R)
-        assert bin(U2).count("1") <= cfg.k and is_monotone_move(g, rpos)
+        assert bin(U2).count("1") <= cfg.k and GraphCache(g).robber_turn(U, U2, R)[0] == 0
         assert (R2, rmem2) == strat.respond(rmem, rpos)
 
 
@@ -206,7 +205,7 @@ def _replies(g, cfg, strat, state):
     rmem, U, R = state
     for up in range(1 << g.n):
         rpos = RobberTurn(U, up, R)
-        if bin(up).count("1") <= cfg.k and is_monotone_move(g, rpos):
+        if bin(up).count("1") <= cfg.k and GraphCache(g).robber_turn(U, up, R)[0] == 0:
             yield rpos, strat.respond(rmem, rpos)[0]
 
 
@@ -256,7 +255,7 @@ def _too_large(g, cfg, strat, path):
 def _non_monotone(g, cfg, strat, path):
     cmem, U, R = path[-1]
     up, _ = strat.announce(cmem, CopTurn(U, R))
-    assert not is_monotone_move(g, RobberTurn(U, up, R))
+    assert GraphCache(g).robber_turn(U, up, R)[0] != 0
 
 
 def _captured(g, cfg, strat, path):
@@ -264,13 +263,13 @@ def _captured(g, cfg, strat, path):
 
 
 def _imprudent(g, cfg, strat, path):
-    assert any(not is_prudent_move(g, rpos.Uprime, rpos.R, Rp)
+    assert any(not GraphCache(g).is_prudent(rpos.R, rpos.Uprime, Rp)
                for rpos, Rp in _replies(g, cfg, strat, path[-1]))
 
 
 def _not_isolating(g, cfg, strat, path):
     _, U, R = path[-1]
-    assert not is_isolating_position(g, U, R)
+    assert not GraphCache(g).is_isolating(U, R)
 
 
 def _play_never_ends():

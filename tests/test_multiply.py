@@ -1,7 +1,7 @@
 import pytest
 
-from pursuitwidth.arena import (CopTurn, RobberTurn, SearchConfig, solve_search,
-                                width)
+from pursuitwidth.arena import (CopTurn, GraphCache, RobberTurn, SearchConfig,
+                                solve_search, width)
 from pursuitwidth.digraph import Digraph
 from pursuitwidth.errors import (AdversaryContractError, InvariantViolation,
                                  PreconditionError)
@@ -243,11 +243,10 @@ class TestMultiplied:
         g = cycle_digraph(5)
         pos = RobberTurn(0, 0b1, 0b10100)
         moves = enumerate_prudent_isolating_moves(g, pos, 2)
-        from pursuitwidth.strategy import is_isolating_position, is_prudent_move
         assert moves
         for Rp in moves:
-            assert is_prudent_move(g, pos.Uprime, pos.R, Rp)
-            assert is_isolating_position(g, pos.Uprime, Rp)
+            assert GraphCache(g).is_prudent(pos.R, pos.Uprime, Rp)
+            assert GraphCache(g).is_isolating(pos.Uprime, Rp)
 
 
 def _first_violation(report):

@@ -1,9 +1,12 @@
+import dataclasses
+
 import pytest
 from hypothesis import given, strategies as st
 
 from pursuitwidth import parity
 from pursuitwidth.arena import SearchConfig, solve_search, width
-from pursuitwidth.errors import InputError, InvariantViolation, PreconditionError
+from pursuitwidth.errors import (InputError, InvariantViolation, PreconditionError,
+                                 ResourceError)
 from pursuitwidth.parity import (ObservationEquiv, check_history_lifting,
                                  distinguisher_game, emit_observation,
                                  emit_parity_game, gen_random_parity,
@@ -253,6 +256,60 @@ class TestImperfect:
         res = solve_imperfect(pg, ObservationEquiv.identity(pg.n))
         assert res.player0_wins
         assert all(isinstance(k, frozenset) for k in res.knowledge_strategy)
+
+
+class TestKnowledgeChecksCanFail:
+    """Each check of the knowledge construction rejects a broken input."""
+
+    def test_product_verification_rejects_a_strategy_that_reaches_the_odd_sink(self):
+        # player 0 cannot tell 1 from 2, and "l" at 2 leads to the odd sink 3
+        pg, eq = distinguisher_game()
+        kg = powerset_construct(pg, eq)
+        assert not parity._verify_knowledge_strategy(pg, eq, kg, {frozenset({1, 2}): "l"})
+
+    def test_product_verification_rejects_a_reached_set_without_an_action(self):
+        pg, eq = distinguisher_game()
+        kg = powerset_construct(pg, eq)
+        assert not parity._verify_knowledge_strategy(pg, eq, kg, {})
+
+    def test_product_verification_accepts_a_winning_strategy(self):
+        pg, _ = distinguisher_game()
+        eq = ObservationEquiv.identity(pg.n)
+        kg = powerset_construct(pg, eq)
+        sigma = {frozenset({1}): "l", frozenset({2}): "r"}
+        assert parity._verify_knowledge_strategy(pg, eq, kg, sigma)
+
+    def test_history_lifting_rejects_a_set_with_a_member_no_history_reaches(self):
+        pg, eq = distinguisher_game()
+        kg = powerset_construct(pg, eq)
+        assert check_history_lifting(kg, pg)
+        sets = tuple(frozenset({1, 2, 3}) if K == {1, 2} else K for K in kg.sets)
+        assert not check_history_lifting(dataclasses.replace(kg, sets=sets), pg)
+
+
+class TestPositionBudget:
+    """PURSUITWIDTH_BUDGET bounds the knowledge construction and its checks."""
+
+    def test_it_bounds_the_knowledge_construction(self, monkeypatch):
+        pg, eq = distinguisher_game()
+        monkeypatch.setenv("PURSUITWIDTH_BUDGET", "3")  # the construction expands 3 sets
+        assert powerset_construct(pg, eq).game.n == 3
+        monkeypatch.setenv("PURSUITWIDTH_BUDGET", "2")
+        with pytest.raises(ResourceError, match=r"knowledge construction .* budget \(2\)"):
+            powerset_construct(pg, eq)
+
+    @pytest.mark.parametrize("search, run", [
+        ("history lifting", lambda pg, eq, kg: check_history_lifting(kg, pg)),
+        ("product verification",
+         lambda pg, eq, kg: parity._verify_knowledge_strategy(pg, eq, kg, {})),
+        ("cycle search", lambda pg, eq, kg: zielonka_solve(pg)),
+    ])
+    def test_it_bounds_the_checks(self, search, run, monkeypatch):
+        pg, eq = distinguisher_game()
+        kg = powerset_construct(pg, eq)
+        monkeypatch.setenv("PURSUITWIDTH_BUDGET", "0")
+        with pytest.raises(ResourceError, match=f"{search} exceeded the budget"):
+            run(pg, eq, kg)
 
 
 class TestLift:

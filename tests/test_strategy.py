@@ -1,10 +1,11 @@
 import pytest
 
-from pursuitwidth.arena import (COPS, ROBBERS, CopTurn, RobberTurn,
+from pursuitwidth import strategy
+from pursuitwidth.arena import (COPS, ROBBERS, CopTurn, GraphCache, RobberTurn,
                                 SearchConfig, solve_search, width)
 from pursuitwidth.digraph import Digraph, reach_excluding
 from pursuitwidth.errors import (AdversaryContractError, InputError, PreconditionError,
-                                 StrategyHoleError)
+                                 ResourceError, StrategyHoleError)
 from pursuitwidth.families import (cops_topdown_thm7, cycle_digraph,
                                    enumerate_strongly_connected, two_tree_graph)
 from pursuitwidth.multiply import exhaust_prudent_isolating, multiply_strategy
@@ -13,8 +14,7 @@ from pursuitwidth.parity import (ObservationEquiv, distinguisher_game,
 from pursuitwidth.strategy import (COPS_WIN, NON_MONOTONE,
                                    ROBBERS_WIN, History, PositionalCopStrategy,
                                    cleanup_strategy, isolating_transform,
-                                   is_isolating_position, is_prudent_move,
-                                   playout, prudent_transform,
+                                   ValidationReport, playout, prudent_transform,
                                    validate_cop_strategy,
                                    validate_robber_strategy)
 
@@ -197,7 +197,7 @@ class TestTransforms:
         R0 = iso.initial_placement()
         # the whole cycle is one component, so one robber suffices at the start
         assert bin(R0).count("1") == 1
-        assert is_isolating_position(g, 0, R0)
+        assert GraphCache(g).is_isolating(0, R0)
 
     def test_transform_requires_winning_input(self):
         g = cycle_digraph(3)
@@ -219,11 +219,11 @@ class TestTransforms:
 
     def test_prudence_distinguishes_threatened_targets(self):
         g = cycle_digraph(3)
-        assert is_prudent_move(g, 0b010, 0b001, 0b001)  # staying is prudent
+        assert GraphCache(g).is_prudent(0b001, 0b010, 0b001)  # staying is prudent
         # vertex 1 stays reachable once the cop lands on 2, so going there is rash
-        assert not is_prudent_move(g, 0b100, 0b001, 0b010)
+        assert not GraphCache(g).is_prudent(0b001, 0b100, 0b010)
         # vertex 2 is about to be cut off by the cop landing on 1
-        assert is_prudent_move(g, 0b010, 0b001, 0b100)
+        assert GraphCache(g).is_prudent(0b001, 0b010, 0b100)
 
 
 class TestCleanup:
@@ -267,6 +267,16 @@ class TestCleanup:
              for u in range(3) for v in range(3) if u != v})
         with pytest.raises(PreconditionError):
             cleanup_strategy(g, f)
+
+    def test_the_budget_bounds_the_passes_too(self, monkeypatch):
+        g = cycle_digraph(3)
+        f = solve_search(g, SearchConfig(k=2)).cop_strategy.as_positional()
+        assert cleanup_strategy(g, f, budget=4).mapping
+        # the input's validation runs first, and would stop at budget 1 itself
+        monkeypatch.setattr(strategy, "validate_cop_strategy",
+                            lambda *args, **kwargs: ValidationReport(True, None, 0))
+        with pytest.raises(ResourceError, match=r"cleanup exceeded the budget \(1\)"):
+            cleanup_strategy(g, f, budget=1)
 
 
 class TestSerialization:
