@@ -44,9 +44,10 @@ from .errors import ConfigError, PreconditionError, ResourceError
 DEFAULT_POSITION_BUDGET = 10_000_000
 
 
-def effective_budget(budget: Optional[int]) -> int:
-    if budget is None:
-        budget = os.environ.get("PURSUITWIDTH_BUDGET") or DEFAULT_POSITION_BUDGET
+def effective_budget() -> int:
+    """The position budget: PURSUITWIDTH_BUDGET, or 10^7 when it is unset or
+    empty.  Every search reads its bound here, as no function takes one."""
+    budget = os.environ.get("PURSUITWIDTH_BUDGET") or DEFAULT_POSITION_BUDGET
     if not str(budget).isdecimal():
         raise ConfigError(f"the position budget must be a nonnegative integer, not {budget!r}")
     return int(budget)
@@ -303,14 +304,13 @@ class _SearchSolver:
     first lost successor, and the pass stops at the first lost initial class.
     """
 
-    def __init__(self, g: Digraph, cfg: SearchConfig, budget: int,
-                 cache: Optional[GraphCache] = None):
+    def __init__(self, g: Digraph, cfg: SearchConfig, cache: Optional[GraphCache] = None):
         self.k = cfg.k
         self.r = cfg.r
         self.restricted = cfg.restrict_to_scc
         self.cache = cache or GraphCache(g)
         self.out, self.inn, self.full = g.out_masks, g.in_masks, g.full_mask
-        self.budget = budget
+        self.budget = effective_budget()
         self.turns = {}  # robber turn (Up, escapes) -> whether the cops win it
 
     def _initial_classes(self):
@@ -406,12 +406,12 @@ class _SearchSolver:
             answer = None
 
 
-def solve_search(g: Digraph, cfg: SearchConfig, budget: Optional[int] = None,
+def solve_search(g: Digraph, cfg: SearchConfig,
                  cache: Optional[GraphCache] = None) -> SolveResult:
     """Solve the visible game exactly from the initial position."""
     if g.n == 0:
         raise PreconditionError("cannot play on the empty graph")
-    solver = _SearchSolver(g, cfg, effective_budget(budget), cache)
+    solver = _SearchSolver(g, cfg, cache)
     cops_win, won, lost = solver.run()
     size = len(won) + len(lost)
     from .strategy import SolverCopStrategy, SolverRobberStrategy
@@ -430,7 +430,7 @@ class InvisibleResult:
     states: int
 
 
-def solve_invisible(g: Digraph, k: int, budget: Optional[int] = None) -> InvisibleResult:
+def solve_invisible(g: Digraph, k: int) -> InvisibleResult:
     """Can k cops monotonously clear the graph against an invisible robber?
 
     Monotone clearing is directed vertex separation (Yang & Cao, DAM 2008;
@@ -459,7 +459,7 @@ def solve_invisible(g: Digraph, k: int, budget: Optional[int] = None) -> Invisib
             return ()
         return (S & ~(1 << x) for x in bits(S))
 
-    cleared, states = explore([g.full_mask], moves, effective_budget(budget),
+    cleared, states = explore([g.full_mask], moves, effective_budget(),
                               f"invisible search with k={k}")
     if cleared is None:
         return InvisibleResult(False, None, states)
@@ -503,7 +503,7 @@ _MEASURES = ("dw", "dw_r", "tw", "tw_r", "dpw")
 LADDER_START = 8
 
 
-def width(g: Digraph, measure: str, r: int = 1, budget: Optional[int] = None) -> int:
+def width(g: Digraph, measure: str, r: int = 1) -> int:
     """Minimum cop count for the requested measure, by ascending search.
 
     dw / dw_r: visible game on g with 1 / r robbers.  tw / tw_r: the same on
@@ -512,7 +512,7 @@ def width(g: Digraph, measure: str, r: int = 1, budget: Optional[int] = None) ->
     dw, tw and dpw take only r = 1.  The visible measures climb the ladder
     along induced subgraphs (see `_ladder`); the budget bounds each solve.
     """
-    return _ladder(g, measure, r, budget)[0]
+    return _ladder(g, measure, r)[0]
 
 
 def _search_order(g: Digraph, size: int) -> list:
@@ -547,20 +547,18 @@ def _chain(g: Digraph) -> list:
     return [order[:m] for m in sizes] + [range(g.n)]
 
 
-def _rung(h: Digraph, measure: str, k: int, r: int, budget: Optional[int],
-          cache: Optional[GraphCache]) -> tuple:
+def _rung(h: Digraph, measure: str, k: int, r: int, cache: Optional[GraphCache]) -> tuple:
     """One solve of the ladder: (whether k cops win, the classes it decided
     or, for dpw, the contaminated sets it expanded).  The solve's strategy
     is dropped here, so it holds no cache while the next rung is solved."""
     if measure == "dpw":
-        res = solve_invisible(h, k, budget=budget)
+        res = solve_invisible(h, k)
         return res.cops_win, res.states
-    res = solve_search(h, SearchConfig(k=k, r=r), budget=budget, cache=cache)
+    res = solve_search(h, SearchConfig(k=k, r=r), cache=cache)
     return res.winner == COPS, res.arena_size
 
 
-def _ladder(g: Digraph, measure: str, r: int = 1, budget: Optional[int] = None,
-            plain: bool = False):
+def _ladder(g: Digraph, measure: str, r: int = 1, plain: bool = False):
     """`width`'s ascending search, as (value, rungs).
 
     Each rung is one solve, (vertices, k, winner, classes): the vertices of g
@@ -583,7 +581,7 @@ def _ladder(g: Digraph, measure: str, r: int = 1, budget: Optional[int] = None,
         raise PreconditionError("width of the empty graph is undefined")
     if measure in ("tw", "tw_r"):
         base, rungs = _ladder(symmetric_closure(g), "dw_r" if measure == "tw_r" else "dw",
-                              r, budget, plain)
+                              r, plain)
         return (base - 1 if measure == "tw" else base), rungs
     rungs = []
     k = 1
@@ -592,7 +590,7 @@ def _ladder(g: Digraph, measure: str, r: int = 1, budget: Optional[int] = None,
         cache = None if measure == "dpw" else GraphCache(h)
         while True:
             try:
-                won, classes = _rung(h, measure, k, r, budget, cache)
+                won, classes = _rung(h, measure, k, r, cache)
             except ResourceError as e:
                 on, context = ("", f"k={k}") if h is g else (
                     f" on an induced subgraph of {h.n} vertices", f"k={k}, vertices={h.n}")

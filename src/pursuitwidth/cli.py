@@ -5,6 +5,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import os
 import random
 import time
 from dataclasses import dataclass, field
@@ -12,8 +13,9 @@ from multiprocessing import Pool
 from typing import Optional
 
 from . import families, parity
-from .arena import (ROBBERS, SearchConfig, _ladder, solve_invisible,
-                    solve_search, validate_invisible_schedule, width)
+from .arena import (ROBBERS, SearchConfig, _ladder, effective_budget,
+                    solve_invisible, solve_search, validate_invisible_schedule,
+                    width)
 from .digraph import (Digraph, emit_dot, emit_edge_list, induced,
                       is_strongly_connected, parse_edge_list, reach_excluding)
 from .errors import (AdversaryContractError, ConfigError, InputError,
@@ -116,9 +118,15 @@ def _require_instances(count: int, suite: str, what: str):
                          f"would pass vacuously")
 
 
+def _set_budget(budget: int):
+    os.environ["PURSUITWIDTH_BUDGET"] = str(budget)
+
+
 def _run_tasks(fn, tasks, jobs: int):
     if jobs > 1:
-        with Pool(processes=jobs) as pool:
+        # a worker started by fork, spawn or forkserver gets this bound alike
+        with Pool(processes=jobs, initializer=_set_budget,
+                  initargs=(effective_budget(),)) as pool:
             return pool.map(fn, tasks)
     return [fn(t) for t in tasks]
 
@@ -140,16 +148,16 @@ def _tally(rep: Report, names, key: str, ids, records):
 # checks and thm10 also carries the symmetric-closure bound).  A task checks
 # one instance and returns the checks it failed as (name, detail) pairs.
 
-def _plain_width(g: Digraph, measure: str, r: int = 1, budget: Optional[int] = None) -> int:
+def _plain_width(g: Digraph, measure: str, r: int = 1) -> int:
     """`width` by the plain ladder on the whole graph: the checks of the
     subgraph ladder must not rest on what they check."""
-    return _ladder(g, measure, r, budget, plain=True)[0]
+    return _ladder(g, measure, r, plain=True)[0]
 
 
 def _hierarchy_task(args):
-    g, budget, deletions = args
-    chain = [width(g, "dw_r", r=r, budget=budget) for r in range(1, g.n + 1)]
-    dpw = width(g, "dpw", budget=budget)
+    g, deletions = args
+    chain = [width(g, "dw_r", r=r) for r in range(1, g.n + 1)]
+    dpw = width(g, "dpw")
     failures = []
     if not (all(chain[i] <= chain[i + 1] for i in range(len(chain) - 1))
             and chain[-1] == dpw):
@@ -159,8 +167,8 @@ def _hierarchy_task(args):
         return failures
     for v in range(g.n):
         h = induced(g, [u for u in range(g.n) if u != v])
-        sub = [_plain_width(h, "dw_r", r=r, budget=budget) for r in range(1, h.n + 1)]
-        sub_dpw = _plain_width(h, "dpw", budget=budget)
+        sub = [_plain_width(h, "dw_r", r=r) for r in range(1, h.n + 1)]
+        sub_dpw = _plain_width(h, "dpw")
         if any(a > b for a, b in zip(sub, chain)) or sub_dpw > dpw:
             failures.append(("width-monotone-under-induced-subgraphs",
                              {"deleted": v, "chain": sub, "dpw": sub_dpw}))
@@ -185,9 +193,9 @@ def ladder_corpus():
 
 def _ladder_task(args):
     """(whether the subgraph ladder climbed two rungs or more, failures)."""
-    g, measure, r, budget = args
-    value, rungs = _ladder(g, measure, r, budget)
-    plain = _plain_width(g, measure, r, budget)
+    g, measure, r = args
+    value, rungs = _ladder(g, measure, r)
+    plain = _plain_width(g, measure, r)
     climbed = len({len(vs) for vs, _, _, _ in rungs}) > 1
     return climbed, ([] if value == plain else [
         ("subgraph-ladder-equals-plain-ladder",
@@ -195,20 +203,20 @@ def _ladder_task(args):
 
 
 def suite_hierarchy(nmax: int = 4, samples: int = 200, seed: int = DEFAULT_SEED,
-                    budget: Optional[int] = None, jobs: int = 1) -> Report:
+                    jobs: int = 1) -> Report:
     rep = Report(command=["verify", "hierarchy"],
                  params={"nmax": nmax, "samples": samples, "seed": seed})
     small = small_corpus(nmax)
     corpus = small + random_corpus(5, samples, seed)
     _require_instances(len(corpus), "hierarchy", "graph")
-    results = _run_tasks(_hierarchy_task, [(g, budget, i < len(small))
+    results = _run_tasks(_hierarchy_task, [(g, i < len(small))
                                            for i, (_, g) in enumerate(corpus)], jobs)
     rep.results["instances"] = len(corpus)
     _tally(rep, ("chain-monotone-and-top-equals-invisible",
                  "width-monotone-under-induced-subgraphs"), "graph",
            [name for name, _ in corpus], results)
     ladders = ladder_corpus()
-    climbs = _run_tasks(_ladder_task, [(g, m, r, budget) for _, g, m, r in ladders], jobs)
+    climbs = _run_tasks(_ladder_task, [(g, m, r) for _, g, m, r in ladders], jobs)
     _tally(rep, ("subgraph-ladder-equals-plain-ladder",), "graph",
            [name for name, _, _, _ in ladders], [failures for _, failures in climbs])
     if not any(climbed for climbed, _ in climbs):
@@ -219,25 +227,24 @@ def suite_hierarchy(nmax: int = 4, samples: int = 200, seed: int = DEFAULT_SEED,
 
 def _thm10_task(args):
     """(dw, robbers the adversary held per r, failures)."""
-    g, rs, budget = args
-    k = width(g, "dw", budget=budget)
-    res = solve_search(g, SearchConfig(k=k, r=1), budget=budget)
-    f = res.cop_strategy.as_positional(budget=budget)
+    g, rs = args
+    k = width(g, "dw")
+    res = solve_search(g, SearchConfig(k=k, r=1))
+    f = res.cop_strategy.as_positional()
     held, failures = {}, []
     for r in rs:
-        dwr = width(g, "dw_r", r=r, budget=budget)
+        dwr = width(g, "dw_r", r=r)
         if dwr > r * k:
             failures.append(("multi-robber-width-at-most-r-times-width",
                              {"r": r, "dw_r": dwr, "cap": r * k}))
-        mult = multiply_strategy(g, f, r=r, budget=budget)
-        adv = exhaust_prudent_isolating(g, mult, budget=budget)
+        adv = exhaust_prudent_isolating(g, multiply_strategy(g, f, r=r))
         held[r] = adv.max_robbers
         if not (adv.ok and adv.max_cops <= r * k):
             failures.append(("multiplier-beats-exhaustive-prudent-isolating-adversary",
                              {"r": r, "used": adv.max_cops, "cap": r * k,
                               "witness": str(None if adv.ok else adv.witness)}))
-    tw1 = width(g, "tw_r", r=1, budget=budget)
-    tw2 = width(g, "tw_r", r=2, budget=budget)
+    tw1 = width(g, "tw_r", r=1)
+    tw2 = width(g, "tw_r", r=2)
     if tw2 > 2 * tw1:
         failures.append(("symmetric-closure-bound-tw2-at-most-2tw1",
                          {"tw_2": tw2, "cap": 2 * tw1}))
@@ -245,8 +252,7 @@ def _thm10_task(args):
 
 
 def suite_thm10(nmax: int = 4, samples: int = 200, seed: int = DEFAULT_SEED,
-                budget: Optional[int] = None, jobs: int = 1,
-                graph: Optional[Digraph] = None, r: int = 2,
+                jobs: int = 1, graph: Optional[Digraph] = None, r: int = 2,
                 trace_out: Optional[str] = None) -> Report:
     rep = Report(command=["verify", "thm10"])
     if graph is not None:
@@ -263,8 +269,8 @@ def suite_thm10(nmax: int = 4, samples: int = 200, seed: int = DEFAULT_SEED,
     tasks = []
     for (name, g) in corpus:
         rs = [r] if graph is not None else ([2, 3] if g.n <= nmax else [2])
-        tasks.append((g, tuple(rs), budget))
-    rep.params["r"] = sorted({rr for _, rs, _ in tasks for rr in rs})  # the r values checked
+        tasks.append((g, tuple(rs)))
+    rep.params["r"] = sorted({rr for _, rs in tasks for rr in rs})  # the r values checked
     results = _run_tasks(_thm10_task, tasks, jobs)
     rep.results["instances"] = len(corpus)
     rep.results["max_robbers"] = {rr: max(held.get(rr, 0) for _, held, _ in results)
@@ -275,9 +281,8 @@ def suite_thm10(nmax: int = 4, samples: int = 200, seed: int = DEFAULT_SEED,
            [name for name, _ in corpus], [failures for _, _, failures in results])
     if graph is not None and trace_out:
         k = results[0][0]
-        res = solve_search(graph, SearchConfig(k=k, r=1), budget=budget)
-        mult = multiply_strategy(graph, res.cop_strategy.as_positional(budget=budget),
-                                 r=r, budget=budget)
+        res = solve_search(graph, SearchConfig(k=k, r=1))
+        mult = multiply_strategy(graph, res.cop_strategy.as_positional(), r=r)
         records = traced_run(graph, mult)
         with open(trace_out, "w") as fh:
             json.dump(records, fh, indent=1)
@@ -288,12 +293,10 @@ def suite_thm10(nmax: int = 4, samples: int = 200, seed: int = DEFAULT_SEED,
     return rep
 
 
-def _lemma9_task(args):
-    g, budget = args
-    k = width(g, "dw", budget=budget)
-    res = solve_search(g, SearchConfig(k=k, r=1), budget=budget)
-    f = res.cop_strategy.as_positional(budget=budget)
-    ft = cleanup_strategy(g, f, budget=budget)
+def _lemma9_task(g):
+    k = width(g, "dw")
+    res = solve_search(g, SearchConfig(k=k, r=1))
+    ft = cleanup_strategy(g, res.cop_strategy.as_positional())
     problems = []
     for (U, R), up in ft.items():
         (v,) = R
@@ -302,17 +305,17 @@ def _lemma9_task(args):
             problems.append(("idle", sorted(U), v))
         elif not new <= reach_excluding(g, U, {v}):
             problems.append(("unreachable-placement", sorted(U), v, sorted(new)))
-    win = validate_cop_strategy(g, SearchConfig(k=k, r=1), ft, budget=budget)
+    win = validate_cop_strategy(g, SearchConfig(k=k, r=1), ft)
     if not win.ok:
         problems.append(("not-winning", str(win.witness)))
     return [("cleanup-normal-form-and-winning", {"problems": problems})] if problems else []
 
 
-def suite_lemma9(nmax: int = 4, budget: Optional[int] = None, jobs: int = 1) -> Report:
+def suite_lemma9(nmax: int = 4, jobs: int = 1) -> Report:
     rep = Report(command=["verify", "lemma9"], params={"nmax": nmax})
     corpus = small_corpus(nmax)
     _require_instances(len(corpus), "lemma9", "graph")
-    results = _run_tasks(_lemma9_task, [(g, budget) for (_, g) in corpus], jobs)
+    results = _run_tasks(_lemma9_task, [g for (_, g) in corpus], jobs)
     rep.results["instances"] = len(corpus)
     _tally(rep, ("cleanup-normal-form-and-winning",), "graph",
            [name for name, _ in corpus], results)
@@ -322,35 +325,34 @@ def suite_lemma9(nmax: int = 4, budget: Optional[int] = None, jobs: int = 1) -> 
 def _lemmas58_task(args):
     """The failures, or None for a graph with dw_r below 2 (no robber strategy
     to transform)."""
-    g, r, budget = args
-    dwr = width(g, "dw_r", r=r, budget=budget)
+    g, r = args
+    dwr = width(g, "dw_r", r=r)
     k = dwr - 1
     if k < 1:
         return None
     cfg = SearchConfig(k=k, r=r)
-    res = solve_search(g, cfg, budget=budget)
+    res = solve_search(g, cfg)
     if res.winner != ROBBERS:
         problems = [("solver-disagrees-with-width", k)]
     else:
         problems = []
-        iso = isolating_transform(g, cfg, res.robber_strategy, budget=budget)
-        rep1 = validate_robber_strategy(g, cfg, iso, budget=budget, require_isolating=True)
+        iso = isolating_transform(g, cfg, res.robber_strategy)
+        rep1 = validate_robber_strategy(g, cfg, iso, require_isolating=True)
         if not rep1.ok:
             problems.append(("isolating", str(rep1.witness)))
-        pru = prudent_transform(g, cfg, res.robber_strategy, budget=budget)
-        rep2 = validate_robber_strategy(g, cfg, pru, budget=budget,
-                                        require_isolating=True, require_prudent=True)
+        pru = prudent_transform(g, cfg, res.robber_strategy)
+        rep2 = validate_robber_strategy(g, cfg, pru, require_isolating=True,
+                                        require_prudent=True)
         if not rep2.ok:
             problems.append(("prudent", str(rep2.witness)))
     return ([("transforms-keep-winning-and-step-conditions", {"problems": problems})]
             if problems else [])
 
 
-def suite_lemmas58(nmax: int = 4, r: int = 2, budget: Optional[int] = None,
-                   jobs: int = 1) -> Report:
+def suite_lemmas58(nmax: int = 4, r: int = 2, jobs: int = 1) -> Report:
     rep = Report(command=["verify", "lemmas58"], params={"nmax": nmax, "r": r})
     corpus = small_corpus(nmax)
-    results = _run_tasks(_lemmas58_task, [(g, r, budget) for (_, g) in corpus], jobs)
+    results = _run_tasks(_lemmas58_task, [(g, r) for (_, g) in corpus], jobs)
     checked = [(name, out) for (name, _), out in zip(corpus, results) if out is not None]
     _require_instances(len(checked), "lemmas58", f"graph with dw_{r} of at least 2")
     rep.results["instances"] = len(checked)
@@ -359,47 +361,46 @@ def suite_lemmas58(nmax: int = 4, r: int = 2, budget: Optional[int] = None,
     return rep
 
 
-def suite_thm7(n: int = 2, budget: Optional[int] = None, jobs: int = 1) -> Report:
+def suite_thm7(n: int = 2, jobs: int = 1) -> Report:
     rep = Report(command=["verify", "thm7"], params={"n": n})
     g, _ = families.two_tree_graph(n)
     rep.results["vertices"] = g.n
     cops = families.cops_topdown_thm7(n)
-    cop_rep = validate_cop_strategy(g, SearchConfig(k=4, r=1), cops, budget=budget)
+    cop_rep = validate_cop_strategy(g, SearchConfig(k=4, r=1), cops)
     rep.checks.append(Check("four-cop-sweep-wins-monotonously",
                             cop_rep.ok and cop_rep.max_announced <= 4,
                             None if cop_rep.ok else str(cop_rep.witness)))
     cfg = SearchConfig(k=n, r=1, restrict_to_scc=True)
-    res = solve_search(g, cfg, budget=budget)
+    res = solve_search(g, cfg)
     rep.results["restricted_arena_classes"] = res.arena_size
     rep.checks.append(Check("restricted-game-lost-by-n-cops-exhaustively",
                             res.winner == ROBBERS))
     rob = families.robber_thm7(n)
-    rob_rep = validate_robber_strategy(g, cfg, rob, budget=budget)
+    rob_rep = validate_robber_strategy(g, cfg, rob)
     rep.checks.append(Check("escape-robber-survives-with-invariants",
                             rob_rep.ok, None if rob_rep.ok else str(rob_rep.witness)))
     return rep
 
 
-def suite_thm25(budget: Optional[int] = None, jobs: int = 1) -> Report:
+def suite_thm25(jobs: int = 1) -> Report:
     rep = Report(command=["verify", "thm25"], params={})
     t1, _ = families.tree_T(1)
     t2, _ = families.tree_T(2)
     g12 = families.gen_grk(1, 2)
     vals = {
-        "dpw(T1)": (width(t1, "dpw", budget=budget), 2),
-        "dpw(T2)": (width(t2, "dpw", budget=budget), 3),
-        "dw1(T1)": (width(t1, "dw", budget=budget), 2),
-        "dw1(T2)": (width(t2, "dw", budget=budget), 2),
-        "dw1(G_1^2)": (width(g12, "dw", budget=budget), 4),
-        "dpw(G_1^2)": (width(g12, "dpw", budget=budget), 4),
+        "dpw(T1)": (width(t1, "dpw"), 2),
+        "dpw(T2)": (width(t2, "dpw"), 3),
+        "dw1(T1)": (width(t1, "dw"), 2),
+        "dw1(T2)": (width(t2, "dw"), 2),
+        "dw1(G_1^2)": (width(g12, "dw"), 4),
+        "dpw(G_1^2)": (width(g12, "dpw"), 4),
     }
     rep.results["values"] = {k: v[0] for k, v in vals.items()}
     bad = {k: v for k, v in vals.items() if v[0] != v[1]}
     rep.checks.append(Check("exact-widths-of-the-product-family", not bad, bad or None))
     rep.checks.append(Check("hierarchy-gap-witness",
                             vals["dw1(T2)"][0] < vals["dpw(T2)"][0]))
-    lower = [(r, solve_invisible(t, r, budget=budget).cops_win)
-             for r, t in ((1, t1), (2, t2))]
+    lower = [(r, solve_invisible(t, r).cops_win) for r, t in ((1, t1), (2, t2))]
     rep.checks.append(Check("invisible-game-needs-more-than-r-cops",
                             not any(w for (_r, w) in lower)))
     sched_bad = []
@@ -417,34 +418,33 @@ def suite_thm25(budget: Optional[int] = None, jobs: int = 1) -> Report:
     # three cops lose on G_1^2, shown by a robber strategy that survives
     # every cop line
     cfg3 = SearchConfig(k=3)
-    res3 = solve_search(g12, cfg3, budget=budget)
+    res3 = solve_search(g12, cfg3)
     witness = {"winner": res3.winner}
     if res3.winner == ROBBERS:
-        val = validate_robber_strategy(g12, cfg3, res3.robber_strategy, budget=budget)
+        val = validate_robber_strategy(g12, cfg3, res3.robber_strategy)
         witness = None if val.ok else {"winner": res3.winner, "witness": str(val.witness)}
     rep.checks.append(Check("robber-team-lower-bound-smallest-instance", witness is None,
                             witness))
     return rep
 
 
-def _lemma2_task(args):
-    seed, budget = args
+def _lemma2_task(seed):
     pg, eq = parity.gen_random_parity(seed)
     g = pg.arena_digraph()
     kg = parity.powerset_construct(pg, eq)
     failures = []
     if not parity.check_history_lifting(kg, pg, max_len=6):
         failures.append(("history-lifting-to-length-6", None))
-    k = width(g, "dw_r", r=2, budget=budget)
+    k = width(g, "dw_r", r=2)
     cap = 2 * k
-    res = solve_search(g, SearchConfig(k=k, r=2), budget=budget)
+    res = solve_search(g, SearchConfig(k=k, r=2))
     kgraph = kg.arena_digraph()
     lifted = parity.lift_cop_strategy(g, res.cop_strategy, kg)
-    val = validate_cop_strategy(kgraph, SearchConfig(k=cap, r=1), lifted, budget=budget)
+    val = validate_cop_strategy(kgraph, SearchConfig(k=cap, r=1), lifted)
     if not (val.ok and val.max_announced <= cap):
         failures.append(("lifted-strategy-wins-with-k-times-2^(r-1)-cops",
                          {"witness": None if val.ok else str(val.witness)}))
-    direct = width(kgraph, "dw", budget=budget)
+    direct = width(kgraph, "dw")
     if direct > cap:
         failures.append(("knowledge-arena-width-within-bound",
                          {"direct": (direct, cap, False)}))
@@ -461,9 +461,8 @@ def _solve_verified(pg, eq) -> tuple:
         return True, False  # only a claimed win is verified
 
 
-def _thm4_task(args):
+def _thm4_task(seed):
     """(knowledge arena size / its bound, failures)."""
-    seed, budget = args
     pg, eq = parity.gen_random_parity(seed)
     failures = []
     wins, ident_ok = _solve_verified(pg, parity.ObservationEquiv.identity(pg.n))
@@ -482,8 +481,7 @@ def _thm4_task(args):
     return n / bound, failures
 
 
-def suite_lemma2(count: int = 100, seed: int = DEFAULT_SEED,
-                 budget: Optional[int] = None, jobs: int = 1,
+def suite_lemma2(count: int = 100, seed: int = DEFAULT_SEED, jobs: int = 1,
                  pipeline_count: int = 200) -> Report:
     rep = Report(command=["verify", "lemma2"],
                  params={"count": count, "seed": seed, "pipeline_count": pipeline_count})
@@ -491,13 +489,12 @@ def suite_lemma2(count: int = 100, seed: int = DEFAULT_SEED,
     _require_instances(pipeline_count, "lemma2", "game for the pipeline checks")
     rng = random.Random(seed)
     seeds = [rng.randrange(10 ** 9) for _ in range(max(count, pipeline_count))]
-    lift_results = _run_tasks(_lemma2_task, [(s, budget) for s in seeds[:count]], jobs)
+    lift_results = _run_tasks(_lemma2_task, seeds[:count], jobs)
     rep.results["lift_instances"] = count
     _tally(rep, ("history-lifting-to-length-6",
                  "lifted-strategy-wins-with-k-times-2^(r-1)-cops",
                  "knowledge-arena-width-within-bound"), "seed", seeds, lift_results)
-    pipe_results = _run_tasks(_thm4_task,
-                              [(s, budget) for s in seeds[:pipeline_count]], jobs)
+    pipe_results = _run_tasks(_thm4_task, seeds[:pipeline_count], jobs)
     rep.results["pipeline_instances"] = pipeline_count
     rep.results["knowledge_size_max_ratio"] = max(ratio for ratio, _ in pipe_results)
     _tally(rep, ("identity-observations-match-direct-solve",
@@ -541,7 +538,7 @@ def cmd_width(args) -> Report:
                  params={"measure": args.measure, "r": args.r})
     g, digest = _load_graph(args.graph)
     rep.inputs[args.graph] = digest
-    value, rungs = _ladder(g, args.measure, r=args.r, budget=args.budget)
+    value, rungs = _ladder(g, args.measure, r=args.r)
     rep.results["value"] = value
     rep.results["rungs"] = [{"vertices": len(vs), "k": k, "winner": winner, "classes": classes}
                             for vs, k, winner, classes in rungs]
@@ -575,7 +572,7 @@ def cmd_verify(args) -> Report:
     if ignored:
         run = f"verify {args.suite}" + (" --graph" if args.graph else "")
         raise InputError(f"{run} does not read {', '.join(ignored)}")
-    kwargs = dict(given, budget=args.budget, jobs=args.jobs)
+    kwargs = dict(given, jobs=args.jobs)
     digest = None
     if args.graph:
         g, digest = _load_graph(args.graph)
@@ -711,7 +708,11 @@ def main(argv=None) -> int:
     ap = build_parser()
     args = ap.parse_args(argv)
     t0 = time.time()
+    saved = os.environ.get("PURSUITWIDTH_BUDGET")
     try:
+        if getattr(args, "budget", None) is not None:  # width and verify
+            _set_budget(args.budget)
+            effective_budget()  # a bad value is an input error before any work
         rep = args.func(args)
     except (InputError, ConfigError, PreconditionError, FileNotFoundError) as e:
         print(json.dumps({"schema": SCHEMA, "error": str(e), "kind": "input"}))
@@ -725,6 +726,11 @@ def main(argv=None) -> int:
         print(json.dumps({"schema": SCHEMA, "error": f"{type(e).__name__}: {e}",
                           "kind": "internal"}))
         return EXIT_INTERNAL_ERROR
+    finally:  # the bound of --budget holds for this command alone
+        if saved is None:
+            os.environ.pop("PURSUITWIDTH_BUDGET", None)
+        else:
+            os.environ["PURSUITWIDTH_BUDGET"] = saved
     rep.elapsed_s = time.time() - t0
     print(json.dumps(rep.as_json(), indent=1))
     return EXIT_PASS if rep.passed else EXIT_CHECK_FAILURE

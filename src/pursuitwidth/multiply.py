@@ -523,8 +523,7 @@ class MultiplyStrategy(CopStrategy):
         return zeta2
 
 
-def multiply_strategy(g: Digraph, f: PositionalCopStrategy, r: int,
-                      budget: Optional[int] = None) -> MultiplyStrategy:
+def multiply_strategy(g: Digraph, f: PositionalCopStrategy, r: int) -> MultiplyStrategy:
     """Package the multiplier for r robbers from a one-robber strategy.
 
     The base strategy is normalized first (every move places a new cop,
@@ -533,7 +532,7 @@ def multiply_strategy(g: Digraph, f: PositionalCopStrategy, r: int,
     """
     if r < 1:
         raise PreconditionError("r must be at least 1")
-    f = cleanup_strategy(g, f, budget=budget)
+    f = cleanup_strategy(g, f)
     return MultiplyStrategy(g, f, r, f.cop_count())
 
 
@@ -567,8 +566,7 @@ class AdversarialReport:
     case_counts: dict
 
 
-def exhaust_prudent_isolating(g: Digraph, strat: MultiplyStrategy,
-                              budget: Optional[int] = None) -> AdversarialReport:
+def exhaust_prudent_isolating(g: Digraph, strat: MultiplyStrategy) -> AdversarialReport:
     """Play the multiplier against every prudent isolating robber line.
 
     Every branch must reach a capture within the budget; any repeat of a
@@ -596,7 +594,7 @@ def exhaust_prudent_isolating(g: Digraph, strat: MultiplyStrategy,
                                                             cache=strat.cache))
 
     roots = ((strat.init_memory(CopTurn(0, 1 << v)), 0, 1 << v) for v in range(g.n))
-    failure, states = explore(roots, moves, effective_budget(budget),
+    failure, states = explore(roots, moves, effective_budget(),
                               "adversarial search", cycle="play never ends")
     return AdversarialReport(failure is None, failure, states, max_cops, max_robbers, cases)
 

@@ -14,9 +14,8 @@ no helper, so that it checks the construction instead of repeating it.
 
 Every search over reachable states (the knowledge construction, the product
 verification, history lifting and the cycle search that checks Zielonka's
-strategies) runs on `arena.explore`, so the position budget bounds each; it
-comes from PURSUITWIDTH_BUDGET, as no function here takes one.  The
-enumeration oracle's backward closure is one `reach_mask`.
+strategies) runs on `arena.explore`, so the position budget bounds each.
+The enumeration oracle's backward closure is one `reach_mask`.
 """
 from __future__ import annotations
 
@@ -192,7 +191,7 @@ def powerset_construct(pg: ParityGame, eq: ObservationEquiv) -> KnowledgeGame:
         return reversed(targets)  # last met first, as a worklist pops them
 
     init = intern(frozenset({pg.init}))
-    explore([init], expand, effective_budget(None), "knowledge construction")
+    explore([init], expand, effective_budget(), "knowledge construction")
     owner = tuple(pg.owner[next(iter(K))] for K in sets)
     color = tuple(pg.color[next(iter(K))] for K in sets)
     game = ParityGame(len(sets), owner, color, pg.actions,
@@ -346,7 +345,7 @@ def _reachable_cycle_with_parity(start, succ_map, color, parity) -> Optional[lis
         seen.append(v)
         return iter(succ_map(v))
 
-    explore(start, moves, effective_budget(None), "cycle search")
+    explore(start, moves, effective_budget(), "cycle search")
     return next(_parity_cycle_blocks(sorted(seen), succ_map, color, parity), None)
 
 
@@ -485,7 +484,7 @@ def _verify_knowledge_strategy(pg, eq, kg, sigma) -> bool:
                               for row in rows for w in row[v]]
         return iter(outs)
 
-    failure, _ = explore([(pg.init, frozenset({pg.init}))], moves, effective_budget(None),
+    failure, _ = explore([(pg.init, frozenset({pg.init}))], moves, effective_budget(),
                          "product verification")
     if failure is not None:
         return False
@@ -518,7 +517,7 @@ def check_history_lifting(kg: KnowledgeGame, pg: ParityGame, max_len: int = 6) -
                 for nxt in ksucc[node])
 
     failure, _ = explore([(kg.game.init, frozenset({pg.init}), max_len)], moves,
-                         effective_budget(None), "history lifting")
+                         effective_budget(), "history lifting")
     return failure is None
 
 

@@ -208,7 +208,7 @@ class SolverCopStrategy(CopStrategy):
             raise StrategyHoleError(pos)
         return got, memory
 
-    def as_positional(self, budget: Optional[int] = None) -> PositionalCopStrategy:
+    def as_positional(self) -> PositionalCopStrategy:
         """Materialize the map over every position reachable under the strategy."""
         cache = self.cache
         robber_sets = range(1, self.cfg.r + 1)
@@ -221,7 +221,7 @@ class SolverCopStrategy(CopStrategy):
             return ((up, Rp) for Rp in subset_masks(escapes, robber_sets))
 
         explore(((0, R) for R in subset_masks(self.g.full_mask, robber_sets)), moves,
-                effective_budget(budget), "strategy materialization")
+                effective_budget(), "strategy materialization")
         return PositionalCopStrategy.from_masks(mapping)
 
 
@@ -268,7 +268,7 @@ def playout(g: Digraph, cfg: SearchConfig, cop_strategy: CopStrategy,
             robber_strategy: RobberStrategy, step_budget: Optional[int] = None
             ) -> PlayoutResult:
     """Drive the unique play of the two strategies; report its verdict."""
-    limit = step_budget if step_budget is not None else effective_budget(None)
+    limit = step_budget if step_budget is not None else effective_budget()
     cache = GraphCache(g)
     trace = [INITIAL]
     R0 = robber_strategy.initial_placement()
@@ -322,8 +322,8 @@ class ValidationReport:
         return self.ok
 
 
-def validate_cop_strategy(g: Digraph, cfg: SearchConfig, strat: CopStrategy,
-                          budget: Optional[int] = None) -> ValidationReport:
+def validate_cop_strategy(g: Digraph, cfg: SearchConfig,
+                          strat: CopStrategy) -> ValidationReport:
     """Play the cop strategy against every robber line; require monotone wins.
 
     A state is (cop memory, cop set, robber set); a failure's witness is its
@@ -352,13 +352,12 @@ def validate_cop_strategy(g: Digraph, cfg: SearchConfig, strat: CopStrategy,
 
     roots = ((strat.init_memory(CopTurn(0, R0)), 0, R0)
              for R0 in subset_masks(g.full_mask, robber_sets))
-    failure, states = explore(roots, moves, effective_budget(budget),
+    failure, states = explore(roots, moves, effective_budget(),
                               "cop-strategy validation", cycle="infinite play")
     return ValidationReport(failure is None, failure, states, max_ann)
 
 
 def validate_robber_strategy(g: Digraph, cfg: SearchConfig, strat: RobberStrategy,
-                             budget: Optional[int] = None,
                              require_isolating: bool = False,
                              require_prudent: bool = False) -> ValidationReport:
     """Play the robber strategy against every cop line; require survival.
@@ -397,8 +396,7 @@ def validate_robber_strategy(g: Digraph, cfg: SearchConfig, strat: RobberStrateg
         raise AdversaryContractError(
             f"robber strategy made an illegal initial placement: {list(bits(pos.R))}")
     root = (strat.init_memory(pos), 0, pos.R)
-    failure, states = explore([root], moves, effective_budget(budget),
-                              "robber-strategy validation")
+    failure, states = explore([root], moves, effective_budget(), "robber-strategy validation")
     return ValidationReport(failure is None, failure, states)
 
 
@@ -478,19 +476,19 @@ class PrudentRobberStrategy(_MirrorRobberStrategy):
         return picked, (inner_mem2, Rp)
 
 
-def isolating_transform(g: Digraph, cfg: SearchConfig, robber_strategy: RobberStrategy,
-                        budget: Optional[int] = None) -> RobberStrategy:
+def isolating_transform(g: Digraph, cfg: SearchConfig,
+                        robber_strategy: RobberStrategy) -> RobberStrategy:
     """Turn a winning robber strategy into an isolating winning one."""
-    rep = validate_robber_strategy(g, cfg, robber_strategy, budget=budget)
+    rep = validate_robber_strategy(g, cfg, robber_strategy)
     if not rep.ok:
         raise PreconditionError(f"input robber strategy is not winning: {rep.witness}")
     return IsolatingRobberStrategy(g, cfg, robber_strategy)
 
 
-def prudent_transform(g: Digraph, cfg: SearchConfig, robber_strategy: RobberStrategy,
-                      budget: Optional[int] = None) -> RobberStrategy:
+def prudent_transform(g: Digraph, cfg: SearchConfig,
+                      robber_strategy: RobberStrategy) -> RobberStrategy:
     """Turn a winning robber strategy into a prudent (and isolating) one."""
-    rep = validate_robber_strategy(g, cfg, robber_strategy, budget=budget)
+    rep = validate_robber_strategy(g, cfg, robber_strategy)
     if not rep.ok:
         raise PreconditionError(f"input robber strategy is not winning: {rep.witness}")
     return PrudentRobberStrategy(g, cfg, robber_strategy)
@@ -510,8 +508,7 @@ def _useful_subset(cache: GraphCache, standing: int, announced: int, v: int) -> 
     return (announced & standing) | (announced & cone)
 
 
-def cleanup_strategy(g: Digraph, f: PositionalCopStrategy,
-                     budget: Optional[int] = None) -> PositionalCopStrategy:
+def cleanup_strategy(g: Digraph, f: PositionalCopStrategy) -> PositionalCopStrategy:
     """Normalize a positional monotone winning one-robber cop strategy.
 
     The input is validated first with its own cop count.  The output never
@@ -520,11 +517,11 @@ def cleanup_strategy(g: Digraph, f: PositionalCopStrategy,
     Idle stretches of the input are compressed by following its own play
     with the robber parked.
     """
-    rep = validate_cop_strategy(g, SearchConfig(k=f.cop_count(), r=1), f, budget=budget)
+    rep = validate_cop_strategy(g, SearchConfig(k=f.cop_count(), r=1), f)
     if not rep.ok:
         raise PreconditionError(f"input cop strategy is not monotone winning: {rep.witness}")
     cache = GraphCache(g)
-    limit = effective_budget(budget)
+    limit = effective_budget()
     # Each pass hands `explore` a state once, when it is first generated, and
     # the last generated first: the order of a worklist.  Pass 1 fixes a
     # state's witness when it is generated, so that order is its output's.

@@ -145,16 +145,18 @@ class TestSolve:
                     assert winner == COPS
                 prev = winner
 
-    def test_budget_error_reports_bound(self):
+    def test_budget_error_reports_bound(self, monkeypatch):
         g = cycle_digraph(5)
+        monkeypatch.setenv("PURSUITWIDTH_BUDGET", "2")
         with pytest.raises(ResourceError) as exc:
-            solve_search(g, SearchConfig(k=2), budget=2)
+            solve_search(g, SearchConfig(k=2))
         assert exc.value.budget == 2
 
-    def test_width_reports_breaking_k(self):
+    def test_width_reports_breaking_k(self, monkeypatch):
         g = cycle_digraph(5)
+        monkeypatch.setenv("PURSUITWIDTH_BUDGET", "2")
         with pytest.raises(ResourceError) as exc:
-            width(g, "dw", budget=2)
+            width(g, "dw")
         assert "k=1" in str(exc.value.context)
 
     def test_env_budget_override(self, monkeypatch):
@@ -320,7 +322,7 @@ class TestSearchSolver:
             cfgs = [SearchConfig(k=k, r=r) for r in (1, 2) for k in range(g.n + 1)]
             cfgs += [SearchConfig(k=k, restrict_to_scc=True) for k in range(g.n + 1)]
             for cfg in cfgs:
-                _, cert, _ = _SearchSolver(g, cfg, 10 ** 6).run()
+                _, cert, _ = _SearchSolver(g, cfg).run()
                 for (U, reg), ann in cert.items():
                     border = out_of(g.out_masks, reg)
                     assert U & ~border == 0, (name, cfg, U, reg)
@@ -359,14 +361,16 @@ class TestSearchSolver:
         rep = validate_robber_strategy(g, cfg, res.robber_strategy)
         assert rep.ok, rep.witness
 
-    def test_two_tree_arena_size_and_budget(self):
+    def test_two_tree_arena_size_and_budget(self, monkeypatch):
         g, _ = two_tree_graph(2)
         cfg = SearchConfig(k=2)
         size = solve_search(g, cfg).arena_size
         assert size == 432  # (border cops, region) classes decided
-        assert solve_search(g, cfg, budget=size).arena_size == size
+        monkeypatch.setenv("PURSUITWIDTH_BUDGET", str(size))
+        assert solve_search(g, cfg).arena_size == size
+        monkeypatch.setenv("PURSUITWIDTH_BUDGET", str(size - 1))
         with pytest.raises(ResourceError) as exc:
-            solve_search(g, cfg, budget=size - 1)
+            solve_search(g, cfg)
         assert exc.value.budget == size - 1
 
     @pytest.mark.parametrize("k,winner,size", [(5, ROBBERS, 3104), (6, COPS, 89)],
@@ -401,7 +405,7 @@ def _ladder_robber_turns(g, r):
             return regs
 
     for k in range(1, g.n + 1):
-        if Recording(g, SearchConfig(k=k, r=r), 10 ** 7).run()[0]:
+        if Recording(g, SearchConfig(k=k, r=r)).run()[0]:
             return turns
     raise AssertionError("n cops always win")
 
@@ -452,14 +456,16 @@ class TestInvisible:
             ok, detail = validate_invisible_schedule(g, k, res.schedule)
             assert ok, detail
 
-    def test_lost_rung_state_count_and_budget(self):
+    def test_lost_rung_state_count_and_budget(self, monkeypatch):
         # a lost k expands every reachable contaminated set, in any order
         g = random_digraph(14, 0.3, 1)
         res = solve_invisible(g, 5)
         assert not res.cops_win and res.states == 4338
-        assert solve_invisible(g, 5, budget=res.states).states == res.states
+        monkeypatch.setenv("PURSUITWIDTH_BUDGET", str(res.states))
+        assert solve_invisible(g, 5).states == res.states
+        monkeypatch.setenv("PURSUITWIDTH_BUDGET", str(res.states - 1))
         with pytest.raises(ResourceError) as exc:
-            solve_invisible(g, 5, budget=res.states - 1)
+            solve_invisible(g, 5)
         assert exc.value.budget == res.states - 1
 
     def test_negative_cop_count_is_rejected(self):
@@ -575,20 +581,23 @@ class TestSubgraphLadder:
         for (_, k, winner, _), (_, k2, _, _) in zip(rungs, rungs[1:]):
             assert k2 == (k + 1 if winner == ROBBERS else k)
 
-    def test_two_tree_3_fits_a_budget_the_plain_ladder_exceeds(self):
+    def test_two_tree_3_fits_a_budget_the_plain_ladder_exceeds(self, monkeypatch):
         g, _ = two_tree_graph(3)
-        assert width(g, "dw", budget=2000) == 3
+        monkeypatch.setenv("PURSUITWIDTH_BUDGET", "2000")
+        assert width(g, "dw") == 3
         # the plain ladder needs 28,749 classes at k=2 here, and takes
         # seconds to exceed the budget; on two_tree_graph(2) it needs 432
         small, _ = two_tree_graph(2)
-        assert width(small, "dw", budget=100) == 3
+        monkeypatch.setenv("PURSUITWIDTH_BUDGET", "100")
+        assert width(small, "dw") == 3
         with pytest.raises(ResourceError) as exc:
-            _ladder(small, "dw", budget=100, plain=True)
+            _ladder(small, "dw", plain=True)
         assert exc.value.context == "k=2"
 
-    def test_a_budget_error_on_a_subgraph_names_k_and_its_size(self):
+    def test_a_budget_error_on_a_subgraph_names_k_and_its_size(self, monkeypatch):
+        monkeypatch.setenv("PURSUITWIDTH_BUDGET", "10")
         with pytest.raises(ResourceError) as exc:
-            width(two_tree_graph(3)[0], "dw", budget=10)
+            width(two_tree_graph(3)[0], "dw")
         assert exc.value.context == "k=2, vertices=8" and exc.value.budget == 10
         assert str(exc.value).endswith("while testing k=2 on an induced subgraph of 8 vertices")
 

@@ -1,5 +1,8 @@
 import dataclasses
 import json
+import multiprocessing
+import multiprocessing.forkserver
+import os
 
 import pytest
 
@@ -310,15 +313,15 @@ def _raised(measure, by, r=None):
     return width
 
 
-def _plain_dw_of_one_vertex_raised(g, m, r=1, budget=None):
+def _plain_dw_of_one_vertex_raised(g, m, r=1):
     """The plain ladder with dw of a one-vertex graph raised by 5."""
-    value = _PLAIN_WIDTH(g, m, r, budget)
+    value = _PLAIN_WIDTH(g, m, r)
     return value + 5 if g.n == 1 and m == "dw_r" else value
 
 
-def _subgraph_ladder_of_twelve_vertices_raised(g, m, r=1, budget=None, plain=False):
+def _subgraph_ladder_of_twelve_vertices_raised(g, m, r=1, plain=False):
     """The subgraph ladder on a 12-vertex graph one too high."""
-    value, rungs = _LADDER(g, m, r, budget, plain)
+    value, rungs = _LADDER(g, m, r, plain)
     return (value + 1 if g.n == 12 and not plain else value), rungs
 
 
@@ -592,3 +595,55 @@ class TestExitCodes:
         assert code == EXIT_INTERNAL_ERROR
         assert rep == {"schema": SCHEMA, "kind": "internal",
                        "error": f"{type(error).__name__}: {error}"}
+
+
+class TestBudgetFlag:
+    """`--budget N` sets PURSUITWIDTH_BUDGET for the command, so it bounds
+    every search the variable bounds, in every worker, and no longer."""
+
+    @pytest.mark.parametrize("budget,search", [(20, "cycle search"), (5, "history lifting")])
+    def test_reaches_the_parity_searches(self, budget, search, capsys):
+        code, rep = run(["verify", "lemma2", "--count", "1", "--budget", str(budget)], capsys)
+        assert code == EXIT_RESOURCE_ERROR and rep["kind"] == "resource"
+        assert rep["budget"] == budget
+        assert rep["error"] == f"{search} exceeded the budget ({budget})"
+
+    @pytest.mark.parametrize("argv,budget", [
+        (["verify", "lemma2", "--count", "1"], 2),
+        (["verify", "lemma2", "--count", "1"], 5),
+        (["verify", "lemma2", "--count", "1"], 20),
+        (["width", "C3"], 1),
+    ], ids=["lemma2-2", "lemma2-5", "lemma2-20", "width-1"])
+    def test_flag_and_variable_agree(self, argv, budget, c3, monkeypatch, capsys):
+        argv = [c3 if a == "C3" else a for a in argv]
+        by_flag = run(argv + ["--budget", str(budget)], capsys)
+        monkeypatch.setenv("PURSUITWIDTH_BUDGET", str(budget))
+        assert run(argv, capsys) == by_flag
+        assert by_flag[0] == EXIT_RESOURCE_ERROR
+
+    @pytest.mark.parametrize("method", ["fork", "forkserver"])
+    def test_pool_workers_see_the_bound(self, method, monkeypatch, capsys):
+        # a forkserver started before the flag was read keeps its own
+        # environment, so only the pool's initializer hands the bound on
+        monkeypatch.delenv("PURSUITWIDTH_BUDGET", raising=False)
+        ctx = multiprocessing.get_context(method)
+        if method == "forkserver":
+            multiprocessing.forkserver.ensure_running()
+        monkeypatch.setattr(cli, "Pool", ctx.Pool)
+        code, rep = run(["verify", "lemma2", "--count", "2", "--budget", "20",
+                         "--jobs", "2"], capsys)
+        assert code == EXIT_RESOURCE_ERROR
+        assert rep["kind"] == "resource" and rep["budget"] == 20
+
+    @pytest.mark.parametrize("before", [None, "123456"], ids=["unset", "set"])
+    @pytest.mark.parametrize("budget,code", [("100", EXIT_PASS), ("1", EXIT_RESOURCE_ERROR),
+                                             ("-5", EXIT_INPUT_ERROR)],
+                             ids=["passes", "hits-the-budget", "bad-budget"])
+    def test_main_leaves_the_variable_as_it_found_it(self, before, budget, code, c3,
+                                                     monkeypatch, capsys):
+        if before is None:
+            monkeypatch.delenv("PURSUITWIDTH_BUDGET", raising=False)
+        else:
+            monkeypatch.setenv("PURSUITWIDTH_BUDGET", before)
+        assert run(["width", c3, "--budget", budget], capsys)[0] == code
+        assert os.environ.get("PURSUITWIDTH_BUDGET") == before

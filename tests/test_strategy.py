@@ -271,12 +271,14 @@ class TestCleanup:
     def test_the_budget_bounds_the_passes_too(self, monkeypatch):
         g = cycle_digraph(3)
         f = solve_search(g, SearchConfig(k=2)).cop_strategy.as_positional()
-        assert cleanup_strategy(g, f, budget=4).mapping
+        monkeypatch.setenv("PURSUITWIDTH_BUDGET", "4")
+        assert cleanup_strategy(g, f).mapping
         # the input's validation runs first, and would stop at budget 1 itself
         monkeypatch.setattr(strategy, "validate_cop_strategy",
                             lambda *args, **kwargs: ValidationReport(True, None, 0))
+        monkeypatch.setenv("PURSUITWIDTH_BUDGET", "1")
         with pytest.raises(ResourceError, match=r"cleanup exceeded the budget \(1\)"):
-            cleanup_strategy(g, f, budget=1)
+            cleanup_strategy(g, f)
 
 
 class TestSerialization:
