@@ -27,6 +27,9 @@ built.  Three places restate the rule on purpose: the solver's pruned class
 game, which the validators check; the multiplier's checker, which evaluates
 every reachability condition itself; and `validate_invisible_schedule`,
 which plays the invisible game.
+
+`width` climbs k along growing induced subgraphs for every measure, so a
+lost k is mostly proved on a small prefix of the graph (see `_ladder`).
 """
 from __future__ import annotations
 
@@ -498,8 +501,7 @@ def validate_invisible_schedule(g: Digraph, k: int, schedule: Iterable) -> tuple
 
 _MEASURES = ("dw", "dw_r", "tw", "tw_r", "dpw")
 
-# the subgraph ladder's first rung has this many vertices, and each next one
-# twice as many; a graph no larger takes the plain ladder
+# the subgraph ladder starts on this many vertices; a graph no larger takes the plain ladder
 LADDER_START = 8
 
 
@@ -509,24 +511,24 @@ def width(g: Digraph, measure: str, r: int = 1) -> int:
     dw / dw_r: visible game on g with 1 / r robbers.  tw / tw_r: the same on
     the symmetric closure, where tw is the classical tree-width tw_1 - 1.
     dpw: invisible game on g (cop count, i.e. classical value plus one).
-    dw, tw and dpw take only r = 1.  The visible measures climb the ladder
-    along induced subgraphs (see `_ladder`); the budget bounds each solve.
+    dw, tw and dpw take only r = 1.  Each measure climbs the ladder along
+    induced subgraphs (see `_ladder`); the budget bounds each solve.
     """
     return _ladder(g, measure, r)[0]
 
 
-def _search_order(g: Digraph, size: int) -> list:
-    """The first `size` vertices of a maximum cardinality search over the
-    symmetric closure (Tarjan & Yannakakis, SIAM J. Comput. 1984): the next
-    vertex has the most neighbours already ordered, then the highest degree,
-    then the lowest number.  So every prefix is a dense core grown from a
-    vertex of highest degree, connected when the graph is."""
+def _search_order(g: Digraph) -> list:
+    """A maximum cardinality search over the symmetric closure (Tarjan &
+    Yannakakis, SIAM J. Comput. 1984): the next vertex has the most
+    neighbours already ordered, then the highest degree, then the lowest
+    number.  So every prefix is a dense core grown from a vertex of highest
+    degree, connected when the graph is."""
     adj = [(o | i) & ~(1 << v) for v, (o, i) in enumerate(zip(g.out_masks, g.in_masks))]
     degree = [a.bit_count() for a in adj]
     weight = [0] * g.n
     left = set(range(g.n))
     order = []
-    while len(order) < size:
+    while left:
         v = max(left, key=lambda u: (weight[u], degree[u], -u))
         left.remove(v)
         order.append(v)
@@ -535,16 +537,10 @@ def _search_order(g: Digraph, size: int) -> list:
     return order
 
 
-def _chain(g: Digraph) -> list:
-    """The vertex sets of the ladder's rungs: the search order's prefixes of
-    LADDER_START, twice as many, ... vertices below g.n, then all of g."""
-    sizes = []
-    while LADDER_START << len(sizes) < g.n:
-        sizes.append(LADDER_START << len(sizes))
-    if not sizes:
-        return [range(g.n)]
-    order = _search_order(g, sizes[-1])
-    return [order[:m] for m in sizes] + [range(g.n)]
+def lower_bound(rungs) -> Optional[dict]:
+    """The last lost rung as {"k", "vertices"}, or None: g needs more than k cops."""
+    lost = [(vs, k) for vs, k, winner, _ in rungs if winner == ROBBERS]
+    return None if not lost else {"k": lost[-1][1], "vertices": sorted(lost[-1][0])}
 
 
 def _rung(h: Digraph, measure: str, k: int, r: int, cache: Optional[GraphCache]) -> tuple:
@@ -564,13 +560,15 @@ def _ladder(g: Digraph, measure: str, r: int = 1, plain: bool = False):
     Each rung is one solve, (vertices, k, winner, classes): the vertices of g
     it was played on, the cop count, the winner and the classes it decided
     (the contaminated sets it expanded, for dpw).  The plain ladder tries
-    k = 1, 2, ... on g.  Otherwise the visible measures climb `_chain(g)`:
-    on each induced subgraph H the search starts at the last k it reached,
-    and the last subgraph is g.  That is exact because the measures are
-    monotone under induced subgraphs: a monotone cop strategy on g,
-    restricted to H, is one on H with no more cops, since every path in H is
-    a path in g.  So k cops that lose on H lose on g.  dpw, and graphs of at
-    most LADDER_START vertices, take the plain ladder.
+    k = 1, 2, ... on g, as does a graph of at most LADDER_START vertices.
+    Otherwise every measure gallops along the prefixes of one `_search_order`
+    from LADDER_START vertices on, with a step of 1: a lost rung raises k on
+    its prefix and resets the step to 1, a won one adds the step (capped at
+    g) and doubles it, until g is won.  That is exact because the measures
+    are monotone under induced subgraphs H: a monotone cop strategy or
+    clearing of g, restricted to H, is one on H with no more cops, since
+    every path in H is a path in g (Barat 2006).  So k cops that lose on H
+    lose on g.  A ResourceError carries the finished rungs' `lower_bound`.
     """
     if measure not in _MEASURES:
         raise ConfigError(f"unknown measure {measure!r}; pick one of {_MEASURES}")
@@ -583,10 +581,12 @@ def _ladder(g: Digraph, measure: str, r: int = 1, plain: bool = False):
         base, rungs = _ladder(symmetric_closure(g), "dw_r" if measure == "tw_r" else "dw",
                               r, plain)
         return (base - 1 if measure == "tw" else base), rungs
-    rungs = []
-    k = 1
-    for vs in [range(g.n)] if plain or measure == "dpw" else _chain(g):
-        h = g if len(vs) == g.n else induced(g, vs)
+    order, m = ((range(g.n), g.n) if plain or g.n <= LADDER_START
+                else (_search_order(g), LADDER_START))
+    rungs, k, step = [], 1, 1
+    while True:
+        vs = order[:m]
+        h = g if m == g.n else induced(g, vs)
         cache = None if measure == "dpw" else GraphCache(h)
         while True:
             try:
@@ -595,9 +595,11 @@ def _ladder(g: Digraph, measure: str, r: int = 1, plain: bool = False):
                 on, context = ("", f"k={k}") if h is g else (
                     f" on an induced subgraph of {h.n} vertices", f"k={k}, vertices={h.n}")
                 raise ResourceError(f"{e} while testing k={k}{on}", budget=e.budget,
-                                    context=context) from None
+                                    context=context, lower_bound=lower_bound(rungs)) from None
             rungs.append((vs, k, COPS if won else ROBBERS, classes))
             if won:
                 break
-            k += 1
-    return k, rungs
+            k, step = k + 1, 1
+        if m == g.n:
+            return k, rungs
+        m, step = min(m + step, g.n), 2 * step

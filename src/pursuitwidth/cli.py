@@ -13,7 +13,7 @@ from multiprocessing import Pool
 from typing import Optional
 
 from . import families, parity
-from .arena import (ROBBERS, SearchConfig, _ladder, effective_budget,
+from .arena import (ROBBERS, SearchConfig, _ladder, effective_budget, lower_bound,
                     solve_invisible, solve_search, validate_invisible_schedule,
                     width)
 from .digraph import (Digraph, emit_dot, emit_edge_list, induced,
@@ -122,22 +122,36 @@ def _set_budget(budget: int):
     os.environ["PURSUITWIDTH_BUDGET"] = str(budget)
 
 
-def _run_tasks(fn, tasks, jobs: int):
+def _named_task(job):
+    """One suite task; a ResourceError it raises names the instance in `context`."""
+    fn, instance, task = job
+    try:
+        return fn(task)
+    except ResourceError as e:
+        e.context = instance if e.context is None else f"{instance}, {e.context}"
+        raise
+
+
+def _run_tasks(fn, key: str, instances, jobs: int):
+    """(id, fn(task)) for each (id, task) of `instances`, named `key=id`."""
+    named = [(fn, f"{key}={i}", task) for i, task in instances]
     if jobs > 1:
         # a worker started by fork, spawn or forkserver gets this bound alike
         with Pool(processes=jobs, initializer=_set_budget,
                   initargs=(effective_budget(),)) as pool:
-            return pool.map(fn, tasks)
-    return [fn(t) for t in tasks]
+            results = pool.map(_named_task, named)
+    else:
+        results = [_named_task(job) for job in named]
+    return [(i, res) for (i, _), res in zip(instances, results)]
 
 
-def _tally(rep: Report, names, key: str, ids, records):
-    """Append one check per name of `names`, in that order.  `records[i]`
-    lists the (check name, detail) pairs instance `ids[i]` failed; a check's
+def _tally(rep: Report, names, key: str, records):
+    """Append one check per name of `names`, in that order.  Each record is
+    (id, the (check name, detail) pairs that instance failed); a check's
     witness lists its failing instances, each as its id (detail None) or as
     `{key: id, **detail}`."""
     bad = {name: [] for name in names}
-    for i, failures in zip(ids, records):
+    for i, failures in records:
         for name, detail in failures:
             bad[name].append(i if detail is None else {key: i, **detail})
     rep.checks += [Check(name, not b, b or None) for name, b in bad.items()]
@@ -176,7 +190,7 @@ def _hierarchy_task(args):
 
 
 def ladder_corpus():
-    """The fixed (name, graph, measure, r) instances on which `verify
+    """The fixed (name, (graph, measure, r)) instances on which `verify
     hierarchy` compares the subgraph ladder with the plain one.  All but the
     first have more than LADDER_START vertices, so their ladders climb at
     least two rungs."""
@@ -185,10 +199,11 @@ def ladder_corpus():
     t2, _ = families.tree_T(2)
     rnd10 = families.random_digraph(10, 0.3, DEFAULT_SEED + 10)
     rnd12 = families.random_digraph(12, 0.3, DEFAULT_SEED + 12)
-    return [("two-tree(1)", two_tree1, "dw", 1), ("two-tree(2)", two_tree2, "dw", 1),
-            ("T_2", t2, "dw", 1), ("T_2", t2, "dw_r", 2),
-            ("G_2^1", families.gen_grk(2, 1), "tw_r", 2),
-            ("rnd10", rnd10, "dw_r", 2), ("rnd12", rnd12, "dw", 1)]
+    return [("two-tree(1)", (two_tree1, "dw", 1)), ("two-tree(2)", (two_tree2, "dw", 1)),
+            ("two-tree(2)", (two_tree2, "dpw", 1)), ("T_2", (t2, "dw", 1)),
+            ("T_2", (t2, "dw_r", 2)), ("T_2", (t2, "dpw", 1)),
+            ("G_2^1", (families.gen_grk(2, 1), "tw_r", 2)), ("rnd10", (rnd10, "dw_r", 2)),
+            ("rnd12", (rnd12, "dw", 1)), ("rnd12", (rnd12, "dpw", 1))]
 
 
 def _ladder_task(args):
@@ -209,17 +224,15 @@ def suite_hierarchy(nmax: int = 4, samples: int = 200, seed: int = DEFAULT_SEED,
     small = small_corpus(nmax)
     corpus = small + random_corpus(5, samples, seed)
     _require_instances(len(corpus), "hierarchy", "graph")
-    results = _run_tasks(_hierarchy_task, [(g, i < len(small))
-                                           for i, (_, g) in enumerate(corpus)], jobs)
+    results = _run_tasks(_hierarchy_task, "graph", [(name, (g, i < len(small)))
+                                                    for i, (name, g) in enumerate(corpus)], jobs)
     rep.results["instances"] = len(corpus)
     _tally(rep, ("chain-monotone-and-top-equals-invisible",
-                 "width-monotone-under-induced-subgraphs"), "graph",
-           [name for name, _ in corpus], results)
-    ladders = ladder_corpus()
-    climbs = _run_tasks(_ladder_task, [(g, m, r) for _, g, m, r in ladders], jobs)
+                 "width-monotone-under-induced-subgraphs"), "graph", results)
+    climbs = _run_tasks(_ladder_task, "graph", ladder_corpus(), jobs)
     _tally(rep, ("subgraph-ladder-equals-plain-ladder",), "graph",
-           [name for name, _, _, _ in ladders], [failures for _, failures in climbs])
-    if not any(climbed for climbed, _ in climbs):
+           [(name, failures) for name, (_, failures) in climbs])
+    if not any(climbed for _, (climbed, _) in climbs):
         rep.checks[-1] = Check("subgraph-ladder-equals-plain-ladder", False,
                                "no instance climbed two rungs, so the check is vacuous")
     return rep
@@ -266,21 +279,19 @@ def suite_thm10(nmax: int = 4, samples: int = 200, seed: int = DEFAULT_SEED,
                    if is_strongly_connected(g)]
         rep.notes.append("random instances filtered to strongly connected graphs")
     _require_instances(len(corpus), "thm10", "strongly connected graph")
-    tasks = []
-    for (name, g) in corpus:
-        rs = [r] if graph is not None else ([2, 3] if g.n <= nmax else [2])
-        tasks.append((g, tuple(rs)))
-    rep.params["r"] = sorted({rr for _, rs in tasks for rr in rs})  # the r values checked
-    results = _run_tasks(_thm10_task, tasks, jobs)
+    tasks = [(name, (g, (r,) if graph is not None else (2, 3) if g.n <= nmax else (2,)))
+             for name, g in corpus]
+    rep.params["r"] = sorted({rr for _, (_, rs) in tasks for rr in rs})  # the r values checked
+    results = _run_tasks(_thm10_task, "graph", tasks, jobs)
     rep.results["instances"] = len(corpus)
-    rep.results["max_robbers"] = {rr: max(held.get(rr, 0) for _, held, _ in results)
+    rep.results["max_robbers"] = {rr: max(held.get(rr, 0) for _, (_, held, _) in results)
                                   for rr in rep.params["r"]}
     _tally(rep, ("multi-robber-width-at-most-r-times-width",
                  "multiplier-beats-exhaustive-prudent-isolating-adversary",
                  "symmetric-closure-bound-tw2-at-most-2tw1"), "graph",
-           [name for name, _ in corpus], [failures for _, _, failures in results])
+           [(name, failures) for name, (_, _, failures) in results])
     if graph is not None and trace_out:
-        k = results[0][0]
+        _, (k, _, _) = results[0]
         res = solve_search(graph, SearchConfig(k=k, r=1))
         mult = multiply_strategy(graph, res.cop_strategy.as_positional(), r=r)
         records = traced_run(graph, mult)
@@ -315,10 +326,9 @@ def suite_lemma9(nmax: int = 4, jobs: int = 1) -> Report:
     rep = Report(command=["verify", "lemma9"], params={"nmax": nmax})
     corpus = small_corpus(nmax)
     _require_instances(len(corpus), "lemma9", "graph")
-    results = _run_tasks(_lemma9_task, [g for (_, g) in corpus], jobs)
+    results = _run_tasks(_lemma9_task, "graph", corpus, jobs)
     rep.results["instances"] = len(corpus)
-    _tally(rep, ("cleanup-normal-form-and-winning",), "graph",
-           [name for name, _ in corpus], results)
+    _tally(rep, ("cleanup-normal-form-and-winning",), "graph", results)
     return rep
 
 
@@ -352,12 +362,11 @@ def _lemmas58_task(args):
 def suite_lemmas58(nmax: int = 4, r: int = 2, jobs: int = 1) -> Report:
     rep = Report(command=["verify", "lemmas58"], params={"nmax": nmax, "r": r})
     corpus = small_corpus(nmax)
-    results = _run_tasks(_lemmas58_task, [(g, r) for (_, g) in corpus], jobs)
-    checked = [(name, out) for (name, _), out in zip(corpus, results) if out is not None]
+    results = _run_tasks(_lemmas58_task, "graph", [(name, (g, r)) for name, g in corpus], jobs)
+    checked = [(name, out) for name, out in results if out is not None]
     _require_instances(len(checked), "lemmas58", f"graph with dw_{r} of at least 2")
     rep.results["instances"] = len(checked)
-    _tally(rep, ("transforms-keep-winning-and-step-conditions",), "graph",
-           [name for name, _ in checked], [out for _, out in checked])
+    _tally(rep, ("transforms-keep-winning-and-step-conditions",), "graph", checked)
     return rep
 
 
@@ -489,19 +498,20 @@ def suite_lemma2(count: int = 100, seed: int = DEFAULT_SEED, jobs: int = 1,
     _require_instances(pipeline_count, "lemma2", "game for the pipeline checks")
     rng = random.Random(seed)
     seeds = [rng.randrange(10 ** 9) for _ in range(max(count, pipeline_count))]
-    lift_results = _run_tasks(_lemma2_task, seeds[:count], jobs)
+    games = [(s, s) for s in seeds]  # each game is named by its seed
+    lift_results = _run_tasks(_lemma2_task, "seed", games[:count], jobs)
     rep.results["lift_instances"] = count
     _tally(rep, ("history-lifting-to-length-6",
                  "lifted-strategy-wins-with-k-times-2^(r-1)-cops",
-                 "knowledge-arena-width-within-bound"), "seed", seeds, lift_results)
-    pipe_results = _run_tasks(_thm4_task, seeds[:pipeline_count], jobs)
+                 "knowledge-arena-width-within-bound"), "seed", lift_results)
+    pipe_results = _run_tasks(_thm4_task, "seed", games[:pipeline_count], jobs)
     rep.results["pipeline_instances"] = pipeline_count
-    rep.results["knowledge_size_max_ratio"] = max(ratio for ratio, _ in pipe_results)
+    rep.results["knowledge_size_max_ratio"] = max(ratio for _, (ratio, _) in pipe_results)
     _tally(rep, ("identity-observations-match-direct-solve",
                  "solver-matches-strategy-enumeration-oracle",
                  "player0-wins-pass-product-verification",
-                 "knowledge-arena-at-most-n-times-2^(r-1)-positions"), "seed", seeds,
-           [failures for _, failures in pipe_results])
+                 "knowledge-arena-at-most-n-times-2^(r-1)-positions"), "seed",
+           [(s, failures) for s, (_, failures) in pipe_results])
     return rep
 
 
@@ -542,9 +552,7 @@ def cmd_width(args) -> Report:
     rep.results["value"] = value
     rep.results["rungs"] = [{"vertices": len(vs), "k": k, "winner": winner, "classes": classes}
                             for vs, k, winner, classes in rungs]
-    lost = [(vs, k) for vs, k, winner, _ in rungs if winner == ROBBERS]
-    rep.results["lower_bound"] = (None if not lost else
-                                  {"k": lost[-1][1], "vertices": sorted(lost[-1][0])})
+    rep.results["lower_bound"] = lower_bound(rungs)
     rep.notes.append("each rung is one solve with k cops on the subgraph induced by the "
                      "first `vertices` vertices of the ladder's order (the whole graph "
                      "last); `classes` counts "
@@ -719,7 +727,8 @@ def main(argv=None) -> int:
         return EXIT_INPUT_ERROR
     except ResourceError as e:
         print(json.dumps({"schema": SCHEMA, "error": str(e), "kind": "resource",
-                          "budget": e.budget, "context": e.context}))
+                          "budget": e.budget, "context": e.context,
+                          "lower_bound": e.lower_bound}))
         return EXIT_RESOURCE_ERROR
     except (InvariantViolation, AdversaryContractError, StrategyHoleError,
             RecursionError, MemoryError) as e:

@@ -10,12 +10,13 @@ class ConfigError(ValueError):
 
 
 class ResourceError(RuntimeError):
-    """A solve exceeded its position budget."""
+    """A solve exceeded its position budget; `lower_bound` is what `width` had proved."""
 
-    def __init__(self, message, budget=None, context=None):
+    def __init__(self, message, budget=None, context=None, lower_bound=None):
         super().__init__(message)
         self.budget = budget
         self.context = context
+        self.lower_bound = lower_bound
 
 
 class PreconditionError(ValueError):

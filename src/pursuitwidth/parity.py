@@ -20,13 +20,14 @@ The enumeration oracle's backward closure is one `reach_mask`.
 from __future__ import annotations
 
 import itertools
+import math
 import random
 from dataclasses import dataclass
 from typing import Optional
 
 from .arena import CopTurn, GraphCache, effective_budget, explore
 from .digraph import Digraph, _check_vertices, bits, reach_mask
-from .errors import InputError, InvariantViolation, PreconditionError
+from .errors import InputError, InvariantViolation, PreconditionError, ResourceError
 from .strategy import CopStrategy
 
 Position = int
@@ -526,15 +527,16 @@ def solve_by_strategy_enumeration(pg: ParityGame):
 
     Player 0 wins from a position iff some action map leaves the opponent,
     who resolves everything else, no reachable cycle whose least color is
-    odd.  Positional maps suffice, so the union over all maps is exact.
+    odd.  Positional maps suffice, so the union over all maps is exact.  The
+    position budget bounds the number of maps tried.
     """
     v0 = [v for v in range(pg.n) if pg.owner[v] == 0]
-    choices = []
-    for v in v0:
-        opts = [ai for ai in range(len(pg.actions)) if pg.succ[ai][v]]
-        choices.append(opts)
+    choices = [[ai for ai in range(len(pg.actions)) if pg.succ[ai][v]] for v in v0]
+    budget = effective_budget()
+    if math.prod(map(len, choices)) > budget:
+        raise ResourceError(f"strategy enumeration exceeded the budget ({budget})", budget=budget)
     win0 = set()
-    for pick in itertools.product(*choices) if v0 else [()]:
+    for pick in itertools.product(*choices):  # one empty map when v0 is empty
         sigma = dict(zip(v0, pick))
 
         def succ_of(v):

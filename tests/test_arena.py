@@ -146,10 +146,10 @@ class TestSolve:
                 prev = winner
 
     def test_budget_error_reports_bound(self, monkeypatch):
-        g = cycle_digraph(5)
+        # the variable is the only way to set the bound
         monkeypatch.setenv("PURSUITWIDTH_BUDGET", "2")
         with pytest.raises(ResourceError) as exc:
-            solve_search(g, SearchConfig(k=2))
+            solve_search(cycle_digraph(5), SearchConfig(k=2))
         assert exc.value.budget == 2
 
     def test_width_reports_breaking_k(self, monkeypatch):
@@ -158,11 +158,7 @@ class TestSolve:
         with pytest.raises(ResourceError) as exc:
             width(g, "dw")
         assert "k=1" in str(exc.value.context)
-
-    def test_env_budget_override(self, monkeypatch):
-        monkeypatch.setenv("PURSUITWIDTH_BUDGET", "2")
-        with pytest.raises(ResourceError):
-            solve_search(cycle_digraph(5), SearchConfig(k=2))
+        assert exc.value.lower_bound is None  # no rung was lost before it
 
     def test_visible_flag_required(self):
         with pytest.raises(Exception) as exc:
@@ -557,14 +553,37 @@ LADDER_CASES = [
       for n, p, m, r in [(9, 0.3, "dw", 1), (9, 0.3, "dw_r", 2), (9, 0.3, "tw", 1),
                          (9, 0.3, "tw_r", 2), (10, 0.25, "dw_r", 2), (11, 0.2, "dw", 1),
                          (12, 0.2, "tw", 1), (13, 0.15, "dw_r", 2), (14, 0.15, "tw_r", 2),
-                         (15, 0.12, "dw", 1), (16, 0.12, "dw_r", 2)]],
+                         (15, 0.12, "dw", 1), (16, 0.12, "dw_r", 2), (9, 0.3, "dpw", 1),
+                         (11, 0.2, "dpw", 1), (15, 0.12, "dpw", 1), (16, 0.12, "dpw", 1)]],
     ("G_2^1", gen_grk(2, 1), "dw_r", 2),
     ("T_2", tree_T(2)[0], "dw", 1),
     ("T_2", tree_T(2)[0], "tw_r", 2),
     ("two-tree(1)", two_tree_graph(1)[0], "dw_r", 2),
     ("two-tree(2)", two_tree_graph(2)[0], "dw", 1),
     ("two-tree(2)", two_tree_graph(2)[0], "tw", 1),
+    ("T_2", tree_T(2)[0], "dpw", 1),
+    ("two-tree(2)", two_tree_graph(2)[0], "dpw", 1),
 ]
+
+
+def _walk(n, winners):
+    """The prefix sizes of the galloping walk, given each rung's winner: the
+    rule of `_ladder` restated.  The step starts at 1; a lost rung stays on
+    its prefix and resets the step, a won one adds the step and doubles it."""
+    if n <= LADDER_START:
+        return [n] * len(winners)
+    sizes, m, step = [], LADDER_START, 1
+    for winner in winners:
+        sizes.append(m)
+        if winner == ROBBERS:
+            step = 1
+        else:
+            m, step = min(m + step, n), 2 * step
+    return sizes
+
+
+def _bidirected_path(n):
+    return Digraph(n, [e for i in range(n - 1) for e in ((i, i + 1), (i + 1, i))])
 
 
 class TestSubgraphLadder:
@@ -580,6 +599,29 @@ class TestSubgraphLadder:
         assert sizes == sorted(sizes) and sizes[-1] == g.n and rungs[-1][2] == COPS
         for (_, k, winner, _), (_, k2, _, _) in zip(rungs, rungs[1:]):
             assert k2 == (k + 1 if winner == ROBBERS else k)
+
+    @pytest.mark.parametrize("name,g,measure,r", LADDER_CASES,
+                             ids=[f"{c[0]}-{c[2]}-r{c[3]}" for c in LADDER_CASES])
+    def test_gallops_along_the_prefixes_of_one_order(self, name, g, measure, r):
+        _, rungs = _ladder(g, measure, r)
+        order = list(rungs[-1][0])
+        assert sorted(order) == list(range(g.n)) and rungs[-1][2] == COPS
+        assert all(list(vs) == order[:len(vs)] for vs, _, _, _ in rungs)
+        assert [len(vs) for vs, _, _, _ in rungs] == _walk(g.n, [w for _, _, w, _ in rungs])
+
+    @pytest.mark.parametrize("g,measure,want", [
+        # the step doubles along a plateau and is capped at g: 39 + 32 > 70
+        (_bidirected_path(70), "dw",
+         [(8, 1, ROBBERS), (8, 2, COPS), (9, 2, COPS), (11, 2, COPS), (15, 2, COPS),
+          (23, 2, COPS), (39, 2, COPS), (70, 2, COPS)]),
+        # a lost rung stays on its prefix and resets the step to 1
+        *[(random_digraph(14, 0.3, 1), m,
+           [(8, 1, ROBBERS), (8, 2, ROBBERS), (8, 3, ROBBERS), (8, 4, COPS), (9, 4, COPS),
+            (11, 4, ROBBERS), (11, 5, COPS), (12, 5, ROBBERS), (12, 6, COPS), (13, 6, COPS),
+            (14, 6, COPS)]) for m in ("dw", "dpw")],
+    ], ids=["path70-dw", "rand14-dw", "rand14-dpw"])
+    def test_walk_on_a_plateau_and_after_a_loss(self, g, measure, want):
+        assert [(len(vs), k, w) for vs, k, w, _ in _ladder(g, measure)[1]] == want
 
     def test_two_tree_3_fits_a_budget_the_plain_ladder_exceeds(self, monkeypatch):
         g, _ = two_tree_graph(3)
@@ -600,9 +642,11 @@ class TestSubgraphLadder:
             width(two_tree_graph(3)[0], "dw")
         assert exc.value.context == "k=2, vertices=8" and exc.value.budget == 10
         assert str(exc.value).endswith("while testing k=2 on an induced subgraph of 8 vertices")
+        # what the ladder had proved: one cop loses on those 8 vertices
+        assert exc.value.lower_bound["k"] == 1 and len(exc.value.lower_bound["vertices"]) == 8
 
     @pytest.mark.parametrize("g,measure", [(gen_grk(1, 2), "dw"),
-                                           (random_digraph(12, 0.3, 5), "dpw")],
+                                           (random_digraph(8, 0.3, 5), "dpw")],
                              ids=["eight-vertices", "dpw"])
     def test_plain_ladder_computes_no_order(self, g, measure, monkeypatch):
         want = width(g, measure)

@@ -7,7 +7,7 @@ import os
 import pytest
 
 from pursuitwidth import arena, cli, parity
-from pursuitwidth.arena import COPS, ROBBERS, SearchConfig, solve_search
+from pursuitwidth.arena import COPS, ROBBERS, SearchConfig, solve_invisible, solve_search
 from pursuitwidth.cli import (EXIT_CHECK_FAILURE, EXIT_INPUT_ERROR,
                               EXIT_INTERNAL_ERROR, EXIT_PASS,
                               EXIT_RESOURCE_ERROR, SCHEMA, main, suite_lemma2,
@@ -68,16 +68,30 @@ class TestWidthCommand:
         code, rep = run(["width", path, "--budget", "2000"], capsys)
         assert code == EXIT_PASS and rep["results"]["value"] == 3
         assert [tuple(rung.values()) for rung in rep["results"]["rungs"]] == [
-            (8, 1, ROBBERS, 8), (8, 2, COPS, 14), (16, 2, COPS, 51), (32, 2, ROBBERS, 518),
-            (32, 3, COPS, 51), (64, 3, COPS, 99), (128, 3, COPS, 474), (242, 3, COPS, 647)]
+            (8, 1, ROBBERS, 8), (8, 2, COPS, 14), (9, 2, COPS, 15), (11, 2, COPS, 33),
+            (15, 2, COPS, 47), (23, 2, ROBBERS, 269), (23, 3, COPS, 34), (24, 3, COPS, 39),
+            (26, 3, COPS, 42), (30, 3, COPS, 46), (38, 3, COPS, 60), (54, 3, COPS, 84),
+            (86, 3, COPS, 147), (150, 3, COPS, 672), (242, 3, COPS, 647)]
         bound = rep["results"]["lower_bound"]
-        assert bound["k"] == 2 and len(bound["vertices"]) == 32
+        assert bound["k"] == 2 and len(bound["vertices"]) == 23
         # the robbers' win on the witness, validated on every cop line
         h = induced(two_tree_graph(3)[0], bound["vertices"])
         cfg = SearchConfig(k=2)
         solved = solve_search(h, cfg)
         assert solved.winner == ROBBERS
         assert validate_robber_strategy(h, cfg, solved.robber_strategy).ok
+
+    def test_a_stopped_ladder_reports_what_it_proved(self, tmp_path, capsys):
+        path = str(tmp_path / "t3.edges")
+        run(["generate", "thm7", "--n", "3", "-o", path], capsys)
+        code, rep = run(["width", path, "--measure", "dpw", "--budget", "2000"], capsys)
+        assert code == EXIT_RESOURCE_ERROR and rep["kind"] == "resource"
+        assert rep["context"] == "k=3, vertices=86"
+        bound = rep["lower_bound"]
+        assert bound["k"] == 2 and len(bound["vertices"]) == 23
+        # two cops lose on the witness itself
+        h = induced(two_tree_graph(3)[0], bound["vertices"])
+        assert not solve_invisible(h, 2).cops_win
 
     def test_missing_file_is_input_error(self, capsys):
         code, rep = run(["width", "/nonexistent.edges"], capsys)
@@ -319,10 +333,13 @@ def _plain_dw_of_one_vertex_raised(g, m, r=1):
     return value + 5 if g.n == 1 and m == "dw_r" else value
 
 
-def _subgraph_ladder_of_twelve_vertices_raised(g, m, r=1, plain=False):
-    """The subgraph ladder on a 12-vertex graph one too high."""
-    value, rungs = _LADDER(g, m, r, plain)
-    return (value + 1 if g.n == 12 and not plain else value), rungs
+def _subgraph_ladder_raised(measure, n):
+    """`_ladder` with the subgraph ladder of `measure` one too high on graphs
+    of n vertices."""
+    def ladder(g, m, r=1, plain=False):
+        value, rungs = _LADDER(g, m, r, plain)
+        return (value + 1 if (m, g.n) == (measure, n) and not plain else value), rungs
+    return ladder
 
 
 def _replaced(fn, **changes):
@@ -362,7 +379,7 @@ CAN_FAIL = [
       {"graph": "sc2-0", "deleted": 1, "chain": [6], "dpw": 1}]),
     ("subgraph-ladder-equals-plain-ladder",
      lambda out: cli.suite_hierarchy(nmax=1, samples=0), cli, "_ladder",
-     _subgraph_ladder_of_twelve_vertices_raised,
+     _subgraph_ladder_raised("dw", 12),
      [{"graph": "rnd12", "measure": "dw", "r": 1, "subgraph_ladder": 5, "plain_ladder": 4}]),
     ("multi-robber-width-at-most-r-times-width",
      lambda out: cli.suite_thm10(nmax=1, samples=0), cli, "width", _raised("dw_r", 10),
@@ -454,6 +471,14 @@ class TestChecksCanFail:
         check = _check(suite_thm25(), name)
         assert not check.passed
         assert check.witness == {"winner": "robbers", "witness": "('captured',)"}
+
+    def test_a_dpw_ladder_that_disagrees_fails_the_ladder_check(self, monkeypatch):
+        monkeypatch.setattr(cli, "_ladder", _subgraph_ladder_raised("dpw", 13))
+        check = _check(cli.suite_hierarchy(nmax=1, samples=0),
+                       "subgraph-ladder-equals-plain-ladder")
+        assert not check.passed
+        assert check.witness == [{"graph": "T_2", "measure": "dpw", "r": 1,
+                                  "subgraph_ladder": 4, "plain_ladder": 3}]
 
     def test_a_ladder_check_where_no_ladder_climbs_fails(self, monkeypatch):
         name = "subgraph-ladder-equals-plain-ladder"
@@ -634,6 +659,20 @@ class TestBudgetFlag:
                          "--jobs", "2"], capsys)
         assert code == EXIT_RESOURCE_ERROR
         assert rep["kind"] == "resource" and rep["budget"] == 20
+
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    def test_a_suite_error_names_its_instance(self, jobs, capsys):
+        code, rep = run(["verify", "lemma2", "--count", "2", "--budget", "20",
+                         "--jobs", jobs], capsys)
+        assert code == EXIT_RESOURCE_ERROR and rep["context"] == "seed=867582383"
+        assert rep["error"] == "history lifting exceeded the budget (20)"
+
+    def test_a_ladder_corpus_error_names_its_graph_and_what_it_proved(self, capsys):
+        code, rep = run(["verify", "hierarchy", "--nmax", "1", "--samples", "0",
+                         "--budget", "50"], capsys)
+        assert code == EXIT_RESOURCE_ERROR
+        assert rep["context"] == "graph=two-tree(2), k=2, vertices=15"
+        assert rep["lower_bound"]["k"] == 1 and len(rep["lower_bound"]["vertices"]) == 8
 
     @pytest.mark.parametrize("before", [None, "123456"], ids=["unset", "set"])
     @pytest.mark.parametrize("budget,code", [("100", EXIT_PASS), ("1", EXIT_RESOURCE_ERROR),

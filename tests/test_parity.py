@@ -312,6 +312,16 @@ class TestPositionBudget:
             run(pg, eq, kg)
 
 
+    def test_it_bounds_the_strategy_enumeration(self, monkeypatch):
+        pg, _ = distinguisher_game()  # two actions at each of two player-0 positions
+        want = solve_by_strategy_enumeration(pg)
+        monkeypatch.setenv("PURSUITWIDTH_BUDGET", "4")
+        assert solve_by_strategy_enumeration(pg) == want
+        monkeypatch.setenv("PURSUITWIDTH_BUDGET", "3")
+        with pytest.raises(ResourceError, match=r"strategy enumeration exceeded the budget \(3\)"):
+            solve_by_strategy_enumeration(pg)
+
+
 class TestLift:
     def test_identity_single_robber_lift_replays(self):
         pg, _ = distinguisher_game()
