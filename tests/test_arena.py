@@ -160,6 +160,11 @@ class TestSolve:
         assert "k=1" in str(exc.value.context)
         assert exc.value.lower_bound is None  # no rung was lost before it
 
+    def test_env_budget_override(self, monkeypatch):
+        monkeypatch.setenv("PURSUITWIDTH_BUDGET", "2")
+        with pytest.raises(ResourceError):
+            solve_search(cycle_digraph(5), SearchConfig(k=2))
+
     def test_visible_flag_required(self):
         with pytest.raises(Exception) as exc:
             solve_search(single, SearchConfig(k=1, visible=False))
