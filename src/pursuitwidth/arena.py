@@ -254,6 +254,15 @@ def explore(roots, moves, limit: int, what: str, cycle: Optional[str] = None):
     return None, expanded
 
 
+def replies_once(done: set, turn, replies):
+    """Yield `replies`, unless `explore` took every reply of an equal robber
+    `turn` before; `turn` goes into `done` only once they are all taken, so a
+    turn still on the current path is replayed in full (see `strategy`)."""
+    if turn not in done:
+        yield from replies
+        done.add(turn)
+
+
 # ---------------------------------------------------------------------------
 # Move relations (exhaustive; the solver uses a pruned equivalent internally)
 

@@ -123,17 +123,20 @@ def _set_budget(budget: int):
 
 
 def _named_task(job):
-    """One suite task; a ResourceError it raises names the instance in `context`."""
+    """One suite task; a ResourceError it raises is returned, naming the
+    instance in `context`."""
     fn, instance, task = job
     try:
         return fn(task)
     except ResourceError as e:
         e.context = instance if e.context is None else f"{instance}, {e.context}"
-        raise
+        return e
 
 
 def _run_tasks(fn, key: str, instances, jobs: int):
-    """(id, fn(task)) for each (id, task) of `instances`, named `key=id`."""
+    """(id, fn(task)) for each (id, task) of `instances`, named `key=id`.
+    The first instance, in order, that ran out of budget raises, whatever
+    `jobs` is."""
     named = [(fn, f"{key}={i}", task) for i, task in instances]
     if jobs > 1:
         # a worker started by fork, spawn or forkserver gets this bound alike
@@ -141,8 +144,13 @@ def _run_tasks(fn, key: str, instances, jobs: int):
                   initargs=(effective_budget(),)) as pool:
             results = pool.map(_named_task, named)
     else:
-        results = [_named_task(job) for job in named]
-    return [(i, res) for (i, _), res in zip(instances, results)]
+        results = map(_named_task, named)  # lazy: no task runs after an error
+    out = []
+    for (i, _), res in zip(instances, results):
+        if isinstance(res, ResourceError):
+            raise res
+        out.append((i, res))
+    return out
 
 
 def _tally(rep: Report, names, key: str, records):

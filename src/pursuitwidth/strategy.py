@@ -7,7 +7,11 @@ placement and answer robber positions.  Positions, announcements and robber
 moves are vertex masks; only a positional strategy's constructor, `items()`
 and its text format take vertex sets.  Validation is exhaustive: the fixed side
 plays its strategy while the opponent branches over every legal move, so a
-green validation is a proof at the instance's scale.
+green validation is a proof at the instance's scale.  A robber turn's
+replies depend on the turn alone (cop memory, announcement, escape set), and
+once `explore` has taken them all each is finished or on the path, so the
+cop-side explorers take them once per turn (`arena.replies_once`); verdicts,
+counts and witnesses stay the same.
 """
 from __future__ import annotations
 
@@ -16,7 +20,7 @@ from typing import Iterable, Optional
 
 from .arena import (INITIAL, CopTurn, GraphCache, Initial, RobberTurn,
                     SearchConfig, announcement_masks, effective_budget, explore,
-                    subset_masks)
+                    replies_once, subset_masks)
 from .digraph import Digraph, _check_vertices, bits, set_from
 from .errors import (AdversaryContractError, InvariantViolation,
                      PreconditionError, StrategyHoleError)
@@ -212,13 +216,14 @@ class SolverCopStrategy(CopStrategy):
         """Materialize the map over every position reachable under the strategy."""
         cache = self.cache
         robber_sets = range(1, self.cfg.r + 1)
-        mapping = {}
+        mapping, done = {}, set()
 
         def moves(state):
             U, R = state
             up = mapping[state] = self.announce(None, CopTurn(U, R))[0]
             _, escapes = cache.robber_turn(U, up, R)
-            return ((up, Rp) for Rp in subset_masks(escapes, robber_sets))
+            return replies_once(done, (up, escapes),
+                                ((up, Rp) for Rp in subset_masks(escapes, robber_sets)))
 
         explore(((0, R) for R in subset_masks(self.g.full_mask, robber_sets)), moves,
                 effective_budget(), "strategy materialization")
@@ -331,7 +336,7 @@ def validate_cop_strategy(g: Digraph, cfg: SearchConfig,
     """
     cache = GraphCache(g)
     robber_sets = range(1, cfg.r + 1)
-    max_ann = 0
+    max_ann, done = 0, set()
 
     def moves(state):
         nonlocal max_ann
@@ -347,8 +352,9 @@ def validate_cop_strategy(g: Digraph, cfg: SearchConfig,
         abandoned, escapes = cache.robber_turn(U, up, R)
         if abandoned:
             return "non-monotone announcement"
-        return ((strat.update(cmem, CopTurn(up, Rp)), up, Rp)
-                for Rp in subset_masks(escapes, robber_sets))
+        return replies_once(done, (cmem, up, escapes),
+                            ((strat.update(cmem, CopTurn(up, Rp)), up, Rp)
+                             for Rp in subset_masks(escapes, robber_sets)))
 
     roots = ((strat.init_memory(CopTurn(0, R0)), 0, R0)
              for R0 in subset_masks(g.full_mask, robber_sets))

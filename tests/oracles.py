@@ -242,3 +242,59 @@ def invisible_clears(g, k):
                 seen.add(nxt)
                 queue.append(nxt)
     return False
+
+
+def validate_cop_lines(g, k, r, init_memory, announce, update):
+    """Play a cop strategy against every robber line, building every robber
+    reply of every state anew.
+
+    A state is (memory, U, R) on vertex sets.  `init_memory(R0)`,
+    `announce(memory, U, R) -> (U', memory)`, raising KeyError at a hole, and
+    `update(memory, U', R')` are the strategy.  States are visited depth
+    first, robber sets smallest first in lexicographic order; a state is
+    expanded once, and one met again on the current path is an infinite
+    play.  Returns (verdict or None, states expanded, largest announcement,
+    path to the failure or None).
+    """
+    largest = 0
+
+    def successors(state):
+        nonlocal largest
+        memory, U, R = state
+        try:
+            Up, memory = announce(memory, U, R)
+        except KeyError:
+            return "strategy hole"
+        if len(Up) > k:
+            return f"announcement too large ({len(Up)} > {k})"
+        largest = max(largest, len(Up))
+        if not is_monotone(g, U, Up, R):
+            return "non-monotone announcement"
+        return iter([(update(memory, Up, R2), Up, R2)
+                     for R2 in _subsets(escapes(g, U, Up, R), r) if R2])
+
+    on_path, done, path = set(), set(), []
+    frames = [iter([(init_memory(R0), frozenset(), R0)
+                    for R0 in _subsets(range(g.n), r) if R0])]
+    expanded = 0
+    while frames:
+        state = next(frames[-1], None)
+        if state is None:
+            frames.pop()
+            if path:
+                finished = path.pop()
+                on_path.discard(finished)
+                done.add(finished)
+            continue
+        if state in on_path:
+            return "infinite play", expanded, largest, path + [state]
+        if state in done:
+            continue
+        got = successors(state)
+        path.append(state)
+        if isinstance(got, str):
+            return got, expanded, largest, path
+        expanded += 1
+        on_path.add(state)
+        frames.append(got)
+    return None, expanded, largest, None

@@ -667,6 +667,36 @@ class TestBudgetFlag:
         assert code == EXIT_RESOURCE_ERROR and rep["context"] == "seed=867582383"
         assert rep["error"] == "history lifting exceeded the budget (20)"
 
+    def test_jobs_name_the_first_instance_that_ran_out(self, capsys):
+        # both seeds run out of budget; the report names the first in order
+        by_one = run(["verify", "lemma2", "--count", "2", "--budget", "1"], capsys)
+        assert by_one[0] == EXIT_RESOURCE_ERROR and by_one[1]["context"] == "seed=735074711"
+        by_two = run(["verify", "lemma2", "--count", "2", "--budget", "1", "--jobs", "2"],
+                     capsys)
+        assert by_two[0] == EXIT_RESOURCE_ERROR and by_two[1]["context"] == by_one[1]["context"]
+
+    def test_the_first_instance_is_named_when_a_later_one_finishes_first(self, monkeypatch,
+                                                                          capsys):
+        class LastFirst:
+            """A pool whose tasks run and finish last first."""
+
+            def __init__(self, processes, initializer, initargs):
+                initializer(*initargs)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, jobs):
+                return [fn(job) for job in reversed(jobs)][::-1]
+
+        monkeypatch.setattr(cli, "Pool", LastFirst)
+        code, rep = run(["verify", "lemma2", "--count", "2", "--budget", "1", "--jobs", "2"],
+                        capsys)
+        assert code == EXIT_RESOURCE_ERROR and rep["context"] == "seed=735074711"
+
     def test_a_ladder_corpus_error_names_its_graph_and_what_it_proved(self, capsys):
         code, rep = run(["verify", "hierarchy", "--nmax", "1", "--samples", "0",
                          "--budget", "50"], capsys)

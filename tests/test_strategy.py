@@ -1,22 +1,27 @@
+from collections import Counter
+
 import pytest
 
 from pursuitwidth import strategy
 from pursuitwidth.arena import (COPS, ROBBERS, CopTurn, GraphCache, RobberTurn,
                                 SearchConfig, solve_search, width)
+from pursuitwidth.cli import random_corpus, small_corpus
 from pursuitwidth.digraph import Digraph, reach_excluding
 from pursuitwidth.errors import (AdversaryContractError, InputError, PreconditionError,
                                  ResourceError, StrategyHoleError)
-from pursuitwidth.families import (cops_topdown_thm7, cycle_digraph,
+from pursuitwidth.families import (TopDownTreeCops, cops_topdown_thm7, cycle_digraph,
                                    enumerate_strongly_connected, two_tree_graph)
 from pursuitwidth.multiply import exhaust_prudent_isolating, multiply_strategy
 from pursuitwidth.parity import (ObservationEquiv, distinguisher_game,
                                  lift_cop_strategy, powerset_construct)
 from pursuitwidth.strategy import (COPS_WIN, NON_MONOTONE,
-                                   ROBBERS_WIN, History, PositionalCopStrategy,
+                                   ROBBERS_WIN, CopStrategy, History, PositionalCopStrategy,
                                    cleanup_strategy, isolating_transform,
                                    ValidationReport, playout, prudent_transform,
                                    validate_cop_strategy,
                                    validate_robber_strategy)
+
+import oracles
 
 single = Digraph(1, [])
 
@@ -178,6 +183,116 @@ class TestCopStrategyProtocol:
             rep = validate_cop_strategy(g, cfg, strat)
         assert rep.ok, rep.witness
         assert pairs
+
+
+def _vset(mask):
+    return frozenset(v for v in range(mask.bit_length()) if mask >> v & 1)
+
+
+def _mask(vertices):
+    return sum(1 << v for v in vertices)
+
+
+def _oracle_validation(g, cfg, strat):
+    """`oracles.validate_cop_lines` on the strategy, as (verdict, states,
+    max_announced, path), the path's states on masks."""
+    def announce(memory, U, R):
+        up, memory = strat.announce(memory, CopTurn(_mask(U), _mask(R)))
+        return _vset(up), memory
+
+    verdict, states, largest, path = oracles.validate_cop_lines(
+        g, cfg.k, cfg.r, lambda R0: strat.init_memory(CopTurn(0, _mask(R0))), announce,
+        lambda memory, Up, R: strat.update(memory, CopTurn(_mask(Up), _mask(R))))
+    return verdict, states, largest, path and tuple((m, _mask(U), _mask(R))
+                                                    for m, U, R in path)
+
+
+def _report(rep):
+    verdict, path = rep.witness or (None, None)
+    return verdict, rep.states, rep.max_announced, path
+
+
+def _failing_variants(f, k):
+    """The solver's strategy f with k cops, and four ways to break it: too
+    few cops, a hole, cops lifted from a cop set and a cop set held idle."""
+    holed = dict(f.mapping)
+    holed.popitem()
+    return [(k, f.mapping), (k - 1, f.mapping), (k, holed),
+            (k, {(U, R): up if not U else 0 for (U, R), up in f.mapping.items()}),
+            (k, {(U, R): up if not U else U for (U, R), up in f.mapping.items()})]
+
+
+class TestEachRobberTurnOnce:
+    """Validation explores a robber turn's replies once, yet reports what
+    building every reply of every state reports."""
+
+    def test_agrees_with_the_oracle_that_builds_every_reply(self):
+        corpus = small_corpus(4) + random_corpus(5, 12, 5150)
+        verdicts = Counter()
+        for name, g in corpus:
+            for r in (1, 2):
+                k = next(k for k in range(1, g.n + 1)
+                         if solve_search(g, SearchConfig(k=k, r=r)).winner == COPS)
+                f = solve_search(g, SearchConfig(k=k, r=r)).cop_strategy.as_positional()
+                for kk, mapping in _failing_variants(f, k):
+                    cfg = SearchConfig(k=kk, r=r)
+                    strat = PositionalCopStrategy.from_masks(mapping)
+                    got = _report(validate_cop_strategy(g, cfg, strat))
+                    assert got == _oracle_validation(g, cfg, strat), (name, r, kk)
+                    verdicts[(got[0] or "ok").split(" (")[0]] += 1
+        assert set(verdicts) == {"ok", "announcement too large", "strategy hole",
+                                 "non-monotone announcement", "infinite play"}, verdicts
+
+    @pytest.mark.parametrize("name", ["positional", "solver", "two-tree sweep", "lifted"])
+    def test_shipped_strategies_agree_with_the_oracle(self, name):
+        g, cfg, make = _shipped_cop_strategies()[name]
+        assert _report(validate_cop_strategy(g, cfg, make())) == \
+            _oracle_validation(g, cfg, make())
+
+    def test_a_turn_is_keyed_by_the_memory_during_the_reply(self):
+        # both placements idle into the same turn of the robbers, but one
+        # with a memory that the strategy does not cover
+        class TwoMemories(CopStrategy):
+            def init_memory(self, pos):
+                return "A" if pos.R == 0b01 else "B"
+
+            def announce(self, memory, pos):
+                if memory in ("A", "B"):
+                    return 0, memory + "1"
+                if memory == "A1":
+                    return 0b11, "done"
+                raise StrategyHoleError(pos)
+
+        g, cfg = Digraph(2, [(0, 1), (1, 0)]), SearchConfig(k=2)
+        rep = validate_cop_strategy(g, cfg, TwoMemories())
+        assert rep.witness == ("strategy hole", (("B", 0, 0b10), ("B1", 0, 0b01)))
+        assert _report(rep) == _oracle_validation(g, cfg, TwoMemories())
+
+    def test_a_turn_on_the_current_path_is_replayed_in_full(self):
+        # the placement at 0 and the state below it share a robber turn, and
+        # only replaying that turn finds the robber idling at 0 for ever
+        g = Digraph(3, [(0, 1), (1, 0)])
+        f = PositionalCopStrategy.from_masks({(0, 0b001): 0b100, (0, 0b010): 0b100,
+                                              (0, 0b100): 0b100, (0b100, 0b001): 0b100,
+                                              (0b100, 0b010): 0b100})
+        rep = validate_cop_strategy(g, SearchConfig(k=1), f)
+        assert rep.witness == ("infinite play", ((None, 0, 0b001), (None, 0b100, 0b001),
+                                                 (None, 0b100, 0b001)))
+        assert _report(rep) == _oracle_validation(g, SearchConfig(k=1), f)
+
+    def test_the_thm7_sweep_builds_each_turns_replies_once(self):
+        class Counted(TopDownTreeCops):
+            replies = 0
+
+            def update(self, memory, newpos):
+                Counted.replies += 1
+                return memory
+
+        g, _ = two_tree_graph(3)
+        rep = validate_cop_strategy(g, SearchConfig(k=4), Counted(3))
+        assert rep.ok and rep.states == 1706 and rep.max_announced == 4
+        # building every reply of every state would make 90,501
+        assert Counted.replies <= 2 * rep.states
 
 
 class TestTransforms:
