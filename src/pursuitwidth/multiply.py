@@ -15,6 +15,14 @@ thing with the move and update code: the derivation of an immutable memory
 into per-history masks (`_derive`), a pure function of the memory.  Every
 reachability condition it evaluates itself.  Vertex lists appear only in
 the JSON of `zeta_json` and `traced_run`.
+
+The exhaustive adversary keys a state by what its future depends on: with c
+the last index of the shortest history, by U, R, the longest history from c
+on, and each entry's robber and omitted sets and history from c on (whole if
+it does not continue the longest one); a capture, which has no future, by U
+and R alone.  This is exact: the histories agree on their first c positions,
+which passed the checks when their memory was made, and moves, updates and
+checks read them from c on or compare them over those.
 """
 from __future__ import annotations
 
@@ -45,12 +53,6 @@ class HistoryEntry:
     Rset: int
     Oset: int
 
-    def __post_init__(self):
-        object.__setattr__(self, "_hash", hash((self.rho, self.Rset, self.Oset)))
-
-    def __hash__(self):
-        return self._hash
-
 
 @dataclass(frozen=True)
 class MemoryZeta:
@@ -69,12 +71,6 @@ class MemoryZeta:
     @property
     def s(self) -> int:
         return len(self.entries) + 1
-
-    def rho(self, i: int) -> History:
-        """1-indexed history access."""
-        if i == self.s:
-            return self.rho_s
-        return self.entries[i - 1].rho
 
 
 def _vs(mask: int) -> str:
@@ -224,6 +220,7 @@ def check_invariants(g: Digraph, pos: CopTurn, zeta: MemoryZeta,
     reach = cache.reach
     d = _derive(zeta)
     s = d.s
+    rho = (None, *[entry.rho for entry in zeta.entries], zeta.rho_s)  # index 1 to s
     Rm, Um = pos.R, pos.U
     R_s = Rm & (1 << d.b[s])
     wit = dict.fromkeys(INVARIANTS, "")  # each invariant's first violation, "" if none
@@ -235,7 +232,7 @@ def check_invariants(g: Digraph, pos: CopTurn, zeta: MemoryZeta,
     for i in range(1, s):
         R_i, O_i, W_i = d.Rset[i], d.Oset[i], d.W[i]
         # chain: the histories strictly extend one another
-        if not zeta.rho(i).is_strict_prefix_of(zeta.rho(i + 1)):
+        if not rho[i].is_strict_prefix_of(rho[i + 1]):
             violated("chain", f"history {i} is not a strict prefix of history {i + 1}")
         # partition: the attached robber sets split R
         if R_i & union:
@@ -263,7 +260,7 @@ def check_invariants(g: Digraph, pos: CopTurn, zeta: MemoryZeta,
             violated("omitted-absorbs", f"robbers of history {i} reach "
                                         f"{_vs(reach(R_i, d.Ucum[i]) & ~d.Ocum[i])} outside "
                                         f"omitted sets")
-        last = zeta.rho(i).last()
+        last = rho[i].last()
         for b in bits(R_i):
             # member-consistency: the robber extends its history by a legal move (on a
             # cop of its team it breaks partition, cover or progress); team-region and
@@ -297,10 +294,10 @@ def check_invariants(g: Digraph, pos: CopTurn, zeta: MemoryZeta,
     else:
         done = 0
         for i in range(1, s + 1):
-            if why := _history_consistent(cache, f, zeta.rho(i), done):
+            if why := _history_consistent(cache, f, rho[i], done):
                 violated("consistent", f"history {i}: {why}")
                 break
-            done = 0 if wit["chain"] else len(zeta.rho(i).positions)
+            done = 0 if wit["chain"] else len(rho[i].positions)
     return wit
 
 
@@ -390,8 +387,8 @@ class MultiplyStrategy(CopStrategy):
             empties = [i for i in range(1, s) if d.Rset[i] == 0]
             if empties:
                 i = min(empties)
-                rho_i = zeta.rho(i)
-                rho_next = zeta.rho(i + 1)
+                rho_i = zeta.entries[i - 1].rho
+                rho_next = zeta.entries[i].rho if i + 1 < s else zeta.rho_s
                 step = rho_next[len(rho_i)]
                 if not isinstance(step, CopTurn) or step.U != d.W[i]:
                     raise InvariantViolation("chain", f"history {i + 1} does not continue "
@@ -556,11 +553,37 @@ def enumerate_prudent_isolating_moves(g: Digraph, pos: RobberTurn, r: int,
             if cache.is_prudent(R, up, Rp) and cache.is_isolating(up, Rp)]
 
 
+class AdversaryState(tuple):
+    """An adversary state `(memory, U, R)`, compared and hashed by its key."""
+
+    def __new__(cls, zeta: MemoryZeta, U: int, R: int):
+        self = tuple.__new__(cls, (zeta, U, R))
+        key = [U, R]
+        if R:  # a capture has no future, so U and R alone key it
+            top = zeta.rho_s.positions
+            c = len(zeta.entries[0].rho.positions if zeta.entries else top) - 1
+            for e in zeta.entries:  # a history the longest one extends: its length
+                rho = e.rho.positions
+                key += (e.Rset, e.Oset, len(rho) - c if top[:len(rho)] == rho else rho)
+            key += top[c:]
+        self.key = key = tuple(key)
+        self._hash = hash(key)
+        return self
+
+    def __eq__(self, other):
+        return isinstance(other, AdversaryState) and self.key == other.key
+
+    __ne__ = object.__ne__  # tuple's own would compare the items
+
+    def __hash__(self):
+        return self._hash
+
+
 @dataclass
 class AdversarialReport:
     ok: bool
     witness: Optional[object]
-    states: int
+    states: int  # states expanded: one per key (see the module docstring)
     max_cops: int
     max_robbers: int
     case_counts: dict
@@ -569,13 +592,13 @@ class AdversarialReport:
 def exhaust_prudent_isolating(g: Digraph, strat: MultiplyStrategy) -> AdversarialReport:
     """Play the multiplier against every prudent isolating robber line.
 
-    Every branch must reach a capture within the budget; any repeat of a
-    (memory, cop set, robber set) state would be an infinite play and fails,
-    and `MultiplyStrategy.announce` raises `InvariantViolation("monotone")`
-    on a non-monotone move.  A failure's witness is its verdict and the path
-    of states from a robber placement to the failing one.  `max_cops` and
-    `max_robbers` are the most cops announced and robbers held on any
-    explored state.
+    Every branch must reach a capture within the budget.  A state whose key
+    (`AdversaryState`) was expanded is not expanded again, and a key repeated
+    on the current path is an infinite play and fails.  `announce` raises
+    `InvariantViolation("monotone")` on a non-monotone move.  A failure's
+    witness is its verdict and the path of states from a robber placement to
+    the failing one.  `max_cops` and `max_robbers` are the most cops announced
+    and robbers held on any explored state.
     """
     max_cops = max_robbers = 0
     cases = {}
@@ -589,11 +612,11 @@ def exhaust_prudent_isolating(g: Digraph, strat: MultiplyStrategy) -> Adversaria
         up, mid = strat.announce(zeta, CopTurn(U, R))
         cases[strat.last_tag] = cases.get(strat.last_tag, 0) + 1
         max_cops = max(max_cops, up.bit_count())
-        return ((strat.update(mid, CopTurn(up, Rp)), up, Rp)
+        return (AdversaryState(strat.update(mid, CopTurn(up, Rp)), up, Rp)
                 for Rp in enumerate_prudent_isolating_moves(g, RobberTurn(U, up, R), strat.r,
                                                             cache=strat.cache))
 
-    roots = ((strat.init_memory(CopTurn(0, 1 << v)), 0, 1 << v) for v in range(g.n))
+    roots = (AdversaryState(strat.init_memory(CopTurn(0, 1 << v)), 0, 1 << v) for v in range(g.n))
     failure, states = explore(roots, moves, effective_budget(),
                               "adversarial search", cycle="play never ends")
     return AdversarialReport(failure is None, failure, states, max_cops, max_robbers, cases)

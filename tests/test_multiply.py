@@ -1,13 +1,14 @@
 import pytest
 
 from pursuitwidth.arena import (CopTurn, GraphCache, RobberTurn, SearchConfig,
-                                solve_search, width)
+                                effective_budget, explore, solve_search, width)
+from pursuitwidth.cli import small_corpus
 from pursuitwidth.digraph import Digraph
 from pursuitwidth.errors import (AdversaryContractError, InvariantViolation,
                                  PreconditionError)
 from pursuitwidth import multiply
 from pursuitwidth.families import cycle_digraph
-from pursuitwidth.multiply import (CASE_II_2, HistoryEntry, MemoryZeta,
+from pursuitwidth.multiply import (CASE_II_2, AdversaryState, HistoryEntry, MemoryZeta,
                                    MultiplyStrategy, _derive, check_invariants,
                                    enumerate_prudent_isolating_moves,
                                    exhaust_prudent_isolating, multiply_strategy,
@@ -279,6 +280,16 @@ BROKEN_MEMORIES = [
 ]
 
 
+def hand_memory(announced=0b10001, Rset=0b100000, Oset=0b100000,
+                tail=(CopTurn(0b101, 0b10),), last=RobberTurn(0b10001, 0b101, 0b100)):
+    """A memory reached on the ALL_CASES_EDGES pursuit at CopTurn(0b101,
+    0b100010): robber 0 is pursued to 2; robber 5 stays behind, robber 1
+    goes on.  Its shortest history has five positions, so c = 4."""
+    rho = History((CopTurn(0, 0b1), RobberTurn(0, announced, 0b1),
+                   CopTurn(announced, 0b100), last))
+    return MemoryZeta((HistoryEntry(rho, Rset, Oset),), History(rho.positions + tail))
+
+
 class TestCheckedOnce:
     """A memory reached on the ALL_CASES_EDGES pursuit, checked by hand: the
     shortcuts that let a check walk only new history steps must still catch
@@ -290,12 +301,7 @@ class TestCheckedOnce:
         self.f = self.strat.f
         self.pos = CopTurn(0b101, 0b100010)
 
-    def memory(self, announced=0b10001, Rset=0b100000, Oset=0b100000,
-               tail=(CopTurn(0b101, 0b10),)):
-        # robber 0 is pursued to 2; robber 5 stays behind, robber 1 goes on
-        rho = History((CopTurn(0, 0b1), RobberTurn(0, announced, 0b1),
-                       CopTurn(announced, 0b100), RobberTurn(0b10001, 0b101, 0b100)))
-        return MemoryZeta((HistoryEntry(rho, Rset, Oset),), History(rho.positions + tail))
+    memory = staticmethod(hand_memory)
 
     def test_the_hand_built_memory_passes(self):
         zeta = self.memory()
@@ -510,3 +516,145 @@ class TestSharedWork:
         # each comparison builds one fresh derivation; fewer than half of the
         # derivations asked for were built by the cache
         assert 0 < builds[0] - checked[0] < checked[0] / 2
+
+
+# three graphs that the benchmark's multiplier-adversary workload draws:
+# sc7-0, sc9-8 and sc9-15
+SC7_0 = Digraph(7, [(0, 5), (1, 2), (1, 3), (1, 6), (2, 0), (2, 1), (3, 1), (4, 1), (4, 2),
+                    (5, 2), (6, 1), (6, 3), (6, 4)])
+SC9_8 = Digraph(9, [(0, 2), (1, 6), (2, 0), (2, 1), (2, 4), (3, 2), (3, 4), (3, 5), (3, 6),
+                    (4, 2), (5, 0), (5, 3), (5, 6), (5, 8), (6, 1), (6, 3), (7, 0), (8, 2),
+                    (8, 5), (8, 7)])
+SC9_15 = Digraph(9, [(0, 2), (0, 3), (0, 6), (1, 4), (1, 5), (2, 1), (2, 5), (3, 2), (3, 8),
+                     (4, 6), (5, 1), (5, 2), (5, 7), (6, 0), (6, 5), (6, 8), (7, 3), (8, 0),
+                     (8, 5), (8, 6)])
+
+
+def _exact_run(g, strat):
+    """The adversary over plain `(memory, U, R)` states, which repeat only
+    with the whole play history: `(ok, max_cops, max_robbers, case tags)`
+    and, per key, the move of its states, which must all make the same one:
+    announcement, case tag and successor keys."""
+    most = {"cops": 0, "robbers": 0}
+    move_of = {}
+
+    def moves(state):
+        zeta, U, R = state
+        most["robbers"] = max(most["robbers"], R.bit_count())
+        if not R:
+            return None
+        up, mid = strat.announce(zeta, CopTurn(U, R))
+        tag = strat.last_tag
+        most["cops"] = max(most["cops"], up.bit_count())
+        nxt = [(strat.update(mid, CopTurn(up, Rp)), up, Rp)
+               for Rp in enumerate_prudent_isolating_moves(g, RobberTurn(U, up, R), strat.r)]
+        move = (up, tag, frozenset(AdversaryState(*s) for s in nxt))
+        assert move_of.setdefault(AdversaryState(*state), move) == move
+        return iter(nxt)
+
+    roots = [(strat.init_memory(CopTurn(0, 1 << v)), 0, 1 << v) for v in range(g.n)]
+    failure, _ = explore(roots, moves, effective_budget(), "exact search", cycle="infinite")
+    tags = {tag for _, tag, _ in move_of.values()}
+    return (failure is None, most["cops"], most["robbers"], tags), move_of
+
+
+def _assert_keyed_run_is_exact(g, strat):
+    """The keyed run's report equals the exact run's, and it expands each
+    key the exact run meets exactly once."""
+    rep = exhaust_prudent_isolating(g, strat)
+    assert rep.ok, rep.witness
+    exact, move_of = _exact_run(g, strat)
+    assert (rep.ok, rep.max_cops, rep.max_robbers, set(rep.case_counts)) == exact
+    assert rep.states == len(move_of)
+    return rep
+
+
+class Stalling(MultiplyStrategy):
+    """Never places a cop, and repeats its one history's last position
+    every round: its memory grows while its key stays the same."""
+
+    def announce(self, zeta, pos):
+        self.last_tag = "stall"
+        return 0, zeta
+
+    def update(self, zeta, newpos):
+        return MemoryZeta((), zeta.rho_s.append(zeta.rho_s.last()))
+
+
+class TestKeyedAdversary:
+    """`AdversaryState` keys the adversary's states by what their future
+    depends on, so equal lines reached along different histories are
+    explored once."""
+
+    def test_the_all_cases_pursuit(self):
+        g = Digraph(6, ALL_CASES_EDGES)
+        rep = _assert_keyed_run_is_exact(g, multiply_strategy(g, ALL_CASES_BASE, r=3))
+        assert len(rep.case_counts) == 6
+
+    @pytest.mark.parametrize("r", [2, 3])
+    @pytest.mark.parametrize("g", [SC7_0, SC9_8, SC9_15], ids=["sc7-0", "sc9-8", "sc9-15"])
+    def test_benchmark_graphs(self, g, r):
+        _assert_keyed_run_is_exact(g, multiplied(g, width(g, "dw"), r=r))
+
+    @pytest.mark.parametrize("r", [2, 3])
+    def test_small_corpus(self, r):
+        for _, g in small_corpus(4):
+            _assert_keyed_run_is_exact(g, multiplied(g, width(g, "dw"), r=r))
+
+    def test_expanded_state_counts(self):
+        # pinned: with a state per play history these were 255 and 1,212
+        g = Digraph(6, ALL_CASES_EDGES)
+        assert exhaust_prudent_isolating(g, multiply_strategy(g, ALL_CASES_BASE, r=3)).states == 197
+        sc9_8 = multiplied(SC9_8, width(SC9_8, "dw"), r=2)
+        assert exhaust_prudent_isolating(SC9_8, sc9_8).states == 101
+
+    def test_memories_that_differ_only_before_c_share_a_key(self):
+        pos = CopTurn(0b101, 0b100010)
+        a = AdversaryState(hand_memory(), pos.U, pos.R)
+        b = AdversaryState(hand_memory(announced=0b1001), pos.U, pos.R)
+        assert a[0] != b[0]
+        assert a == b and hash(a) == hash(b) and not a != b
+        assert len({a, b}) == 1
+
+    @pytest.mark.parametrize("changes", [
+        {"Oset": 0b110000},
+        {"Rset": 0b1000},
+        # the shortest history's last position, at c
+        {"last": RobberTurn(0b10001, 0b10101, 0b100)},
+        {"tail": (CopTurn(0b101, 0b1000),)},
+    ], ids=["Oset", "Rset", "last", "tail"])
+    def test_what_the_future_reads_is_in_the_key(self, changes):
+        pos = CopTurn(0b101, 0b100010)
+        assert (AdversaryState(hand_memory(), pos.U, pos.R)
+                != AdversaryState(hand_memory(**changes), pos.U, pos.R))
+
+    def test_the_cop_and_robber_sets_are_in_the_key(self):
+        zeta = hand_memory()
+        states = {AdversaryState(zeta, U, R) for U, R in [(0b101, 0b100010), (0b1, 0b100010),
+                                                         (0b101, 0b10)]}
+        assert len(states) == 3
+
+    @pytest.mark.parametrize("broken", ["entry", "top"])
+    def test_a_history_off_the_longest_one_is_kept_whole(self, broken):
+        # two hand-built memories that differ before c, one of them with a
+        # history the longest one does not continue, are not merged
+        pos = CopTurn(0b101, 0b100010)
+        good, other = hand_memory(), hand_memory(announced=0b1001)
+        zeta = (MemoryZeta(other.entries, good.rho_s) if broken == "entry"
+                else MemoryZeta(good.entries, other.rho_s))
+        assert check_invariants(Digraph(6, ALL_CASES_EDGES), pos, zeta)["chain"]
+        mixed = AdversaryState(zeta, pos.U, pos.R)
+        assert mixed != AdversaryState(good, pos.U, pos.R)
+        assert mixed != AdversaryState(other, pos.U, pos.R)
+
+    def test_a_key_repeated_on_the_path_is_an_infinite_play(self, monkeypatch):
+        # no state repeats its whole history, so without keys the search
+        # would only stop at the budget
+        monkeypatch.setenv("PURSUITWIDTH_BUDGET", "1000")
+        g = cycle_digraph(3)
+        strat = Stalling(g, PositionalCopStrategy({}), r=1, k=1)
+        rep = exhaust_prudent_isolating(g, strat)
+        verdict, path = rep.witness
+        assert verdict == "play never ends"
+        assert path[-1] in path[:-1]
+        assert len({len(zeta.rho_s) for zeta, _, _ in path}) == len(path)
