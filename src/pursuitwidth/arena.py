@@ -19,6 +19,12 @@ cop set, so no candidate needs a search, and the paths of a robber turn
 that avoid the announced cops stay inside its escape set, so its regions
 are searched for there, not in the whole graph.
 
+One new cop at a time: if U | X wins the robber turn of class (U, reg), so
+does U | {x} for x in X: its robbers take u1, at most r regions of reg - x
+bordered by B1 within U | {x}, and B1 | (X & u1), at most k cops, leaves
+successor classes of U | X's turn (or u1 is one).  So candidates skip cops
+refuted alone, but not in the SCC-restricted game: X & u1 may miss the SCC.
+
 The move rule and the robber normal forms live in `GraphCache` alone, and
 every region and component it answers comes from its reach memo: the region
 of v avoiding U is `reach(1 << v, U)`, and v's strongly connected component
@@ -314,6 +320,11 @@ class _SearchSolver:
     robber turn (Up, escapes) has every successor class won, and that
     announcement is its certificate; a memoised robber turn is lost at its
     first lost successor, and the pass stops at the first lost initial class.
+
+    A candidate holding a cop x whose turn U | {x} is lost loses too, as
+    after U | {x} the cops could add the rest of X later (module docstring),
+    so `_candidates` drops such x and certificates stay the same.  Not in the
+    SCC-restricted game, where those later cops may miss the robber's SCC.
     """
 
     def __init__(self, g: Digraph, cfg: SearchConfig, cache: Optional[GraphCache] = None):
@@ -338,10 +349,14 @@ class _SearchSolver:
         """
         # the pruned class rule, apart from GraphCache: the validators check it
         allowed = reg
+        room = self.k - U.bit_count()  # below 0 no subset is yielded
         if self.restricted:  # new cops only in the component of reg's root
             root = next(v for v in bits(reg) if self.cache.reach(1 << v, U) == reg)
             allowed = self.cache.component(U, root)
-        room = self.k - U.bit_count()  # below 0 no subset is yielded
+        elif room >= 2:  # drop every cop whose single placement is lost
+            for x in bits(reg):
+                if self.turns.get((U | 1 << x, reg & ~(1 << x))) is False:
+                    allowed &= ~(1 << x)
         for X in subset_masks(allowed, range(room, -1, -1)):
             yield U | X, reg & ~X
 

@@ -134,12 +134,14 @@ def _subsets(universe, kmax):
             yield frozenset(comb)
 
 
-def minimax_solve(g, k, r):
+def minimax_solve(g, k, r, max_new_cops=None):
     """Full-arena backward induction with no collapsing or pruning.
 
     Positions are explicit; cops win a position iff they can monotonously
     force the robber set empty.  Returns "cops" or "robbers" for the game
-    from the initial placement.
+    from the initial placement.  With `max_new_cops`, an announcement may
+    place at most that many cops that do not stand already (it may still
+    release any); at 1 this is the game of the solver's one-new-cop lemma.
     """
     adj = adjacency(g)
     V = set(range(g.n))
@@ -156,6 +158,14 @@ def minimax_solve(g, k, r):
         return frozenset(seen)
 
     announcements = list(_subsets(V, k))
+    moves = {}  # cop set -> the announcements allowed from it
+
+    def allowed(U):
+        if U not in moves:
+            moves[U] = [Up for Up in announcements
+                        if max_new_cops is None or len(Up - U) <= max_new_cops]
+        return moves[U]
+
     cop_positions = set()
     robber_positions = {}
     queue = []
@@ -168,7 +178,7 @@ def minimax_solve(g, k, r):
         (U, R) = queue.pop()
         if not R:
             continue
-        for Up in announcements:
+        for Up in allowed(U):
             rp = (U, Up, R)
             if rp in robber_positions:
                 continue
@@ -191,7 +201,7 @@ def minimax_solve(g, k, r):
         for (U, R) in cop_positions:
             if (U, R) in won or not R:
                 continue
-            for Up in announcements:
+            for Up in allowed(U):
                 monotone, succs = robber_positions[(U, Up, R)]
                 if monotone and all(s in won for s in succs):
                     won.add((U, R))

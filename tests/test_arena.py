@@ -9,13 +9,13 @@ from pursuitwidth.arena import (COPS, LADDER_START, ROBBERS, CopTurn, GraphCache
                                 RobberTurn, SearchConfig, _ladder, _SearchSolver,
                                 announcement_masks, solve_invisible, solve_search,
                                 subset_masks, validate_invisible_schedule, width)
-from pursuitwidth.cli import small_corpus
+from pursuitwidth.cli import random_corpus, small_corpus
 from pursuitwidth.digraph import Digraph, bits, out_of, reach_mask, region_table
 from pursuitwidth.errors import ConfigError, InputError, ResourceError
 from pursuitwidth.families import (cycle_digraph, gen_grk, random_digraph,
                                    tree_T, two_tree_graph)
-from pursuitwidth.strategy import (antichain_reps, validate_cop_strategy,
-                                   validate_robber_strategy)
+from pursuitwidth.strategy import (SolverRobberStrategy, antichain_reps,
+                                   validate_cop_strategy, validate_robber_strategy)
 
 import oracles
 from oracles import invisible_clears, minimax_solve
@@ -379,6 +379,64 @@ class TestSearchSolver:
     def test_random_fourteen_vertex_rung_arena_sizes(self, k, winner, size):
         res = solve_search(random_digraph(14, 0.3, 1), SearchConfig(k=k))
         assert (res.winner, res.arena_size) == (winner, size)
+
+
+class TestOneNewCop:
+    """A class's candidates skip every cop whose single placement is already
+    refuted: if U | X wins, so does U | {x} for each x in X."""
+
+    def test_the_lemma_holds_in_the_full_game(self):
+        # cops limited to one new cop per announcement win exactly where
+        # unlimited cops do; with none they win nowhere, so the bound bites
+        graphs = [g for _, g in small_corpus(3)] + [random_digraph(4, 0.4, s) for s in range(8)]
+        for g in graphs:
+            for r in (1, 2):
+                for k in range(1, g.n + 1):
+                    want = minimax_solve(g, k, r)
+                    assert minimax_solve(g, k, r, max_new_cops=1) == want, (sorted(g.edges), k, r)
+        assert minimax_solve(single, 1, 1) == "cops"
+        assert minimax_solve(single, 1, 1, max_new_cops=0) == "robbers"
+
+    def test_lost_rung_skips_refuted_cops(self, monkeypatch):
+        # 78,760 candidates without the rule, over the same 3,104 classes
+        yielded = []
+        candidates = _SearchSolver._candidates
+
+        def counted(self, U, reg):
+            for cand in candidates(self, U, reg):
+                yielded.append(cand)
+                yield cand
+
+        monkeypatch.setattr(_SearchSolver, "_candidates", counted)
+        res = solve_search(random_digraph(14, 0.3, 1), SearchConfig(k=5))
+        assert (res.winner, res.arena_size, len(yielded)) == (ROBBERS, 3104, 18353)
+
+    def test_robber_replies_stay_in_classes_decided_lost(self):
+        """Each candidate of a lost class was refuted, or holds a cop x whose
+        single placement was: that turn has a decided-lost successor class.
+        Against an announcement B | X, follow such successors, one refuted
+        single of X at a time, until the region avoids X; it is then a
+        region the robbers may take, so `respond` finds a lost class."""
+        checks = 0
+        for name, g in small_corpus(4) + random_corpus(6, 80, 4242):
+            for r in (1, 2):
+                for k in range(1, g.n + 1):
+                    cfg = SearchConfig(k=k, r=r)
+                    cache = GraphCache(g)
+                    _, _, lost = _SearchSolver(g, cfg, cache).run()
+                    robbers = SolverRobberStrategy(g, cfg, cache, lost)
+                    for B, reg in lost:
+                        root = next((v for v in bits(reg) if cache.reach(1 << v, B) == reg), None)
+                        if root is None:
+                            continue  # a union of regions
+                        free = g.full_mask & ~B
+                        for X in subset_masks(free, range(k - B.bit_count() + 1)):
+                            up = B | X
+                            Rp, _ = robbers.respond(None, RobberTurn(B, up, 1 << root))
+                            assert Rp and cache.class_key(up, cache.reach(Rp, up)) in lost, \
+                                (name, cfg, B, reg, X)
+                            checks += 1
+        assert checks == 11285
 
 
 def _escape_corpus():
