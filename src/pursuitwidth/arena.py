@@ -14,10 +14,12 @@ cops, region) it evaluates the game locally, depth first from the initial
 classes: a class is won at its first candidate announcement whose robber
 turn leads only into won classes, and that announcement is its certificate.
 Every non-idle announcement shrinks the region, so the classes form a DAG
-and no fixpoint is needed.  A region is closed under successors outside its
-cop set, so no candidate needs a search, and the paths of a robber turn
-that avoid the announced cops stay inside its escape set, so its regions
-are searched for there, not in the whole graph.
+and no fixpoint is needed; the idle one is never generated.  A region is
+closed under successors outside its cop set, so no candidate needs a
+search, and the paths of a robber turn that avoid the announced cops stay
+inside its escape set, so its regions are searched for there, not in the
+whole graph.  That one forward search also yields each region's out-set,
+hence its border, and a successor class decided before is read in place.
 
 One new cop at a time: if U | X wins the robber turn of class (U, reg), so
 does U | {x} for x in X: its robbers take u1, at most r regions of reg - x
@@ -42,13 +44,11 @@ from __future__ import annotations
 import itertools
 import os
 from dataclasses import dataclass
-from functools import reduce
-from operator import or_
 from typing import Iterable, Optional
 
 from .digraph import (Digraph, _check_vertices, bits, induced, out_of,
                       reach_mask, set_from, symmetric_closure)
-from .errors import ConfigError, PreconditionError, ResourceError
+from .errors import ConfigError, InvariantViolation, PreconditionError, ResourceError
 
 DEFAULT_POSITION_BUDGET = 10_000_000
 
@@ -205,13 +205,14 @@ def subset_masks(mask: int, sizes):
     """Subsets of `mask`: each size of `sizes` in turn, within a size in
     combination order of its vertices.  Pass a descending range for largest
     first (announcements), an ascending one for smallest first (robbers)."""
-    bitlist = list(bits(mask))
+    singles = []
+    while mask:  # [1 << v for v in bits(mask)]
+        b = mask & -mask
+        singles.append(b)
+        mask ^= b
     for t in sizes:
-        for comb in itertools.combinations(bitlist, t):
-            m = 0
-            for b in comb:
-                m |= 1 << b
-            yield m
+        for comb in itertools.combinations(singles, t):
+            yield sum(comb)  # the bits are disjoint, so the sum is their union
 
 
 def explore(roots, moves, limit: int, what: str, cycle: Optional[str] = None):
@@ -292,11 +293,19 @@ def announcement_masks(cache: GraphCache, cfg: SearchConfig, U: int, R: int):
 
 
 def _region_unions(regs, r: int):
-    """Distinct unions of 1..r of the regions `regs`, in combination order."""
+    """Distinct unions of 1..r of the (region, out-set) pairs `regs` in combination
+    order, each with the OR of its regions' out-sets; for r = 1, `regs` itself."""
     # robber replies by region, apart from GraphCache: the validators check them
-    return list(dict.fromkeys(reduce(or_, comb)
-                              for t in range(1, min(r, len(regs)) + 1)
-                              for comb in itertools.combinations(regs, t)))
+    if r == 1:
+        return regs
+    unions = {}
+    for t in range(1, min(r, len(regs)) + 1):
+        for comb in itertools.combinations(regs, t):
+            u = o = 0
+            for reg, out in comb:
+                u, o = u | reg, o | out
+            unions.setdefault(u, o)
+    return list(unions.items())
 
 
 # ---------------------------------------------------------------------------
@@ -313,13 +322,16 @@ class _SearchSolver:
     non-monotone, and such announcements lose outright) and add new cops X
     inside reg; any other announcement is dominated by one of these.
 
-    The idle candidate (X empty) leads back to the class itself and is
-    skipped; every other one leaves strictly smaller regions, so the classes
-    form a DAG and a depth-first AND-OR pass decides them without a fixpoint
-    (Liu & Smolka, ICALP 1998).  A class is won at its first candidate whose
-    robber turn (Up, escapes) has every successor class won, and that
-    announcement is its certificate; a memoised robber turn is lost at its
-    first lost successor, and the pass stops at the first lost initial class.
+    The idle announcement (X empty) leads back to the class itself and is
+    never generated; every candidate leaves strictly smaller regions, so the
+    classes form a DAG and a depth-first AND-OR pass decides them without a
+    fixpoint (Liu & Smolka, ICALP 1998).  A class is won at its first
+    candidate whose robber turn (Up, escapes) has every successor class won,
+    and that announcement is its certificate; a memoised robber turn is lost
+    at its first lost successor, and the pass stops at the first lost
+    initial class.  A successor's border comes with its region from the one
+    search of `_escape_regions`, and a successor already in `value` is read
+    there: only undecided classes go to the trampoline in `run`.
 
     A candidate holding a cop x whose turn U | {x} is lost loses too, as
     after U | {x} the cops could add the rest of X later (module docstring),
@@ -335,13 +347,15 @@ class _SearchSolver:
         self.out, self.inn, self.full = g.out_masks, g.in_masks, g.full_mask
         self.budget = effective_budget()
         self.turns = {}  # robber turn (Up, escapes) -> whether the cops win it
+        self.value = {}  # decided class -> its certificate, or 0 when lost
 
     def _initial_classes(self):
         regions = self._escape_regions(0, self.full)
-        return [(0, u) for u in sorted(_region_unions(regions, self.r))]
+        return [(0, u) for u, _ in sorted(_region_unions(regions, self.r))]
 
     def _candidates(self, U: int, reg: int):
-        """Yield (announcement, escape set) pairs, aggressive placements first.
+        """The new cops X of the announcements U | X, aggressive placements
+        first, X = 0 (idle) excluded.
 
         Every cop of U is on the border of `reg`, which is closed under
         successors outside U: the announcement U | X keeps them all and
@@ -349,58 +363,75 @@ class _SearchSolver:
         """
         # the pruned class rule, apart from GraphCache: the validators check it
         allowed = reg
-        room = self.k - U.bit_count()  # below 0 no subset is yielded
+        room = self.k - U.bit_count()  # below 1 no subset is yielded
         if self.restricted:  # new cops only in the component of reg's root
             root = next(v for v in bits(reg) if self.cache.reach(1 << v, U) == reg)
             allowed = self.cache.component(U, root)
         elif room >= 2:  # drop every cop whose single placement is lost
-            for x in bits(reg):
-                if self.turns.get((U | 1 << x, reg & ~(1 << x))) is False:
-                    allowed &= ~(1 << x)
-        for X in subset_masks(allowed, range(room, -1, -1)):
-            yield U | X, reg & ~X
+            m = reg
+            while m:  # for each bit b of bits(reg)
+                b = m & -m
+                if self.turns.get((U | b, reg ^ b)) is False:
+                    allowed ^= b
+                m ^= b
+        return subset_masks(allowed, range(room, 0, -1))
 
     def _escape_regions(self, Up: int, escapes: int):
-        """Sorted distinct regions of the escape vertices, one SCC at a time.
+        """The distinct regions of the escape vertices, sorted, each with its
+        out-set (the successors of its vertices), one SCC at a time.
 
         Exact without a whole-graph table: the class region is closed under
         successors outside U, and U is inside Up, so every path from an escape
         vertex that avoids Up stays inside `escapes`.  A region is a forward
-        search there, its SCC a backward one inside the region (Fleischer,
-        Hendrickson & Pinar 2000).
+        search there, which ORs the successor masks it visits, and its SCC a
+        backward one inside the region (Fleischer, Hendrickson & Pinar 2000).
         """
-        regs, left = set(), escapes
+        out, regs, left = self.out, {}, escapes
         while left:
             v = left & -left
-            region = reach_mask(self.out, v, ~escapes)
-            regs.add(region)
+            region = frontier = v
+            out_set = 0
+            while frontier:  # reach_mask(out, v, ~escapes), with out_of(out, region)
+                nxt = 0
+                while frontier:
+                    b = frontier & -frontier
+                    nxt |= out[b.bit_length() - 1]
+                    frontier ^= b
+                out_set |= nxt
+                frontier = nxt & escapes & ~region
+                region |= frontier
+            regs[region] = out_set
             left &= ~reach_mask(self.inn, v, ~region)
-        return sorted(regs)
+        return sorted(regs.items())
 
     def _cops_win(self):
-        """Yield the initial classes until one is lost; return whether none was."""
+        """Yield the undecided initial classes until one is lost; return whether none was."""
         for key in self._initial_classes():
-            if not (yield key):
+            got = self.value.get(key)
+            if not (got if got is not None else (yield key)):
                 return False
         return True
 
     def _decide(self, U: int, reg: int):
-        """Yield the successor classes that deciding (U, reg) needs, each sent
-        back as won or not; return the certificate, or None when it is lost."""
-        for Up, escapes in self._candidates(U, reg):
-            if Up == U:
-                continue  # idle
-            won = escapes == 0 or self.turns.get((Up, escapes))  # no escape: capture
+        """Yield the successor classes that deciding (U, reg) needs and that
+        are not yet decided, each sent back as its certificate or 0 when it is
+        lost; return the certificate, or 0 when (U, reg) is lost."""
+        value, turns = self.value, self.turns
+        for X in self._candidates(U, reg):
+            Up, escapes = U | X, reg & ~X
+            won = escapes == 0 or turns.get((Up, escapes))  # no escape: capture
             if won is None:
                 won = True
-                for u in _region_unions(self._escape_regions(Up, escapes), self.r):
-                    if not (yield self.cache.class_key(Up, u)):
+                for u, out_set in _region_unions(self._escape_regions(Up, escapes), self.r):
+                    key = (Up & out_set, u)  # GraphCache.class_key(Up, u)
+                    got = value.get(key)
+                    if not (got if got is not None else (yield key)):
                         won = False
                         break
-                self.turns[Up, escapes] = won
+                turns[Up, escapes] = won
             if won:
                 return Up
-        return None
+        return 0
 
     def run(self):
         """Returns (cops win, {won class: certificate}, {lost class}).
@@ -408,7 +439,7 @@ class _SearchSolver:
         A trampoline, not recursion: one generator per class being decided,
         on a stack as deep as the longest chain of shrinking regions.
         """
-        value = {}  # decided class -> its certificate, or None when lost
+        value = self.value
         stack = [(None, self._cops_win())]
         answer = None
         while True:
@@ -418,13 +449,9 @@ class _SearchSolver:
             except StopIteration as done:
                 stack.pop()
                 if not stack:
-                    won = {c: up for c, up in value.items() if up is not None}
+                    won = {c: up for c, up in value.items() if up}
                     return done.value, won, value.keys() - won.keys()
-                value[key] = done.value
-                answer = done.value is not None
-                continue
-            if need in value:
-                answer = value[need] is not None
+                value[key] = answer = done.value
                 continue
             if len(value) + len(stack) > self.budget:
                 raise ResourceError(f"arena exceeded the position budget ({self.budget})",
@@ -482,9 +509,15 @@ def solve_invisible(g: Digraph, k: int) -> InvisibleResult:
     def moves(S):
         if S == 0:
             return "cleared"
-        if (out_of(out, S) & ~S).bit_count() >= k:
+        reached, after, m = 0, [], S
+        while m:  # out_of(out, S), and S - {x} for each x of bits(S)
+            b = m & -m
+            reached |= out[b.bit_length() - 1]
+            after.append(S ^ b)
+            m ^= b
+        if (reached & ~S).bit_count() >= k:
             return ()
-        return (S & ~(1 << x) for x in bits(S))
+        return iter(after)
 
     cleared, states = explore([g.full_mask], moves, effective_budget(),
                               f"invisible search with k={k}")
@@ -592,7 +625,8 @@ def _ladder(g: Digraph, measure: str, r: int = 1, plain: bool = False):
     are monotone under induced subgraphs H: a monotone cop strategy or
     clearing of g, restricted to H, is one on H with no more cops, since
     every path in H is a path in g (Barat 2006).  So k cops that lose on H
-    lose on g.  A ResourceError carries the finished rungs' `lower_bound`.
+    lose on g.  A ResourceError carries the finished rungs' `lower_bound`;
+    a rung lost with k >= h.n cops is a solver fault, an InvariantViolation.
     """
     if measure not in _MEASURES:
         raise ConfigError(f"unknown measure {measure!r}; pick one of {_MEASURES}")
@@ -623,6 +657,8 @@ def _ladder(g: Digraph, measure: str, r: int = 1, plain: bool = False):
             rungs.append((vs, k, COPS if won else ROBBERS, classes))
             if won:
                 break
+            if k >= h.n:  # h.n cops announce the whole region, or clear a vertex at a time
+                raise InvariantViolation("ladder", f"{k} cops lost on {h.n} vertices")
             k, step = k + 1, 1
         if m == g.n:
             return k, rungs

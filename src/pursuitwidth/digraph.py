@@ -17,12 +17,14 @@ and JSON output (traces, memories, report witnesses) writes sorted vertex
 lists.  `_check_vertices` (which rejects vertices out of range) and
 `set_from` convert at those boundaries.
 
-`reach_mask` answers every reachability question in the package, strongly
+`reach_mask` answers the package's reachability questions, strongly
 connected components included: a forward search, then a backward search
 inside what it reached (Fleischer, Hendrickson & Pinar, 2000).  Every
 closure over a vertex set is one call too; a backward closure passes
-predecessor masks.  Searches over game states, which are not vertices, run
-on `arena.explore`.
+predecessor masks.  One search runs inline instead: the visible solver's
+forward search for a robber turn's regions (`_escape_regions` in `arena`),
+which also collects each region's out-set as it goes.
+Searches over game states, which are not vertices, run on `arena.explore`.
 """
 from __future__ import annotations
 

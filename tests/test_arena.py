@@ -11,7 +11,7 @@ from pursuitwidth.arena import (COPS, LADDER_START, ROBBERS, CopTurn, GraphCache
                                 subset_masks, validate_invisible_schedule, width)
 from pursuitwidth.cli import random_corpus, small_corpus
 from pursuitwidth.digraph import Digraph, bits, out_of, reach_mask, region_table
-from pursuitwidth.errors import ConfigError, InputError, ResourceError
+from pursuitwidth.errors import ConfigError, InputError, InvariantViolation, ResourceError
 from pursuitwidth.families import (cycle_digraph, gen_grk, random_digraph,
                                    tree_T, two_tree_graph)
 from pursuitwidth.strategy import (SolverRobberStrategy, antichain_reps,
@@ -398,7 +398,8 @@ class TestOneNewCop:
         assert minimax_solve(single, 1, 1, max_new_cops=0) == "robbers"
 
     def test_lost_rung_skips_refuted_cops(self, monkeypatch):
-        # 78,760 candidates without the rule, over the same 3,104 classes
+        # 78,760 candidates without the rule, over the same 3,104 classes;
+        # 18,353 while each of the 3,087 lost classes also tried the idle one
         yielded = []
         candidates = _SearchSolver._candidates
 
@@ -409,7 +410,7 @@ class TestOneNewCop:
 
         monkeypatch.setattr(_SearchSolver, "_candidates", counted)
         res = solve_search(random_digraph(14, 0.3, 1), SearchConfig(k=5))
-        assert (res.winner, res.arena_size, len(yielded)) == (ROBBERS, 3104, 18353)
+        assert (res.winner, res.arena_size, len(yielded)) == (ROBBERS, 3104, 15266)
 
     def test_robber_replies_stay_in_classes_decided_lost(self):
         """Each candidate of a lost class was refuted, or holds a cop x whose
@@ -453,38 +454,83 @@ ESCAPE_CORPUS = _escape_corpus()
 
 
 def _ladder_robber_turns(g, r):
-    """(Up, escapes, escape regions) of every robber turn the dw_r ladder of g
-    evaluates, from one cop up to the first rung the cops win."""
-    turns = []
+    """Record the dw_r ladder of g, from one cop up to the first rung the cops
+    win: (Up, escapes, (region, out-set) pairs) of every robber turn it
+    evaluates, and (Up, class) for every successor class it yields, where Up
+    is the announcement whose turn needs the class."""
+    turns, yielded = [], []
 
     class Recording(_SearchSolver):
+        def __init__(self, g, cfg):
+            super().__init__(g, cfg)
+            self.trying = {}  # class being decided -> the announcement it tries
+
         def _escape_regions(self, Up, escapes):
-            regs = super()._escape_regions(Up, escapes)
-            turns.append((Up, escapes, regs))
-            return regs
+            pairs = super()._escape_regions(Up, escapes)
+            turns.append((Up, escapes, pairs))
+            return pairs
+
+        def _candidates(self, U, reg):
+            for X in super()._candidates(U, reg):
+                self.trying[U, reg] = U | X
+                yield X
+
+        def _decide(self, U, reg):
+            inner, answer = super()._decide(U, reg), None
+            while True:
+                try:
+                    key = inner.send(answer)
+                except StopIteration as done:
+                    return done.value
+                yielded.append((self.trying[U, reg], key))
+                answer = yield key
 
     for k in range(1, g.n + 1):
         if Recording(g, SearchConfig(k=k, r=r)).run()[0]:
-            return turns
+            return turns, yielded
     raise AssertionError("n cops always win")
 
 
 class TestEscapeRegions:
-    """The solver finds a robber turn's escape regions inside its escape set;
-    they must be the regions of the whole graph without the announced cops."""
+    """The solver finds a robber turn's escape regions inside its escape set,
+    each with its out-set; they must be the regions of the whole graph without
+    the announced cops, and the out-sets their successors."""
 
     @pytest.mark.parametrize("name,g", ESCAPE_CORPUS, ids=[n for n, _ in ESCAPE_CORPUS])
     def test_match_the_whole_graph_regions(self, name, g):
         for r in (1, 2):
-            turns = _ladder_robber_turns(g, r)
+            turns, _ = _ladder_robber_turns(g, r)
             assert turns or g.n == 1, (name, r)
-            for Up, escapes, regs in turns:
+            for Up, escapes, pairs in turns:
+                regs = [reg for reg, _ in pairs]
                 region, _ = region_table(g.out_masks, g.n, Up)
                 assert regs == sorted({region[v] for v in bits(escapes)}), (name, r, Up, escapes)
                 if g.n <= 6:
                     want = {sum(1 << w for w in oracles.reach_by_path_enumeration(
                         g, _vset(Up), {v})) for v in bits(escapes)}
                     assert regs == sorted(want), (name, r, Up, escapes)
+
+    @pytest.mark.parametrize("name,g", ESCAPE_CORPUS, ids=[n for n, _ in ESCAPE_CORPUS])
+    def test_out_sets_are_the_successors_of_each_region_and_union(self, name, g):
+        for r in (1, 2):
+            for Up, escapes, pairs in _ladder_robber_turns(g, r)[0]:
+                for reg, out_set in pairs:
+                    assert out_set == out_of(g.out_masks, reg), (name, r, Up, reg)
+                regs = [reg for reg, _ in pairs]
+                want = dict.fromkeys(regs + [a | b for a, b in itertools.combinations(regs, 2)])
+                unions = arena._region_unions(pairs, 2)
+                assert [u for u, _ in unions] == list(want), (name, r, Up, escapes)
+                for u, out_set in unions:
+                    assert out_set == out_of(g.out_masks, u), (name, r, Up, u)
+
+    @pytest.mark.parametrize("name,g", ESCAPE_CORPUS, ids=[n for n, _ in ESCAPE_CORPUS])
+    def test_yielded_classes_are_class_keys(self, name, g):
+        cache = GraphCache(g)
+        for r in (1, 2):
+            _, yielded = _ladder_robber_turns(g, r)
+            assert yielded or g.n <= 2, (name, r)
+            for Up, (W, u) in yielded:
+                assert (W, u) == cache.class_key(Up, u), (name, r, Up, u)
 
 
 def _invisible_corpus():
@@ -698,6 +744,21 @@ class TestSubgraphLadder:
         with pytest.raises(ResourceError) as exc:
             _ladder(small, "dw", plain=True)
         assert exc.value.context == "k=2"
+
+    @pytest.mark.parametrize("measure", ["dw", "dpw"])
+    def test_a_rung_lost_with_a_cop_per_vertex_stops_the_ladder(self, measure, monkeypatch):
+        # n cops always win, so a solver that loses every rung is a fault,
+        # reported at k = n rather than climbing without bound
+        rungs = []
+
+        def lost(h, measure, k, r, cache):
+            rungs.append(k)
+            return False, 1
+
+        monkeypatch.setattr(arena, "_rung", lost)
+        with pytest.raises(InvariantViolation, match="3 cops lost on 3 vertices"):
+            width(cycle_digraph(3), measure)
+        assert rungs == [1, 2, 3]
 
     def test_a_budget_error_on_a_subgraph_names_k_and_its_size(self, monkeypatch):
         monkeypatch.setenv("PURSUITWIDTH_BUDGET", "10")

@@ -62,6 +62,13 @@ class TestWidthCommand:
             {"vertices": 3, "k": 2, "winner": COPS, "classes": 2}]
         assert rep["results"]["lower_bound"] == {"k": 1, "vertices": [0, 1, 2]}
 
+    def test_a_ladder_that_loses_with_a_cop_per_vertex_is_an_internal_error(
+            self, c3, monkeypatch, capsys):
+        monkeypatch.setattr(arena, "_rung", lambda h, measure, k, r, cache: (False, 1))
+        code, rep = run(["width", c3], capsys)
+        assert code == EXIT_INTERNAL_ERROR and rep["kind"] == "internal"
+        assert "3 cops lost on 3 vertices" in rep["error"]
+
     def test_two_tree_3_climbs_to_a_lower_bound_witness_that_holds(self, tmp_path, capsys):
         path = str(tmp_path / "t3.edges")
         run(["generate", "thm7", "--n", "3", "-o", path], capsys)
