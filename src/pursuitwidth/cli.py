@@ -9,7 +9,6 @@ import os
 import random
 import time
 from dataclasses import dataclass, field
-from multiprocessing import Pool
 from typing import Optional
 
 from . import families, parity
@@ -120,6 +119,13 @@ def _require_instances(count: int, suite: str, what: str):
 
 def _set_budget(budget: int):
     os.environ["PURSUITWIDTH_BUDGET"] = str(budget)
+
+
+def Pool(processes, initializer, initargs):
+    """A `multiprocessing` pool, imported only when a suite runs with
+    `--jobs` > 1."""
+    from multiprocessing import Pool
+    return Pool(processes=processes, initializer=initializer, initargs=initargs)
 
 
 def _named_task(job):

@@ -13,7 +13,7 @@ import random
 from dataclasses import dataclass
 
 from .arena import CopTurn, RobberTurn
-from .digraph import Digraph, reach_mask
+from .digraph import Digraph, bits, is_strongly_connected
 from .errors import InputError, InvariantViolation
 from .strategy import CopStrategy, RobberStrategy
 
@@ -323,34 +323,44 @@ def cops_dpw_tree(r: int, k: int):
 
 def enumerate_strongly_connected(n: int):
     """All strongly connected loop-free digraphs on n vertices, one per
-    isomorphism class, in a deterministic order."""
+    isomorphism class: each class's least edge code, by ascending code.
+
+    Bit u*(n-1) + j of a code is the edge from u to the j-th other vertex,
+    so the code is n chunks of n-1 bits, chunk u holding u's out-neighbours
+    and chunk n-1 the most significant.  Only chunk tuples with no empty
+    chunk are tried: for n >= 2 a sink rules strong connectivity out.  A
+    code is canonical when no vertex permutation maps it below itself; the
+    image under a permutation is the OR of one table entry per chunk, and
+    the test stops at the first permutation that maps the code lower.
+    Strong connectivity is searched for canonical codes only.
+    """
+    if n < 1:
+        raise InputError(f"n must be at least 1, not {n}")
     if n == 1:
         yield Digraph(1, [])
         return
-    pairs = [(u, v) for u in range(n) for v in range(n) if u != v]
-    pos = {p: i for i, p in enumerate(pairs)}
-    perm_maps = []
-    for perm in itertools.permutations(range(n)):
-        perm_maps.append(tuple(pos[(perm[u], perm[v])] for (u, v) in pairs))
-    m = len(pairs)
-    for code in range(1 << m):
-        out = [0] * n
-        rev = [0] * n
-        for i in range(m):
-            if (code >> i) & 1:
-                u, v = pairs[i]
-                out[u] |= 1 << v
-                rev[v] |= 1 << u
-        full = (1 << n) - 1
-        if reach_mask(out, 1, 0) != full or reach_mask(rev, 1, 0) != full:
-            continue
-        canon = code
-        for pm in perm_maps:
-            mapped = 0
-            for i in range(m):
-                if (code >> i) & 1:
-                    mapped |= 1 << pm[i]
-            if mapped < canon:
-                canon = mapped
-        if canon == code:
-            yield Digraph(n, [pairs[i] for i in range(m) if (code >> i) & 1])
+    chunk_bits = n - 1
+    # out_of[u][c]: the vertex mask of chunk c at vertex u
+    out_of = [[sum(1 << (v + (v >= u)) for v in bits(c)) for c in range(1 << chunk_bits)]
+              for u in range(n)]
+    # per permutation, one table per vertex u: chunk c at u -> its image's code bits;
+    # the identity comes first and maps no code lower
+    images = [[[sum(1 << (perm[u] * chunk_bits + perm[v] - (perm[v] > perm[u]))
+                    for v in bits(out_of[u][c])) for c in range(1 << chunk_bits)]
+               for u in range(n)]
+              for perm in itertools.islice(itertools.permutations(range(n)), 1, None)]
+    for tup in itertools.product(range(1, 1 << chunk_bits), repeat=n):
+        tup = tup[::-1]  # chunk 0 varies fastest: ascending codes
+        code = 0
+        for u in range(n):
+            code |= tup[u] << (u * chunk_bits)
+        for row in images:
+            m = 0
+            for u in range(n):
+                m |= row[u][tup[u]]
+            if m < code:
+                break
+        else:
+            g = Digraph(n, [(u, v) for u, c in enumerate(tup) for v in bits(out_of[u][c])])
+            if is_strongly_connected(g):
+                yield g

@@ -105,6 +105,35 @@ def sccs_by_closure(g):
     return blocks
 
 
+def strongly_connected_by_brute_force(n):
+    """The edge list of each strongly connected loop-free digraph on n
+    vertices whose edge code is the least in its isomorphism class, by
+    ascending code.  Bit i of a code is the i-th ordered pair (u, v), u != v,
+    in lexicographic order; every code is tried, and each is relabelled by
+    every permutation."""
+    pairs = [(u, v) for u in range(n) for v in range(n) if u != v]
+    position = {p: i for i, p in enumerate(pairs)}
+    perms = list(itertools.permutations(range(n)))
+    for code in range(1 << len(pairs)):
+        edges = [p for i, p in enumerate(pairs) if code >> i & 1]
+        forward, backward = defaultdict(set), defaultdict(set)
+        for (u, v) in edges:
+            forward[u].add(v)
+            backward[v].add(u)
+        connected = True
+        for adj in (forward, backward):
+            seen, stack = {0}, [0]
+            while stack:
+                for w in adj[stack.pop()]:
+                    if w not in seen:
+                        seen.add(w)
+                        stack.append(w)
+            connected = connected and len(seen) == n
+        if connected and all(sum(1 << position[(perm[u], perm[v])] for (u, v) in edges)
+                             >= code for perm in perms):
+            yield edges
+
+
 def parity_cycle_blocks(nodes, succ, color, parity):
     """(c, block) for each color c of the given parity, ascending, and each
     class of nodes of color at least c that lie on a common closed walk

@@ -159,6 +159,16 @@ class TestGenerators:
         assert sum(1 for _ in enumerate_strongly_connected(3)) == 5
         assert sum(1 for _ in enumerate_strongly_connected(4)) == 83
 
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_enumeration_matches_brute_force(self, n):
+        assert ([sorted(g.edges) for g in enumerate_strongly_connected(n)]
+                == list(oracles.strongly_connected_by_brute_force(n)))
+
+    @pytest.mark.parametrize("n", [0, -1])
+    def test_enumeration_rejects_fewer_than_one_vertex(self, n):
+        with pytest.raises(InputError):
+            list(enumerate_strongly_connected(n))
+
     def test_enumeration_yields_connected_canonical(self):
         seen = set()
         for g in enumerate_strongly_connected(3):
