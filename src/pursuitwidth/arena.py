@@ -27,14 +27,13 @@ bordered by B1 within U | {x}, and B1 | (X & u1), at most k cops, leaves
 successor classes of U | X's turn (or u1 is one).  So candidates skip cops
 refuted alone, but not in the SCC-restricted game: X & u1 may miss the SCC.
 
-The move rule and the robber normal forms live in `GraphCache` alone, and
-every region and component it answers comes from its reach memo: the region
-of v avoiding U is `reach(1 << v, U)`, and v's strongly connected component
-one backward search inside that region.  No whole-graph region table is
-built.  Three places restate the rule on purpose: the solver's pruned class
-game, which the validators check; the multiplier's checker, which evaluates
-every reachability condition itself; and `validate_invisible_schedule`,
-which plays the invisible game.
+The move rule and the robber normal forms live in `GraphCache` alone: the
+region of v avoiding U is `reach(1 << v, U)`, and v's strongly connected
+component one backward search inside that region.  No whole-graph region
+table is built.  Three places restate the rule on purpose: the solver's
+pruned class game, which the validators check; the multiplier's checker,
+which evaluates every reachability condition itself; and
+`validate_invisible_schedule`, which plays the invisible game.
 
 `width` climbs k along growing induced subgraphs for every measure, so a
 lost k is mostly proved on a small prefix of the graph (see `_ladder`).
@@ -152,17 +151,16 @@ class SolveResult:
 
 
 # ---------------------------------------------------------------------------
-# Shared per-graph caches
+# The move rule on one graph
 
 class GraphCache:
-    """The visible game's move rule, on reach and border caches reused
-    across solves on one graph."""
+    """The visible game's move rule on one graph, with a memo of the regions
+    it searched; each strategy, checker and transform owns its own."""
 
     def __init__(self, g: Digraph):
         self.n = g.n
         self.out, self.inn = g.out_masks, g.in_masks
         self._reach = {}
-        self._border = {}
 
     def reach(self, sources: int, blocked: int) -> int:
         key = (sources, blocked)
@@ -195,10 +193,7 @@ class GraphCache:
     def class_key(self, U: int, reg: int):
         """The solver's class of cop set U against robber region reg: the
         cops on reg's border (the cops reg has an edge into), and reg."""
-        border = self._border.get(reg)
-        if border is None:
-            border = self._border[reg] = out_of(self.out, reg)
-        return U & border, reg
+        return U & out_of(self.out, reg), reg
 
 
 def subset_masks(mask: int, sizes):
@@ -215,7 +210,7 @@ def subset_masks(mask: int, sizes):
             yield sum(comb)  # the bits are disjoint, so the sum is their union
 
 
-def explore(roots, moves, limit: int, what: str, cycle: Optional[str] = None):
+def explore(roots, moves, what: str, cycle: Optional[str] = None):
     """Depth-first search over every line of play, with an explicit stack.
 
     `moves(state)` returns None at a good leaf, a verdict string at a bad
@@ -225,8 +220,9 @@ def explore(roots, moves, limit: int, what: str, cycle: Optional[str] = None):
     fails with `cycle`, or is skipped when `cycle` is None.  Returns
     `(failure, expanded)`: failure is None or `(verdict, path)`, where path
     runs from a root to the failing state, and expanded counts the states
-    whose successors were explored, which `limit` bounds.
+    whose successors were explored, which `effective_budget()` bounds.
     """
+    limit = effective_budget()
     # state -> True while it is on the current path, False once done; one
     # dict rather than two sets, so an expanded state is hashed three times
     seen = {}
@@ -327,11 +323,12 @@ class _SearchSolver:
     classes form a DAG and a depth-first AND-OR pass decides them without a
     fixpoint (Liu & Smolka, ICALP 1998).  A class is won at its first
     candidate whose robber turn (Up, escapes) has every successor class won,
-    and that announcement is its certificate; a memoised robber turn is lost
-    at its first lost successor, and the pass stops at the first lost
-    initial class.  A successor's border comes with its region from the one
-    search of `_escape_regions`, and a successor already in `value` is read
-    there: only undecided classes go to the trampoline in `run`.
+    and that announcement is its certificate.  `_turn` evaluates every robber
+    turn, the initial placement (cops Up = 0) included: it is lost at its
+    first lost successor, so the pass stops at the first lost initial class.
+    A successor's border comes with its region from the one search of
+    `_escape_regions`, and a successor already in `value` is read there: only
+    undecided classes go to the trampoline in `run`.
 
     A candidate holding a cop x whose turn U | {x} is lost loses too, as
     after U | {x} the cops could add the rest of X later (module docstring),
@@ -339,19 +336,14 @@ class _SearchSolver:
     SCC-restricted game, where those later cops may miss the robber's SCC.
     """
 
-    def __init__(self, g: Digraph, cfg: SearchConfig, cache: Optional[GraphCache] = None):
+    def __init__(self, g: Digraph, cfg: SearchConfig):
         self.k = cfg.k
         self.r = cfg.r
         self.restricted = cfg.restrict_to_scc
-        self.cache = cache or GraphCache(g)
         self.out, self.inn, self.full = g.out_masks, g.in_masks, g.full_mask
         self.budget = effective_budget()
         self.turns = {}  # robber turn (Up, escapes) -> whether the cops win it
         self.value = {}  # decided class -> its certificate, or 0 when lost
-
-    def _initial_classes(self):
-        regions = self._escape_regions(0, self.full)
-        return [(0, u) for u, _ in sorted(_region_unions(regions, self.r))]
 
     def _candidates(self, U: int, reg: int):
         """The new cops X of the announcements U | X, aggressive placements
@@ -365,8 +357,8 @@ class _SearchSolver:
         allowed = reg
         room = self.k - U.bit_count()  # below 1 no subset is yielded
         if self.restricted:  # new cops only in the component of reg's root
-            root = next(v for v in bits(reg) if self.cache.reach(1 << v, U) == reg)
-            allowed = self.cache.component(U, root)
+            root = next(v for v in bits(reg) if reach_mask(self.out, 1 << v, U) == reg)
+            allowed = reach_mask(self.inn, 1 << root, ~reg)  # GraphCache.component(U, root)
         elif room >= 2:  # drop every cop whose single placement is lost
             m = reg
             while m:  # for each bit b of bits(reg)
@@ -404,10 +396,14 @@ class _SearchSolver:
             left &= ~reach_mask(self.inn, v, ~region)
         return sorted(regs.items())
 
-    def _cops_win(self):
-        """Yield the undecided initial classes until one is lost; return whether none was."""
-        for key in self._initial_classes():
-            got = self.value.get(key)
+    def _turn(self, Up: int, unions):
+        """Yield the undecided successor classes of the robber turn whose
+        (region, out-set) unions are `unions`, against cops Up, until one is
+        lost, each sent back as its certificate or 0; return whether none was."""
+        value = self.value
+        for u, out_set in unions:
+            key = (Up & out_set, u)  # GraphCache.class_key(Up, u)
+            got = value.get(key)
             if not (got if got is not None else (yield key)):
                 return False
         return True
@@ -416,19 +412,13 @@ class _SearchSolver:
         """Yield the successor classes that deciding (U, reg) needs and that
         are not yet decided, each sent back as its certificate or 0 when it is
         lost; return the certificate, or 0 when (U, reg) is lost."""
-        value, turns = self.value, self.turns
+        turns = self.turns
         for X in self._candidates(U, reg):
             Up, escapes = U | X, reg & ~X
             won = escapes == 0 or turns.get((Up, escapes))  # no escape: capture
             if won is None:
-                won = True
-                for u, out_set in _region_unions(self._escape_regions(Up, escapes), self.r):
-                    key = (Up & out_set, u)  # GraphCache.class_key(Up, u)
-                    got = value.get(key)
-                    if not (got if got is not None else (yield key)):
-                        won = False
-                        break
-                turns[Up, escapes] = won
+                unions = _region_unions(self._escape_regions(Up, escapes), self.r)
+                won = turns[Up, escapes] = yield from self._turn(Up, unions)
             if won:
                 return Up
         return 0
@@ -440,7 +430,9 @@ class _SearchSolver:
         on a stack as deep as the longest chain of shrinking regions.
         """
         value = self.value
-        stack = [(None, self._cops_win())]
+        # the initial placement, its unions in ascending order
+        unions = sorted(_region_unions(self._escape_regions(0, self.full), self.r))
+        stack = [(None, self._turn(0, unions))]
         answer = None
         while True:
             key, gen = stack[-1]
@@ -460,18 +452,16 @@ class _SearchSolver:
             answer = None
 
 
-def solve_search(g: Digraph, cfg: SearchConfig,
-                 cache: Optional[GraphCache] = None) -> SolveResult:
+def solve_search(g: Digraph, cfg: SearchConfig) -> SolveResult:
     """Solve the visible game exactly from the initial position."""
     if g.n == 0:
         raise PreconditionError("cannot play on the empty graph")
-    solver = _SearchSolver(g, cfg, cache)
-    cops_win, won, lost = solver.run()
+    cops_win, won, lost = _SearchSolver(g, cfg).run()
     size = len(won) + len(lost)
     from .strategy import SolverCopStrategy, SolverRobberStrategy
     if cops_win:
-        return SolveResult(COPS, SolverCopStrategy(g, cfg, solver.cache, won), None, size)
-    return SolveResult(ROBBERS, None, SolverRobberStrategy(g, cfg, solver.cache, lost), size)
+        return SolveResult(COPS, SolverCopStrategy(g, cfg, won), None, size)
+    return SolveResult(ROBBERS, None, SolverRobberStrategy(g, cfg, lost), size)
 
 
 # ---------------------------------------------------------------------------
@@ -519,8 +509,7 @@ def solve_invisible(g: Digraph, k: int) -> InvisibleResult:
             return ()
         return iter(after)
 
-    cleared, states = explore([g.full_mask], moves, effective_budget(),
-                              f"invisible search with k={k}")
+    cleared, states = explore([g.full_mask], moves, f"invisible search with k={k}")
     if cleared is None:
         return InvisibleResult(False, None, states)
     path = cleared[1]
@@ -600,14 +589,14 @@ def lower_bound(rungs) -> Optional[dict]:
     return None if not lost else {"k": lost[-1][1], "vertices": sorted(lost[-1][0])}
 
 
-def _rung(h: Digraph, measure: str, k: int, r: int, cache: Optional[GraphCache]) -> tuple:
+def _rung(h: Digraph, measure: str, k: int, r: int) -> tuple:
     """One solve of the ladder: (whether k cops win, the classes it decided
     or, for dpw, the contaminated sets it expanded).  The solve's strategy
     is dropped here, so it holds no cache while the next rung is solved."""
     if measure == "dpw":
         res = solve_invisible(h, k)
         return res.cops_win, res.states
-    res = solve_search(h, SearchConfig(k=k, r=r), cache=cache)
+    res = solve_search(h, SearchConfig(k=k, r=r))
     return res.winner == COPS, res.arena_size
 
 
@@ -645,10 +634,9 @@ def _ladder(g: Digraph, measure: str, r: int = 1, plain: bool = False):
     while True:
         vs = order[:m]
         h = g if m == g.n else induced(g, vs)
-        cache = None if measure == "dpw" else GraphCache(h)
         while True:
             try:
-                won, classes = _rung(h, measure, k, r, cache)
+                won, classes = _rung(h, measure, k, r)
             except ResourceError as e:
                 on, context = ("", f"k={k}") if h is g else (
                     f" on an induced subgraph of {h.n} vertices", f"k={k}, vertices={h.n}")

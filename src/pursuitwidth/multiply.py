@@ -30,8 +30,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Optional
 
-from .arena import (CopTurn, GraphCache, RobberTurn, effective_budget, explore,
-                    subset_masks)
+from .arena import CopTurn, GraphCache, RobberTurn, explore, subset_masks
 from .digraph import Digraph, bits, is_strongly_connected
 from .errors import (AdversaryContractError, InvariantViolation,
                      PreconditionError, StrategyHoleError)
@@ -176,15 +175,15 @@ def _step_consistent(cache: GraphCache, f: PositionalCopStrategy, a, b) -> str:
     return ""
 
 
-def _history_consistent(cache: GraphCache, f: PositionalCopStrategy, rho: History, done) -> str:
+def _history_consistent(cache: GraphCache, f: PositionalCopStrategy, rho: History) -> str:
     """Why the history is not a legal play whose cop moves all follow f ("" if it is).
 
-    Only the steps after its first `done` positions, and after the prefix that
-    already passed against f, are walked; a passing history records that it did.
+    Only the steps after the prefix that already passed against f are walked;
+    a passing history records that it did.
     """
     positions = rho.positions
     key, n = rho.checked or (None, 0)
-    done = max(done, n if key is f else 0)
+    done = n if key is f else 0
     if done < 2:
         if len(positions) < 2:
             return "history has no placement"
@@ -199,9 +198,8 @@ def _history_consistent(cache: GraphCache, f: PositionalCopStrategy, rho: Histor
     return ""
 
 
-def check_invariants(g: Digraph, pos: CopTurn, zeta: MemoryZeta,
-                     f: Optional[PositionalCopStrategy] = None,
-                     cache: Optional[GraphCache] = None) -> dict:
+def check_invariants(cache: GraphCache, pos: CopTurn, zeta: MemoryZeta,
+                     f: Optional[PositionalCopStrategy] = None) -> dict:
     """Check every invariant of the memory state: `{invariant: witness of its
     first violation, or "" if it holds}`, in INVARIANTS order.
 
@@ -212,11 +210,10 @@ def check_invariants(g: Digraph, pos: CopTurn, zeta: MemoryZeta,
     update code computed.  One pass over the entries evaluates every
     condition, and each invariant reports its first violation.  With `f`,
     `consistent` walks each history only past the prefix that already passed
-    against f (`History.checked`) and, once the chain holds, past the history
-    before it, so a shared bad step is named by the first history holding it;
-    `member-consistency` checks the one step each attached robber adds.
+    against f (`History.checked`), so a shared bad step is named by the first
+    history holding it; `member-consistency` checks the one step each
+    attached robber adds.  `cache` is the caller's, on the memory's graph.
     """
-    cache = cache or GraphCache(g)
     reach = cache.reach
     d = _derive(zeta)
     s = d.s
@@ -287,17 +284,14 @@ def check_invariants(g: Digraph, pos: CopTurn, zeta: MemoryZeta,
     # anchor: while the top robber is on the graph, its history awaits a move
     if R_s and not d.ends_cop[s]:
         violated("anchor", "top history does not end in a cop position")
-    # consistent: every stored history is a legal play of the base strategy;
-    # once the chain holds, each history walks only past the one before it
+    # consistent: every stored history is a legal play of the base strategy
     if f is None:
         del wit["member-consistency"]
     else:
-        done = 0
         for i in range(1, s + 1):
-            if why := _history_consistent(cache, f, rho[i], done):
+            if why := _history_consistent(cache, f, rho[i]):
                 violated("consistent", f"history {i}: {why}")
                 break
-            done = 0 if wit["chain"] else len(rho[i].positions)
     return wit
 
 
@@ -349,7 +343,7 @@ class MultiplyStrategy(CopStrategy):
         if zeta._checked == (pos.U, pos.R, f):
             object.__setattr__(zeta, "_checked", None)
             return
-        wit = check_invariants(self.g, pos, zeta, f=f, cache=self.cache)
+        wit = check_invariants(self.cache, pos, zeta, f=f)
         for name, why in wit.items():
             if why:
                 raise InvariantViolation(name, f"{where}: {why}")
@@ -536,8 +530,7 @@ def multiply_strategy(g: Digraph, f: PositionalCopStrategy, r: int) -> MultiplyS
 # ---------------------------------------------------------------------------
 # Adversaries and exhaustive validation
 
-def enumerate_prudent_isolating_moves(g: Digraph, pos: RobberTurn, r: int,
-                                      cache: Optional[GraphCache] = None):
+def enumerate_prudent_isolating_moves(cache: GraphCache, pos: RobberTurn, r: int):
     """All legal prudent isolating robber responses, largest sets first.
 
     Sizes run r..0, so the empty robber set is always a response.  When no
@@ -546,7 +539,6 @@ def enumerate_prudent_isolating_moves(g: Digraph, pos: RobberTurn, r: int,
     escapes remain it is the robbers leaving the graph, which ends the play
     in a capture and so cannot help them.
     """
-    cache = cache or GraphCache(g)
     up, R = pos.Uprime, pos.R
     _, legal = cache.robber_turn(pos.U, up, R)
     return [Rp for Rp in subset_masks(legal, range(r, -1, -1))
@@ -613,12 +605,11 @@ def exhaust_prudent_isolating(g: Digraph, strat: MultiplyStrategy) -> Adversaria
         cases[strat.last_tag] = cases.get(strat.last_tag, 0) + 1
         max_cops = max(max_cops, up.bit_count())
         return (AdversaryState(strat.update(mid, CopTurn(up, Rp)), up, Rp)
-                for Rp in enumerate_prudent_isolating_moves(g, RobberTurn(U, up, R), strat.r,
-                                                            cache=strat.cache))
+                for Rp in enumerate_prudent_isolating_moves(strat.cache, RobberTurn(U, up, R),
+                                                            strat.r))
 
     roots = (AdversaryState(strat.init_memory(CopTurn(0, 1 << v)), 0, 1 << v) for v in range(g.n))
-    failure, states = explore(roots, moves, effective_budget(),
-                              "adversarial search", cycle="play never ends")
+    failure, states = explore(roots, moves, "adversarial search", cycle="play never ends")
     return AdversarialReport(failure is None, failure, states, max_cops, max_robbers, cases)
 
 
@@ -654,7 +645,7 @@ def traced_run(g: Digraph, strat: MultiplyStrategy):
     cache = strat.cache
 
     def report(pos, zeta):
-        wit = check_invariants(g, pos, zeta, f=strat.f, cache=cache)
+        wit = check_invariants(cache, pos, zeta, f=strat.f)
         return {"passed": not any(wit.values()),
                 "items": [{"name": name, "passed": not why, "witness": why}
                           for name, why in wit.items()]}
@@ -674,7 +665,7 @@ def traced_run(g: Digraph, strat: MultiplyStrategy):
         records.append({"step": step, "mover": "cops", "U": _vertices(pos.U),
                         "U'": _vertices(ann), "R": _vertices(pos.R), "case_tag": tag,
                         "zeta": zeta_json(zeta), "invariant_report": None})
-        moves = enumerate_prudent_isolating_moves(g, rpos, strat.r, cache=cache)
+        moves = enumerate_prudent_isolating_moves(cache, rpos, strat.r)
         Rp = moves[0] if moves else 0
         newpos = CopTurn(ann, Rp)
         zeta = strat.update(mid, newpos)

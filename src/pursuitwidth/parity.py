@@ -192,7 +192,7 @@ def powerset_construct(pg: ParityGame, eq: ObservationEquiv) -> KnowledgeGame:
         return reversed(targets)  # last met first, as a worklist pops them
 
     init = intern(frozenset({pg.init}))
-    explore([init], expand, effective_budget(), "knowledge construction")
+    explore([init], expand, "knowledge construction")
     owner = tuple(pg.owner[next(iter(K))] for K in sets)
     color = tuple(pg.color[next(iter(K))] for K in sets)
     game = ParityGame(len(sets), owner, color, pg.actions,
@@ -228,14 +228,12 @@ class _Expanded:
         self.owner = list(pg.owner)
         self.color = list(pg.color)
         self.succ = [[] for _ in range(n)]
-        self.inter = {}
-        self.inter_info = []
+        self.inter_info = []  # (v, ai) of node n + i: position v picks action ai
         for v in range(n):
             if pg.owner[v] == 0:
                 for ai in range(len(pg.actions)):
                     if pg.succ[ai][v]:
                         node = n + len(self.inter_info)
-                        self.inter[(v, ai)] = node
                         self.inter_info.append((v, ai))
                         self.owner.append(1)
                         self.color.append(pg.color[v])
@@ -346,7 +344,7 @@ def _reachable_cycle_with_parity(start, succ_map, color, parity) -> Optional[lis
         seen.append(v)
         return iter(succ_map(v))
 
-    explore(start, moves, effective_budget(), "cycle search")
+    explore(start, moves, "cycle search")
     return next(_parity_cycle_blocks(sorted(seen), succ_map, color, parity), None)
 
 
@@ -361,7 +359,7 @@ def zielonka_solve(pg: ParityGame) -> ParityResult:
                  for v in range(pg.n) if pg.owner[v] == 0 and v in w0}
     strategy1 = {v: _move(s1, v) for v in range(pg.n) if pg.owner[v] == 1 and v in w1}
     strategy1.update(((v, pg.actions[ai]), _move(s1, node))
-                     for (v, ai), node in ex.inter.items() if node in w1)
+                     for node, (v, ai) in enumerate(ex.inter_info, pg.n) if node in w1)
     _verify_regions(pg, ex, (w0, w1), (s0, s1))
     return ParityResult(frozenset(v for v in w0 if v < pg.n),
                         frozenset(v for v in w1 if v < pg.n),
@@ -485,8 +483,7 @@ def _verify_knowledge_strategy(pg, eq, kg, sigma) -> bool:
                               for row in rows for w in row[v]]
         return iter(outs)
 
-    failure, _ = explore([(pg.init, frozenset({pg.init}))], moves, effective_budget(),
-                         "product verification")
+    failure, _ = explore([(pg.init, frozenset({pg.init}))], moves, "product verification")
     if failure is not None:
         return False
     color = {state: pg.color[state[0]] for state in succ}
@@ -518,7 +515,7 @@ def check_history_lifting(kg: KnowledgeGame, pg: ParityGame, max_len: int = 6) -
                 for nxt in ksucc[node])
 
     failure, _ = explore([(kg.game.init, frozenset({pg.init}), max_len)], moves,
-                         effective_budget(), "history lifting")
+                         "history lifting")
     return failure is None
 
 

@@ -199,10 +199,10 @@ class SolverCopStrategy(CopStrategy):
     """Winning cop strategy backed by the solver's certificates (positional),
     looked up by `GraphCache.class_key`: cops off the region's border are released."""
 
-    def __init__(self, g: Digraph, cfg: SearchConfig, cache: GraphCache, cert):
+    def __init__(self, g: Digraph, cfg: SearchConfig, cert):
         self.g = g
         self.cfg = cfg
-        self.cache = cache
+        self.cache = GraphCache(g)
         self.cert = cert
 
     def announce(self, memory, pos: CopTurn):
@@ -226,7 +226,7 @@ class SolverCopStrategy(CopStrategy):
                                 ((up, Rp) for Rp in subset_masks(escapes, robber_sets)))
 
         explore(((0, R) for R in subset_masks(self.g.full_mask, robber_sets)), moves,
-                effective_budget(), "strategy materialization")
+                "strategy materialization")
         return PositionalCopStrategy.from_masks(mapping)
 
 
@@ -235,10 +235,10 @@ class SolverRobberStrategy(RobberStrategy):
     decided lost, as `GraphCache.class_key`s, so cops parked off a region's
     border do not change its value.  Undecided classes are not lost."""
 
-    def __init__(self, g: Digraph, cfg: SearchConfig, cache: GraphCache, lost):
+    def __init__(self, g: Digraph, cfg: SearchConfig, lost):
         self.g = g
         self.cfg = cfg
-        self.cache = cache
+        self.cache = GraphCache(g)
         self.lost = lost
 
     def initial_placement(self) -> int:
@@ -270,10 +270,10 @@ class PlayoutResult:
 
 
 def playout(g: Digraph, cfg: SearchConfig, cop_strategy: CopStrategy,
-            robber_strategy: RobberStrategy, step_budget: Optional[int] = None
-            ) -> PlayoutResult:
-    """Drive the unique play of the two strategies; report its verdict."""
-    limit = step_budget if step_budget is not None else effective_budget()
+            robber_strategy: RobberStrategy) -> PlayoutResult:
+    """Drive the unique play of the two strategies; report its verdict, which
+    is BUDGET_EXCEEDED after `effective_budget()` moves."""
+    limit = effective_budget()
     cache = GraphCache(g)
     trace = [INITIAL]
     R0 = robber_strategy.initial_placement()
@@ -358,8 +358,7 @@ def validate_cop_strategy(g: Digraph, cfg: SearchConfig,
 
     roots = ((strat.init_memory(CopTurn(0, R0)), 0, R0)
              for R0 in subset_masks(g.full_mask, robber_sets))
-    failure, states = explore(roots, moves, effective_budget(),
-                              "cop-strategy validation", cycle="infinite play")
+    failure, states = explore(roots, moves, "cop-strategy validation", cycle="infinite play")
     return ValidationReport(failure is None, failure, states, max_ann)
 
 
@@ -402,7 +401,7 @@ def validate_robber_strategy(g: Digraph, cfg: SearchConfig, strat: RobberStrateg
         raise AdversaryContractError(
             f"robber strategy made an illegal initial placement: {list(bits(pos.R))}")
     root = (strat.init_memory(pos), 0, pos.R)
-    failure, states = explore([root], moves, effective_budget(), "robber-strategy validation")
+    failure, states = explore([root], moves, "robber-strategy validation")
     return ValidationReport(failure is None, failure, states)
 
 
@@ -527,7 +526,6 @@ def cleanup_strategy(g: Digraph, f: PositionalCopStrategy) -> PositionalCopStrat
     if not rep.ok:
         raise PreconditionError(f"input cop strategy is not monotone winning: {rep.witness}")
     cache = GraphCache(g)
-    limit = effective_budget()
     # Each pass hands `explore` a state once, when it is first generated, and
     # the last generated first: the order of a worklist.  Pass 1 fixes a
     # state's witness when it is generated, so that order is its output's.
@@ -552,7 +550,7 @@ def cleanup_strategy(g: Digraph, f: PositionalCopStrategy) -> PositionalCopStrat
         witness.update(dict.fromkeys(new, ann))
         return reversed(new)
 
-    explore(roots[::-1], drop_useless, limit, "cleanup")
+    explore(roots[::-1], drop_useless, "cleanup")
 
     # Pass 2: compress stretches that add no cop outside the current set.
     ftilde = {}
@@ -583,5 +581,5 @@ def cleanup_strategy(g: Digraph, f: PositionalCopStrategy) -> PositionalCopStrat
         generated.update(new)
         return reversed(new)
 
-    explore(roots[::-1], compress, limit, "cleanup")
+    explore(roots[::-1], compress, "cleanup")
     return PositionalCopStrategy.from_masks(ftilde)

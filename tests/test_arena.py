@@ -380,6 +380,14 @@ class TestSearchSolver:
         res = solve_search(random_digraph(14, 0.3, 1), SearchConfig(k=k))
         assert (res.winner, res.arena_size) == (winner, size)
 
+    def test_initial_unions_are_tried_in_ascending_order(self):
+        # two robbers may open on {2}, {3}, {2, 3}, {0..3} or all five
+        # vertices; taken in that (mask) order the solver decides 8 classes,
+        # in the unions' combination order 7, with other certificates
+        g = Digraph(5, [(0, 1), (0, 2), (0, 3), (1, 0), (4, 1), (4, 2)])
+        res = solve_search(g, SearchConfig(k=1, r=2))
+        assert (res.winner, res.arena_size) == (ROBBERS, 8)
+
 
 class TestOneNewCop:
     """A class's candidates skip every cop whose single placement is already
@@ -423,9 +431,9 @@ class TestOneNewCop:
             for r in (1, 2):
                 for k in range(1, g.n + 1):
                     cfg = SearchConfig(k=k, r=r)
-                    cache = GraphCache(g)
-                    _, _, lost = _SearchSolver(g, cfg, cache).run()
-                    robbers = SolverRobberStrategy(g, cfg, cache, lost)
+                    _, _, lost = _SearchSolver(g, cfg).run()
+                    robbers = SolverRobberStrategy(g, cfg, lost)
+                    cache = robbers.cache
                     for B, reg in lost:
                         root = next((v for v in bits(reg) if cache.reach(1 << v, B) == reg), None)
                         if root is None:
@@ -751,7 +759,7 @@ class TestSubgraphLadder:
         # reported at k = n rather than climbing without bound
         rungs = []
 
-        def lost(h, measure, k, r, cache):
+        def lost(h, measure, k, r):
             rungs.append(k)
             return False, 1
 

@@ -64,7 +64,7 @@ class TestWidthCommand:
 
     def test_a_ladder_that_loses_with_a_cop_per_vertex_is_an_internal_error(
             self, c3, monkeypatch, capsys):
-        monkeypatch.setattr(arena, "_rung", lambda h, measure, k, r, cache: (False, 1))
+        monkeypatch.setattr(arena, "_rung", lambda h, measure, k, r: (False, 1))
         code, rep = run(["width", c3], capsys)
         assert code == EXIT_INTERNAL_ERROR and rep["kind"] == "internal"
         assert "3 cops lost on 3 vertices" in rep["error"]

@@ -52,25 +52,27 @@ class TestEngine:
         return iter(self.GRAPH.get(state, ()))
 
     def test_cycle_fails_with_the_lasso(self):
-        failure, expanded = explore([0], self.moves, 100, "test", cycle="loop")
+        failure, expanded = explore([0], self.moves, "test", cycle="loop")
         assert failure == ("loop", (0, 1, 3, 1))
         assert expanded == 3
 
     def test_skipped_cycles_and_done_states_are_expanded_once(self):
-        failure, expanded = explore([0, 2, 3], self.moves, 100, "test")
+        failure, expanded = explore([0, 2, 3], self.moves, "test")
         assert failure is None
         assert expanded == 4  # 0, 1, 3, 2; 9 is a leaf and not expanded
 
     def test_verdicts_at_a_state_and_on_a_move(self):
         self.GRAPH = {0: [1], 1: [7]}
-        assert explore([0], self.moves, 100, "test") == (("bad state", (0, 1, 7)), 2)
+        assert explore([0], self.moves, "test") == (("bad state", (0, 1, 7)), 2)
         self.GRAPH = {0: [1], 1: [9, "bad move"]}
-        assert explore([0], self.moves, 100, "test") == (("bad move", (0, 1)), 2)
+        assert explore([0], self.moves, "test") == (("bad move", (0, 1)), 2)
 
-    def test_budget_bounds_expanded_states(self):
-        assert explore([0], self.moves, 4, "test")[1] == 4
+    def test_budget_bounds_expanded_states(self, monkeypatch):
+        monkeypatch.setenv("PURSUITWIDTH_BUDGET", "4")
+        assert explore([0], self.moves, "test")[1] == 4
+        monkeypatch.setenv("PURSUITWIDTH_BUDGET", "3")
         with pytest.raises(ResourceError, match="test exceeded the budget"):
-            explore([0], self.moves, 3, "test")
+            explore([0], self.moves, "test")
 
 
 # ---------------------------------------------------------------------------
@@ -178,7 +180,7 @@ def _multiplier_line(g, strat, path):
     for (zeta, U, R), (zeta2, U2, R2) in zip(path, path[1:]):
         up, mid = strat.announce(zeta, CopTurn(U, R))
         assert U2 == up
-        moves = enumerate_prudent_isolating_moves(g, RobberTurn(U, U2, R), strat.r)
+        moves = enumerate_prudent_isolating_moves(GraphCache(g), RobberTurn(U, U2, R), strat.r)
         assert R2 in moves
         assert zeta2 == strat.update(mid, CopTurn(U2, R2))
 

@@ -1,7 +1,7 @@
 import pytest
 
-from pursuitwidth.arena import (CopTurn, GraphCache, RobberTurn, SearchConfig,
-                                effective_budget, explore, solve_search, width)
+from pursuitwidth.arena import (CopTurn, GraphCache, RobberTurn, SearchConfig, explore,
+                                solve_search, width)
 from pursuitwidth.cli import small_corpus
 from pursuitwidth.digraph import Digraph
 from pursuitwidth.errors import (AdversaryContractError, InvariantViolation,
@@ -53,7 +53,7 @@ class TestInitMemory:
         zeta = multiplied(g, 2).init_memory(CopTurn(0, 0b1))
         assert zeta.s == 1
         assert zeta.rho_s.last() == CopTurn(0, 0b1)
-        report = check_invariants(g, CopTurn(0, 0b1), zeta)
+        report = check_invariants(GraphCache(g), CopTurn(0, 0b1), zeta)
         assert not any(report.values())
 
     def test_split_start_rejected(self):
@@ -70,7 +70,7 @@ class TestInitMemory:
         strat = multiplied(g, 2)
         for v in range(4):
             zeta = strat.init_memory(CopTurn(0, 1 << v))
-            assert not any(check_invariants(g, CopTurn(0, 1 << v), zeta).values())
+            assert not any(check_invariants(GraphCache(g), CopTurn(0, 1 << v), zeta).values())
 
 
 class TestCopMove:
@@ -91,7 +91,7 @@ class TestCopMove:
                         CopTurn(0b100, 0b10)))
         # {0} is not closed once 2 is guarded: 0 still reaches 1
         zeta = MemoryZeta((HistoryEntry(rho1, 0b1, 0b1),), rho2)
-        report = check_invariants(g, CopTurn(0b100, 0b11), zeta)
+        report = check_invariants(GraphCache(g), CopTurn(0b100, 0b11), zeta)
         name, witness = _first_violation(report)
         assert name == "omit-closed"
         assert "1" in witness
@@ -166,8 +166,8 @@ class TestMultiplied:
         f = res.cop_strategy.as_positional()
         mult = multiply_strategy(g, f, r=1)
         rob = solve_search(g, SearchConfig(k=k - 1, r=1)).robber_strategy
-        direct = playout(g, SearchConfig(k=k, r=1), f, rob, 200)
-        lifted = playout(g, SearchConfig(k=k, r=1), mult, rob, 200)
+        direct = playout(g, SearchConfig(k=k, r=1), f, rob)
+        lifted = playout(g, SearchConfig(k=k, r=1), mult, rob)
         assert direct.trace == lifted.trace
 
     def test_cycle_two_teams(self):
@@ -243,7 +243,7 @@ class TestMultiplied:
     def test_adversary_moves_are_prudent_and_isolating(self):
         g = cycle_digraph(5)
         pos = RobberTurn(0, 0b1, 0b10100)
-        moves = enumerate_prudent_isolating_moves(g, pos, 2)
+        moves = enumerate_prudent_isolating_moves(GraphCache(g), pos, 2)
         assert moves
         for Rp in moves:
             assert GraphCache(g).is_prudent(pos.R, pos.Uprime, Rp)
@@ -297,6 +297,7 @@ class TestCheckedOnce:
 
     def setup_method(self):
         self.g = Digraph(6, ALL_CASES_EDGES)
+        self.cache = GraphCache(self.g)
         self.strat = multiply_strategy(self.g, ALL_CASES_BASE, r=3)
         self.f = self.strat.f
         self.pos = CopTurn(0b101, 0b100010)
@@ -305,11 +306,11 @@ class TestCheckedOnce:
 
     def test_the_hand_built_memory_passes(self):
         zeta = self.memory()
-        assert not any(check_invariants(self.g, self.pos, zeta, f=self.f).values())
+        assert not any(check_invariants(self.cache, self.pos, zeta, f=self.f).values())
         assert zeta.rho_s.checked == (self.f, len(zeta.rho_s))
 
     def test_a_corrupted_earlier_step_at_a_fresh_position_is_caught(self):
-        assert not any(check_invariants(self.g, self.pos, self.memory(), f=self.f).values())
+        assert not any(check_invariants(self.cache, self.pos, self.memory(), f=self.f).values())
         # the same memory with the first announcement changed in both
         # histories: every set the invariants derive stays the same
         bad = self.memory(announced=0b1001)
@@ -326,7 +327,7 @@ class TestCheckedOnce:
         good, bad = self.memory(), self.memory(announced=0b1001)
         entries, top = (bad.entries, good.rho_s) if bad_history == 1 else (good.entries,
                                                                             bad.rho_s)
-        report = check_invariants(self.g, self.pos, MemoryZeta(entries, top), f=self.f)
+        report = check_invariants(self.cache, self.pos, MemoryZeta(entries, top), f=self.f)
         assert report["chain"]
         assert report["consistent"].startswith(
             f"history {bad_history}: announcement")
@@ -361,18 +362,18 @@ class TestCheckedOnce:
 
     def test_the_appended_step_of_a_checked_history_is_walked(self):
         zeta = self.memory()
-        assert not any(check_invariants(self.g, self.pos, zeta, f=self.f).values())
+        assert not any(check_invariants(self.cache, self.pos, zeta, f=self.f).values())
         want = self.f.lookup(0b101, 0b10)
         for up, ok in ((want, True), (0b1001, False)):
             longer = MemoryZeta(zeta.entries, zeta.rho_s.append(RobberTurn(0b101, up, 0b10)))
             assert longer.rho_s.checked == zeta.rho_s.checked
-            report = check_invariants(self.g, self.pos, longer, f=self.f)
+            report = check_invariants(self.cache, self.pos, longer, f=self.f)
             assert (not report["consistent"]) is ok
 
     def test_an_attached_robber_needs_a_legal_added_step(self):
         # from 2, with a cop kept on 0 and one landing on 2, a robber can
         # reach 1 and 5 but not 3
-        report = check_invariants(self.g, CopTurn(0b101, 0b1010), self.memory(Rset=0b1000),
+        report = check_invariants(self.cache, CopTurn(0b101, 0b1010), self.memory(Rset=0b1000),
                                   f=self.f)
         assert "robber move 2->3 illegal" in report["member-consistency"]
         assert not report["consistent"]
@@ -380,7 +381,7 @@ class TestCheckedOnce:
     @pytest.mark.parametrize("name,pos,changes,witness", BROKEN_MEMORIES,
                              ids=[case[0] for case in BROKEN_MEMORIES])
     def test_each_invariant_fires_on_a_memory_that_breaks_it(self, name, pos, changes, witness):
-        report = check_invariants(self.g, pos or self.pos, self.memory(**changes), f=self.f)
+        report = check_invariants(self.cache, pos or self.pos, self.memory(**changes), f=self.f)
         assert report[name] == witness
 
     @pytest.mark.parametrize("tail,witness", [
@@ -392,19 +393,19 @@ class TestCheckedOnce:
          "CopTurn(U=[], R=[1]) does not follow RobberTurn(U=[0, 4], U'=[0, 2], R=[2])"),
     ], ids=["after-a-cop-turn", "after-a-robber-turn"])
     def test_a_step_that_does_not_follow_is_named(self, tail, witness):
-        report = check_invariants(self.g, self.pos, self.memory(tail=tail), f=self.f)
+        report = check_invariants(self.cache, self.pos, self.memory(tail=tail), f=self.f)
         assert report["consistent"] == f"history 2: {witness}"
 
     def test_a_first_placement_with_cops_is_named(self):
         zeta = MemoryZeta((), History((CopTurn(0b1, 0b10),)))
-        report = check_invariants(self.g, CopTurn(0b1, 0b10), zeta, f=self.f)
+        report = check_invariants(self.cache, CopTurn(0b1, 0b10), zeta, f=self.f)
         assert report["consistent"] == (
             "history 1: first placement must have no cops, got CopTurn(U=[0], R=[1])")
 
     def test_an_attached_robber_on_a_cop_of_its_team_is_reported(self):
         # robber 0 attached to history 1, whose team holds 0: no robber
         # position can be built for its step, and partition names it
-        report = check_invariants(self.g, self.pos, self.memory(Rset=0b100001), f=self.f)
+        report = check_invariants(self.cache, self.pos, self.memory(Rset=0b100001), f=self.f)
         assert _first_violation(report)[0] == "partition"
 
 
@@ -466,10 +467,10 @@ class TestSharedWork:
         checked_at = set()
         check = multiply.check_invariants
 
-        def recorded(g, pos, zeta, f=None, cache=None):
+        def recorded(cache, pos, zeta, f=None):
             checked.append(zeta)
             checked_at.add((id(zeta), pos, id(f)))
-            return check(g, pos, zeta, f=f, cache=cache)
+            return check(cache, pos, zeta, f=f)
         monkeypatch.setattr(multiply, "check_invariants", recorded)
         announce = MultiplyStrategy.announce
         moves = []
@@ -547,13 +548,13 @@ def _exact_run(g, strat):
         tag = strat.last_tag
         most["cops"] = max(most["cops"], up.bit_count())
         nxt = [(strat.update(mid, CopTurn(up, Rp)), up, Rp)
-               for Rp in enumerate_prudent_isolating_moves(g, RobberTurn(U, up, R), strat.r)]
+               for Rp in enumerate_prudent_isolating_moves(strat.cache, RobberTurn(U, up, R), strat.r)]
         move = (up, tag, frozenset(AdversaryState(*s) for s in nxt))
         assert move_of.setdefault(AdversaryState(*state), move) == move
         return iter(nxt)
 
     roots = [(strat.init_memory(CopTurn(0, 1 << v)), 0, 1 << v) for v in range(g.n)]
-    failure, _ = explore(roots, moves, effective_budget(), "exact search", cycle="infinite")
+    failure, _ = explore(roots, moves, "exact search", cycle="infinite")
     tags = {tag for _, tag, _ in move_of.values()}
     return (failure is None, most["cops"], most["robbers"], tags), move_of
 
@@ -642,7 +643,7 @@ class TestKeyedAdversary:
         good, other = hand_memory(), hand_memory(announced=0b1001)
         zeta = (MemoryZeta(other.entries, good.rho_s) if broken == "entry"
                 else MemoryZeta(good.entries, other.rho_s))
-        assert check_invariants(Digraph(6, ALL_CASES_EDGES), pos, zeta)["chain"]
+        assert check_invariants(GraphCache(Digraph(6, ALL_CASES_EDGES)), pos, zeta)["chain"]
         mixed = AdversaryState(zeta, pos.U, pos.R)
         assert mixed != AdversaryState(good, pos.U, pos.R)
         assert mixed != AdversaryState(other, pos.U, pos.R)

@@ -14,7 +14,7 @@ from pursuitwidth.families import (TopDownTreeCops, cops_topdown_thm7, cycle_dig
 from pursuitwidth.multiply import exhaust_prudent_isolating, multiply_strategy
 from pursuitwidth.parity import (ObservationEquiv, distinguisher_game,
                                  lift_cop_strategy, powerset_construct)
-from pursuitwidth.strategy import (COPS_WIN, NON_MONOTONE,
+from pursuitwidth.strategy import (BUDGET_EXCEEDED, COPS_WIN, NON_MONOTONE,
                                    ROBBERS_WIN, CopStrategy, History, PositionalCopStrategy,
                                    cleanup_strategy, isolating_transform,
                                    ValidationReport, playout, prudent_transform,
@@ -58,7 +58,7 @@ class TestHistory:
 class TestPlayout:
     def test_single_vertex_quick_capture(self):
         f = PositionalCopStrategy({(frozenset(), frozenset({0})): frozenset({0})})
-        res = playout(single, SearchConfig(k=1), f, FixedRobber(0), 10)
+        res = playout(single, SearchConfig(k=1), f, FixedRobber(0))
         assert res.verdict == COPS_WIN
         assert res.steps <= 2
 
@@ -68,22 +68,33 @@ class TestPlayout:
             (frozenset(), frozenset({0})): frozenset({1}),
             (frozenset({1}), frozenset({0})): frozenset({2}),
         })
-        res = playout(g, SearchConfig(k=1), f, FixedRobber(0), 10)
+        res = playout(g, SearchConfig(k=1), f, FixedRobber(0))
         assert res.verdict == NON_MONOTONE
 
     def test_strategy_hole_is_reported(self):
         g = cycle_digraph(3)
         f = PositionalCopStrategy({(frozenset(), frozenset({0})): frozenset({1})})
         with pytest.raises(StrategyHoleError):
-            playout(g, SearchConfig(k=1), f, FixedRobber(0), 10)
+            playout(g, SearchConfig(k=1), f, FixedRobber(0))
 
     def test_deterministic_trace(self):
         g = cycle_digraph(3)
         res = solve_search(g, SearchConfig(k=2))
         rob = solve_search(g, SearchConfig(k=1)).robber_strategy
-        a = playout(g, SearchConfig(k=2), res.cop_strategy, rob, 100)
-        b = playout(g, SearchConfig(k=2), res.cop_strategy, rob, 100)
+        a = playout(g, SearchConfig(k=2), res.cop_strategy, rob)
+        b = playout(g, SearchConfig(k=2), res.cop_strategy, rob)
         assert a.trace == b.trace and a.verdict == b.verdict == COPS_WIN
+
+    def test_the_budget_bounds_the_moves(self, monkeypatch):
+        g = cycle_digraph(3)
+        cops = solve_search(g, SearchConfig(k=2)).cop_strategy
+        rob = solve_search(g, SearchConfig(k=1)).robber_strategy
+        won = playout(g, SearchConfig(k=2), cops, rob)
+        assert (won.verdict, won.steps) == (COPS_WIN, 2)
+        monkeypatch.setenv("PURSUITWIDTH_BUDGET", "1")
+        cut = playout(g, SearchConfig(k=2), cops, rob)
+        assert (cut.verdict, cut.steps) == (BUDGET_EXCEEDED, 1)
+        assert cut.trace == won.trace[:4]  # the placement and one move
 
     def test_solver_robber_beats_every_single_cop_line(self):
         g = cycle_digraph(3)
@@ -97,7 +108,7 @@ class TestPlayout:
             {(frozenset(), frozenset({v})): frozenset({(v + 1) % 3}) for v in range(3)}
             | {(frozenset({u}), frozenset({v})): frozenset({u})
                for u in range(3) for v in range(3) if u != v})
-        res = playout(g, SearchConfig(k=1), stay, rob, 200)
+        res = playout(g, SearchConfig(k=1), stay, rob)
         assert res.verdict in (ROBBERS_WIN, NON_MONOTONE)
 
 
@@ -126,13 +137,13 @@ class TestInitialPlacement:
         if positional:
             cops = cops.as_positional()
         with pytest.raises(PreconditionError, match=r"illegal initial placement \[7\]"):
-            playout(g, SearchConfig(k=2), cops, self.placed(1 << 7), 10)
+            playout(g, SearchConfig(k=2), cops, self.placed(1 << 7))
 
     def test_a_placement_that_is_no_mask_is_rejected_before_it_is_read(self):
         # the vertices of a negative int never run out
         g, cfg = cycle_digraph(3), SearchConfig(k=1, r=1)
         with pytest.raises(TypeError, match="nonnegative"):
-            playout(g, cfg, PositionalCopStrategy({}), self.placed(-3), 10)
+            playout(g, cfg, PositionalCopStrategy({}), self.placed(-3))
         with pytest.raises(TypeError, match="nonnegative"):
             validate_robber_strategy(g, cfg, self.placed(-3))
 
@@ -355,13 +366,33 @@ class TestCleanup:
                                     (frozenset(), frozenset({0})): frozenset({0, 1})}
 
     def test_idempotent_on_solver_strategies(self):
+        # a certificate keeps its border cops and adds new ones inside the
+        # region, so the solver's strategies are in normal form already
         for n in (3, 4):
             for g in list(enumerate_strongly_connected(n))[:6]:
                 k = width(g, "dw")
                 f = solve_search(g, SearchConfig(k=k)).cop_strategy.as_positional()
                 ft = cleanup_strategy(g, f)
+                assert ft.mapping == f.mapping
                 ft2 = cleanup_strategy(g, ft)
                 assert ft2.mapping == ft.mapping
+
+    def test_parked_cop_and_idle_stretch(self):
+        # 0 -> 1 -> 2, and 3 alone.  Against a robber on 0, f parks a cop on
+        # 3, which no robber reaches, so pass 1 looks f up at its own cop set
+        # {1, 3}, where the cleaned play has {1}; against the robber then on
+        # 2, f lifts the cop on 1 and places no cop, an idle move that pass 2
+        # folds into f's next placement, on 2
+        g = Digraph(4, [(0, 1), (1, 2)])
+        f = PositionalCopStrategy.from_masks({
+            (0, 0b0001): 0b1010, (0b1010, 0b0001): 0b1011,
+            (0b1010, 0b0100): 0b1000, (0b1000, 0b0100): 0b1100,
+            (0, 0b0010): 0b0110, (0, 0b0100): 0b0100, (0, 0b1000): 0b1000})
+        ft = cleanup_strategy(g, f)
+        assert ft.mapping == {(0, 0b0001): 0b0010, (0b0010, 0b0001): 0b0011,
+                              (0b0010, 0b0100): 0b0100, (0, 0b0010): 0b0110,
+                              (0, 0b0100): 0b0100, (0, 0b1000): 0b1000}
+        assert validate_cop_strategy(g, SearchConfig(k=2), ft).ok
 
     def test_normal_form_contract(self):
         g = cycle_digraph(4)
