@@ -20,6 +20,9 @@ search, and the paths of a robber turn that avoid the announced cops stay
 inside its escape set, so its regions are searched for there, not in the
 whole graph.  That one forward search also yields each region's out-set,
 hence its border, and a successor class decided before is read in place.
+So is one whose size forces its value: with k cops on its border it is lost,
+as each candidate keeps them and adds one; outside the SCC-restricted game,
+with room for a cop on each vertex of its region it is won by capture.
 
 One new cop at a time: if U | X wins the robber turn of class (U, reg), so
 does U | {x} for x in X: its robbers take u1, at most r regions of reg - x
@@ -327,8 +330,11 @@ class _SearchSolver:
     turn, the initial placement (cops Up = 0) included: it is lost at its
     first lost successor, so the pass stops at the first lost initial class.
     A successor's border comes with its region from the one search of
-    `_escape_regions`, and a successor already in `value` is read there: only
-    undecided classes go to the trampoline in `run`.
+    `_escape_regions`, and a successor already in `value` is read there, or
+    decided there when forced: (B, u) is lost if k - |B| < 1, as no candidate
+    fits, and outside the SCC-restricted game won if k - |B| >= |u|, as its
+    first candidate B | u captures (no x of u is dropped below: each B | {x}
+    wins by the lemma).  Only other classes go to the trampoline in `run`.
 
     A candidate holding a cop x whose turn U | {x} is lost loses too, as
     after U | {x} the cops could add the rest of X later (module docstring),
@@ -344,6 +350,7 @@ class _SearchSolver:
         self.budget = effective_budget()
         self.turns = {}  # robber turn (Up, escapes) -> whether the cops win it
         self.value = {}  # decided class -> its certificate, or 0 when lost
+        self.stack = []  # the trampoline: (class, generator deciding it)
 
     def _candidates(self, U: int, reg: int):
         """The new cops X of the announcements U | X, aggressive placements
@@ -355,7 +362,7 @@ class _SearchSolver:
         """
         # the pruned class rule, apart from GraphCache: the validators check it
         allowed = reg
-        room = self.k - U.bit_count()  # below 1 no subset is yielded
+        room = self.k - U.bit_count()
         if self.restricted:  # new cops only in the component of reg's root
             root = next(v for v in bits(reg) if reach_mask(self.out, 1 << v, U) == reg)
             allowed = reach_mask(self.inn, 1 << root, ~reg)  # GraphCache.component(U, root)
@@ -399,12 +406,25 @@ class _SearchSolver:
     def _turn(self, Up: int, unions):
         """Yield the undecided successor classes of the robber turn whose
         (region, out-set) unions are `unions`, against cops Up, until one is
-        lost, each sent back as its certificate or 0; return whether none was."""
-        value = self.value
+        lost, each sent back as its certificate or 0; return whether none was.
+        A class whose size forces its value is decided here instead."""
+        value, k = self.value, self.k
         for u, out_set in unions:
-            key = (Up & out_set, u)  # GraphCache.class_key(Up, u)
+            B = Up & out_set
+            key = (B, u)  # GraphCache.class_key(Up, u)
             got = value.get(key)
-            if not (got if got is not None else (yield key)):
+            if got is None:
+                if len(value) + len(self.stack) > self.budget:
+                    raise ResourceError(f"arena exceeded the position budget ({self.budget})",
+                                        budget=self.budget, context=f"k={k}, r={self.r}")
+                room = k - B.bit_count()
+                if room < 1:  # no cop to add
+                    got = value[key] = 0
+                elif room >= u.bit_count() and not self.restricted:  # capture
+                    got = value[key] = B | u
+                else:
+                    got = yield key
+            if not got:
                 return False
         return True
 
@@ -429,10 +449,10 @@ class _SearchSolver:
         A trampoline, not recursion: one generator per class being decided,
         on a stack as deep as the longest chain of shrinking regions.
         """
-        value = self.value
+        value, stack = self.value, self.stack
         # the initial placement, its unions in ascending order
         unions = sorted(_region_unions(self._escape_regions(0, self.full), self.r))
-        stack = [(None, self._turn(0, unions))]
+        stack.append((None, self._turn(0, unions)))
         answer = None
         while True:
             key, gen = stack[-1]
@@ -445,9 +465,6 @@ class _SearchSolver:
                     return done.value, won, value.keys() - won.keys()
                 value[key] = answer = done.value
                 continue
-            if len(value) + len(stack) > self.budget:
-                raise ResourceError(f"arena exceeded the position budget ({self.budget})",
-                                    budget=self.budget, context=f"k={self.k}, r={self.r}")
             stack.append((need, self._decide(*need)))
             answer = None
 

@@ -16,6 +16,7 @@ counts and witnesses stay the same.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Optional
 
 from .arena import (INITIAL, CopTurn, GraphCache, Initial, RobberTurn,
@@ -198,11 +199,11 @@ class PositionalCopStrategy(CopStrategy):
 class SolverCopStrategy(CopStrategy):
     """Winning cop strategy backed by the solver's certificates (positional),
     looked up by `GraphCache.class_key`: cops off the region's border are released."""
+    cache = cached_property(lambda self: GraphCache(self.g))  # built on first use
 
     def __init__(self, g: Digraph, cfg: SearchConfig, cert):
         self.g = g
         self.cfg = cfg
-        self.cache = GraphCache(g)
         self.cert = cert
 
     def announce(self, memory, pos: CopTurn):
@@ -234,11 +235,11 @@ class SolverRobberStrategy(RobberStrategy):
     """Winning robber strategy that stays inside the classes the solver
     decided lost, as `GraphCache.class_key`s, so cops parked off a region's
     border do not change its value.  Undecided classes are not lost."""
+    cache = cached_property(lambda self: GraphCache(self.g))  # built on first use
 
     def __init__(self, g: Digraph, cfg: SearchConfig, lost):
         self.g = g
         self.cfg = cfg
-        self.cache = GraphCache(g)
         self.lost = lost
 
     def initial_placement(self) -> int:

@@ -407,7 +407,8 @@ class TestOneNewCop:
 
     def test_lost_rung_skips_refuted_cops(self, monkeypatch):
         # 78,760 candidates without the rule, over the same 3,104 classes;
-        # 18,353 while each of the 3,087 lost classes also tried the idle one
+        # 18,353 while each of the 3,087 lost classes also tried the idle one;
+        # 15,266 while the 10 classes won by capture each enumerated theirs
         yielded = []
         candidates = _SearchSolver._candidates
 
@@ -418,7 +419,7 @@ class TestOneNewCop:
 
         monkeypatch.setattr(_SearchSolver, "_candidates", counted)
         res = solve_search(random_digraph(14, 0.3, 1), SearchConfig(k=5))
-        assert (res.winner, res.arena_size, len(yielded)) == (ROBBERS, 3104, 15266)
+        assert (res.winner, res.arena_size, len(yielded)) == (ROBBERS, 3104, 15256)
 
     def test_robber_replies_stay_in_classes_decided_lost(self):
         """Each candidate of a lost class was refuted, or holds a cop x whose
@@ -448,6 +449,47 @@ class TestOneNewCop:
         assert checks == 11285
 
 
+def _forced_corpus():
+    """Every strongly connected digraph on at most 4 vertices, plus 16 seeded
+    random digraphs on 5 or 6 vertices."""
+    return small_corpus(4) + [(f"rnd{5 + i % 2}-{i}", random_digraph(5 + i % 2, 0.35, 5000 + i))
+                              for i in range(16)]
+
+
+FORCED_CORPUS = _forced_corpus()
+
+
+class YieldingEvery(_SearchSolver):
+    """The solver whose robber turns yield every undecided successor class to
+    the trampoline, forced or not: a class with no room for a cop is lost there
+    at once, and one with room for its whole region is won by its first candidate."""
+
+    def _turn(self, Up, unions):
+        value = self.value
+        for u, out_set in unions:
+            key = (Up & out_set, u)
+            got = value.get(key)
+            if not (got if got is not None else (yield key)):
+                return False
+        return True
+
+
+class TestForcedClasses:
+    """A robber turn decides a successor class whose value its size forces in
+    place: lost when its border holds k cops, won by capture when, outside the
+    SCC-restricted game, the cops left can stand on the whole region."""
+
+    @pytest.mark.parametrize("name,g", FORCED_CORPUS, ids=[n for n, _ in FORCED_CORPUS])
+    def test_decide_as_the_trampoline_does(self, name, g):
+        cfgs = [SearchConfig(k=k, r=r) for r in (1, 2, 3) for k in range(g.n + 1)]
+        cfgs += [SearchConfig(k=k, restrict_to_scc=True) for k in range(g.n + 1)]
+        for cfg in cfgs:
+            solver, every = _SearchSolver(g, cfg), YieldingEvery(g, cfg)
+            assert solver.run() == every.run(), (name, cfg)
+            # the same classes, decided in the same order with the same values
+            assert list(solver.value.items()) == list(every.value.items()), (name, cfg)
+
+
 def _escape_corpus():
     """Every strongly connected digraph on at most 4 vertices, plus 20 seeded
     random digraphs on 6 to 9 vertices."""
@@ -464,33 +506,29 @@ ESCAPE_CORPUS = _escape_corpus()
 def _ladder_robber_turns(g, r):
     """Record the dw_r ladder of g, from one cop up to the first rung the cops
     win: (Up, escapes, (region, out-set) pairs) of every robber turn it
-    evaluates, and (Up, class) for every successor class it yields, where Up
-    is the announcement whose turn needs the class."""
+    evaluates, and (Up, class) for every successor class it yields or decides
+    in place, where Up is the announcement whose turn needs the class."""
     turns, yielded = [], []
 
     class Recording(_SearchSolver):
-        def __init__(self, g, cfg):
-            super().__init__(g, cfg)
-            self.trying = {}  # class being decided -> the announcement it tries
-
         def _escape_regions(self, Up, escapes):
             pairs = super()._escape_regions(Up, escapes)
             turns.append((Up, escapes, pairs))
             return pairs
 
-        def _candidates(self, U, reg):
-            for X in super()._candidates(U, reg):
-                self.trying[U, reg] = U | X
-                yield X
-
-        def _decide(self, U, reg):
-            inner, answer = super()._decide(U, reg), None
+        def _turn(self, Up, unions):
+            inner, answer = super()._turn(Up, unions), None
             while True:
+                known = len(self.value)
                 try:
                     key = inner.send(answer)
                 except StopIteration as done:
-                    return done.value
-                yielded.append((self.trying[U, reg], key))
+                    key, won = None, done.value
+                # the classes inner decided in place since it was resumed
+                yielded.extend((Up, c) for c in itertools.islice(self.value, known, None))
+                if key is None:
+                    return won
+                yielded.append((Up, key))
                 answer = yield key
 
     for k in range(1, g.n + 1):
@@ -776,6 +814,21 @@ class TestSubgraphLadder:
         assert str(exc.value).endswith("while testing k=2 on an induced subgraph of 8 vertices")
         # what the ladder had proved: one cop loses on those 8 vertices
         assert exc.value.lower_bound["k"] == 1 and len(exc.value.lower_bound["vertices"]) == 8
+
+    @pytest.mark.parametrize("budget,context,bound", [
+        (50, "k=3, vertices=8", {"k": 2, "vertices": [0, 1, 2, 4, 7, 9, 10, 11]}),
+        (300, "k=4, vertices=11", {"k": 3, "vertices": [0, 1, 2, 4, 7, 9, 10, 11]}),
+        (1000, "k=5, vertices=12", {"k": 4, "vertices": [0, 1, 2, 4, 5, 6, 7, 9, 10, 11, 12]}),
+    ], ids=["50", "300", "1000"])
+    def test_the_budget_counts_every_class_a_rung_decides(self, budget, context, bound,
+                                                         monkeypatch):
+        # the classes whose size forces their value count against the budget
+        # too, so each budget stops the ladder where it did when every class
+        # went through the trampoline
+        monkeypatch.setenv("PURSUITWIDTH_BUDGET", str(budget))
+        with pytest.raises(ResourceError) as exc:
+            width(random_digraph(14, 0.3, 1), "dw")
+        assert (exc.value.context, exc.value.lower_bound) == (context, bound)
 
     @pytest.mark.parametrize("g,measure", [(gen_grk(1, 2), "dw"),
                                            (random_digraph(8, 0.3, 5), "dpw")],
