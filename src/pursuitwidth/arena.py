@@ -185,13 +185,21 @@ class GraphCache:
         rb = self.reach(R, U & up)
         return U & ~up & rb, rb & ~up
 
+    def reached(self, U: int, R: int) -> dict:
+        """Per robber v of R: the other robbers it reaches once the cops U stand."""
+        return {v: self.reach(1 << v, U) & R & ~(1 << v) for v in bits(R)}
+
     def is_isolating(self, U: int, R: int) -> bool:
         """No robber of R can reach another once the cops U stand."""
-        return not any(self.reach(1 << v, U) & R & ~(1 << v) for v in bits(R))
+        return not any(self.reached(U, R).values())
+
+    def prudent(self, R: int, up: int) -> int:
+        """Where robbers at R may land prudently: R and what up cuts off from R."""
+        return R | ~self.reach(R, up)
 
     def is_prudent(self, R: int, up: int, Rp: int) -> bool:
         """Robbers move from R to Rp only onto vertices that up cuts off from R."""
-        return (Rp & ~R) & self.reach(R, up) == 0
+        return not Rp & ~self.prudent(R, up)
 
     def class_key(self, U: int, reg: int):
         """The solver's class of cop set U against robber region reg: the

@@ -4,25 +4,28 @@ A memory state tracks a chain of one-robber play histories, one per robber
 team, together with the robbers attached to each history and the placements
 that were deliberately omitted because an earlier team's robber could still
 reach them.  Positions, robber sets and omitted sets are vertex masks
-throughout; a history's positions hold one robber each.  The strategy
-object `MultiplyStrategy` makes every memory and bounds it: no memory holds
-more than r+1 histories and no move announces more than r*k cops.  It also
-checks every documented invariant of the construction at runtime, once per
-memory it makes: when the robbers' reply makes it, or on entry to the cop
-move for an opening memory and one the reply left unchanged.  A violation
-raises with the invariant's name and witness vertices.  The checker shares one
-thing with the move and update code: the derivation of an immutable memory
-into per-history masks (`_derive`), a pure function of the memory.  Every
-reachability condition it evaluates itself.  Vertex lists appear only in
-the JSON of `zeta_json` and `traced_run`.
+throughout; a history's positions hold one robber each.  The strategy object
+`MultiplyStrategy` makes every memory and bounds it: no memory holds more than
+r+1 histories and no move announces more than r*k cops.  It checks every
+documented invariant of the construction at runtime on entry to the cop move,
+and a capture's memory, which no cop move opens, when the robbers' reply makes
+it.  A violation raises with the invariant's name and witness vertices.  The
+checker shares one thing with the move and update code: the derivation of an
+immutable memory into per-history masks (`_derive`), a pure function of the
+memory.  Every reachability condition it evaluates itself.  Vertex lists
+appear only in the JSON of `zeta_json` and `traced_run`.
 
 The exhaustive adversary keys a state by what its future depends on: with c
 the last index of the shortest history, by U, R, the longest history from c
 on, and each entry's robber and omitted sets and history from c on (whole if
 it does not continue the longest one); a capture, which has no future, by U
-and R alone.  This is exact: the histories agree on their first c positions,
-which passed the checks when their memory was made, and moves, updates and
-checks read them from c on or compare them over those.
+and R alone.  This is exact: the histories all begin with the shortest one,
+whose steps `_memory` walks as it makes a memory, and moves, updates and
+checks read them from c on or compare them over it.  So a memory m needs no
+check if the adversary expanded its key with a memory m0 that passed: as the
+key shows, m's histories are prefixes of its longest one with rising lengths
+as m0's are, and the checker reads all else of m (last positions, robber and
+omitted sets, steps from c on, U and R) in the key, where m0 passed.
 """
 from __future__ import annotations
 
@@ -30,7 +33,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Optional
 
-from .arena import CopTurn, GraphCache, RobberTurn, explore, subset_masks
+from .arena import CopTurn, GraphCache, RobberTurn, explore
 from .digraph import Digraph, bits, is_strongly_connected
 from .errors import (AdversaryContractError, InvariantViolation,
                      PreconditionError, StrategyHoleError)
@@ -55,14 +58,12 @@ class HistoryEntry:
 
 @dataclass(frozen=True)
 class MemoryZeta:
-    """The multiplier's memory: entries 1..s-1 plus the longest history;
-    `_checked` is (U, R, base strategy) of a check no cop move has used yet."""
+    """The multiplier's memory: entries 1..s-1 plus the longest history."""
     entries: tuple
     rho_s: History
 
     def __post_init__(self):
         object.__setattr__(self, "_hash", hash((self.entries, self.rho_s)))
-        object.__setattr__(self, "_checked", None)
 
     def __hash__(self):
         return self._hash
@@ -315,17 +316,18 @@ class MultiplyStrategy(CopStrategy):
         self.k = k
         self.cache = GraphCache(g)
         self.last_tag = None
+        self.checks = 0  # memories checked
 
     def init_memory(self, pos: CopTurn) -> MemoryZeta:
         """Memory after the robbers' opening placement (a single vertex)."""
         R0 = pos.R
         if not R0 or R0 & (R0 - 1):
             raise PreconditionError(f"unsupported initial split: {list(bits(R0))}")
-        return MemoryZeta((), History((CopTurn(0, R0),)))
+        return self._memory((), History((CopTurn(0, R0),)))
 
     def _memory(self, entries: tuple, rho_s: History) -> MemoryZeta:
         """A new memory, held to the chain bound: at most r+1 histories, and a
-        full chain repeats its last placement set."""
+        full chain repeats its last placement set; its shortest history is a play of f."""
         zeta = MemoryZeta(entries, rho_s)
         if zeta.s > self.r + 1:
             raise InvariantViolation("chain-bound", f"{zeta.s} histories for r={self.r}")
@@ -334,20 +336,16 @@ class MultiplyStrategy(CopStrategy):
             if d.W[zeta.s] != d.W[zeta.s - 1]:
                 raise InvariantViolation(
                     "chain-bound", "a full chain must repeat its last placement set")
+        if why := _history_consistent(self.cache, self.f, entries[0].rho if entries else rho_s):
+            raise InvariantViolation("consistent", f"as the memory is made: history 1: {why}")
         return zeta
 
     def _require_invariants(self, pos: CopTurn, zeta: MemoryZeta, where: str):
-        """Raise on the first violated invariant, unless this very memory object
-        already passed them all at `pos` against `f`; each check is used once."""
-        f = self.f
-        if zeta._checked == (pos.U, pos.R, f):
-            object.__setattr__(zeta, "_checked", None)
-            return
-        wit = check_invariants(self.cache, pos, zeta, f=f)
-        for name, why in wit.items():
+        """Raise on the first invariant the memory violates at `pos` against `f`."""
+        self.checks += 1
+        for name, why in check_invariants(self.cache, pos, zeta, f=self.f).items():
             if why:
                 raise InvariantViolation(name, f"{where}: {why}")
-        object.__setattr__(zeta, "_checked", (pos.U, pos.R, f))
 
     def announce(self, zeta: MemoryZeta, pos: CopTurn):
         """One cop move: returns (announcement, memory during the reply) and
@@ -448,8 +446,8 @@ class MultiplyStrategy(CopStrategy):
 
         `memory` is what `announce` returned: the memory before the cop move,
         which bounds where robbers may reattach, the position the move was
-        made from, and the memory right after the move.  A memory it makes is
-        checked here against `f`, so the next cop move need not check it again.
+        made from, and the memory right after the move.  Only a capture's
+        memory is checked here: the next cop move checks any other.
         """
         snapshot, pos_before, zeta = memory
         cache = self.cache
@@ -510,7 +508,8 @@ class MultiplyStrategy(CopStrategy):
         else:
             zeta2 = self._memory(new_entries, zeta.rho_s)
 
-        self._require_invariants(CopTurn(Uprime, Rp), zeta2, "after the robbers' move")
+        if not Rp:
+            self._require_invariants(CopTurn(Uprime, Rp), zeta2, "after the robbers' move")
         return zeta2
 
 
@@ -533,16 +532,19 @@ def multiply_strategy(g: Digraph, f: PositionalCopStrategy, r: int) -> MultiplyS
 def enumerate_prudent_isolating_moves(cache: GraphCache, pos: RobberTurn, r: int):
     """All legal prudent isolating robber responses, largest sets first.
 
-    Sizes run r..0, so the empty robber set is always a response.  When no
-    escape remains it is the only one: the capture, and folding it into the
-    memory is how the memory after a capture gets its invariant check.  When
-    escapes remain it is the robbers leaving the graph, which ends the play
-    in a capture and so cannot help them.
+    Sizes run r..0, each in `subset_masks` order, so the empty robber set is
+    always a response: the capture when no escape remains, whose memory
+    `update` checks, and else the robbers leaving the graph, which ends the
+    play in a capture and so cannot help them.
     """
     up, R = pos.Uprime, pos.R
-    _, legal = cache.robber_turn(pos.U, up, R)
-    return [Rp for Rp in subset_masks(legal, range(r, -1, -1))
-            if cache.is_prudent(R, up, Rp) and cache.is_isolating(up, Rp)]
+    cand = cache.robber_turn(pos.U, up, R)[1] & cache.prudent(R, up)
+    near = cache.reached(up, cand)
+    sized = [[(0, cand)]]  # per size: (reply, candidates above it keeping it isolating)
+    for _ in range(r):
+        sized.append([(X | 1 << v, free & ~near[v] & -(2 << v))
+                      for X, free in sized[-1] for v in bits(free) if not near[v] & X])
+    return [X for level in reversed(sized) for X, _ in level]
 
 
 class AdversaryState(tuple):
@@ -579,6 +581,7 @@ class AdversarialReport:
     max_cops: int
     max_robbers: int
     case_counts: dict
+    checks: int  # memories checked: one per expanded state and per capture reply
 
 
 def exhaust_prudent_isolating(g: Digraph, strat: MultiplyStrategy) -> AdversarialReport:
@@ -593,7 +596,7 @@ def exhaust_prudent_isolating(g: Digraph, strat: MultiplyStrategy) -> Adversaria
     and robbers held on any explored state.
     """
     max_cops = max_robbers = 0
-    cases = {}
+    cases, checks = {}, strat.checks
 
     def moves(state):
         nonlocal max_cops, max_robbers
@@ -610,7 +613,8 @@ def exhaust_prudent_isolating(g: Digraph, strat: MultiplyStrategy) -> Adversaria
 
     roots = (AdversaryState(strat.init_memory(CopTurn(0, 1 << v)), 0, 1 << v) for v in range(g.n))
     failure, states = explore(roots, moves, "adversarial search", cycle="play never ends")
-    return AdversarialReport(failure is None, failure, states, max_cops, max_robbers, cases)
+    return AdversarialReport(failure is None, failure, states, max_cops, max_robbers, cases,
+                             strat.checks - checks)
 
 
 def _vertices(mask: int) -> list:
@@ -665,11 +669,8 @@ def traced_run(g: Digraph, strat: MultiplyStrategy):
         records.append({"step": step, "mover": "cops", "U": _vertices(pos.U),
                         "U'": _vertices(ann), "R": _vertices(pos.R), "case_tag": tag,
                         "zeta": zeta_json(zeta), "invariant_report": None})
-        moves = enumerate_prudent_isolating_moves(cache, rpos, strat.r)
-        Rp = moves[0] if moves else 0
-        newpos = CopTurn(ann, Rp)
-        zeta = strat.update(mid, newpos)
-        pos = newpos
+        pos = CopTurn(ann, enumerate_prudent_isolating_moves(cache, rpos, strat.r)[0])
+        zeta = strat.update(mid, pos)
         step += 1
         records.append({"step": step, "mover": "robbers", "U": _vertices(pos.U),
                         "U'": None, "R": _vertices(pos.R), "case_tag": None,

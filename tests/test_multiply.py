@@ -1,7 +1,7 @@
 import pytest
 
 from pursuitwidth.arena import (CopTurn, GraphCache, RobberTurn, SearchConfig, explore,
-                                solve_search, width)
+                                solve_search, subset_masks, width)
 from pursuitwidth.cli import small_corpus
 from pursuitwidth.digraph import Digraph
 from pursuitwidth.errors import (AdversaryContractError, InvariantViolation,
@@ -487,6 +487,9 @@ class TestSharedWork:
         assert rep.ok, rep.witness
         assert len(moves) == rep.states
         assert len({id(zeta) for zeta in checked}) == len(checked)
+        # one check per expanded state and one per capture reply (each of the
+        # 197 states has one); checking every memory a reply made took 444
+        assert rep.checks == len(checked) == 2 * rep.states == 394
 
     def test_update_with_and_without_announce_agree_on_every_line(self):
         # a twin replays each recorded (memory, position) with a move of its
@@ -517,6 +520,140 @@ class TestSharedWork:
         # each comparison builds one fresh derivation; fewer than half of the
         # derivations asked for were built by the cache
         assert 0 < builds[0] - checked[0] < checked[0] / 2
+
+
+class Corrupting(MultiplyStrategy):
+    """A mutant: the first memory `_memory` makes during a reply, a capture
+    or not as `capture` says, that `corrupt(entries, rho_s)` changes is built
+    from the changed chain, after `_memory` held the true one to its rules."""
+
+    def __init__(self, g, f, r, k, capture, corrupt):
+        super().__init__(g, f, r, k)
+        self.capture, self.corrupt = capture, corrupt
+        self.reply = self.done = None
+
+    def update(self, memory, newpos):
+        self.reply = newpos.R
+        try:
+            return super().update(memory, newpos)
+        finally:
+            self.reply = None
+
+    def _memory(self, entries, rho_s):
+        bad = None
+        if not self.done and self.reply is not None and (self.reply == 0) == self.capture:
+            bad = self.corrupt(entries, rho_s)
+            self.done = bad is not None
+        zeta = super()._memory(entries, rho_s)
+        return MemoryZeta(*bad) if bad else zeta
+
+
+class Reopening(MultiplyStrategy):
+    """A mutant: the first memory a reply makes whose key a cop move already
+    opened, and that `_other_first_announcement` changes, is remade from the
+    changed chain, so the adversary would never open it."""
+
+    def __init__(self, g, f, r, k):
+        super().__init__(g, f, r, k)
+        self.opened, self.done = set(), False
+
+    def announce(self, zeta, pos):
+        self.opened.add(AdversaryState(zeta, pos.U, pos.R))
+        return super().announce(zeta, pos)
+
+    def update(self, memory, newpos):
+        zeta = super().update(memory, newpos)
+        if not self.done and AdversaryState(zeta, newpos.U, newpos.R) in self.opened:
+            bad = _other_first_announcement(zeta.entries, zeta.rho_s)
+            if bad:
+                self.done = True
+                assert AdversaryState(MemoryZeta(*bad), newpos.U, newpos.R) in self.opened
+                zeta = self._memory(*bad)
+        return zeta
+
+
+def _flip_omitted(entries, rho_s):
+    """Vertex 0 toggled in the first omitted set, if there is one."""
+    if entries:
+        e = entries[0]
+        return (HistoryEntry(e.rho, e.Rset, e.Oset ^ 1),) + entries[1:], rho_s
+
+
+def _repeat_last(entries, rho_s):
+    """The longest history with its last position repeated."""
+    return entries, rho_s.append(rho_s.last())
+
+
+def _other_first_announcement(entries, rho_s):
+    """Every history with a different first announcement, in a memory whose
+    shortest history goes on past it, so its key does not change."""
+    def changed(rho):
+        first = rho[2]
+        return History(rho.positions[:2] + (RobberTurn(first.U, first.Uprime ^ 0b10000,
+                                                       first.R),) + rho.positions[3:])
+    if len(entries[0].rho if entries else rho_s) > 4:
+        return (tuple(HistoryEntry(changed(e.rho), e.Rset, e.Oset) for e in entries),
+                changed(rho_s))
+
+
+class TestCheckSchedule:
+    """`update` checks only a capture's memory; every other memory is checked
+    when the adversary opens its state, and `_memory` walks the shortest
+    history of each memory it makes.  A planted fault is caught wherever it
+    sits."""
+
+    def _raised(self, mutant, *args):
+        g = Digraph(6, ALL_CASES_EDGES)
+        base = multiply_strategy(g, ALL_CASES_BASE, r=3)
+        strat = mutant(g, base.f, 3, base.k, *args)
+        with pytest.raises(InvariantViolation) as err:
+            exhaust_prudent_isolating(g, strat)
+        assert strat.done
+        return err.value
+
+    def test_a_corrupted_capture_memory_is_caught_after_the_robbers_move(self):
+        err = self._raised(Corrupting, True, _repeat_last)
+        assert err.name == "consistent"
+        assert err.witness.startswith("after the robbers' move: history ")
+        assert "does not follow" in err.witness
+
+    def test_a_corrupted_key_field_is_caught_on_entry_to_the_cop_move(self):
+        # the flipped bit changes the memory's key, so its state is opened
+        err = self._raised(Corrupting, False, _flip_omitted)
+        assert err.witness.startswith("on entry to the cop move: ")
+        assert err.name in ("omit-closed", "omit-bounded", "omitted-absorbs")
+
+    def test_a_corrupted_step_before_the_cut_is_caught_as_the_memory_is_made(self):
+        # its key was opened before, so no check on entry would ever see it
+        err = self._raised(Reopening)
+        assert (err.name, err.witness.split(": announcement")[0]) == (
+            "consistent", "as the memory is made: history 1")
+
+
+def _reference_replies(cache, pos, r):
+    """The replies filtered subset by subset through `GraphCache`'s predicates."""
+    up, R = pos.Uprime, pos.R
+    _, legal = cache.robber_turn(pos.U, up, R)
+    return [Rp for Rp in subset_masks(legal, range(r, -1, -1))
+            if cache.is_prudent(R, up, Rp) and cache.is_isolating(up, Rp)]
+
+
+@pytest.mark.parametrize("r", [2, 3])
+def test_replies_from_masks_equal_the_filtered_subsets_in_order(monkeypatch, r):
+    turns = []
+    built = multiply.enumerate_prudent_isolating_moves
+
+    def compared(cache, pos, r):
+        got = built(cache, pos, r)
+        assert got == _reference_replies(cache, pos, r), pos
+        turns.append(len(got))
+        return got
+    monkeypatch.setattr(multiply, "enumerate_prudent_isolating_moves", compared)
+    g = Digraph(6, ALL_CASES_EDGES)
+    assert exhaust_prudent_isolating(g, multiply_strategy(g, ALL_CASES_BASE, r=r)).ok
+    for _, g in small_corpus(4):
+        assert exhaust_prudent_isolating(g, multiplied(g, width(g, "dw"), r=r)).ok
+    assert len(turns) > 900 and max(turns) > r + 1  # 923 and 1,007 robber turns
 
 
 # three graphs that the benchmark's multiplier-adversary workload draws:
