@@ -458,8 +458,7 @@ class _SearchSolver:
         on a stack as deep as the longest chain of shrinking regions.
         """
         value, stack = self.value, self.stack
-        # the initial placement, its unions in ascending order
-        unions = sorted(_region_unions(self._escape_regions(0, self.full), self.r))
+        unions = _region_unions(self._escape_regions(0, self.full), self.r)
         stack.append((None, self._turn(0, unions)))
         answer = None
         while True:
@@ -642,6 +641,8 @@ def _ladder(g: Digraph, measure: str, r: int = 1, plain: bool = False):
     lose on g.  A ResourceError carries the finished rungs' `lower_bound`;
     a rung lost with k >= h.n cops is a solver fault, an InvariantViolation.
     """
+    if r < 1:
+        raise ConfigError("r must be at least 1")
     if measure not in _MEASURES:
         raise ConfigError(f"unknown measure {measure!r}; pick one of {_MEASURES}")
     if r != 1 and measure in ("dw", "tw", "dpw"):

@@ -32,8 +32,6 @@ from typing import Iterable, Iterator, Optional, Sequence
 
 from .errors import InputError
 
-VertexSet = frozenset
-
 
 def bits(mask: int) -> Iterator[int]:
     while mask:

@@ -97,27 +97,28 @@ def _last_robber_turn(rho: History):
 
 
 def _last_parts(rho: History):
-    """(W, b, ends_in_cop_position, W_preceding_or_0) of a history's last position."""
+    """(W, b, ends_in_cop_position) of a history's last position."""
     last = rho.last()
     if isinstance(last, CopTurn):
-        return last.U, _robber(last), True, 0
+        return last.U, _robber(last), True
     if isinstance(last, RobberTurn):
-        return last.Uprime, _robber(last), False, last.U
+        return last.Uprime, _robber(last), False
     raise InvariantViolation("shape", f"unexpected last position {last!r}")
 
 
 class _Derivation:
-    """Index-1 tuples of the per-history and cumulative sets, as masks."""
+    """Index-1 tuples of the per-history and cumulative sets, as masks, and
+    `ends_cop`: whether the longest history ends in a cop position."""
 
     def __init__(self, zeta: MemoryZeta):
         s = zeta.s
-        W, Wm1, b = [0] * (s + 1), [0] * (s + 1), [0] * (s + 1)
+        W, Wm1, b = [0] * (s + 1), [0] * s, [0] * (s + 1)
         Rset, Oset = [0] * (s + 1), [0] * (s + 1)
         for i, entry in enumerate(zeta.entries, start=1):
             Wm1[i], W[i], b[i] = _last_robber_turn(entry.rho)
             Rset[i] = entry.Rset
             Oset[i] = entry.Oset
-        W[s], b[s], ends_cop, Wm1[s] = _last_parts(zeta.rho_s)
+        W[s], b[s], self.ends_cop = _last_parts(zeta.rho_s)
         Ocum = [0] * (s + 1)   # O^i over i <= s-1
         for i in range(1, s):
             Ocum[i] = Ocum[i - 1] | Oset[i]
@@ -129,7 +130,6 @@ class _Derivation:
         self.s = s
         self.W, self.Wm1, self.b = tuple(W), tuple(Wm1), tuple(b)
         self.Rset, self.Oset = tuple(Rset), tuple(Oset)
-        self.ends_cop = (False,) * s + (ends_cop,)
         self.Ocum, self.U_, self.Ucum, self.Wcum = tuple(Ocum), tuple(U_), tuple(Ucum), tuple(Wcum)
 
 
@@ -200,7 +200,7 @@ def _history_consistent(cache: GraphCache, f: PositionalCopStrategy, rho: Histor
 
 
 def check_invariants(cache: GraphCache, pos: CopTurn, zeta: MemoryZeta,
-                     f: Optional[PositionalCopStrategy] = None) -> dict:
+                     f: PositionalCopStrategy) -> dict:
     """Check every invariant of the memory state: `{invariant: witness of its
     first violation, or "" if it holds}`, in INVARIANTS order.
 
@@ -209,11 +209,12 @@ def check_invariants(cache: GraphCache, pos: CopTurn, zeta: MemoryZeta,
     derivation into masks (`_derive`) with the move and update code, but
     makes every reachability check itself rather than trusting the sets the
     update code computed.  One pass over the entries evaluates every
-    condition, and each invariant reports its first violation.  With `f`,
-    `consistent` walks each history only past the prefix that already passed
-    against f (`History.checked`), so a shared bad step is named by the first
-    history holding it; `member-consistency` checks the one step each
-    attached robber adds.  `cache` is the caller's, on the memory's graph.
+    condition, and each invariant reports its first violation.  Against the
+    base strategy `f`, `consistent` walks each history only past the prefix
+    that already passed against f (`History.checked`), so a shared bad step is
+    named by the first history holding it; `member-consistency` checks the
+    one step each attached robber adds.  `cache` is the caller's, on the
+    memory's graph.
     """
     reach = cache.reach
     d = _derive(zeta)
@@ -263,8 +264,7 @@ def check_invariants(cache: GraphCache, pos: CopTurn, zeta: MemoryZeta,
             # member-consistency: the robber extends its history by a legal move (on a
             # cop of its team it breaks partition, cover or progress); team-region and
             # region-unchanged: its cone is the same under its team, earlier teams, all teams
-            step = f is not None and not (W_i >> b) & 1
-            why = step and _step_consistent(cache, f, last, CopTurn(W_i, 1 << b))
+            why = not (W_i >> b) & 1 and _step_consistent(cache, f, last, CopTurn(W_i, 1 << b))
             if why:
                 violated("member-consistency",
                          f"robber {b} not consistent with history {i}: {why}")
@@ -283,16 +283,13 @@ def check_invariants(cache: GraphCache, pos: CopTurn, zeta: MemoryZeta,
     if d.Ucum[s] != Um:
         violated("cover", f"teams {_vs(d.Ucum[s])} != cops {_vs(Um)}")
     # anchor: while the top robber is on the graph, its history awaits a move
-    if R_s and not d.ends_cop[s]:
+    if R_s and not d.ends_cop:
         violated("anchor", "top history does not end in a cop position")
     # consistent: every stored history is a legal play of the base strategy
-    if f is None:
-        del wit["member-consistency"]
-    else:
-        for i in range(1, s + 1):
-            if why := _history_consistent(cache, f, rho[i]):
-                violated("consistent", f"history {i}: {why}")
-                break
+    for i in range(1, s + 1):
+        if why := _history_consistent(cache, f, rho[i]):
+            violated("consistent", f"history {i}: {why}")
+            break
     return wit
 
 
@@ -415,7 +412,7 @@ class MultiplyStrategy(CopStrategy):
                             zeta.entries[:i - 1] + (merged,) + zeta.entries[i + 1:], zeta.rho_s)
                         tag = CASE_II_1C
             else:
-                if not d.ends_cop[s]:
+                if not d.ends_cop:
                     raise InvariantViolation("anchor", "pursuing the top robber but its history "
                                                        "already holds an announcement")
                 W_t = f.lookup(d.W[s], 1 << d.b[s])
@@ -454,7 +451,7 @@ class MultiplyStrategy(CopStrategy):
         R, Rp = pos_before.R, newpos.R
         d = _derive(zeta)
         s = d.s
-        if Rp == R and d.ends_cop[s]:
+        if Rp == R and d.ends_cop:
             return zeta
         # when the robbers stand still right after a move on the top robber, the
         # pending announcement still has to be folded into the top history
@@ -486,14 +483,14 @@ class MultiplyStrategy(CopStrategy):
                 raise InvariantViolation(
                     "reattachment", f"robbers {_vs(assigned[s] & ~bound)} attached to the "
                                     f"top history but outside the pursued robber's cone")
-        if d.ends_cop[s] and assigned[s] & ~(1 << d.b[s]):
+        if d.ends_cop and assigned[s] & ~(1 << d.b[s]):
             raise InvariantViolation(
                 "top-stability", f"top history rests at a cop position but gained robbers "
                                  f"{_vs(assigned[s] & ~(1 << d.b[s]))}")
 
         new_entries = tuple(HistoryEntry(e.rho, assigned[i], e.Oset)
                             for i, e in enumerate(zeta.entries, start=1))
-        if not d.ends_cop[s] and assigned[s]:
+        if not d.ends_cop and assigned[s]:
             b = _lowest(assigned[s])
             rest = assigned[s] & ~(1 << b)
             rho_new = zeta.rho_s.append(CopTurn(d.W[s], 1 << b))

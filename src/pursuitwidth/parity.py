@@ -216,7 +216,6 @@ class ParityResult:
     win0: frozenset
     win1: frozenset
     strategy0: dict        # player-0 position -> action label
-    strategy1: dict        # (position or (position, action)) -> target position
 
 
 class _Expanded:
@@ -349,7 +348,8 @@ def _reachable_cycle_with_parity(start, succ_map, color, parity) -> Optional[lis
 
 
 def zielonka_solve(pg: ParityGame) -> ParityResult:
-    """Winning regions and both players' positional strategies, verified."""
+    """Winning regions and player 0's positional strategy.  Both players'
+    strategies from the solve are verified to win their regions."""
     for v in range(pg.n):
         if not pg.post_all(v):
             raise PreconditionError(f"position {v} is a dead end")
@@ -357,13 +357,10 @@ def zielonka_solve(pg: ParityGame) -> ParityResult:
     (w0, w1), (s0, s1) = _zielonka(ex, set(range(ex.size)))
     strategy0 = {v: pg.actions[ex.inter_info[_move(s0, v) - pg.n][1]]
                  for v in range(pg.n) if pg.owner[v] == 0 and v in w0}
-    strategy1 = {v: _move(s1, v) for v in range(pg.n) if pg.owner[v] == 1 and v in w1}
-    strategy1.update(((v, pg.actions[ai]), _move(s1, node))
-                     for node, (v, ai) in enumerate(ex.inter_info, pg.n) if node in w1)
     _verify_regions(pg, ex, (w0, w1), (s0, s1))
     return ParityResult(frozenset(v for v in w0 if v < pg.n),
                         frozenset(v for v in w1 if v < pg.n),
-                        strategy0, strategy1)
+                        strategy0)
 
 
 def _move(strat, v):
@@ -444,7 +441,6 @@ def lift_cop_strategy(g: Digraph, f_r: CopStrategy, kg: KnowledgeGame) -> Lifted
 class ImperfectResult:
     player0_wins: bool
     knowledge_strategy: Optional[dict]
-    knowledge_game: KnowledgeGame
 
 
 def solve_imperfect(pg: ParityGame, eq: ObservationEquiv) -> ImperfectResult:
@@ -452,12 +448,12 @@ def solve_imperfect(pg: ParityGame, eq: ObservationEquiv) -> ImperfectResult:
     kg = powerset_construct(pg, eq)
     res = zielonka_solve(kg.game)
     if kg.game.init not in res.win0:
-        return ImperfectResult(False, None, kg)
+        return ImperfectResult(False, None)
     sigma = {kg.sets[v]: a for v, a in res.strategy0.items()}
     if not _verify_knowledge_strategy(pg, eq, kg, sigma):
         raise InvariantViolation("imperfect-witness",
                                  "extracted knowledge strategy fails in the base game")
-    return ImperfectResult(True, sigma, kg)
+    return ImperfectResult(True, sigma)
 
 
 def _verify_knowledge_strategy(pg, eq, kg, sigma) -> bool:

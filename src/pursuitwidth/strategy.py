@@ -1,17 +1,17 @@
-"""Strategies, plays, exhaustive validation, and the normal-form transforms.
+"""Strategies, exhaustive validation, and the normal-form transforms.
 
 Cop strategies answer cop positions with an announcement and the memory
 they hold during the robbers' reply; `update` folds the reply into that
 memory, so a move is made once.  Robber strategies choose the initial
 placement and answer robber positions.  Positions, announcements and robber
-moves are vertex masks; only a positional strategy's constructor, `items()`
-and its text format take vertex sets.  Validation is exhaustive: the fixed side
-plays its strategy while the opponent branches over every legal move, so a
-green validation is a proof at the instance's scale.  A robber turn's
-replies depend on the turn alone (cop memory, announcement, escape set), and
-once `explore` has taken them all each is finished or on the path, so the
-cop-side explorers take them once per turn (`arena.replies_once`); verdicts,
-counts and witnesses stay the same.
+moves are vertex masks; only a positional strategy's constructor and `items()`
+take vertex sets.  Validation is exhaustive: the fixed side plays its strategy
+while the opponent branches over every legal move, so a green validation is a
+proof at the instance's scale.  A robber turn's replies depend on the turn
+alone (cop memory, announcement, escape set), and once `explore` has taken
+them all each is finished or on the path, so the cop-side explorers take them
+once per turn (`arena.replies_once`); verdicts, counts and witnesses stay the
+same.
 """
 from __future__ import annotations
 
@@ -20,16 +20,11 @@ from functools import cached_property
 from typing import Iterable, Optional
 
 from .arena import (INITIAL, CopTurn, GraphCache, Initial, RobberTurn,
-                    SearchConfig, announcement_masks, effective_budget, explore,
+                    SearchConfig, announcement_masks, explore,
                     replies_once, subset_masks)
 from .digraph import Digraph, _check_vertices, bits, set_from
 from .errors import (AdversaryContractError, InvariantViolation,
                      PreconditionError, StrategyHoleError)
-
-COPS_WIN = "cops_win"
-ROBBERS_WIN = "robbers_win"
-NON_MONOTONE = "non_monotone"
-BUDGET_EXCEEDED = "budget_exceeded"
 
 
 # ---------------------------------------------------------------------------
@@ -119,21 +114,6 @@ class RobberStrategy:
         raise NotImplementedError
 
 
-def _fmt_set(mask: int) -> str:
-    return ",".join(str(v) for v in bits(mask)) or "-"
-
-
-def _parse_set(text: str, lineno: int, raw: str) -> int:
-    text = text.strip()
-    if text == "-" or not text:
-        return 0
-    try:
-        return _check_vertices([int(t) for t in text.split(",")], "a strategy line")
-    except ValueError:  # InputError is one too
-        raise PreconditionError(f"strategy line {lineno}: vertices must be nonnegative "
-                                f"integers: {raw!r}") from None
-
-
 class PositionalCopStrategy(CopStrategy):
     """A finite map from cop positions to announcements.
 
@@ -170,30 +150,6 @@ class PositionalCopStrategy(CopStrategy):
     def items(self):
         return [((set_from(u), set_from(r)), set_from(up))
                 for (u, r), up in self.mapping.items()]
-
-    def serialize(self) -> str:
-        lines = []
-        for (u, r), up in sorted(self.mapping.items(),
-                                 key=lambda kv: (list(bits(kv[0][0])), list(bits(kv[0][1])))):
-            lines.append(f"{_fmt_set(u)} ; {_fmt_set(r)} -> {_fmt_set(up)}")
-        return "\n".join(lines) + "\n"
-
-    @classmethod
-    def parse(cls, text: str) -> "PositionalCopStrategy":
-        mapping = {}
-        for lineno, raw in enumerate(text.splitlines(), start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            try:
-                left, up = line.split("->")
-                u, r = left.split(";")
-            except ValueError:
-                raise PreconditionError(f"strategy line {lineno}: expected 'U ; R -> U'': "
-                                        f"{raw!r}") from None
-            mapping[_parse_set(u, lineno, raw), _parse_set(r, lineno, raw)] = \
-                _parse_set(up, lineno, raw)
-        return cls.from_masks(mapping)
 
 
 class SolverCopStrategy(CopStrategy):
@@ -258,60 +214,6 @@ class SolverRobberStrategy(RobberStrategy):
                 return Rp, memory
         # cornered: no escape class is lost (or there is none at all)
         return fallback, memory
-
-
-# ---------------------------------------------------------------------------
-# Playouts
-
-@dataclass
-class PlayoutResult:
-    verdict: str
-    trace: tuple
-    steps: int
-
-
-def playout(g: Digraph, cfg: SearchConfig, cop_strategy: CopStrategy,
-            robber_strategy: RobberStrategy) -> PlayoutResult:
-    """Drive the unique play of the two strategies; report its verdict, which
-    is BUDGET_EXCEEDED after `effective_budget()` moves."""
-    limit = effective_budget()
-    cache = GraphCache(g)
-    trace = [INITIAL]
-    R0 = robber_strategy.initial_placement()
-    pos = CopTurn(0, R0)
-    if not R0 or R0 & ~g.full_mask or R0.bit_count() > cfg.r:
-        raise PreconditionError(f"illegal initial placement {list(bits(R0))}")
-    trace.append(pos)
-    cmem = cop_strategy.init_memory(pos)
-    rmem = robber_strategy.init_memory(pos)
-    seen = {(pos, cmem, rmem)}
-    steps = 0
-    while True:
-        if not pos.R:
-            return PlayoutResult(COPS_WIN, tuple(trace), steps)
-        if steps >= limit:
-            return PlayoutResult(BUDGET_EXCEEDED, tuple(trace), steps)
-        ann, cmem = cop_strategy.announce(cmem, pos)
-        if ann.bit_count() > cfg.k:
-            raise PreconditionError(f"announcement {list(bits(ann))} uses more than "
-                                    f"k={cfg.k} cops")
-        rpos = RobberTurn(pos.U, ann, pos.R)
-        trace.append(rpos)
-        abandoned, escapes = cache.robber_turn(pos.U, ann, pos.R)
-        if abandoned:
-            return PlayoutResult(NON_MONOTONE, tuple(trace), steps)
-        Rp, rmem = robber_strategy.respond(rmem, rpos)
-        if Rp & ~escapes or Rp.bit_count() > cfg.r:
-            raise AdversaryContractError(f"illegal robber move {list(bits(Rp))} at {rpos!r}")
-        newpos = CopTurn(ann, Rp)
-        trace.append(newpos)
-        cmem = cop_strategy.update(cmem, newpos)
-        pos = newpos
-        steps += 1
-        state = (pos, cmem, rmem)
-        if state in seen:
-            return PlayoutResult(ROBBERS_WIN, tuple(trace), steps)
-        seen.add(state)
 
 
 # ---------------------------------------------------------------------------

@@ -380,13 +380,13 @@ class TestSearchSolver:
         res = solve_search(random_digraph(14, 0.3, 1), SearchConfig(k=k))
         assert (res.winner, res.arena_size) == (winner, size)
 
-    def test_initial_unions_are_tried_in_ascending_order(self):
+    def test_initial_unions_are_tried_in_combination_order(self):
         # two robbers may open on {2}, {3}, {2, 3}, {0..3} or all five
-        # vertices; taken in that (mask) order the solver decides 8 classes,
-        # in the unions' combination order 7, with other certificates
+        # vertices; taken in the unions' combination order, as on every other
+        # robber turn, the solver decides 7 classes (in mask order it took 8)
         g = Digraph(5, [(0, 1), (0, 2), (0, 3), (1, 0), (4, 1), (4, 2)])
         res = solve_search(g, SearchConfig(k=1, r=2))
-        assert (res.winner, res.arena_size) == (ROBBERS, 8)
+        assert (res.winner, res.arena_size) == (ROBBERS, 7)
 
 
 class TestOneNewCop:

@@ -561,6 +561,13 @@ class TestExitCodes:
         assert code == EXIT_INPUT_ERROR and rep["kind"] == "input"
         assert "dw_r" in rep["error"]
 
+    @pytest.mark.parametrize("r", [0, -1])
+    @pytest.mark.parametrize("measure", ["dw", "dw_r", "tw", "tw_r", "dpw"])
+    def test_fewer_than_one_robber_is_input_error_for_every_measure(self, measure, r, c3,
+                                                                     capsys):
+        code, rep = run(["width", c3, "--measure", measure, "--r", str(r)], capsys)
+        assert code == EXIT_INPUT_ERROR and rep["error"] == "r must be at least 1"
+
     def test_input_error(self, capsys):
         code, rep = run(["width", "/nonexistent.edges"], capsys)
         assert code == EXIT_INPUT_ERROR and rep["kind"] == "input"

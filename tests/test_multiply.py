@@ -13,7 +13,7 @@ from pursuitwidth.multiply import (CASE_II_2, AdversaryState, HistoryEntry, Memo
                                    enumerate_prudent_isolating_moves,
                                    exhaust_prudent_isolating, multiply_strategy,
                                    traced_run)
-from pursuitwidth.strategy import History, PositionalCopStrategy, playout
+from pursuitwidth.strategy import History, PositionalCopStrategy
 
 # a six-vertex pursuit that drives the memory through every update case
 ALL_CASES_EDGES = [(0, 2), (0, 3), (0, 5), (1, 0), (2, 0), (2, 1), (2, 5),
@@ -21,20 +21,10 @@ ALL_CASES_EDGES = [(0, 2), (0, 3), (0, 5), (1, 0), (2, 0), (2, 1), (2, 5),
 # the two-cop base strategy it is pursued with, pinned so that which cases
 # fire does not depend on the certificates the solver happens to pick
 # (`multiply_strategy` validates it while normalizing it)
-ALL_CASES_BASE = PositionalCopStrategy.parse("""
-- ; 0 -> 0,4
-- ; 1 -> 0,4
-- ; 2 -> 0,4
-- ; 3 -> 0,4
-- ; 4 -> 0,4
-- ; 5 -> 0,4
-0,2 ; 1 -> 0,1
-0,2 ; 5 -> 0,5
-0,4 ; 1 -> 0,1
-0,4 ; 2 -> 0,2
-0,4 ; 3 -> 3,4
-0,4 ; 5 -> 0,5
-""")
+ALL_CASES_BASE = PositionalCopStrategy(
+    {((), (v,)): (0, 4) for v in range(6)}
+    | {((0, 2), (1,)): (0, 1), ((0, 2), (5,)): (0, 5), ((0, 4), (1,)): (0, 1),
+       ((0, 4), (2,)): (0, 2), ((0, 4), (3,)): (3, 4), ((0, 4), (5,)): (0, 5)})
 
 
 def base_strategy(g, k):
@@ -50,10 +40,11 @@ def multiplied(g, k, r=1):
 class TestInitMemory:
     def test_singleton_start(self):
         g = cycle_digraph(3)
-        zeta = multiplied(g, 2).init_memory(CopTurn(0, 0b1))
+        strat = multiplied(g, 2)
+        zeta = strat.init_memory(CopTurn(0, 0b1))
         assert zeta.s == 1
         assert zeta.rho_s.last() == CopTurn(0, 0b1)
-        report = check_invariants(GraphCache(g), CopTurn(0, 0b1), zeta)
+        report = check_invariants(GraphCache(g), CopTurn(0, 0b1), zeta, f=strat.f)
         assert not any(report.values())
 
     def test_split_start_rejected(self):
@@ -70,7 +61,8 @@ class TestInitMemory:
         strat = multiplied(g, 2)
         for v in range(4):
             zeta = strat.init_memory(CopTurn(0, 1 << v))
-            assert not any(check_invariants(GraphCache(g), CopTurn(0, 1 << v), zeta).values())
+            report = check_invariants(GraphCache(g), CopTurn(0, 1 << v), zeta, f=strat.f)
+            assert not any(report.values())
 
 
 class TestCopMove:
@@ -91,7 +83,8 @@ class TestCopMove:
                         CopTurn(0b100, 0b10)))
         # {0} is not closed once 2 is guarded: 0 still reaches 1
         zeta = MemoryZeta((HistoryEntry(rho1, 0b1, 0b1),), rho2)
-        report = check_invariants(GraphCache(g), CopTurn(0b100, 0b11), zeta)
+        report = check_invariants(GraphCache(g), CopTurn(0b100, 0b11), zeta,
+                                  f=PositionalCopStrategy.from_masks({}))
         name, witness = _first_violation(report)
         assert name == "omit-closed"
         assert "1" in witness
@@ -160,15 +153,21 @@ class TestRobberUpdate:
 
 class TestMultiplied:
     def test_single_team_replays_the_base_strategy(self):
+        # on every position of every prudent robber line, the lines the
+        # multiplier answers, one team announces its base strategy's move
         g = cycle_digraph(4)
-        k = width(g, "dw")
-        res = solve_search(g, SearchConfig(k=k, r=1))
-        f = res.cop_strategy.as_positional()
-        mult = multiply_strategy(g, f, r=1)
-        rob = solve_search(g, SearchConfig(k=k - 1, r=1)).robber_strategy
-        direct = playout(g, SearchConfig(k=k, r=1), f, rob)
-        lifted = playout(g, SearchConfig(k=k, r=1), mult, rob)
-        assert direct.trace == lifted.trace
+        mult = multiplied(g, width(g, "dw"))
+        announce, positions = mult.announce, []
+
+        def replayed(zeta, pos):
+            up, mid = announce(zeta, pos)
+            assert up == mult.f.lookup(pos.U, pos.R), pos
+            positions.append(pos)
+            return up, mid
+        mult.announce = replayed
+        rep = exhaust_prudent_isolating(g, mult)
+        assert rep.ok, rep.witness
+        assert len(positions) > g.n
 
     def test_cycle_two_teams(self):
         g = cycle_digraph(3)
@@ -467,7 +466,7 @@ class TestSharedWork:
         checked_at = set()
         check = multiply.check_invariants
 
-        def recorded(cache, pos, zeta, f=None):
+        def recorded(cache, pos, zeta, f):
             checked.append(zeta)
             checked_at.add((id(zeta), pos, id(f)))
             return check(cache, pos, zeta, f=f)
@@ -780,7 +779,8 @@ class TestKeyedAdversary:
         good, other = hand_memory(), hand_memory(announced=0b1001)
         zeta = (MemoryZeta(other.entries, good.rho_s) if broken == "entry"
                 else MemoryZeta(good.entries, other.rho_s))
-        assert check_invariants(GraphCache(Digraph(6, ALL_CASES_EDGES)), pos, zeta)["chain"]
+        assert check_invariants(GraphCache(Digraph(6, ALL_CASES_EDGES)), pos, zeta,
+                                f=PositionalCopStrategy.from_masks({}))["chain"]
         mixed = AdversaryState(zeta, pos.U, pos.R)
         assert mixed != AdversaryState(good, pos.U, pos.R)
         assert mixed != AdversaryState(other, pos.U, pos.R)

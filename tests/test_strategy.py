@@ -14,32 +14,13 @@ from pursuitwidth.families import (TopDownTreeCops, cops_topdown_thm7, cycle_dig
 from pursuitwidth.multiply import exhaust_prudent_isolating, multiply_strategy
 from pursuitwidth.parity import (ObservationEquiv, distinguisher_game,
                                  lift_cop_strategy, powerset_construct)
-from pursuitwidth.strategy import (BUDGET_EXCEEDED, COPS_WIN, NON_MONOTONE,
-                                   ROBBERS_WIN, CopStrategy, History, PositionalCopStrategy,
-                                   cleanup_strategy, isolating_transform,
-                                   ValidationReport, playout, prudent_transform,
+from pursuitwidth.strategy import (CopStrategy, History, PositionalCopStrategy,
+                                   RobberStrategy, cleanup_strategy, isolating_transform,
+                                   ValidationReport, prudent_transform,
                                    validate_cop_strategy,
                                    validate_robber_strategy)
 
 import oracles
-
-single = Digraph(1, [])
-
-
-class FixedRobber:
-    """Places at a vertex, stays while it may, and gives up when announced."""
-
-    def __init__(self, v):
-        self.v = v
-
-    def initial_placement(self):
-        return 1 << self.v
-
-    def init_memory(self, pos):
-        return None
-
-    def respond(self, memory, pos):
-        return pos.R & ~pos.Uprime, memory
 
 
 class TestHistory:
@@ -55,69 +36,12 @@ class TestHistory:
         assert a.last() == CopTurn(0, 0b1)
 
 
-class TestPlayout:
-    def test_single_vertex_quick_capture(self):
-        f = PositionalCopStrategy({(frozenset(), frozenset({0})): frozenset({0})})
-        res = playout(single, SearchConfig(k=1), f, FixedRobber(0))
-        assert res.verdict == COPS_WIN
-        assert res.steps <= 2
-
-    def test_non_monotone_verdict(self):
-        g = cycle_digraph(3)
-        f = PositionalCopStrategy({
-            (frozenset(), frozenset({0})): frozenset({1}),
-            (frozenset({1}), frozenset({0})): frozenset({2}),
-        })
-        res = playout(g, SearchConfig(k=1), f, FixedRobber(0))
-        assert res.verdict == NON_MONOTONE
-
-    def test_strategy_hole_is_reported(self):
-        g = cycle_digraph(3)
-        f = PositionalCopStrategy({(frozenset(), frozenset({0})): frozenset({1})})
-        with pytest.raises(StrategyHoleError):
-            playout(g, SearchConfig(k=1), f, FixedRobber(0))
-
-    def test_deterministic_trace(self):
-        g = cycle_digraph(3)
-        res = solve_search(g, SearchConfig(k=2))
-        rob = solve_search(g, SearchConfig(k=1)).robber_strategy
-        a = playout(g, SearchConfig(k=2), res.cop_strategy, rob)
-        b = playout(g, SearchConfig(k=2), res.cop_strategy, rob)
-        assert a.trace == b.trace and a.verdict == b.verdict == COPS_WIN
-
-    def test_the_budget_bounds_the_moves(self, monkeypatch):
-        g = cycle_digraph(3)
-        cops = solve_search(g, SearchConfig(k=2)).cop_strategy
-        rob = solve_search(g, SearchConfig(k=1)).robber_strategy
-        won = playout(g, SearchConfig(k=2), cops, rob)
-        assert (won.verdict, won.steps) == (COPS_WIN, 2)
-        monkeypatch.setenv("PURSUITWIDTH_BUDGET", "1")
-        cut = playout(g, SearchConfig(k=2), cops, rob)
-        assert (cut.verdict, cut.steps) == (BUDGET_EXCEEDED, 1)
-        assert cut.trace == won.trace[:4]  # the placement and one move
-
-    def test_solver_robber_beats_every_single_cop_line(self):
-        g = cycle_digraph(3)
-        rob = solve_search(g, SearchConfig(k=1)).robber_strategy
-        assert validate_robber_strategy(g, SearchConfig(k=1), rob).ok
-
-    def test_sample_positional_cop_strategies_lose_on_cycle(self):
-        g = cycle_digraph(3)
-        rob = solve_search(g, SearchConfig(k=1)).robber_strategy
-        stay = PositionalCopStrategy(
-            {(frozenset(), frozenset({v})): frozenset({(v + 1) % 3}) for v in range(3)}
-            | {(frozenset({u}), frozenset({v})): frozenset({u})
-               for u in range(3) for v in range(3) if u != v})
-        res = playout(g, SearchConfig(k=1), stay, rob)
-        assert res.verdict in (ROBBERS_WIN, NON_MONOTONE)
-
-
 class TestInitialPlacement:
     """A robber strategy's opening placement is held to the rules of its moves."""
 
     @staticmethod
     def placed(R0):
-        rob = FixedRobber(0)
+        rob = RobberStrategy()  # validation rejects or captures before it moves
         rob.initial_placement = lambda: R0
         return rob
 
@@ -130,20 +54,9 @@ class TestInitialPlacement:
         rep = validate_robber_strategy(cycle_digraph(3), SearchConfig(k=1, r=1), self.placed(0))
         assert not rep.ok and rep.witness[0] == "captured"
 
-    @pytest.mark.parametrize("positional", [True, False], ids=["positional", "solver"])
-    def test_playout_rejects_a_placement_outside_the_graph(self, positional):
-        g = cycle_digraph(3)
-        cops = solve_search(g, SearchConfig(k=2)).cop_strategy
-        if positional:
-            cops = cops.as_positional()
-        with pytest.raises(PreconditionError, match=r"illegal initial placement \[7\]"):
-            playout(g, SearchConfig(k=2), cops, self.placed(1 << 7))
-
     def test_a_placement_that_is_no_mask_is_rejected_before_it_is_read(self):
         # the vertices of a negative int never run out
         g, cfg = cycle_digraph(3), SearchConfig(k=1, r=1)
-        with pytest.raises(TypeError, match="nonnegative"):
-            playout(g, cfg, PositionalCopStrategy({}), self.placed(-3))
         with pytest.raises(TypeError, match="nonnegative"):
             validate_robber_strategy(g, cfg, self.placed(-3))
 
@@ -194,6 +107,15 @@ class TestCopStrategyProtocol:
             rep = validate_cop_strategy(g, cfg, strat)
         assert rep.ok, rep.witness
         assert pairs
+
+    @pytest.mark.parametrize("U,R,Up,name", [
+        ((), (-1,), (), "a robber set"),
+        ((-1,), (0,), (), "a cop set"),
+        ((), (0,), (-1,), "an announcement"),
+    ], ids=["robbers", "cops", "announcement"])
+    def test_negative_vertices_are_input_errors(self, U, R, Up, name):
+        with pytest.raises(InputError, match=f"vertex -1 in {name} out of range"):
+            PositionalCopStrategy({(frozenset(U), frozenset(R)): frozenset(Up)})
 
 
 def _vset(mask):
@@ -307,6 +229,11 @@ class TestEachRobberTurnOnce:
 
 
 class TestTransforms:
+    def test_solver_robber_beats_every_single_cop_line(self):
+        g = cycle_digraph(3)
+        rob = solve_search(g, SearchConfig(k=1)).robber_strategy
+        assert validate_robber_strategy(g, SearchConfig(k=1), rob).ok
+
     def test_single_robber_is_already_isolating(self):
         g = cycle_digraph(3)
         cfg = SearchConfig(k=1, r=1)
@@ -425,39 +352,3 @@ class TestCleanup:
         monkeypatch.setenv("PURSUITWIDTH_BUDGET", "1")
         with pytest.raises(ResourceError, match=r"cleanup exceeded the budget \(1\)"):
             cleanup_strategy(g, f)
-
-
-class TestSerialization:
-    def test_round_trip(self):
-        g = cycle_digraph(3)
-        f = solve_search(g, SearchConfig(k=2)).cop_strategy.as_positional()
-        text = f.serialize()
-        assert PositionalCopStrategy.parse(text).mapping == f.mapping
-        assert "->" in text and ";" in text
-
-    def test_empty_set_spelling(self):
-        f = PositionalCopStrategy({(frozenset(), frozenset({0})): frozenset({0})})
-        assert f.serialize().startswith("- ; 0 -> 0")
-
-    def test_parse_reads_vertex_sets_into_masks(self):
-        f = PositionalCopStrategy.parse("# comment\n\n- ; 0 -> 0,2\n2 ; 1 -> 2,1\n")
-        assert f.mapping == {(0, 0b1): 0b101, (0b100, 0b10): 0b110}
-        assert f.serialize() == "- ; 0 -> 0,2\n2 ; 1 -> 1,2\n"
-
-    @pytest.mark.parametrize("text,line", [
-        ("0 ; 0 -> 0\na ; 0 -> 0", 2),   # not a vertex
-        ("-1 ; 0 -> 0", 1),               # no mask holds a negative vertex
-        ("- ; 0 -> 0\n\n0 ; 1", 3),       # no arrow
-    ], ids=["not-an-integer", "negative", "no-arrow"])
-    def test_malformed_lines_are_named(self, text, line):
-        with pytest.raises(PreconditionError, match=f"strategy line {line}: "):
-            PositionalCopStrategy.parse(text)
-
-    @pytest.mark.parametrize("U,R,Up,name", [
-        ((), (-1,), (), "a robber set"),
-        ((-1,), (0,), (), "a cop set"),
-        ((), (0,), (-1,), "an announcement"),
-    ], ids=["robbers", "cops", "announcement"])
-    def test_negative_vertices_are_input_errors(self, U, R, Up, name):
-        with pytest.raises(InputError, match=f"vertex -1 in {name} out of range"):
-            PositionalCopStrategy({(frozenset(U), frozenset(R)): frozenset(Up)})
