@@ -40,13 +40,16 @@ which evaluates every reachability condition itself; and
 
 `width` climbs k along growing induced subgraphs for every measure, so a
 lost k is mostly proved on a small prefix of the graph (see `_ladder`).
+
+Positions (`CopTurn`, `RobberTurn`) are named tuples of vertex masks, so they
+hash and compare in C; their constructors, `_make` and `_replace` check them.
 """
 from __future__ import annotations
 
 import itertools
 import os
-from dataclasses import dataclass
-from typing import Iterable, Optional
+from collections import namedtuple
+from typing import Iterable, NamedTuple, Optional
 
 from .digraph import (Digraph, _check_vertices, bits, induced, out_of,
                       reach_mask, set_from, symmetric_closure)
@@ -84,69 +87,70 @@ class Initial:
 INITIAL = Initial()
 
 
-def _check_masks(pos, names):
+def _check_masks(**masks):
     """Raise for a position whose vertex sets are not masks (nonnegative
     ints) or whose cops and robbers overlap; the constructors test inline."""
-    for name in names:
-        m = getattr(pos, name)
+    for name, m in masks.items():
         if type(m) is not int or m < 0:
             raise TypeError(f"{name} must be a vertex mask (a nonnegative int), not {m!r}")
-    if pos.U & pos.R:
-        raise ConfigError(f"cop and robber sets overlap: {list(bits(pos.U & pos.R))}")
+    if masks["U"] & masks["R"]:
+        raise ConfigError(f"cop and robber sets overlap: {list(bits(masks['U'] & masks['R']))}")
 
 
-@dataclass(frozen=True)
-class CopTurn:
-    U: int
-    R: int
+class _Checked:
+    """Mixin for a checked named tuple: `_make`, and so `_replace`, build
+    through the class, whose `__new__` checks the fields."""
+    __slots__ = ()
 
-    def __post_init__(self):
-        U, R = self.U, self.R
+    @classmethod
+    def _make(cls, iterable):
+        return cls(*iterable)
+
+
+class CopTurn(_Checked, namedtuple("CopTurn", "U R")):
+    __slots__ = ()
+
+    def __new__(cls, U, R):
         if not (type(U) is type(R) is int and U | R >= 0) or U & R:
-            _check_masks(self, ("U", "R"))
+            _check_masks(U=U, R=R)
+        return tuple.__new__(cls, (U, R))
 
     def __repr__(self):
         return f"CopTurn(U={list(bits(self.U))}, R={list(bits(self.R))})"
 
 
-@dataclass(frozen=True)
-class RobberTurn:
-    U: int
-    Uprime: int
-    R: int
+class RobberTurn(_Checked, namedtuple("RobberTurn", "U Uprime R")):
+    __slots__ = ()
 
-    def __post_init__(self):
-        U, Up, R = self.U, self.Uprime, self.R
-        if not (type(U) is type(Up) is type(R) is int and U | Up | R >= 0) or U & R:
-            _check_masks(self, ("U", "Uprime", "R"))
+    def __new__(cls, U, Uprime, R):
+        if not (type(U) is type(Uprime) is type(R) is int and U | Uprime | R >= 0) or U & R:
+            _check_masks(U=U, Uprime=Uprime, R=R)
+        return tuple.__new__(cls, (U, Uprime, R))
 
     def __repr__(self):
         return (f"RobberTurn(U={list(bits(self.U))}, U'={list(bits(self.Uprime))}, "
                 f"R={list(bits(self.R))})")
 
 
-@dataclass(frozen=True)
-class SearchConfig:
+class SearchConfig(_Checked, namedtuple("SearchConfig", "k r restrict_to_scc")):
     """Game parameters: cop count, robber count, SCC restriction."""
-    k: int
-    r: int = 1
-    restrict_to_scc: bool = False
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.k < 0:
+    def __new__(cls, k, r=1, restrict_to_scc=False):
+        if k < 0:
             raise ConfigError("k must be nonnegative")
-        if self.r < 1:
+        if r < 1:
             raise ConfigError("r must be at least 1")
-        if self.restrict_to_scc and self.r != 1:
+        if restrict_to_scc and r != 1:
             raise ConfigError("the SCC-restricted game is defined for a single robber")
+        return tuple.__new__(cls, (k, r, restrict_to_scc))
 
 
 COPS = "cops"
 ROBBERS = "robbers"
 
 
-@dataclass
-class SolveResult:
+class SolveResult(NamedTuple):
     winner: str
     cop_strategy: Optional[object]
     robber_strategy: Optional[object]
@@ -491,8 +495,7 @@ def solve_search(g: Digraph, cfg: SearchConfig) -> SolveResult:
 # ---------------------------------------------------------------------------
 # Invisible-robber game (directed path-width, cop-count convention)
 
-@dataclass
-class InvisibleResult:
+class InvisibleResult(NamedTuple):
     cops_win: bool
     schedule: Optional[list]
     states: int

@@ -8,8 +8,7 @@ import json
 import os
 import random
 import time
-from dataclasses import dataclass, field
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from . import families, parity
 from .arena import (ROBBERS, SearchConfig, _ladder, effective_budget, lower_bound,
@@ -34,8 +33,7 @@ EXIT_RESOURCE_ERROR = 3
 EXIT_INTERNAL_ERROR = 4
 
 
-@dataclass
-class Check:
+class Check(NamedTuple):
     name: str
     passed: bool
     witness: Optional[object] = None
@@ -47,15 +45,14 @@ class Check:
         return out
 
 
-@dataclass
 class Report:
-    command: list
-    inputs: dict = field(default_factory=dict)
-    params: dict = field(default_factory=dict)
-    results: dict = field(default_factory=dict)
-    checks: list = field(default_factory=list)
-    notes: list = field(default_factory=list)
-    elapsed_s: float = 0.0
+    """A command's report, filled in as the command runs."""
+    __slots__ = ("command", "inputs", "params", "results", "checks", "notes", "elapsed_s")
+
+    def __init__(self, command: list, params: Optional[dict] = None):
+        self.command, self.params = command, {} if params is None else params
+        self.inputs, self.results, self.checks, self.notes = {}, {}, [], []
+        self.elapsed_s = 0.0
 
     @property
     def passed(self) -> bool:

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import itertools
 import random
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .arena import CopTurn, RobberTurn
 from .digraph import Digraph, bits, is_strongly_connected
@@ -26,8 +26,7 @@ def _addr_label(addr, primed: bool) -> str:
     return "".join(str(a) for a in addr)
 
 
-@dataclass
-class TreeCoords:
+class TreeCoords(NamedTuple):
     """Address bookkeeping for the tree families.
 
     Addresses are tuples over 1..branching; the empty tuple is the root.

@@ -22,10 +22,10 @@ from __future__ import annotations
 import itertools
 import math
 import random
-from dataclasses import dataclass
-from typing import Optional
+from collections import namedtuple
+from typing import NamedTuple, Optional
 
-from .arena import CopTurn, GraphCache, effective_budget, explore
+from .arena import CopTurn, GraphCache, _Checked, effective_budget, explore
 from .digraph import Digraph, _check_vertices, bits, reach_mask
 from .errors import InputError, InvariantViolation, PreconditionError, ResourceError
 from .strategy import CopStrategy
@@ -33,24 +33,20 @@ from .strategy import CopStrategy
 Position = int
 
 
-@dataclass(frozen=True)
-class ParityGame:
-    n: int
-    owner: tuple
-    color: tuple
-    actions: tuple
-    succ: tuple          # succ[action_index][v] -> frozenset of targets
-    init: int
+class ParityGame(_Checked, namedtuple("ParityGame", "n owner color actions succ init")):
+    """succ[action_index][v] is the frozenset of v's targets under that action."""
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not (0 <= self.init < self.n):
-            raise InputError(f"initial position {self.init} out of range")
-        if len(self.owner) != self.n or len(self.color) != self.n:
+    def __new__(cls, n, owner, color, actions, succ, init):
+        if not (0 <= init < n):
+            raise InputError(f"initial position {init} out of range")
+        if len(owner) != n or len(color) != n:
             raise InputError("owner and color must cover every position")
-        if any(c < 0 for c in self.color):
+        if any(c < 0 for c in color):
             raise InputError("colors must be nonnegative")
-        if len(set(self.actions)) != len(self.actions):
-            raise InputError(f"repeated action label in {list(self.actions)}")
+        if len(set(actions)) != len(actions):
+            raise InputError(f"repeated action label in {list(actions)}")
+        return tuple.__new__(cls, (n, owner, color, actions, succ, init))
 
     def post_all(self, v: int) -> frozenset:
         """Every move of position v, whichever action is taken."""
@@ -140,8 +136,7 @@ def validate(pg: ParityGame, eq: ObservationEquiv):
 # ---------------------------------------------------------------------------
 # Knowledge construction
 
-@dataclass
-class KnowledgeGame:
+class KnowledgeGame(NamedTuple):
     game: ParityGame
     sets: tuple            # knowledge set per position of `game`
 
@@ -211,8 +206,7 @@ def knowledge_size_bound(pg: ParityGame, eq: ObservationEquiv) -> int:
 # ---------------------------------------------------------------------------
 # Zielonka over the expanded graph
 
-@dataclass
-class ParityResult:
+class ParityResult(NamedTuple):
     win0: frozenset
     win1: frozenset
     strategy0: dict        # player-0 position -> action label
@@ -437,8 +431,7 @@ def lift_cop_strategy(g: Digraph, f_r: CopStrategy, kg: KnowledgeGame) -> Lifted
 # ---------------------------------------------------------------------------
 # The full pipeline
 
-@dataclass
-class ImperfectResult:
+class ImperfectResult(NamedTuple):
     player0_wins: bool
     knowledge_strategy: Optional[dict]
 

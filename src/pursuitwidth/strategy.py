@@ -15,9 +15,8 @@ same.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Optional
+from typing import Iterable, NamedTuple, Optional
 
 from .arena import (INITIAL, CopTurn, GraphCache, Initial, RobberTurn,
                     SearchConfig, announcement_masks, explore,
@@ -219,8 +218,7 @@ class SolverRobberStrategy(RobberStrategy):
 # ---------------------------------------------------------------------------
 # Exhaustive validation
 
-@dataclass
-class ValidationReport:
+class ValidationReport(NamedTuple):
     ok: bool
     witness: Optional[tuple]
     states: int

@@ -1,4 +1,3 @@
-import dataclasses
 import json
 import multiprocessing
 import multiprocessing.forkserver
@@ -351,7 +350,7 @@ def _subgraph_ladder_raised(measure, n):
 
 def _replaced(fn, **changes):
     """`fn` with the given fields of its result replaced."""
-    return lambda *a, **kw: dataclasses.replace(fn(*a, **kw), **changes)
+    return lambda *a, **kw: fn(*a, **kw)._replace(**changes)
 
 
 def _lost(*a, **kw):
@@ -366,7 +365,7 @@ def _trace_with_a_failed_report(*a, **kw):
 
 def _flipped_imperfect(*a, **kw):
     res = _SOLVE_IMPERFECT(*a, **kw)
-    return dataclasses.replace(res, player0_wins=not res.player0_wins)
+    return res._replace(player0_wins=not res.player0_wins)
 
 
 SEED0 = 735074711  # the first game seed drawn from DEFAULT_SEED

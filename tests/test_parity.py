@@ -1,5 +1,3 @@
-import dataclasses
-
 import pytest
 from hypothesis import given, strategies as st
 
@@ -284,7 +282,7 @@ class TestKnowledgeChecksCanFail:
         kg = powerset_construct(pg, eq)
         assert check_history_lifting(kg, pg)
         sets = tuple(frozenset({1, 2, 3}) if K == {1, 2} else K for K in kg.sets)
-        assert not check_history_lifting(dataclasses.replace(kg, sets=sets), pg)
+        assert not check_history_lifting(kg._replace(sets=sets), pg)
 
 
 class TestPositionBudget:
