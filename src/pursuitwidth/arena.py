@@ -17,9 +17,9 @@ Every non-idle announcement shrinks the region, so the classes form a DAG
 and no fixpoint is needed; the idle one is never generated.  A region is
 closed under successors outside its cop set, so no candidate needs a
 search, and the paths of a robber turn that avoid the announced cops stay
-inside its escape set, so its regions are searched for there, not in the
-whole graph.  That one forward search also yields each region's out-set,
-hence its border, and a successor class decided before is read in place.
+inside its escape set, so its regions are searched for there, one SCC at a
+time as the turn reads them; each forward search also yields the region's
+out-set, hence its border.  A successor class decided before is read in place.
 So is one whose size forces its value: with k cops on its border it is lost,
 as each candidate keeps them and adds one; outside the SCC-restricted game,
 with room for a cop on each vertex of its region it is won by capture.
@@ -303,22 +303,6 @@ def announcement_masks(cache: GraphCache, cfg: SearchConfig, U: int, R: int):
             yield B | X
 
 
-def _region_unions(regs, r: int):
-    """Distinct unions of 1..r of the (region, out-set) pairs `regs` in combination
-    order, each with the OR of its regions' out-sets; for r = 1, `regs` itself."""
-    # robber replies by region, apart from GraphCache: the validators check them
-    if r == 1:
-        return regs
-    unions = {}
-    for t in range(1, min(r, len(regs)) + 1):
-        for comb in itertools.combinations(regs, t):
-            u = o = 0
-            for reg, out in comb:
-                u, o = u | reg, o | out
-            unions.setdefault(u, o)
-    return list(unions.items())
-
-
 # ---------------------------------------------------------------------------
 # Visible-game solver
 
@@ -341,8 +325,8 @@ class _SearchSolver:
     and that announcement is its certificate.  `_turn` evaluates every robber
     turn, the initial placement (cops Up = 0) included: it is lost at its
     first lost successor, so the pass stops at the first lost initial class.
-    A successor's border comes with its region from the one search of
-    `_escape_regions`, and a successor already in `value` is read there, or
+    A successor's border comes with its region from the forward search of
+    `_escape_unions`, and a successor already in `value` is read there, or
     decided there when forced: (B, u) is lost if k - |B| < 1, as no candidate
     fits, and outside the SCC-restricted game won if k - |B| >= |u|, as its
     first candidate B | u captures (no x of u is dropped below: each B | {x}
@@ -387,17 +371,22 @@ class _SearchSolver:
                 m ^= b
         return subset_masks(allowed, range(room, 0, -1))
 
-    def _escape_regions(self, Up: int, escapes: int):
-        """The distinct regions of the escape vertices, sorted, each with its
-        out-set (the successors of its vertices), one SCC at a time.
+    def _escape_unions(self, escapes: int):
+        """Yield a robber turn's replies as (union, out-set) pairs, lazily: each
+        region of the escape vertices, one SCC at a time, then the distinct
+        unions of 2..r of them in combination order over the regions as found.
 
         Exact without a whole-graph table: the class region is closed under
-        successors outside U, and U is inside Up, so every path from an escape
-        vertex that avoids Up stays inside `escapes`.  A region is a forward
+        successors outside U, and U is inside the announcement Up, so every
+        path from an escape vertex that avoids Up stays inside `escapes`.  A region is a forward
         search there, which ORs the successor masks it visits, and its SCC a
-        backward one inside the region (Fleischer, Hendrickson & Pinar 2000).
+        backward one inside the region (Fleischer, Hendrickson & Pinar 2000),
+        run only when the next region is asked for: a turn refuted by its
+        first successor searches nothing more.  A union of nested regions is
+        the larger one, already yielded.
         """
-        out, regs, left = self.out, {}, escapes
+        # robber replies by region, apart from GraphCache: the validators check them
+        out, regs, left = self.out, [], escapes
         while left:
             v = left & -left
             region = frontier = v
@@ -411,9 +400,18 @@ class _SearchSolver:
                 out_set |= nxt
                 frontier = nxt & escapes & ~region
                 region |= frontier
-            regs[region] = out_set
+            yield region, out_set
+            regs.append((region, out_set))
             left &= ~reach_mask(self.inn, v, ~region)
-        return sorted(regs.items())
+        seen = {reg for reg, _ in regs}
+        for t in range(2, min(self.r, len(regs)) + 1):
+            for comb in itertools.combinations(regs, t):
+                u = o = 0
+                for reg, out_set in comb:
+                    u, o = u | reg, o | out_set
+                if u not in seen:
+                    seen.add(u)
+                    yield u, o
 
     def _turn(self, Up: int, unions):
         """Yield the undecided successor classes of the robber turn whose
@@ -449,8 +447,7 @@ class _SearchSolver:
             Up, escapes = U | X, reg & ~X
             won = escapes == 0 or turns.get((Up, escapes))  # no escape: capture
             if won is None:
-                unions = _region_unions(self._escape_regions(Up, escapes), self.r)
-                won = turns[Up, escapes] = yield from self._turn(Up, unions)
+                won = turns[Up, escapes] = yield from self._turn(Up, self._escape_unions(escapes))
             if won:
                 return Up
         return 0
@@ -462,8 +459,7 @@ class _SearchSolver:
         on a stack as deep as the longest chain of shrinking regions.
         """
         value, stack = self.value, self.stack
-        unions = _region_unions(self._escape_regions(0, self.full), self.r)
-        stack.append((None, self._turn(0, unions)))
+        stack.append((None, self._turn(0, self._escape_unions(self.full))))
         answer = None
         while True:
             key, gen = stack[-1]

@@ -22,7 +22,7 @@ connected components included: a forward search, then a backward search
 inside what it reached (Fleischer, Hendrickson & Pinar, 2000).  Every
 closure over a vertex set is one call too; a backward closure passes
 predecessor masks.  One search runs inline instead: the visible solver's
-forward search for a robber turn's regions (`_escape_regions` in `arena`),
+forward search for a robber turn's regions (`_escape_unions` in `arena`),
 which also collects each region's out-set as it goes.
 Searches over game states, which are not vertices, run on `arena.explore`.
 """

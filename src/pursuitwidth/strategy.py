@@ -73,6 +73,9 @@ class History:
     def __hash__(self):
         return self._hash
 
+    def __reduce__(self):  # rehashed: INITIAL hashes by address; `checked` is per process
+        return History, (self.positions,)
+
     def __repr__(self):
         return f"History({len(self.positions)} positions, last={self.positions[-1]!r})"
 

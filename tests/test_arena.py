@@ -1,5 +1,7 @@
+import functools
 import itertools
 import math
+import operator
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -318,6 +320,16 @@ class TestSearchSolver:
             cfg = SearchConfig(k=k, restrict_to_scc=True)
             _assert_strategy_validates(g, cfg, solve_search(g, cfg))
 
+    @pytest.mark.parametrize("name,g", [(n, g) for n, g in SOLVER_CORPUS if g.n == 5],
+                             ids=[n for n, g in SOLVER_CORPUS if g.n == 5])
+    def test_three_robbers_match_oracle_and_strategies_validate(self, name, g):
+        # unions of three regions come after those of two, in combination order
+        for k in range(g.n + 1):
+            cfg = SearchConfig(k=k, r=3)
+            res = solve_search(g, cfg)
+            assert res.winner == minimax_solve(g, k, 3), (name, k)
+            _assert_strategy_validates(g, cfg, res)
+
     def test_classes_are_keyed_by_border_cops(self):
         for name, g in SOLVER_CORPUS:
             cfgs = [SearchConfig(k=k, r=r) for r in (1, 2) for k in range(g.n + 1)]
@@ -366,7 +378,7 @@ class TestSearchSolver:
         g, _ = two_tree_graph(2)
         cfg = SearchConfig(k=2)
         size = solve_search(g, cfg).arena_size
-        assert size == 432  # (border cops, region) classes decided
+        assert size == 414  # (border cops, region) classes decided
         monkeypatch.setenv("PURSUITWIDTH_BUDGET", str(size))
         assert solve_search(g, cfg).arena_size == size
         monkeypatch.setenv("PURSUITWIDTH_BUDGET", str(size - 1))
@@ -374,19 +386,21 @@ class TestSearchSolver:
             solve_search(g, cfg)
         assert exc.value.budget == size - 1
 
-    @pytest.mark.parametrize("k,winner,size", [(5, ROBBERS, 3104), (6, COPS, 89)],
+    @pytest.mark.parametrize("k,winner,size", [(5, ROBBERS, 3130), (6, COPS, 81)],
                              ids=["lost-rung", "won-rung"])
     def test_random_fourteen_vertex_rung_arena_sizes(self, k, winner, size):
         res = solve_search(random_digraph(14, 0.3, 1), SearchConfig(k=k))
         assert (res.winner, res.arena_size) == (winner, size)
 
-    def test_initial_unions_are_tried_in_combination_order(self):
-        # two robbers may open on {2}, {3}, {2, 3}, {0..3} or all five
-        # vertices; taken in the unions' combination order, as on every other
-        # robber turn, the solver decides 7 classes (in mask order it took 8)
+    def test_initial_unions_are_tried_as_their_regions_are_found(self):
+        # two robbers may open on {0..3}, {2}, {3}, all five vertices or
+        # {2, 3}: the regions as found from the lowest vertex no earlier SCC
+        # covers, then their unions, as on every other robber turn; the lost
+        # {0..3} comes first, and the solver decides 5 classes (7 with the
+        # regions sorted, 8 with every union in mask order)
         g = Digraph(5, [(0, 1), (0, 2), (0, 3), (1, 0), (4, 1), (4, 2)])
         res = solve_search(g, SearchConfig(k=1, r=2))
-        assert (res.winner, res.arena_size) == (ROBBERS, 7)
+        assert (res.winner, res.arena_size) == (ROBBERS, 5)
 
 
 class TestOneNewCop:
@@ -406,9 +420,9 @@ class TestOneNewCop:
         assert minimax_solve(single, 1, 1, max_new_cops=0) == "robbers"
 
     def test_lost_rung_skips_refuted_cops(self, monkeypatch):
-        # 78,760 candidates without the rule, over the same 3,104 classes;
-        # 18,353 while each of the 3,087 lost classes also tried the idle one;
-        # 15,266 while the 10 classes won by capture each enumerated theirs
+        # 75,696 candidates without the rule, over the same 3,130 classes;
+        # 18,418 if each of the 3,127 lost classes also tried the idle one;
+        # 15,291 if the 2 classes won by capture each enumerated theirs
         yielded = []
         candidates = _SearchSolver._candidates
 
@@ -419,7 +433,7 @@ class TestOneNewCop:
 
         monkeypatch.setattr(_SearchSolver, "_candidates", counted)
         res = solve_search(random_digraph(14, 0.3, 1), SearchConfig(k=5))
-        assert (res.winner, res.arena_size, len(yielded)) == (ROBBERS, 3104, 15256)
+        assert (res.winner, res.arena_size, len(yielded)) == (ROBBERS, 3130, 15289)
 
     def test_robber_replies_stay_in_classes_decided_lost(self):
         """Each candidate of a lost class was refuted, or holds a cop x whose
@@ -446,7 +460,7 @@ class TestOneNewCop:
                             assert Rp and cache.class_key(up, cache.reach(Rp, up)) in lost, \
                                 (name, cfg, B, reg, X)
                             checks += 1
-        assert checks == 11285
+        assert checks == 12244
 
 
 def _forced_corpus():
@@ -505,19 +519,30 @@ ESCAPE_CORPUS = _escape_corpus()
 
 def _ladder_robber_turns(g, r):
     """Record the dw_r ladder of g, from one cop up to the first rung the cops
-    win: (Up, escapes, (region, out-set) pairs) of every robber turn it
-    evaluates, and (Up, class) for every successor class it yields or decides
-    in place, where Up is the announcement whose turn needs the class."""
+    win: [Up, escapes, (union, out-set) pairs read, whether they were read to
+    the end] for every robber turn it evaluates, and (Up, class) for every
+    successor class it yields or decides in place, where Up is the
+    announcement whose turn needs the class."""
     turns, yielded = [], []
 
     class Recording(_SearchSolver):
-        def _escape_regions(self, Up, escapes):
-            pairs = super()._escape_regions(Up, escapes)
-            turns.append((Up, escapes, pairs))
-            return pairs
+        def _escape_unions(self, escapes):
+            turns.append([None, escapes, [], False])
+            return self._read(super()._escape_unions(escapes), turns[-1])
 
         def _turn(self, Up, unions):
-            inner, answer = super()._turn(Up, unions), None
+            turns[-1][0] = Up  # the turn whose unions were just made
+            return self._recorded(super()._turn(Up, unions), Up)
+
+        @staticmethod
+        def _read(unions, turn):
+            for pair in unions:
+                turn[2].append(pair)
+                yield pair
+            turn[3] = True
+
+        def _recorded(self, inner, Up):
+            answer = None
             while True:
                 known = len(self.value)
                 try:
@@ -537,36 +562,44 @@ def _ladder_robber_turns(g, r):
     raise AssertionError("n cops always win")
 
 
+def _unions_of_at_most(regs, r):
+    """Every union of 1..r of the masks `regs`."""
+    return {functools.reduce(operator.or_, comb)
+            for t in range(1, r + 1) for comb in itertools.combinations(regs, t)}
+
+
 class TestEscapeRegions:
-    """The solver finds a robber turn's escape regions inside its escape set,
-    each with its out-set; they must be the regions of the whole graph without
-    the announced cops, and the out-sets their successors."""
+    """The solver reads a robber turn's replies lazily from `_escape_unions`,
+    found inside its escape set, each with its out-set: they must be unions of
+    at most r regions of the whole graph without the announced cops, each read
+    once, the single regions first, and the out-sets their successors."""
 
     @pytest.mark.parametrize("name,g", ESCAPE_CORPUS, ids=[n for n, _ in ESCAPE_CORPUS])
     def test_match_the_whole_graph_regions(self, name, g):
-        for r in (1, 2):
+        for r in (1, 2, 3):
             turns, _ = _ladder_robber_turns(g, r)
             assert turns or g.n == 1, (name, r)
-            for Up, escapes, pairs in turns:
-                regs = [reg for reg, _ in pairs]
+            for Up, escapes, read, ended in turns:
+                assert read, (name, r, Up, escapes)
                 region, _ = region_table(g.out_masks, g.n, Up)
-                assert regs == sorted({region[v] for v in bits(escapes)}), (name, r, Up, escapes)
+                regs = {region[v] for v in bits(escapes)}
                 if g.n <= 6:
-                    want = {sum(1 << w for w in oracles.reach_by_path_enumeration(
-                        g, _vset(Up), {v})) for v in bits(escapes)}
-                    assert regs == sorted(want), (name, r, Up, escapes)
+                    assert regs == {sum(1 << w for w in oracles.reach_by_path_enumeration(
+                        g, _vset(Up), {v})) for v in bits(escapes)}, (name, r, Up, escapes)
+                unions = _unions_of_at_most(regs, r)
+                masks = [u for u, _ in read]
+                assert set(masks) <= unions, (name, r, Up, escapes)
+                if ended:  # every distinct union, the single regions first
+                    assert sorted(masks) == sorted(unions), (name, r, Up, escapes)
+                    assert set(masks[:len(regs)]) == regs, (name, r, Up, escapes)
 
     @pytest.mark.parametrize("name,g", ESCAPE_CORPUS, ids=[n for n, _ in ESCAPE_CORPUS])
     def test_out_sets_are_the_successors_of_each_region_and_union(self, name, g):
-        for r in (1, 2):
-            for Up, escapes, pairs in _ladder_robber_turns(g, r)[0]:
-                for reg, out_set in pairs:
-                    assert out_set == out_of(g.out_masks, reg), (name, r, Up, reg)
-                regs = [reg for reg, _ in pairs]
-                want = dict.fromkeys(regs + [a | b for a, b in itertools.combinations(regs, 2)])
-                unions = arena._region_unions(pairs, 2)
-                assert [u for u, _ in unions] == list(want), (name, r, Up, escapes)
-                for u, out_set in unions:
+        for r in (1, 2, 3):
+            for Up, escapes, read, _ in _ladder_robber_turns(g, r)[0]:
+                masks = [u for u, _ in read]
+                assert len(set(masks)) == len(masks), (name, r, Up, escapes)
+                for u, out_set in read:
                     assert out_set == out_of(g.out_masks, u), (name, r, Up, u)
 
     @pytest.mark.parametrize("name,g", ESCAPE_CORPUS, ids=[n for n, _ in ESCAPE_CORPUS])
@@ -577,6 +610,22 @@ class TestEscapeRegions:
             assert yielded or g.n <= 2, (name, r)
             for Up, (W, u) in yielded:
                 assert (W, u) == cache.class_key(Up, u), (name, r, Up, u)
+
+    def test_a_turn_refuted_by_its_first_union_searches_no_further(self, monkeypatch):
+        # one cop loses the bidirected triangle {0, 1, 2}; the initial turn is
+        # refuted by that first region before vertex 3's is looked for, and
+        # each turn inside it by its first region, a class whose border holds
+        # the cop, so no SCC is searched backwards
+        calls = []
+
+        def counted(masks, sources, blocked):
+            calls.append(sources)
+            return reach_mask(masks, sources, blocked)
+
+        monkeypatch.setattr(arena, "reach_mask", counted)
+        g = Digraph(4, [(u, v) for u in range(3) for v in range(3) if u != v])
+        assert _SearchSolver(g, SearchConfig(k=1)).run()[0] is False
+        assert calls == []
 
 
 def _invisible_corpus():
@@ -783,9 +832,10 @@ class TestSubgraphLadder:
         monkeypatch.setenv("PURSUITWIDTH_BUDGET", "2000")
         assert width(g, "dw") == 3
         # the plain ladder needs 28,749 classes at k=2 here, and takes
-        # seconds to exceed the budget; on two_tree_graph(2) it needs 432
+        # seconds to exceed the budget; on two_tree_graph(2) it needs 414,
+        # and the galloping ladder's largest rung 125
         small, _ = two_tree_graph(2)
-        monkeypatch.setenv("PURSUITWIDTH_BUDGET", "100")
+        monkeypatch.setenv("PURSUITWIDTH_BUDGET", "125")
         assert width(small, "dw") == 3
         with pytest.raises(ResourceError) as exc:
             _ladder(small, "dw", plain=True)

@@ -75,9 +75,9 @@ class TestWidthCommand:
         assert code == EXIT_PASS and rep["results"]["value"] == 3
         assert [tuple(rung.values()) for rung in rep["results"]["rungs"]] == [
             (8, 1, ROBBERS, 8), (8, 2, COPS, 14), (9, 2, COPS, 15), (11, 2, COPS, 33),
-            (15, 2, COPS, 47), (23, 2, ROBBERS, 269), (23, 3, COPS, 34), (24, 3, COPS, 39),
+            (15, 2, COPS, 47), (23, 2, ROBBERS, 257), (23, 3, COPS, 34), (24, 3, COPS, 39),
             (26, 3, COPS, 42), (30, 3, COPS, 46), (38, 3, COPS, 60), (54, 3, COPS, 84),
-            (86, 3, COPS, 147), (150, 3, COPS, 672), (242, 3, COPS, 647)]
+            (86, 3, COPS, 147), (150, 3, COPS, 672), (242, 3, COPS, 650)]
         bound = rep["results"]["lower_bound"]
         assert bound["k"] == 2 and len(bound["vertices"]) == 23
         # the robbers' win on the witness, validated on every cop line

@@ -21,14 +21,30 @@ from pursuitwidth.parity import (ImperfectResult, ParityGame, ParityResult,
 from pursuitwidth.strategy import History, ValidationReport
 
 
-def test_the_library_imports_without_dataclasses():
+def _in_a_child(code, stdin=b""):
+    """What `code` prints in a fresh interpreter that imports this library."""
     src = str(Path(pursuitwidth.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")])))
+    return subprocess.run([sys.executable, "-c", code], env=env, input=stdin,
+                          capture_output=True, check=True).stdout.decode().strip()
+
+
+def test_the_library_imports_without_dataclasses():
     code = "import sys, pursuitwidth, pursuitwidth.cli; print('dataclasses' in sys.modules)"
-    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                         text=True, check=True).stdout
-    assert out.strip() == "False"
+    assert _in_a_child(code) == "False"
+
+
+def test_a_history_unpickled_elsewhere_hashes_as_one_built_there():
+    # the initial position hashes by address, so a history's hash is per process
+    h = History((CopTurn(0, 1),))
+    h.checked = ("a checker", 2)
+    code = ("import pickle, sys\n"
+            "from pursuitwidth.arena import CopTurn\n"
+            "from pursuitwidth.strategy import History\n"
+            "h, fresh = pickle.loads(sys.stdin.buffer.read()), History((CopTurn(0, 1),))\n"
+            "print(h == fresh, h in {fresh}, h.checked)")
+    assert _in_a_child(code, pickle.dumps(h)) == "True True None"
 
 
 GAME = ParityGame(2, (0, 1), (0, 1), ("a", "b"), ((frozenset({1}), frozenset({0})),) * 2, 0)
