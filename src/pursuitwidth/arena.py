@@ -453,7 +453,7 @@ class _SearchSolver:
         return 0
 
     def run(self):
-        """Returns (cops win, {won class: certificate}, {lost class}).
+        """Returns (cops win, {decided class: its certificate, or 0 when lost}).
 
         A trampoline, not recursion: one generator per class being decided,
         on a stack as deep as the longest chain of shrinking regions.
@@ -468,8 +468,7 @@ class _SearchSolver:
             except StopIteration as done:
                 stack.pop()
                 if not stack:
-                    won = {c: up for c, up in value.items() if up}
-                    return done.value, won, value.keys() - won.keys()
+                    return done.value, value
                 value[key] = answer = done.value
                 continue
             stack.append((need, self._decide(*need)))
@@ -480,12 +479,11 @@ def solve_search(g: Digraph, cfg: SearchConfig) -> SolveResult:
     """Solve the visible game exactly from the initial position."""
     if g.n == 0:
         raise PreconditionError("cannot play on the empty graph")
-    cops_win, won, lost = _SearchSolver(g, cfg).run()
-    size = len(won) + len(lost)
+    cops_win, value = _SearchSolver(g, cfg).run()
     from .strategy import SolverCopStrategy, SolverRobberStrategy
     if cops_win:
-        return SolveResult(COPS, SolverCopStrategy(g, cfg, won), None, size)
-    return SolveResult(ROBBERS, None, SolverRobberStrategy(g, cfg, lost), size)
+        return SolveResult(COPS, SolverCopStrategy(g, cfg, value), None, len(value))
+    return SolveResult(ROBBERS, None, SolverRobberStrategy(g, cfg, value), len(value))
 
 
 # ---------------------------------------------------------------------------

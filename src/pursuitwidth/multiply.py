@@ -330,6 +330,16 @@ class MultiplyStrategy(CopStrategy):
             raise InvariantViolation("consistent", f"as the memory is made: history 1: {why}")
         return zeta
 
+    def _pursue(self, entries: tuple, rho: History, W: int, robbers: int) -> MemoryZeta:
+        """Extend `rho`, whose cops are W, to pursue the lowest of `robbers`, and
+        park the rest on `rho` under the set they reach.  With nobody left to park,
+        the extension replaces `rho` instead of leaving an empty stub behind."""
+        b = _lowest(robbers)
+        rest = robbers & ~(1 << b)
+        if rest:
+            entries += (HistoryEntry(rho, rest, self.cache.reach(rest, W)),)
+        return self._memory(entries, rho.append(CopTurn(W, 1 << b)))
+
     def _require_invariants(self, pos: CopTurn, zeta: MemoryZeta, where: str):
         """Raise on the first invariant the memory violates at `pos` against `f`."""
         self.checks += 1
@@ -353,18 +363,8 @@ class MultiplyStrategy(CopStrategy):
             # the pursued top robber left the graph
             Uprime = d.Ucum[s - 1]
             top = zeta.entries[-1]
-            if not top.Rset:
-                rho_new = top.rho.append(CopTurn(d.W[s - 1], 1 << d.b[s]))
-                zeta2 = self._memory(zeta.entries[:-1], rho_new)
-                tag = CASE_I_EMPTY
-            else:
-                b = _lowest(top.Rset)
-                rest = top.Rset & ~(1 << b)
-                O_t = cache.reach(rest, d.W[s - 1])
-                entry = HistoryEntry(top.rho, rest, O_t)
-                rho_new = top.rho.append(CopTurn(d.W[s - 1], 1 << b))
-                zeta2 = self._memory(zeta.entries[:-1] + (entry,), rho_new)
-                tag = CASE_I_NONEMPTY
+            zeta2 = self._pursue(zeta.entries[:-1], top.rho, d.W[s - 1], top.Rset or 1 << d.b[s])
+            tag = CASE_I_NONEMPTY if top.Rset else CASE_I_EMPTY
         else:
             empties = [i for i in range(1, s) if d.Rset[i] == 0]
             if empties:
@@ -484,17 +484,7 @@ class MultiplyStrategy(CopStrategy):
         new_entries = tuple(HistoryEntry(e.rho, assigned[i], e.Oset)
                             for i, e in enumerate(zeta.entries, start=1))
         if not d.ends_cop and assigned[s]:
-            b = _lowest(assigned[s])
-            rest = assigned[s] & ~(1 << b)
-            rho_new = zeta.rho_s.append(CopTurn(d.W[s], 1 << b))
-            if rest:
-                O_t = cache.reach(rest, d.W[s])
-                entry = HistoryEntry(zeta.rho_s, rest, O_t)
-                zeta2 = self._memory(new_entries + (entry,), rho_new)
-            else:
-                # nobody else stays attached to the old top history, so the
-                # extension replaces it instead of leaving an empty stub behind
-                zeta2 = self._memory(new_entries, rho_new)
+            zeta2 = self._pursue(new_entries, zeta.rho_s, d.W[s], assigned[s])
         else:
             zeta2 = self._memory(new_entries, zeta.rho_s)
 

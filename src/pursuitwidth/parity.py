@@ -558,14 +558,15 @@ def parse_parity_game(text: str) -> ParityGame:
             continue
         parts = line.split()
         if n is None:
-            if parts[0] != "positions" or "actions" not in parts:
+            if parts[0] != "positions" or parts[2:3] != ["actions"]:
                 raise InputError(f"line {lineno}: expected 'positions <n> actions <labels>'")
-            ai = parts.index("actions")
             try:
                 n = int(parts[1])
-            except (ValueError, IndexError):
+            except ValueError:
                 raise InputError(f"line {lineno}: bad position count") from None
-            actions = tuple(parts[ai + 1:])
+            if n < 0:
+                raise InputError(f"line {lineno}: negative position count {n}")
+            actions = tuple(parts[3:])
             if not actions:
                 raise InputError(f"line {lineno}: at least one action is required")
             if len(set(actions)) != len(actions):
@@ -587,9 +588,9 @@ def parse_parity_game(text: str) -> ParityGame:
             if init is not None:
                 raise InputError(f"line {lineno}: second init line")
             try:
-                init = int(parts[1])
-            except (ValueError, IndexError):
-                raise InputError(f"line {lineno}: bad init") from None
+                init, = map(int, parts[1:])
+            except ValueError:
+                raise InputError(f"line {lineno}: expected 'init <position>'") from None
         else:
             if len(parts) != 3:
                 raise InputError(f"line {lineno}: expected '<id> <color> <owner>'")

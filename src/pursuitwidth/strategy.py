@@ -156,18 +156,19 @@ class PositionalCopStrategy(CopStrategy):
 
 class SolverCopStrategy(CopStrategy):
     """Winning cop strategy backed by the solver's certificates (positional),
-    looked up by `GraphCache.class_key`: cops off the region's border are released."""
+    looked up by `GraphCache.class_key`: cops off the region's border are
+    released.  `value` is the solver's table, where 0 marks a lost class."""
     cache = cached_property(lambda self: GraphCache(self.g))  # built on first use
 
-    def __init__(self, g: Digraph, cfg: SearchConfig, cert):
+    def __init__(self, g: Digraph, cfg: SearchConfig, value):
         self.g = g
         self.cfg = cfg
-        self.cert = cert
+        self.value = value
 
     def announce(self, memory, pos: CopTurn):
         reg = self.cache.reach(pos.R, pos.U)
-        got = self.cert.get(self.cache.class_key(pos.U, reg))
-        if got is None:
+        got = self.value.get(self.cache.class_key(pos.U, reg))
+        if not got:  # undecided or lost
             raise StrategyHoleError(pos)
         return got, memory
 
@@ -191,18 +192,19 @@ class SolverCopStrategy(CopStrategy):
 
 class SolverRobberStrategy(RobberStrategy):
     """Winning robber strategy that stays inside the classes the solver
-    decided lost, as `GraphCache.class_key`s, so cops parked off a region's
-    border do not change its value.  Undecided classes are not lost."""
+    decided lost, those whose entry in its table `value` is 0, keyed by
+    `GraphCache.class_key`, so cops parked off a region's border do not
+    change its value.  Undecided classes are not lost."""
     cache = cached_property(lambda self: GraphCache(self.g))  # built on first use
 
-    def __init__(self, g: Digraph, cfg: SearchConfig, lost):
+    def __init__(self, g: Digraph, cfg: SearchConfig, value):
         self.g = g
         self.cfg = cfg
-        self.lost = lost
+        self.value = value
 
     def initial_placement(self) -> int:
         for R in subset_masks(self.g.full_mask, range(1, self.cfg.r + 1)):
-            if self.cache.class_key(0, self.cache.reach(R, 0)) in self.lost:
+            if self.value.get(self.cache.class_key(0, self.cache.reach(R, 0))) == 0:
                 return R
         raise StrategyHoleError(INITIAL)
 
@@ -212,7 +214,7 @@ class SolverRobberStrategy(RobberStrategy):
         fallback = 0
         for Rp in subset_masks(escapes, range(1, self.cfg.r + 1)):
             fallback = fallback or Rp
-            if self.cache.class_key(up, self.cache.reach(Rp, up)) in self.lost:
+            if self.value.get(self.cache.class_key(up, self.cache.reach(Rp, up))) == 0:
                 return Rp, memory
         # cornered: no escape class is lost (or there is none at all)
         return fallback, memory

@@ -13,7 +13,8 @@ from pursuitwidth.arena import (COPS, LADDER_START, ROBBERS, CopTurn, GraphCache
                                 subset_masks, validate_invisible_schedule, width)
 from pursuitwidth.cli import random_corpus, small_corpus
 from pursuitwidth.digraph import Digraph, bits, out_of, reach_mask, region_table
-from pursuitwidth.errors import ConfigError, InputError, InvariantViolation, ResourceError
+from pursuitwidth.errors import (ConfigError, InputError, InvariantViolation, ResourceError,
+                                 StrategyHoleError)
 from pursuitwidth.families import (cycle_digraph, gen_grk, random_digraph,
                                    tree_T, two_tree_graph)
 from pursuitwidth.strategy import (SolverRobberStrategy, antichain_reps,
@@ -335,8 +336,10 @@ class TestSearchSolver:
             cfgs = [SearchConfig(k=k, r=r) for r in (1, 2) for k in range(g.n + 1)]
             cfgs += [SearchConfig(k=k, restrict_to_scc=True) for k in range(g.n + 1)]
             for cfg in cfgs:
-                _, cert, _ = _SearchSolver(g, cfg).run()
-                for (U, reg), ann in cert.items():
+                _, value = _SearchSolver(g, cfg).run()
+                for (U, reg), ann in value.items():
+                    if not ann:
+                        continue  # lost
                     border = out_of(g.out_masks, reg)
                     assert U & ~border == 0, (name, cfg, U, reg)
                     # the certificate keeps U and places new cops inside reg
@@ -351,7 +354,9 @@ class TestSearchSolver:
                 if res.winner != COPS:
                     continue
                 strategy = res.cop_strategy
-                for (U, reg), ann in strategy.cert.items():
+                for (U, reg), ann in strategy.value.items():
+                    if not ann:
+                        continue  # lost
                     # one robber, with cops U | {v}, whose region is reg
                     R = next(w for w in bits(reg) if strategy.cache.reach(1 << w, U) == reg)
                     off = ~(U | reg | out_of(g.out_masks, reg)) & g.full_mask
@@ -360,6 +365,24 @@ class TestSearchSolver:
                         assert strategy.announce(None, pos) == (ann, None)
                         checked += 1
         assert checked > 100
+
+    def test_a_class_decided_lost_is_a_hole_of_the_cop_strategy(self):
+        # a won solve's table also holds the classes it decided lost, as 0
+        checked = 0
+        for name, g in SOLVER_CORPUS:
+            for k in range(1, g.n):
+                res = solve_search(g, SearchConfig(k=k))
+                if res.winner != COPS:
+                    continue
+                strategy = res.cop_strategy
+                for (U, reg), ann in strategy.value.items():
+                    R = next((w for w in bits(reg) if strategy.cache.reach(1 << w, U) == reg), None)
+                    if ann or R is None:
+                        continue
+                    with pytest.raises(StrategyHoleError):
+                        strategy.announce(None, CopTurn(U, 1 << R))
+                    checked += 1
+        assert checked > 20  # 31
 
     @pytest.mark.parametrize("cfg", [SearchConfig(k=2), SearchConfig(k=2, r=2),
                                      SearchConfig(k=2, restrict_to_scc=True)],
@@ -446,8 +469,9 @@ class TestOneNewCop:
             for r in (1, 2):
                 for k in range(1, g.n + 1):
                     cfg = SearchConfig(k=k, r=r)
-                    _, _, lost = _SearchSolver(g, cfg).run()
-                    robbers = SolverRobberStrategy(g, cfg, lost)
+                    _, value = _SearchSolver(g, cfg).run()
+                    robbers = SolverRobberStrategy(g, cfg, value)
+                    lost = {c for c, up in value.items() if not up}
                     cache = robbers.cache
                     for B, reg in lost:
                         root = next((v for v in bits(reg) if cache.reach(1 << v, B) == reg), None)

@@ -372,6 +372,13 @@ class TestFileFormats:
                               "init 0\ninit 1\nmove 1 a 0\n")
         with pytest.raises(InputError, match="line 1: repeated action"):
             parse_parity_game("positions 1 actions a a\n0 0 0\nmove 0 a 0\ninit 0\n")
+        with pytest.raises(InputError, match="line 1: expected 'positions <n> actions"):
+            parse_parity_game("positions 1 2 actions a\n0 0 0\nmove 0 a 0\ninit 0\n")
+        with pytest.raises(InputError, match="line 1: negative position count -1"):
+            parse_parity_game("positions -1 actions a\ninit 0\n")
+        for init in ("init 0 1", "init 0 junk", "init", "init junk"):
+            with pytest.raises(InputError, match="line 4: expected 'init <position>'"):
+                parse_parity_game(f"positions 1 actions a\n0 0 0\nmove 0 a 0\n{init}\n")
 
     def test_game_rejects_repeated_action_labels(self):
         with pytest.raises(InputError, match="repeated action"):
