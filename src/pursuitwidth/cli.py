@@ -136,10 +136,12 @@ def _named_task(job):
         return e
 
 
-def _run_tasks(fn, key: str, instances, jobs: int):
-    """(id, fn(task)) for each (id, task) of `instances`, named `key=id`.
-    The first instance, in order, that ran out of budget raises, whatever
-    `jobs` is."""
+def _check_all(rep: Report, names, fn, key: str, instances, jobs: int):
+    """Run `fn` on each (id, task) of `instances`, in a pool of `jobs`
+    processes when `jobs` > 1, append one check per name of `names`, in that
+    order, and return [(id, output)].  The first instance, in order, that ran
+    out of budget raises, whatever `jobs` is.  A check's witness lists its
+    failing instances, each as its id (detail None) or as `{key: id, **detail}`."""
     named = [(fn, f"{key}={i}", task) for i, task in instances]
     if jobs > 1:
         # a worker started by fork, spawn or forkserver gets this bound alike
@@ -148,30 +150,24 @@ def _run_tasks(fn, key: str, instances, jobs: int):
             results = pool.map(_named_task, named)
     else:
         results = map(_named_task, named)  # lazy: no task runs after an error
-    out = []
+    bad, out = {name: [] for name in names}, []
     for (i, _), res in zip(instances, results):
         if isinstance(res, ResourceError):
             raise res
-        out.append((i, res))
-    return out
-
-
-def _tally(rep: Report, names, key: str, records):
-    """Append one check per name of `names`, in that order.  Each record is
-    (id, the (check name, detail) pairs that instance failed); a check's
-    witness lists its failing instances, each as its id (detail None) or as
-    `{key: id, **detail}`."""
-    bad = {name: [] for name in names}
-    for i, failures in records:
+        output, failures = res
         for name, detail in failures:
             bad[name].append(i if detail is None else {key: i, **detail})
+        out.append((i, output))
     rep.checks += [Check(name, not b, b or None) for name, b in bad.items()]
+    return out
 
 
 # ---------------------------------------------------------------------------
 # Suites (one per acceptance battery; lemma2 also carries the pipeline
 # checks and thm10 also carries the symmetric-closure bound).  A task checks
-# one instance and returns the checks it failed as (name, detail) pairs.
+# one instance and returns (output, failures): what the suite reads besides
+# the checks (None when nothing), and the checks it failed as (name, detail)
+# pairs.  `_check_all` runs every task.
 
 def _plain_width(g: Digraph, measure: str, r: int = 1) -> int:
     """`width` by the plain ladder on the whole graph: the checks of the
@@ -189,7 +185,7 @@ def _hierarchy_task(args):
         failures.append(("chain-monotone-and-top-equals-invisible",
                          {"chain": chain, "dpw": dpw}))
     if not deletions or g.n == 1:  # deleting the one vertex leaves no graph
-        return failures
+        return None, failures
     for v in range(g.n):
         h = induced(g, [u for u in range(g.n) if u != v])
         sub = [_plain_width(h, "dw_r", r=r) for r in range(1, h.n + 1)]
@@ -197,7 +193,7 @@ def _hierarchy_task(args):
         if any(a > b for a, b in zip(sub, chain)) or sub_dpw > dpw:
             failures.append(("width-monotone-under-induced-subgraphs",
                              {"deleted": v, "chain": sub, "dpw": sub_dpw}))
-    return failures
+    return None, failures
 
 
 def ladder_corpus():
@@ -235,22 +231,20 @@ def suite_hierarchy(nmax: int = 4, samples: int = 200, seed: int = DEFAULT_SEED,
     small = small_corpus(nmax)
     corpus = small + random_corpus(5, samples, seed)
     _require_instances(len(corpus), "hierarchy", "graph")
-    results = _run_tasks(_hierarchy_task, "graph", [(name, (g, i < len(small)))
-                                                    for i, (name, g) in enumerate(corpus)], jobs)
+    _check_all(rep, ("chain-monotone-and-top-equals-invisible",
+                     "width-monotone-under-induced-subgraphs"), _hierarchy_task, "graph",
+               [(name, (g, i < len(small))) for i, (name, g) in enumerate(corpus)], jobs)
     rep.results["instances"] = len(corpus)
-    _tally(rep, ("chain-monotone-and-top-equals-invisible",
-                 "width-monotone-under-induced-subgraphs"), "graph", results)
-    climbs = _run_tasks(_ladder_task, "graph", ladder_corpus(), jobs)
-    _tally(rep, ("subgraph-ladder-equals-plain-ladder",), "graph",
-           [(name, failures) for name, (_, failures) in climbs])
-    if not any(climbed for _, (climbed, _) in climbs):
+    climbs = _check_all(rep, ("subgraph-ladder-equals-plain-ladder",), _ladder_task, "graph",
+                        ladder_corpus(), jobs)
+    if not any(climbed for _, climbed in climbs):
         rep.checks[-1] = Check("subgraph-ladder-equals-plain-ladder", False,
                                "no instance climbed two rungs, so the check is vacuous")
     return rep
 
 
 def _thm10_task(args):
-    """(dw, robbers the adversary held per r, failures)."""
+    """((dw, robbers the adversary held per r), failures)."""
     g, rs = args
     k = width(g, "dw")
     res = solve_search(g, SearchConfig(k=k, r=1))
@@ -272,7 +266,7 @@ def _thm10_task(args):
     if tw2 > 2 * tw1:
         failures.append(("symmetric-closure-bound-tw2-at-most-2tw1",
                          {"tw_2": tw2, "cap": 2 * tw1}))
-    return k, held, failures
+    return (k, held), failures
 
 
 def suite_thm10(nmax: int = 4, samples: int = 200, seed: int = DEFAULT_SEED,
@@ -293,16 +287,15 @@ def suite_thm10(nmax: int = 4, samples: int = 200, seed: int = DEFAULT_SEED,
     tasks = [(name, (g, (r,) if graph is not None else (2, 3) if g.n <= nmax else (2,)))
              for name, g in corpus]
     rep.params["r"] = sorted({rr for _, (_, rs) in tasks for rr in rs})  # the r values checked
-    results = _run_tasks(_thm10_task, "graph", tasks, jobs)
+    results = _check_all(rep, ("multi-robber-width-at-most-r-times-width",
+                               "multiplier-beats-exhaustive-prudent-isolating-adversary",
+                               "symmetric-closure-bound-tw2-at-most-2tw1"),
+                         _thm10_task, "graph", tasks, jobs)
     rep.results["instances"] = len(corpus)
-    rep.results["max_robbers"] = {rr: max(held.get(rr, 0) for _, (_, held, _) in results)
+    rep.results["max_robbers"] = {rr: max(held.get(rr, 0) for _, (_, held) in results)
                                   for rr in rep.params["r"]}
-    _tally(rep, ("multi-robber-width-at-most-r-times-width",
-                 "multiplier-beats-exhaustive-prudent-isolating-adversary",
-                 "symmetric-closure-bound-tw2-at-most-2tw1"), "graph",
-           [(name, failures) for name, (_, _, failures) in results])
     if graph is not None and trace_out:
-        _, (k, _, _) = results[0]
+        _, (k, _) = results[0]
         res = solve_search(graph, SearchConfig(k=k, r=1))
         mult = multiply_strategy(graph, res.cop_strategy.as_positional(), r=r)
         records = traced_run(graph, mult)
@@ -330,27 +323,26 @@ def _lemma9_task(g):
     win = validate_cop_strategy(g, SearchConfig(k=k, r=1), ft)
     if not win.ok:
         problems.append(("not-winning", str(win.witness)))
-    return [("cleanup-normal-form-and-winning", {"problems": problems})] if problems else []
+    return None, [("cleanup-normal-form-and-winning", {"problems": problems})] if problems else []
 
 
 def suite_lemma9(nmax: int = 4, jobs: int = 1) -> Report:
     rep = Report(command=["verify", "lemma9"], params={"nmax": nmax})
     corpus = small_corpus(nmax)
     _require_instances(len(corpus), "lemma9", "graph")
-    results = _run_tasks(_lemma9_task, "graph", corpus, jobs)
+    _check_all(rep, ("cleanup-normal-form-and-winning",), _lemma9_task, "graph", corpus, jobs)
     rep.results["instances"] = len(corpus)
-    _tally(rep, ("cleanup-normal-form-and-winning",), "graph", results)
     return rep
 
 
 def _lemmas58_task(args):
-    """The failures, or None for a graph with dw_r below 2 (no robber strategy
-    to transform)."""
+    """(whether the graph was checked, failures); one with dw_r below 2 is not,
+    as it has no robber strategy to transform."""
     g, r = args
     dwr = width(g, "dw_r", r=r)
     k = dwr - 1
     if k < 1:
-        return None
+        return False, []
     cfg = SearchConfig(k=k, r=r)
     res = solve_search(g, cfg)
     if res.winner != ROBBERS:
@@ -366,18 +358,18 @@ def _lemmas58_task(args):
                                         require_prudent=True)
         if not rep2.ok:
             problems.append(("prudent", str(rep2.witness)))
-    return ([("transforms-keep-winning-and-step-conditions", {"problems": problems})]
-            if problems else [])
+    return True, ([("transforms-keep-winning-and-step-conditions", {"problems": problems})]
+                  if problems else [])
 
 
 def suite_lemmas58(nmax: int = 4, r: int = 2, jobs: int = 1) -> Report:
     rep = Report(command=["verify", "lemmas58"], params={"nmax": nmax, "r": r})
     corpus = small_corpus(nmax)
-    results = _run_tasks(_lemmas58_task, "graph", [(name, (g, r)) for name, g in corpus], jobs)
-    checked = [(name, out) for name, out in results if out is not None]
-    _require_instances(len(checked), "lemmas58", f"graph with dw_{r} of at least 2")
-    rep.results["instances"] = len(checked)
-    _tally(rep, ("transforms-keep-winning-and-step-conditions",), "graph", checked)
+    results = _check_all(rep, ("transforms-keep-winning-and-step-conditions",),
+                         _lemmas58_task, "graph", [(name, (g, r)) for name, g in corpus], jobs)
+    checked = sum(out for _, out in results)
+    _require_instances(checked, "lemmas58", f"graph with dw_{r} of at least 2")
+    rep.results["instances"] = checked
     return rep
 
 
@@ -468,7 +460,7 @@ def _lemma2_task(seed):
     if direct > cap:
         failures.append(("knowledge-arena-width-within-bound",
                          {"direct": (direct, cap, False)}))
-    return failures
+    return None, failures
 
 
 def _solve_verified(pg, eq) -> tuple:
@@ -510,19 +502,18 @@ def suite_lemma2(count: int = 100, seed: int = DEFAULT_SEED, jobs: int = 1,
     rng = random.Random(seed)
     seeds = [rng.randrange(10 ** 9) for _ in range(max(count, pipeline_count))]
     games = [(s, s) for s in seeds]  # each game is named by its seed
-    lift_results = _run_tasks(_lemma2_task, "seed", games[:count], jobs)
+    _check_all(rep, ("history-lifting-to-length-6",
+                     "lifted-strategy-wins-with-k-times-2^(r-1)-cops",
+                     "knowledge-arena-width-within-bound"), _lemma2_task, "seed",
+               games[:count], jobs)
     rep.results["lift_instances"] = count
-    _tally(rep, ("history-lifting-to-length-6",
-                 "lifted-strategy-wins-with-k-times-2^(r-1)-cops",
-                 "knowledge-arena-width-within-bound"), "seed", lift_results)
-    pipe_results = _run_tasks(_thm4_task, "seed", games[:pipeline_count], jobs)
+    ratios = _check_all(rep, ("identity-observations-match-direct-solve",
+                              "solver-matches-strategy-enumeration-oracle",
+                              "player0-wins-pass-product-verification",
+                              "knowledge-arena-at-most-n-times-2^(r-1)-positions"),
+                        _thm4_task, "seed", games[:pipeline_count], jobs)
     rep.results["pipeline_instances"] = pipeline_count
-    rep.results["knowledge_size_max_ratio"] = max(ratio for _, (ratio, _) in pipe_results)
-    _tally(rep, ("identity-observations-match-direct-solve",
-                 "solver-matches-strategy-enumeration-oracle",
-                 "player0-wins-pass-product-verification",
-                 "knowledge-arena-at-most-n-times-2^(r-1)-positions"), "seed",
-           [(s, failures) for s, (_, failures) in pipe_results])
+    rep.results["knowledge_size_max_ratio"] = max(ratio for _, ratio in ratios)
     return rep
 
 

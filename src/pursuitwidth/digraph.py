@@ -183,6 +183,23 @@ def is_strongly_connected(g: Digraph) -> bool:
     return reach_mask(g.out_masks, 1, 0) == full and reach_mask(g.in_masks, 1, 0) == full
 
 
+def _read_lines(text: str):
+    """(line number, tokens) of each line of `text` that holds more than a
+    `#` comment: the line reader of every text format."""
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        tokens = raw.split("#", 1)[0].split()
+        if tokens:
+            yield lineno, tokens
+
+
+def _ints(lineno: int, tokens, what: str) -> list:
+    """`tokens` as integers, or an InputError naming line `lineno`: `what`."""
+    try:
+        return [int(t) for t in tokens]
+    except ValueError:
+        raise InputError(f"line {lineno}: {what}") from None
+
+
 def parse_edge_list(text: str) -> Digraph:
     """Parse the edge-list format.
 
@@ -191,27 +208,17 @@ def parse_edge_list(text: str) -> Digraph:
     """
     n = None
     edges = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        parts = line.split()
+    for lineno, parts in _read_lines(text):
         if n is None:
             if len(parts) != 1:
-                raise InputError(f"line {lineno}: expected vertex count, got {raw!r}")
-            try:
-                n = int(parts[0])
-            except ValueError:
-                raise InputError(f"line {lineno}: vertex count is not an integer") from None
+                raise InputError(f"line {lineno}: expected vertex count, got {' '.join(parts)!r}")
+            (n,) = _ints(lineno, parts, "vertex count is not an integer")
             if n < 0:
                 raise InputError(f"line {lineno}: vertex count must be nonnegative")
             continue
         if len(parts) != 2:
-            raise InputError(f"line {lineno}: expected edge 'u v', got {raw!r}")
-        try:
-            u, v = int(parts[0]), int(parts[1])
-        except ValueError:
-            raise InputError(f"line {lineno}: edge endpoints must be integers") from None
+            raise InputError(f"line {lineno}: expected edge 'u v', got {' '.join(parts)!r}")
+        u, v = _ints(lineno, parts, "edge endpoints must be integers")
         if not (0 <= u < n and 0 <= v < n):
             raise InputError(f"line {lineno}: edge ({u}, {v}) out of range for n={n}")
         edges.append((u, v))

@@ -12,9 +12,9 @@ import itertools
 import random
 from typing import NamedTuple
 
-from .arena import CopTurn, RobberTurn
+from .arena import CopTurn, RobberTurn, effective_budget
 from .digraph import Digraph, bits, is_strongly_connected
-from .errors import InputError, InvariantViolation
+from .errors import InputError, InvariantViolation, ResourceError
 from .strategy import CopStrategy, RobberStrategy
 
 
@@ -331,7 +331,9 @@ def enumerate_strongly_connected(n: int):
     code is canonical when no vertex permutation maps it below itself; the
     image under a permutation is the OR of one table entry per chunk, and
     the test stops at the first permutation that maps the code lower.
-    Strong connectivity is searched for canonical codes only.
+    Strong connectivity is searched for canonical codes only.  The position
+    budget bounds the number of chunk tuples tried, checked before the
+    permutation tables are built.
     """
     if n < 1:
         raise InputError(f"n must be at least 1, not {n}")
@@ -339,6 +341,10 @@ def enumerate_strongly_connected(n: int):
         yield Digraph(1, [])
         return
     chunk_bits = n - 1
+    budget = effective_budget()
+    if ((1 << chunk_bits) - 1) ** n > budget:
+        raise ResourceError(f"enumerating the strongly connected graphs on {n} vertices "
+                            f"exceeded the budget ({budget})", budget=budget, context=f"n={n}")
     # out_of[u][c]: the vertex mask of chunk c at vertex u
     out_of = [[sum(1 << (v + (v >= u)) for v in bits(c)) for c in range(1 << chunk_bits)]
               for u in range(n)]

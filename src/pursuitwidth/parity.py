@@ -26,7 +26,7 @@ from collections import namedtuple
 from typing import NamedTuple, Optional
 
 from .arena import CopTurn, GraphCache, _Checked, effective_budget, explore
-from .digraph import Digraph, _check_vertices, bits, reach_mask
+from .digraph import Digraph, _check_vertices, _ints, _read_lines, bits, reach_mask
 from .errors import InputError, InvariantViolation, PreconditionError, ResourceError
 from .strategy import CopStrategy
 
@@ -79,18 +79,7 @@ class ObservationEquiv:
 
     def __init__(self, n: int, classes):
         seen = set()
-        cl = []
-        for c in classes:
-            c = frozenset(c)
-            if not c:
-                continue
-            for v in c:
-                if not (0 <= v < n):
-                    raise InputError(f"class member {v} out of range")
-                if v in seen:
-                    raise InputError(f"position {v} appears in two classes")
-                seen.add(v)
-            cl.append(c)
+        cl = [c for c in (_observed_class(c, n, seen) for c in classes) if c]
         for v in range(n):
             if v not in seen:
                 cl.append(frozenset({v}))
@@ -111,6 +100,19 @@ class ObservationEquiv:
     @classmethod
     def identity(cls, n: int) -> "ObservationEquiv":
         return cls(n, [])
+
+
+def _observed_class(members, n: int, seen: set) -> frozenset:
+    """`members` as an observation class of n positions: each in range and
+    in no class before it, whose members `seen` holds and it joins."""
+    c = frozenset(members)
+    for v in c:
+        if not (0 <= v < n):
+            raise InputError(f"class member {v} out of range")
+        if v in seen:
+            raise InputError(f"position {v} appears in two classes")
+        seen.add(v)
+    return c
 
 
 def validate(pg: ParityGame, eq: ObservationEquiv):
@@ -552,20 +554,15 @@ def parse_parity_game(text: str) -> ParityGame:
     decl = {}
     moves = []
     init = None
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        parts = line.split()
+    for lineno, parts in _read_lines(text):
         if n is None:
             if parts[0] != "positions" or parts[2:3] != ["actions"]:
                 raise InputError(f"line {lineno}: expected 'positions <n> actions <labels>'")
-            try:
-                n = int(parts[1])
-            except ValueError:
-                raise InputError(f"line {lineno}: bad position count") from None
+            (n,) = _ints(lineno, parts[1:2], "bad position count")
             if n < 0:
                 raise InputError(f"line {lineno}: negative position count {n}")
+            if n == 0:
+                raise InputError(f"line {lineno}: no positions, so the game is empty")
             actions = tuple(parts[3:])
             if not actions:
                 raise InputError(f"line {lineno}: at least one action is required")
@@ -575,10 +572,7 @@ def parse_parity_game(text: str) -> ParityGame:
         if parts[0] == "move":
             if len(parts) != 4:
                 raise InputError(f"line {lineno}: expected 'move <u> <action> <v>'")
-            try:
-                u, v = int(parts[1]), int(parts[3])
-            except ValueError:
-                raise InputError(f"line {lineno}: bad move endpoints") from None
+            u, v = _ints(lineno, parts[1::2], "bad move endpoints")
             if parts[2] not in actions:
                 raise InputError(f"line {lineno}: unknown action {parts[2]!r}")
             if not (0 <= u < n and 0 <= v < n):
@@ -587,17 +581,15 @@ def parse_parity_game(text: str) -> ParityGame:
         elif parts[0] == "init":
             if init is not None:
                 raise InputError(f"line {lineno}: second init line")
-            try:
-                init, = map(int, parts[1:])
-            except ValueError:
-                raise InputError(f"line {lineno}: expected 'init <position>'") from None
+            if len(parts) != 2:
+                raise InputError(f"line {lineno}: expected 'init <position>'")
+            (init,) = _ints(lineno, parts[1:], "expected 'init <position>'")
+            if not 0 <= init < n:
+                raise InputError(f"line {lineno}: initial position {init} out of range")
         else:
             if len(parts) != 3:
                 raise InputError(f"line {lineno}: expected '<id> <color> <owner>'")
-            try:
-                vid, col, own = int(parts[0]), int(parts[1]), int(parts[2])
-            except ValueError:
-                raise InputError(f"line {lineno}: bad position line") from None
+            vid, col, own = _ints(lineno, parts, "bad position line")
             if not 0 <= vid < n:
                 raise InputError(f"line {lineno}: position {vid} out of range")
             if own not in (0, 1):
@@ -630,16 +622,13 @@ def emit_parity_game(pg: ParityGame) -> str:
 
 
 def parse_observation(text: str, n: int) -> ObservationEquiv:
-    classes = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
+    seen, classes = set(), []
+    for lineno, parts in _read_lines(text):
+        members = _ints(lineno, parts, "class members must be integers")
         try:
-            members = [int(t) for t in line.split()]
-        except ValueError:
-            raise InputError(f"line {lineno}: class members must be integers") from None
-        classes.append(members)
+            classes.append(_observed_class(members, n, seen))
+        except InputError as e:
+            raise InputError(f"line {lineno}: {e}") from None
     return ObservationEquiv(n, classes)
 
 

@@ -252,6 +252,9 @@ class TestVerifyCommand:
     @pytest.mark.parametrize("argv", [
         ["verify", "lemma9", "--nmax", "3"],
         ["verify", "thm10", "--nmax", "3", "--samples", "10"],
+        ["verify", "hierarchy", "--nmax", "3", "--samples", "10"],
+        ["verify", "lemmas58", "--nmax", "3"],
+        ["verify", "lemma2", "--count", "1"],
     ], ids=lambda argv: argv[1])
     def test_jobs_flag_gives_same_report(self, argv, capsys):
         _, rep_a = run(argv, capsys)

@@ -4,7 +4,7 @@ from hypothesis import given, strategies as st
 from pursuitwidth.arena import (ROBBERS, GraphCache, SearchConfig, announcement_masks,
                                 solve_search, validate_invisible_schedule, width)
 from pursuitwidth.digraph import Digraph, bits, is_strongly_connected
-from pursuitwidth.errors import InputError
+from pursuitwidth.errors import InputError, ResourceError
 from pursuitwidth.families import (clique, cops_dpw_tree, cops_topdown_thm7,
                                    cycle_digraph, enumerate_strongly_connected,
                                    full_tree, gen_grk, lex_product,
@@ -168,6 +168,15 @@ class TestGenerators:
     def test_enumeration_rejects_fewer_than_one_vertex(self, n):
         with pytest.raises(InputError):
             list(enumerate_strongly_connected(n))
+
+    def test_enumeration_is_bounded_by_the_budget(self, monkeypatch):
+        # n = 4 tries (2^3 - 1)^4 = 2,401 chunk tuples
+        monkeypatch.setenv("PURSUITWIDTH_BUDGET", "2401")
+        assert sum(1 for _ in enumerate_strongly_connected(4)) == 83
+        monkeypatch.setenv("PURSUITWIDTH_BUDGET", "2400")
+        with pytest.raises(ResourceError, match="on 4 vertices") as err:
+            next(enumerate_strongly_connected(4))
+        assert err.value.budget == 2400 and err.value.context == "n=4"
 
     def test_enumeration_yields_connected_canonical(self):
         seen = set()

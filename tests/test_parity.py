@@ -379,6 +379,19 @@ class TestFileFormats:
         for init in ("init 0 1", "init 0 junk", "init", "init junk"):
             with pytest.raises(InputError, match="line 4: expected 'init <position>'"):
                 parse_parity_game(f"positions 1 actions a\n0 0 0\nmove 0 a 0\n{init}\n")
+        with pytest.raises(InputError, match="line 4: initial position 5 out of range"):
+            parse_parity_game("positions 1 actions a\n0 0 0\nmove 0 a 0\ninit 5\n")
+        for rest in ("", "init 0\n"):
+            with pytest.raises(InputError, match="line 1: no positions, so the game is empty"):
+                parse_parity_game("positions 0 actions a\n" + rest)
+
+    def test_observation_errors_name_lines(self):
+        with pytest.raises(InputError, match="line 2: position 1 appears in two classes"):
+            parse_observation("0 1\n1 2\n", 3)
+        with pytest.raises(InputError, match="line 3: class member 5 out of range"):
+            parse_observation("# a comment\n\n0 5\n", 3)
+        with pytest.raises(InputError, match="line 1: class members must be integers"):
+            parse_observation("0 x\n", 3)
 
     def test_game_rejects_repeated_action_labels(self):
         with pytest.raises(InputError, match="repeated action"):
